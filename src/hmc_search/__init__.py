@@ -82,21 +82,3 @@ from .training import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Cloud", "CloudField", "DIRECTION_NAMES", "DOWN", "DuelOutcome",
-    "EpisodeRecord", "EvalStats", "GridConfig", "Hyperparams", "LEFT",
-    "OptionOutcome", "PatternPath", "PopulationReport", "RIGHT", "ScoreMap",
-    "SelectionParams", "SweepResult", "SweepSpec", "SweepValueResult",
-    "TrainReport", "Trajectory", "UP", "choose_option", "collect",
-    "confidence_interval", "disc_offsets", "duel", "dynamic_demo",
-    "epsilon_at", "evaluate_agent", "execute_option", "load_plan",
-    "make_cloud", "make_rng", "mc_update", "move", "new_qtable",
-    "new_visit_memory", "option_stride", "option_terminal",
-    "population_stats", "q_update",
-    "read_qtable_csv", "record_visits", "ring_insets", "ring_spacing",
-    "route_heatmap", "run_duels", "run_episode", "run_sweep", "score_map",
-    "select_option", "sense", "snake_path", "spawn_clouds", "spiral_path",
-    "static_demo", "steps_to_find", "sweep_rows", "train_agent",
-    "trajectory_reward", "tuning_loop", "write_qtable_csv",
-]

@@ -16,10 +16,15 @@ DEFAULT_MAX_STEPS = 400
 
 @dataclass(frozen=True)
 class PatternPath:
-    """A fixed search route: 4-adjacent in-grid cells, start included."""
+    """A fixed search route: 4-adjacent in-grid cells, start included.
+
+    first is the first index that can find a cloud: 0 for a pattern, 1 for
+    the greedy agent, which collects a cloud only on entering a cell.
+    """
 
     cells: tuple[Cell, ...]
     kind: str
+    first: int = 0
 
 
 def _extend(cells: list[Cell], x: int, y: int) -> None:
@@ -119,19 +124,28 @@ def spiral_path(grid_length: int, diameter: int) -> PatternPath:
     return PatternPath(tuple(cells), "spiral")
 
 
+def first_hit(path: PatternPath, cloud: Cloud) -> int | None:
+    """Index of the first path cell, from path.first on, in the cloud support.
+
+    None on a miss, so that a miss stays distinct from a hit at any index.
+    """
+    support = cloud.support
+    for index, cell in enumerate(path.cells[path.first:], path.first):
+        if cell in support:
+            return index
+    return None
+
+
 def steps_to_find(path: PatternPath, cloud: Cloud,
                   max_steps: int = DEFAULT_MAX_STEPS) -> int:
     """Moves from the start until the path first touches the cloud support.
 
-    The start cell is index 0, so a cloud covering it costs zero moves.
-    Returns max_steps when no path cell lies in the support, which a
-    correctly spaced pattern never triggers.
+    A pattern's start cell is index 0, so a cloud covering it costs zero
+    moves.  Returns max_steps when no path cell lies in the support, which
+    a correctly spaced pattern never triggers.
     """
-    support = cloud.support
-    for index, cell in enumerate(path.cells):
-        if cell in support:
-            return index
-    return max_steps
+    hit = first_hit(path, cloud)
+    return max_steps if hit is None else hit
 
 
 def write_path_csv(path_file, pattern: PatternPath) -> None:

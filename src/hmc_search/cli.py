@@ -20,23 +20,16 @@ import tempfile
 
 import numpy as np
 
-from .baselines import snake_path, spiral_path, steps_to_find, write_path_csv
-from .env import DIRECTION_NAMES, make_cloud, make_rng
-from .evalharness import evaluate_agent, population_stats, run_duels, score_map, route_heatmap
+from .baselines import snake_path, spiral_path, write_path_csv
+from .env import make_rng
+from .evalharness import (center_steps, evaluate_agent, population_stats, route_heatmap,
+                          run_duels, score_map)
 from .policy import read_qtable_csv, write_qtable_csv
 from .sweep import load_plan, tuning_loop
-from .training import Hyperparams, dynamic_demo, static_demo, train_agent
+from .training import (CONFIG_TYPES, Hyperparams, dynamic_demo, static_demo,
+                       train_agent)
 
-CONFIG_KEYS = (
-    "grid_length", "pollution_diameter", "max_steps", "num_episodes",
-    "learning_rate", "discount_rate", "epsilon_start", "epsilon_final",
-    "epsilon_decay", "best_learn_value", "num_clouds", "mof_value",
-    "stop_learn_value", "option_length", "reward_scaling",
-)
-_INT_KEYS = frozenset((
-    "grid_length", "pollution_diameter", "max_steps", "num_episodes",
-    "best_learn_value", "num_clouds", "option_length",
-))
+CONFIG_KEYS = tuple(CONFIG_TYPES)
 
 
 class UsageError(Exception):
@@ -64,7 +57,7 @@ def parse_config(source) -> Hyperparams:
     for key, value in raw.items():
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise UsageError(f"config key {key!r} must be a number")
-        if key in _INT_KEYS:
+        if CONFIG_TYPES[key] is int:
             if int(value) != value:
                 raise UsageError(f"config key {key!r} must be an integer")
             value = int(value)
@@ -211,7 +204,14 @@ def _load_qtable(opts):
     if not os.path.exists(path):
         raise FileNotFoundError(
             f"no value table at {path}; train first or pass --qtable")
-    return read_qtable_csv(path)
+    length = opts["hp"].grid_length
+    try:
+        q = read_qtable_csv(path)
+        if q.shape[0] != length:
+            raise ValueError(f"it is for a {q.shape[0]}-cell grid, not grid_length {length}")
+    except ValueError as err:
+        raise UsageError(f"bad value table {path}: {err}") from err
+    return q
 
 
 def cmd_train(opts):
@@ -305,16 +305,12 @@ def cmd_route(opts):
 def cmd_pattern(opts):
     hp = opts["hp"]
     length, diameter = hp.grid_length, hp.pollution_diameter
+    patterns = [snake_path(length, diameter), spiral_path(length, diameter)]
     outputs = []
     metrics = {}
-    for name, builder in (("snake", snake_path), ("spiral", spiral_path)):
-        pattern = builder(length, diameter)
+    for pattern, steps in zip(patterns, center_steps(hp, *patterns)):
+        name = pattern.kind
         write_path_csv(os.path.join(opts["out"], f"{name}.csv"), pattern)
-        steps = np.zeros((length, length), dtype=np.int64)
-        for x in range(length):
-            for y in range(length):
-                cloud = make_cloud((x, y), diameter, length)
-                steps[x, y] = steps_to_find(pattern, cloud, hp.max_steps)
         write_csv(
             os.path.join(opts["out"], f"{name}_steps.csv"),
             ("x", "y", "steps"),

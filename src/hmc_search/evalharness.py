@@ -3,6 +3,10 @@
 All comparisons score the agent and the pattern against the identical
 cloud; fewer steps wins.  Failed agent episodes count the full step
 budget, which makes them automatic losses against any finishing pattern.
+
+The agent is scored like the patterns, by a route and a first-hit lookup:
+the greedy policy reads no random source and walks the same cells for
+every cloud until it enters one, where a single-cloud episode ends.
 """
 from __future__ import annotations
 
@@ -11,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import PatternPath, snake_path, spiral_path, steps_to_find
+from .baselines import PatternPath, first_hit, snake_path, spiral_path, steps_to_find
 from .env import CloudField, make_cloud, make_rng, spawn_clouds
 from .policy import QTable
 from .training import Hyperparams, run_episode, train_agent
@@ -65,29 +69,31 @@ def duel(agent_steps: int, opponent_steps: int) -> str:
     return LOSS
 
 
-def _episode_steps(q: QTable, hp: Hyperparams, field: CloudField | None, rng) -> int:
-    traj = run_episode(q, hp, "eval", rng, field=field)
-    return traj.n_step if traj.n_poll > 0 else hp.max_steps
+def agent_route(q: QTable, hp: Hyperparams) -> PatternPath:
+    """The greedy agent's route: one eval episode on a field with no cloud.
+
+    It ends at the step budget or the decision cap, as a fruitless greedy
+    episode does; lookups start at index 1 (see PatternPath.first).
+    """
+    traj = run_episode(q, hp, "eval", None, field=CloudField([], hp.grid_length))
+    return PatternPath(tuple(traj.cells), "agent", first=1)
+
+
+def _evaluate_route(route: PatternPath, hp: Hyperparams, n_episodes: int, rng) -> EvalStats:
+    if n_episodes < 1:
+        raise ValueError("n_episodes must be at least 1")
+    cfg = hp.grid()
+    hits = [first_hit(route, spawn_clouds(cfg, 1, rng).clouds[0]) for _ in range(n_episodes)]
+    steps = [hp.max_steps if hit is None else hit for hit in hits]
+    return EvalStats.from_steps(steps, hits.count(None))
 
 
 def evaluate_agent(q: QTable, hp: Hyperparams, n_episodes: int, rng) -> EvalStats:
-    """Greedy single-cloud episodes with the memory filter active."""
-    if n_episodes < 1:
-        raise ValueError("n_episodes must be at least 1")
-    steps = []
-    failures = 0
-    for _ in range(n_episodes):
-        traj = run_episode(q, hp, "eval", rng)
-        if traj.n_poll > 0:
-            steps.append(traj.n_step)
-        else:
-            steps.append(hp.max_steps)
-            failures += 1
-    return EvalStats.from_steps(steps, failures)
+    """Greedy single-cloud episodes; a find on the budget's last step succeeds."""
+    return _evaluate_route(agent_route(q, hp), hp, n_episodes, rng)
 
 
-def run_duels(q: QTable, hp: Hyperparams, n: int, rng) -> dict[str, DuelOutcome]:
-    """n independent random clouds, each scored for the agent and both patterns."""
+def _duel_route(route: PatternPath, hp: Hyperparams, n: int, rng) -> dict[str, DuelOutcome]:
     if n < 1:
         raise ValueError("n must be at least 1")
     cfg = hp.grid()
@@ -97,12 +103,29 @@ def run_duels(q: QTable, hp: Hyperparams, n: int, rng) -> dict[str, DuelOutcome]
     }
     outcomes = {name: DuelOutcome() for name in patterns}
     for _ in range(n):
-        field = spawn_clouds(cfg, 1, rng)
-        agent_steps = _episode_steps(q, hp, field, None)
+        cloud = spawn_clouds(cfg, 1, rng).clouds[0]
+        agent_steps = steps_to_find(route, cloud, cfg.max_steps)
         for name, pattern in patterns.items():
-            opponent_steps = steps_to_find(pattern, field.clouds[0], cfg.max_steps)
+            opponent_steps = steps_to_find(pattern, cloud, cfg.max_steps)
             outcomes[name].add(duel(agent_steps, opponent_steps))
     return outcomes
+
+
+def run_duels(q: QTable, hp: Hyperparams, n: int, rng) -> dict[str, DuelOutcome]:
+    """n independent random clouds, each scored for the agent and both patterns."""
+    return _duel_route(agent_route(q, hp), hp, n, rng)
+
+
+def center_steps(hp: Hyperparams, *paths: PatternPath) -> list[np.ndarray]:
+    """steps_to_find for a cloud centered on every cell, one (x, y) grid per path."""
+    length = hp.grid_length
+    grids = [np.zeros((length, length), dtype=np.int64) for _ in paths]
+    for x in range(length):
+        for y in range(length):
+            cloud = make_cloud((x, y), hp.pollution_diameter, length)
+            for grid, path in zip(grids, paths):
+                grid[x, y] = steps_to_find(path, cloud, hp.max_steps)
+    return grids
 
 
 @dataclass
@@ -132,21 +155,9 @@ def score_map(q: QTable, hp: Hyperparams, opponent: PatternPath) -> ScoreMap:
 
     Both sides are deterministic, so the map needs no random source.
     """
-    cfg = hp.grid()
-    length = cfg.grid_length
-    outcome = np.zeros((length, length), dtype=np.int8)
-    agent_grid = np.zeros((length, length), dtype=np.int64)
-    opponent_grid = np.zeros((length, length), dtype=np.int64)
-    code = {WIN: 1, TIE: 0, LOSS: -1}
-    for x in range(length):
-        for y in range(length):
-            cloud = make_cloud((x, y), cfg.pollution_diameter, length)
-            field = CloudField([cloud], length)
-            agent_steps = _episode_steps(q, hp, field, None)
-            opponent_steps = steps_to_find(opponent, cloud, cfg.max_steps)
-            outcome[x, y] = code[duel(agent_steps, opponent_steps)]
-            agent_grid[x, y] = agent_steps
-            opponent_grid[x, y] = opponent_steps
+    agent_grid, opponent_grid = center_steps(hp, agent_route(q, hp), opponent)
+    # +1 where the agent needs fewer steps (a win), 0 on a tie, -1 on a loss.
+    outcome = np.sign(opponent_grid - agent_grid).astype(np.int8)
     return ScoreMap(opponent.kind, outcome, agent_grid, opponent_grid)
 
 
@@ -156,10 +167,11 @@ def route_heatmap(q: QTable, hp: Hyperparams, n_episodes: int, rng) -> np.ndarra
     Each episode contributes its start cell plus every cell entered, so
     the grand total is the sum of (steps + 1) over episodes.
     """
+    route = agent_route(q, hp)
     counts = np.zeros((hp.grid_length, hp.grid_length), dtype=np.int64)
     for _ in range(n_episodes):
-        traj = run_episode(q, hp, "eval", rng)
-        for cell in traj.cells:
+        hit = first_hit(route, spawn_clouds(hp.grid(), 1, rng).clouds[0])
+        for cell in route.cells[:None if hit is None else hit + 1]:
             counts[cell] += 1
     return counts
 
@@ -183,21 +195,28 @@ class PopulationReport:
     win_hist: tuple[np.ndarray, np.ndarray]
 
 
-def _population_worker(args) -> AgentScore:
-    hp, seed, n_eval, n_duel = args
-    report = train_agent(hp, seed)
-    stats = evaluate_agent(report.q, hp, n_eval, make_rng(seed, stream=1))
-    duels = run_duels(report.q, hp, n_duel, make_rng(seed, stream=2))["snake"]
-    return AgentScore(
-        seed=seed,
-        mean_steps=stats.mean,
-        median_steps=stats.median,
-        failures=stats.failures,
-        wins=duels.wins,
-        ties=duels.ties,
-        losses=duels.losses,
-        win_pct=100.0 * duels.wins / duels.total,
-    )
+def score_agent(hp: Hyperparams, seed: int, n_eval: int, n_duel: int) -> AgentScore:
+    """Train one agent and score its route.
+
+    Evaluation draws its clouds from stream 1 of the seed, the snake duel
+    from stream 2.  n_duel 0 skips the duel and leaves its tallies at 0.
+    """
+    route = agent_route(train_agent(hp, seed).q, hp)
+    stats = _evaluate_route(route, hp, n_eval, make_rng(seed, stream=1))
+    duels = DuelOutcome()
+    if n_duel:
+        duels = _duel_route(route, hp, n_duel, make_rng(seed, stream=2))["snake"]
+    win_pct = 100.0 * duels.wins / duels.total if n_duel else 0.0
+    return AgentScore(seed, stats.mean, stats.median, stats.failures,
+                      duels.wins, duels.ties, duels.losses, win_pct)
+
+
+def score_agents(work, jobs: int = 1) -> list[AgentScore]:
+    """score_agent for each (hp, seed, n_eval, n_duel), in order, on jobs processes."""
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(score_agent, *zip(*work)))
+    return [score_agent(*item) for item in work]
 
 
 def population_stats(hp: Hyperparams, n_agents: int, base_seed: int,
@@ -210,12 +229,8 @@ def population_stats(hp: Hyperparams, n_agents: int, base_seed: int,
     """
     if n_agents < 1:
         raise ValueError("n_agents must be at least 1")
-    work = [(hp, base_seed + i, n_eval, n_duel) for i in range(n_agents)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            agents = list(pool.map(_population_worker, work))
-    else:
-        agents = [_population_worker(item) for item in work]
+    agents = score_agents(
+        [(hp, base_seed + i, n_eval, n_duel) for i in range(n_agents)], jobs)
     means = np.array([a.mean_steps for a in agents])
     win_pcts = np.array([a.win_pct for a in agents])
     steps_counts, steps_edges = np.histogram(means, bins=40, range=(0, hp.max_steps))

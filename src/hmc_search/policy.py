@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import DELTAS, Cell, CloudField, RandomSource
+from .env import DELTAS, DIRECTION_NAMES, Cell, CloudField, RandomSource
 
 QTable = np.ndarray  # shape (grid_length, grid_length, 4), float64
 VisitMemory = np.ndarray  # shape (grid_length, grid_length), int64
@@ -191,39 +191,43 @@ def record_visits(mem: VisitMemory, outcome: OptionOutcome) -> VisitMemory:
     return mem
 
 
-def qtable_rows(q: QTable):
-    """(x, y, direction index, value) in fixed x, y, direction order."""
-    length = q.shape[0]
-    for x in range(length):
-        for y in range(length):
-            for d in range(4):
-                yield x, y, d, float(q[x, y, d])
-
-
 def write_qtable_csv(path, q: QTable) -> None:
-    from .env import DIRECTION_NAMES
-
     with open(path, "w", newline="") as handle:
         handle.write("x,y,direction,value\n")
-        for x, y, d, value in qtable_rows(q):
-            handle.write(f"{x},{y},{DIRECTION_NAMES[d]},{format(value, '.6g')}\n")
+        for x, plane in enumerate(q.tolist()):
+            for y, row in enumerate(plane):
+                for name, value in zip(DIRECTION_NAMES, row):
+                    handle.write(f"{x},{y},{name},{format(value, '.6g')}\n")
 
 
 def read_qtable_csv(path) -> QTable:
-    from .env import DIRECTION_NAMES
+    """Load a table written by write_qtable_csv.
 
+    Raises ValueError unless every (x, y, direction) row of a square grid
+    appears exactly once, with a known direction and a finite value.
+    """
     index = {name: i for i, name in enumerate(DIRECTION_NAMES)}
-    rows = []
     with open(path, newline="") as handle:
         header = handle.readline().strip()
         if header != "x,y,direction,value":
             raise ValueError(f"unexpected qtable header {header!r}")
-        for line in handle:
-            line = line.strip()
-            if line:
-                rows.append(line.split(","))
-    length = 1 + max(int(r[0]) for r in rows)
-    q = new_qtable(length)
-    for x, y, name, value in rows:
-        q[int(x), int(y), index[name]] = float(value)
+        rows = [line.strip() for line in handle if line.strip()]
+    length = math.isqrt(len(rows) // 4)
+    if length < 1 or 4 * length * length != len(rows):
+        raise ValueError(f"{len(rows)} rows are not 4 per cell of a square grid")
+    q = np.full((length, length, 4), math.nan)
+    for line in rows:
+        try:
+            x, y, name, value = line.split(",")
+            key = (int(x), int(y), index[name])
+            value = float(value)
+        except (ValueError, KeyError):
+            raise ValueError(f"malformed row {line!r}") from None
+        if not (0 <= key[0] < length and 0 <= key[1] < length):
+            raise ValueError(f"row {line!r} lies outside a {length}-cell grid")
+        if not math.isfinite(value):
+            raise ValueError(f"row {line!r} has a non-finite value")
+        if not math.isnan(q[key]):
+            raise ValueError(f"row {line!r} repeats an (x, y, direction)")
+        q[key] = value
     return q

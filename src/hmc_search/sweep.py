@@ -11,17 +11,10 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from .env import make_rng
-from .evalharness import evaluate_agent, run_duels
-from .training import Hyperparams, train_agent
-
-_SWEEPABLE = frozenset(
-    f.name for f in dataclasses.fields(Hyperparams)
-    if f.name not in ("binary_memory", "normalize_epsilon_decay")
-)
+from .evalharness import score_agents
+from .training import CONFIG_TYPES, Hyperparams
 
 
 def confidence_interval(samples) -> tuple[float, float]:
@@ -52,7 +45,7 @@ class SweepSpec:
     record_duels: bool = False
 
     def __post_init__(self):
-        if self.parameter not in _SWEEPABLE:
+        if self.parameter not in CONFIG_TYPES:
             raise ValueError(f"unknown sweep parameter {self.parameter!r}")
         if not self.values:
             raise ValueError("values must be nonempty")
@@ -76,17 +69,6 @@ class SweepResult:
     best_value: object
 
 
-def _sweep_worker(args):
-    hp, seed, n_eval, record_duels = args
-    report = train_agent(hp, seed)
-    stats = evaluate_agent(report.q, hp, n_eval, make_rng(seed, stream=1))
-    win_rate = None
-    if record_duels:
-        outcome = run_duels(report.q, hp, n_eval, make_rng(seed, stream=2))["snake"]
-        win_rate = outcome.wins / outcome.total
-    return stats.mean, win_rate
-
-
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
     """Train and score runs_per_value agents for every candidate value.
 
@@ -95,22 +77,20 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
     Equal (spec, seeds) always reproduce the same result; ties on the
     mean go to the earlier candidate, so list cheaper values first.
     """
+    n_eval = spec.n_eval_episodes
+    n_duel = n_eval if spec.record_duels else 0
     work = []
     for value in spec.values:
         hp = spec.base.with_value(spec.parameter, value)
         for run in range(spec.runs_per_value):
-            work.append((hp, spec.base_seed + run, spec.n_eval_episodes, spec.record_duels))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            scored = list(pool.map(_sweep_worker, work, chunksize=1))
-    else:
-        scored = [_sweep_worker(item) for item in work]
+            work.append((hp, spec.base_seed + run, n_eval, n_duel))
+    scored = score_agents(work, jobs)
     per_value = []
     for i, value in enumerate(spec.values):
         block = scored[i * spec.runs_per_value:(i + 1) * spec.runs_per_value]
-        run_means = [mean for mean, _ in block]
+        run_means = [agent.mean_steps for agent in block]
         mean, ci_half = confidence_interval(run_means)
-        win_rates = [w for _, w in block] if spec.record_duels else None
+        win_rates = [agent.wins / n_duel for agent in block] if n_duel else None
         per_value.append(SweepValueResult(value, run_means, mean, ci_half, win_rates))
     best = min(range(len(per_value)), key=lambda i: per_value[i].mean)
     return SweepResult(spec.parameter, per_value, spec.values[best])

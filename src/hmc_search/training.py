@@ -10,7 +10,8 @@ motivates the modified agent can be reproduced and inspected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from typing import get_type_hints
 
 import numpy as np
 
@@ -118,6 +119,13 @@ class Hyperparams:
         return replace(self, **{name: value})
 
 
+# The settings a JSON config or a sweep may set, with their types; the bool
+# variant switches are left out by their type.
+_TYPES = get_type_hints(Hyperparams)
+CONFIG_TYPES = {f.name: _TYPES[f.name] for f in fields(Hyperparams)
+                if _TYPES[f.name] is not bool}
+
+
 @dataclass
 class Trajectory:
     """One episode as seen by the learner."""
@@ -177,10 +185,7 @@ def epsilon_at(episode: int, hp: Hyperparams) -> float:
 
 def update_window(hp: Hyperparams) -> int:
     """Number of leading episodes with learning enabled."""
-    return sum(
-        1 for episode in range(hp.num_episodes)
-        if episode < hp.stop_learn_value * hp.num_episodes
-    )
+    return min(hp.num_episodes, math.ceil(hp.stop_learn_value * hp.num_episodes))
 
 
 def run_episode(q: QTable, hp: Hyperparams, mode: str, rng: RandomSource | None,
@@ -191,8 +196,9 @@ def run_episode(q: QTable, hp: Hyperparams, mode: str, rng: RandomSource | None,
     mode "train" is epsilon-soft with the given epsilon; mode "eval" is
     pure greedy.  The memory filter is active in both modes but starts
     from a fresh all-zero memory each episode and never touches q.  The
-    episode ends when every cloud is collected or the primitive step
-    budget is spent.  A caller-provided field is copied, not consumed.
+    episode ends on the collection that empties the field or when the
+    primitive step budget is spent, so an empty field runs to the budget
+    (or the decision cap).  A caller-provided field is copied, not consumed.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -213,7 +219,7 @@ def run_episode(q: QTable, hp: Hyperparams, mode: str, rng: RandomSource | None,
     n_poll = 0
     decisions = 0
     decision_cap = _DECISION_CAP_FACTOR * cfg.max_steps + 32
-    while field.clouds and n_step < cfg.max_steps and decisions < decision_cap:
+    while n_step < cfg.max_steps and decisions < decision_cap:
         decisions += 1
         if mode == "train":
             direction = choose_option(q, mem, pos, params, rng)
@@ -229,6 +235,8 @@ def run_episode(q: QTable, hp: Hyperparams, mode: str, rng: RandomSource | None,
         n_step += outcome.primitive_steps
         n_poll += outcome.found_count
         pos = outcome.terminal
+        if outcome.found_count and not field.clouds:
+            break
     if n_poll > 0:
         r_t = trajectory_reward(hp.reward_scaling, n_step, n_poll)
     else:
@@ -262,7 +270,7 @@ def train_agent(hp: Hyperparams, seed: int) -> TrainReport:
     cfg = hp.grid()
     q = new_qtable(cfg.grid_length)
     records: list[EpisodeRecord] = []
-    learn_until = hp.stop_learn_value * hp.num_episodes
+    learn_until = update_window(hp)
     for episode in range(hp.num_episodes):
         epsilon = epsilon_at(episode, hp)
         spawned = spawn_clouds(cfg, hp.num_clouds, rng)

@@ -6,6 +6,7 @@ from scipy.ndimage import distance_transform_edt
 from hmc_search.baselines import (
     DEFAULT_MAX_STEPS,
     PatternPath,
+    first_hit,
     ring_insets,
     ring_spacing,
     snake_path,
@@ -100,6 +101,21 @@ def test_steps_to_find_miss_returns_budget():
     stub = PatternPath(((0, 0),), "snake")
     assert steps_to_find(stub, cloud) == DEFAULT_MAX_STEPS
     assert steps_to_find(stub, cloud, max_steps=7) == 7
+
+
+def test_first_hit_tells_a_miss_from_a_hit_at_the_budget():
+    row = PatternPath(tuple((x, 0) for x in range(8)), "snake")
+    assert first_hit(row, make_cloud((7, 0), 1, 20)) == 7
+    assert steps_to_find(row, make_cloud((7, 0), 1, 20), max_steps=7) == 7
+    assert first_hit(row, make_cloud((7, 5), 1, 20)) is None
+    assert steps_to_find(row, make_cloud((7, 5), 1, 20), max_steps=7) == 7
+
+
+def test_first_hit_starts_at_the_first_sensing_cell():
+    cells = ((0, 0), (1, 0), (0, 0))
+    cloud = make_cloud((0, 0), 1, 20)
+    assert first_hit(PatternPath(cells, "snake"), cloud) == 0
+    assert first_hit(PatternPath(cells, "agent", first=1), cloud) == 2
 
 
 def test_snake_frozen_aggregates():

@@ -1,4 +1,5 @@
 """Tests for the command line front end."""
+import dataclasses
 import json
 import os
 
@@ -14,7 +15,7 @@ from hmc_search.cli import (
 )
 from hmc_search.env import make_rng
 from hmc_search.evalharness import evaluate_agent
-from hmc_search.policy import read_qtable_csv
+from hmc_search.policy import new_qtable, read_qtable_csv, write_qtable_csv
 from hmc_search.training import Hyperparams, train_agent
 
 FAST = {"num_episodes": 25, "max_steps": 60}
@@ -68,6 +69,12 @@ def test_config_dict_roundtrip():
     hp = Hyperparams(num_episodes=77, mof_value=5.0)
     assert parse_config(config_dict(hp)) == hp
     assert set(config_dict(hp)) == set(CONFIG_KEYS)
+
+
+def test_config_keys_are_the_numeric_hyperparams():
+    fields = [f.name for f in dataclasses.fields(Hyperparams)]
+    assert list(CONFIG_KEYS) == [
+        name for name in fields if name not in ("binary_memory", "normalize_epsilon_decay")]
 
 
 def test_dispatch_requires_valid_subcommand():
@@ -253,3 +260,66 @@ def test_population_command(cfg_file, tmp_path):
     assert len(lines) == 3
     hist = (out / "population_steps_hist.csv").read_text().splitlines()
     assert sum(int(line.split(",")[1]) for line in hist[1:]) == 2
+
+
+# --- value tables that do not fit the settings
+
+
+@pytest.fixture
+def table_lines(tmp_path):
+    """Lines of a valid value table for a 20-cell grid, header first."""
+    path = tmp_path / "qtable.csv"
+    write_qtable_csv(path, new_qtable(20))
+    return path.read_text().splitlines()
+
+
+def eval_table(tmp_path, lines, *config):
+    path = tmp_path / "edited.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return run("eval", *config, "--qtable", str(path), "--episodes", "5",
+               "--out", str(tmp_path / "out"))
+
+
+def test_eval_accepts_an_untouched_table(tmp_path, table_lines):
+    assert eval_table(tmp_path, table_lines) == 0
+
+
+def test_eval_rejects_a_table_for_another_grid(tmp_path, table_lines, capsys):
+    config = tmp_path / "grid10.json"
+    config.write_text(json.dumps({"grid_length": 10}))
+    assert eval_table(tmp_path, table_lines, "--config", str(config)) == 1
+    assert "20-cell grid, not grid_length 10" in capsys.readouterr().err
+
+
+def test_eval_rejects_a_table_with_missing_rows(tmp_path, table_lines, capsys):
+    assert eval_table(tmp_path, table_lines[:-50]) == 1
+    assert "1550 rows" in capsys.readouterr().err
+
+
+def test_eval_rejects_an_unknown_direction(tmp_path, table_lines, capsys):
+    table_lines[1] = "0,0,north,0"
+    assert eval_table(tmp_path, table_lines) == 1
+    assert "malformed row '0,0,north,0'" in capsys.readouterr().err
+
+
+def test_eval_rejects_a_header_only_table(tmp_path, table_lines, capsys):
+    assert eval_table(tmp_path, table_lines[:1]) == 1
+    assert "0 rows" in capsys.readouterr().err
+
+
+def test_eval_rejects_a_non_finite_value(tmp_path, table_lines, capsys):
+    table_lines[1] = "0,0,up,nan"
+    assert eval_table(tmp_path, table_lines) == 1
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_eval_rejects_a_repeated_row(tmp_path, table_lines, capsys):
+    table_lines[2] = table_lines[1]
+    assert eval_table(tmp_path, table_lines) == 1
+    assert "repeats" in capsys.readouterr().err
+
+
+def test_eval_rejects_a_row_off_the_grid(tmp_path, table_lines, capsys):
+    table_lines[1] = "-1,0,up,0"
+    assert eval_table(tmp_path, table_lines) == 1
+    assert "outside a 20-cell grid" in capsys.readouterr().err

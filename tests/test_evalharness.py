@@ -1,20 +1,24 @@
 """Tests for evaluation statistics, duels, score maps, and populations."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hmc_search.baselines import snake_path, spiral_path, steps_to_find
-from hmc_search.env import CloudField, make_cloud, make_rng, spawn_clouds
+from hmc_search.baselines import first_hit, snake_path, spiral_path, steps_to_find
+from hmc_search.env import RIGHT, CloudField, make_cloud, make_rng, spawn_clouds
 from hmc_search.evalharness import (
     LOSS,
     TIE,
     WIN,
     DuelOutcome,
     EvalStats,
+    agent_route,
     duel,
     evaluate_agent,
     population_stats,
     route_heatmap,
     run_duels,
+    score_agent,
     score_map,
 )
 from hmc_search.policy import new_qtable
@@ -204,3 +208,84 @@ def test_population_histograms_conserve_agents():
     assert int(win_counts.sum()) == 3
     for agent in report.agents:
         assert 0.0 <= agent.win_pct <= 100.0
+
+
+def test_score_agent_without_duel_matches_evaluation():
+    agent = score_agent(QUICK, 13, 30, 0)
+    stats = evaluate_agent(train_agent(QUICK, 13).q, QUICK, 30, make_rng(13, stream=1))
+    assert (agent.mean_steps, agent.median_steps, agent.failures) == (
+        stats.mean, stats.median, stats.failures)
+    assert (agent.wins, agent.ties, agent.losses, agent.win_pct) == (0, 0, 0, 0.0)
+
+
+# --- the agent scored as a route
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_route_lookup_equals_episode_replay(data):
+    length = data.draw(st.integers(2, 9), label="grid_length")
+    hp = Hyperparams(
+        grid_length=length,
+        pollution_diameter=data.draw(st.integers(1, length), label="diameter"),
+        max_steps=data.draw(st.integers(1, 60), label="max_steps"),
+        option_length=data.draw(st.integers(1, 5), label="option_length"),
+        mof_value=data.draw(st.sampled_from([0.0, 0.5, 1.0, 10.0]), label="mof_value"),
+        binary_memory=data.draw(st.booleans(), label="binary_memory"),
+    )
+    # Small integer values make ties, and an all-zero table with no memory
+    # weight walks into a wall until the decision cap ends the episode.
+    table_rng = make_rng(data.draw(st.integers(0, 2**32 - 1), label="table seed"))
+    q = new_qtable(length)
+    kind = data.draw(st.sampled_from(["normal", "ties", "zeros"]), label="table")
+    if kind == "normal":
+        q[:] = table_rng.normal(size=q.shape)
+    elif kind == "ties":
+        q[:] = table_rng.integers(0, 2, size=q.shape)
+    route = agent_route(q, hp)
+    for x in range(length):
+        for y in range(length):
+            cloud = make_cloud((x, y), hp.pollution_diameter, length)
+            traj = run_episode(q, hp, "eval", None, field=CloudField([cloud], length))
+            assert first_hit(route, cloud) == (traj.n_step if traj.n_poll else None)
+            assert list(route.cells[:len(traj.cells)]) == traj.cells
+
+
+def test_agent_loses_every_center_whose_cloud_covers_the_start():
+    # A pattern senses its start cell and scores 0 there; the agent collects
+    # only on entering a cell, so it needs at least one step and loses.
+    hp = Hyperparams()
+    q = new_qtable(20)
+    q[:] = make_rng(4).normal(size=q.shape)
+    smap = score_map(q, hp, snake_path(20, 5))
+    covering = smap.opponent_steps == 0
+    assert int(covering.sum()) == 8
+    assert (smap.agent_steps[covering] >= 1).all()
+    assert (smap.outcome[covering] == -1).all()
+    cloud = make_cloud((0, 0), 5, 20)
+    traj = run_episode(q, hp, "eval", None, field=CloudField([cloud], 20))
+    assert traj.n_poll == 1 and traj.n_step >= 1
+
+
+class FixedDraws:
+    """Stands in for a generator: integers() returns the given values in turn."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def integers(self, high):
+        return self.values.pop(0)
+
+
+def test_find_on_the_last_budget_step_is_a_success():
+    # The agent walks the top row to the right and reaches (4, 0) on step 4.
+    hp = Hyperparams(grid_length=5, pollution_diameter=1, max_steps=4, option_length=1)
+    q = new_qtable(5)
+    q[:, :, RIGHT] = 1.0
+    assert agent_route(q, hp).cells == ((0, 0), (1, 0), (2, 0), (3, 0), (4, 0))
+    found = evaluate_agent(q, hp, 1, FixedDraws(4, 0))
+    assert (found.steps, found.failures) == ([4], 0)
+    missed = evaluate_agent(q, hp, 1, FixedDraws(4, 1))
+    assert (missed.steps, missed.failures) == ([4], 1)
+    traj = run_episode(q, hp, "eval", None, field=CloudField([make_cloud((4, 0), 1, 5)], 5))
+    assert (traj.n_step, traj.n_poll) == (4, 1)

@@ -99,6 +99,14 @@ def test_adjacent_cloud_found_in_one_step():
     assert traj.r_t == 30.0
 
 
+def test_empty_field_runs_to_the_budget():
+    # Nothing to collect, so only the budget ends the walk.
+    hp = Hyperparams(max_steps=50)
+    traj = run_episode(new_qtable(20), hp, "eval", None, field=CloudField([], 20))
+    assert (traj.n_step, traj.n_poll, traj.r_t) == (50, 0, 0.0)
+    assert len(traj.cells) == 51
+
+
 def test_budget_exhaustion_gives_zero_reward():
     hp = Hyperparams(pollution_diameter=1, max_steps=3)
     field = CloudField([make_cloud((19, 19), 1, 20)], 20)
