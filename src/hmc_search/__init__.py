@@ -23,7 +23,6 @@ from .env import (
     Cloud,
     CloudField,
     GridConfig,
-    collect,
     disc_offsets,
     make_cloud,
     make_rng,

@@ -141,11 +141,11 @@ def steps_to_find(path: PatternPath, cloud: Cloud,
     """Moves from the start until the path first touches the cloud support.
 
     A pattern's start cell is index 0, so a cloud covering it costs zero
-    moves.  Returns max_steps when no path cell lies in the support, which
-    a correctly spaced pattern never triggers.
+    moves.  The count is capped at max_steps, the budget every searcher is
+    held to, so a miss and a hit past the budget both score max_steps.
     """
     hit = first_hit(path, cloud)
-    return max_steps if hit is None else hit
+    return max_steps if hit is None else min(hit, max_steps)
 
 
 def write_path_csv(path_file, pattern: PatternPath) -> None:

@@ -1,11 +1,13 @@
 """Command line front end.
 
-Every subcommand resolves its settings from, in rising precedence:
-built-in defaults, --config JSON, --from-manifest, explicit flags.  It
-then writes its result files plus a run manifest into the output
-directory (--out, else HMC_SEARCH_OUT, else ./out).  Re-running a
-subcommand with --from-manifest pointing at an earlier manifest
-reproduces the result files byte for byte.
+Each subcommand is registered once, next to its handler, with the extra
+flags it reads and their defaults; the parser, option resolution and the
+manifest derive from that table.  Settings resolve from, in rising
+precedence: the table defaults, --from-manifest, explicit flags.  A run
+writes its result files plus a manifest into the output directory (--out,
+else HMC_SEARCH_OUT, else ./out).  Re-running a subcommand with
+--from-manifest pointing at an earlier manifest reproduces the result
+files byte for byte.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 runtime error.
 """
@@ -17,6 +19,7 @@ import json
 import os
 import sys
 import tempfile
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -105,102 +108,54 @@ def _utc_now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hmc-search",
-        description="Train, evaluate, and duel a pollution-cloud search agent.",
-    )
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-
-    def add(name, help_text, **extra):
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--config", help="JSON settings file")
-        cmd.add_argument("--seed", type=int, help="random seed (default 0)")
-        cmd.add_argument("--out", help="output directory (default $HMC_SEARCH_OUT or ./out)")
-        cmd.add_argument("--runs", type=int, help=extra.pop("runs_help", "number of runs"))
-        cmd.add_argument("--episodes", type=int, help="episode count for this command")
-        cmd.add_argument("--jobs", type=int, help="worker processes for batched runs")
-        cmd.add_argument("--from-manifest", dest="from_manifest",
-                         help="re-run with the settings stored in an earlier manifest")
-        return cmd
-
-    add("train", "train an agent and save its value table")
-    for name in ("eval", "duel", "scoremap", "route"):
-        cmd = add(name, {
-            "eval": "score a saved agent over random episodes",
-            "duel": "duel a saved agent against both patterns",
-            "scoremap": "exhaustive per-center duel against one pattern",
-            "route": "visit-count heatmap of the greedy policy",
-        }[name])
-        cmd.add_argument("--qtable", help="value table CSV (default OUT/qtable.csv)")
-        if name == "scoremap":
-            cmd.add_argument("--opponent", choices=("snake", "spiral"),
-                             help="pattern to duel (default snake)")
-    add("pattern", "emit both pattern paths and their per-center step counts")
-    cmd = add("sweep", "run a sweep plan", runs_help="runs per candidate value")
-    cmd.add_argument("--plan", help="sweep plan JSON file")
-    add("population", "train a population of agents and report distributions",
-        runs_help="number of agents")
-    add("demo-static", "plain Q-learning against one fixed cloud")
-    add("demo-dynamic", "plain Q-learning against a moving cloud")
-    return parser
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than low."""
+    def integer(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as an invalid value
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+    return integer
 
 
-def _load_manifest(path) -> dict:
-    with open(path) as handle:
-        return json.load(handle)
+# The argparse spec of every flag, written once.  Every command takes the
+# shared flags, with these defaults; it takes the others only if it declares them.
+_SHARED = {"config": None, "seed": 0, "out": None, "from-manifest": None}
+_FLAGS = {
+    "config": {"help": "JSON settings file"},
+    "seed": {"type": _int_at_least(0), "help": "random seed"},
+    "out": {"help": "output directory (default $HMC_SEARCH_OUT or ./out)"},
+    "from-manifest": {"help": "re-run with the settings stored in an earlier manifest"},
+    "qtable": {"help": "value table CSV (default OUT/qtable.csv)"},
+    "episodes": {"type": _int_at_least(1), "help": "episodes to run"},
+    "runs": {"type": _int_at_least(1), "help": "duels, agents, or runs per sweep value"},
+    "jobs": {"type": _int_at_least(1), "help": "worker processes"},
+    "opponent": {"choices": ("snake", "spiral"), "help": "pattern to duel"},
+    "plan": {"help": "sweep plan JSON file"},
+}
 
 
-def _resolve(args) -> dict:
-    """Merge defaults, config file, manifest, and flags into one options dict."""
-    manifest = {}
-    if args.from_manifest:
-        manifest = _load_manifest(args.from_manifest)
-        if manifest.get("command") != args.command:
-            raise UsageError(
-                f"manifest was written by {manifest.get('command')!r}, "
-                f"not {args.command!r}"
-            )
-    if args.config:
-        hp = parse_config(args.config)
-    elif manifest:
-        hp = parse_config(manifest["config"])
-    else:
-        hp = Hyperparams()
-    stored = manifest.get("options", {})
-
-    def pick(flag, key, default):
-        if flag is not None:
-            return flag
-        if key in stored and stored[key] is not None:
-            return stored[key]
-        return default
-
-    out = args.out or os.environ.get("HMC_SEARCH_OUT") or "out"
-    seed = pick(args.seed, "seed", 0)
-    if manifest and args.seed is None:
-        seed = manifest.get("seed", seed)
-    if seed < 0:
-        raise UsageError("seed must be nonnegative")
-    return {
-        "hp": hp,
-        "out": out,
-        "seed": int(seed),
-        "runs": pick(args.runs, "runs", None),
-        "episodes": pick(args.episodes, "episodes", None),
-        "jobs": pick(args.jobs, "jobs", 1),
-        "qtable": pick(getattr(args, "qtable", None), "qtable", None),
-        "opponent": pick(getattr(args, "opponent", None), "opponent", "snake"),
-        "plan": pick(getattr(args, "plan", None), "plan", None),
-    }
+class Command(NamedTuple):
+    run: Callable[[dict], tuple[list, dict]]
+    help: str
+    flags: dict  # extra flag name -> default
 
 
-def _qtable_path(opts) -> str:
-    return opts["qtable"] or os.path.join(opts["out"], "qtable.csv")
+COMMANDS: dict[str, Command] = {}
+
+
+def _command(name: str, help_text: str, **flags):
+    """Register the decorated handler as subcommand name, reading flags."""
+    def register(run):
+        COMMANDS[name] = Command(run, help_text, flags)
+        return run
+    return register
 
 
 def _load_qtable(opts):
-    path = _qtable_path(opts)
+    path = opts["qtable"]
+    if path is None:
+        path = os.path.join(opts["out"], "qtable.csv")
     if not os.path.exists(path):
         raise FileNotFoundError(
             f"no value table at {path}; train first or pass --qtable")
@@ -214,11 +169,11 @@ def _load_qtable(opts):
     return q
 
 
+@_command("train", "train an agent and save its value table")
 def cmd_train(opts):
     hp = opts["hp"]
     report = train_agent(hp, opts["seed"])
-    table_path = os.path.join(opts["out"], "qtable.csv")
-    write_qtable_csv(table_path, report.q)
+    write_qtable_csv(os.path.join(opts["out"], "qtable.csv"), report.q)
     write_csv(
         os.path.join(opts["out"], "train_report.csv"),
         ("episode", "epsilon", "n_step", "n_poll", "r_t"),
@@ -233,18 +188,18 @@ def cmd_train(opts):
     return ["qtable.csv", "train_report.csv"], metrics
 
 
+@_command("eval", "score a saved agent over random episodes", qtable=None, episodes=1000)
 def cmd_eval(opts):
     hp = opts["hp"]
     q = _load_qtable(opts)
-    n = opts["episodes"] or 1000
-    stats = evaluate_agent(q, hp, n, make_rng(opts["seed"], stream=1))
+    stats = evaluate_agent(q, hp, opts["episodes"], make_rng(opts["seed"], stream=1))
     write_csv(
         os.path.join(opts["out"], "eval_steps.csv"),
         ("episode", "steps"),
         ((i, s) for i, s in enumerate(stats.steps)),
     )
     metrics = {
-        "episodes": n,
+        "episodes": opts["episodes"],
         "mean_steps": stats.mean,
         "median_steps": stats.median,
         "failures": stats.failures,
@@ -252,11 +207,12 @@ def cmd_eval(opts):
     return ["eval_steps.csv"], metrics
 
 
+@_command("duel", "duel a saved agent against both patterns on shared clouds",
+          qtable=None, runs=1000)
 def cmd_duel(opts):
     hp = opts["hp"]
     q = _load_qtable(opts)
-    n = opts["runs"] or 1000
-    outcomes = run_duels(q, hp, n, make_rng(opts["seed"], stream=2))
+    outcomes = run_duels(q, hp, opts["runs"], make_rng(opts["seed"], stream=2))
     write_csv(
         os.path.join(opts["out"], "duels.csv"),
         ("opponent", "wins", "ties", "losses"),
@@ -264,10 +220,12 @@ def cmd_duel(opts):
     )
     metrics = {name: {"wins": o.wins, "ties": o.ties, "losses": o.losses}
                for name, o in outcomes.items()}
-    metrics["iterations"] = n
+    metrics["iterations"] = opts["runs"]
     return ["duels.csv"], metrics
 
 
+@_command("scoremap", "exhaustive per-center duel against one pattern",
+          qtable=None, opponent="snake")
 def cmd_scoremap(opts):
     hp = opts["hp"]
     q = _load_qtable(opts)
@@ -288,20 +246,21 @@ def cmd_scoremap(opts):
     return [out_name], metrics
 
 
+@_command("route", "visit-count heatmap of the greedy policy", qtable=None, episodes=1000)
 def cmd_route(opts):
     hp = opts["hp"]
     q = _load_qtable(opts)
-    n = opts["episodes"] or 1000
-    counts = route_heatmap(q, hp, n, make_rng(opts["seed"], stream=1))
+    counts = route_heatmap(q, hp, opts["episodes"], make_rng(opts["seed"], stream=1))
     write_csv(
         os.path.join(opts["out"], "route.csv"),
         ("x", "y", "count"),
         ((x, y, int(counts[x, y]))
          for x in range(hp.grid_length) for y in range(hp.grid_length)),
     )
-    return ["route.csv"], {"episodes": n, "total_visits": int(counts.sum())}
+    return ["route.csv"], {"episodes": opts["episodes"], "total_visits": int(counts.sum())}
 
 
+@_command("pattern", "emit both pattern paths and their per-center step counts")
 def cmd_pattern(opts):
     hp = opts["hp"]
     length, diameter = hp.grid_length, hp.pollution_diameter
@@ -327,14 +286,15 @@ def cmd_pattern(opts):
     return outputs, metrics
 
 
+@_command("sweep", "run a staged tuning plan", plan=None, runs=None, episodes=1000, jobs=1)
 def cmd_sweep(opts):
-    if not opts["plan"]:
+    if opts["plan"] is None:
         raise UsageError("sweep requires --plan")
     stages, plan_opts = load_plan(
         opts["plan"], opts["hp"],
         base_seed=opts["seed"],
         runs_per_value=opts["runs"],
-        n_eval_episodes=opts["episodes"] or 1000,
+        n_eval_episodes=opts["episodes"],
     )
     final_hp, results = tuning_loop(
         stages,
@@ -353,22 +313,19 @@ def cmd_sweep(opts):
         )
         outputs.append(name)
         winners.append({"parameter": result.parameter, "best_value": result.best_value})
-    summary_path = os.path.join(opts["out"], "sweep_summary.json")
-    _write_json_atomic(summary_path, {
-        "winners": winners,
-        "final_config": config_dict(final_hp),
-    })
+    final_config = config_dict(final_hp)
+    _write_json_atomic(os.path.join(opts["out"], "sweep_summary.json"),
+                       {"winners": winners, "final_config": final_config})
     outputs.append("sweep_summary.json")
-    return outputs, {"stages": len(results), "final_config": config_dict(final_hp)}
+    return outputs, {"stages": len(results), "final_config": final_config}
 
 
+@_command("population", "train a population of agents and report distributions",
+          runs=100, episodes=1000, jobs=1)
 def cmd_population(opts):
-    hp = opts["hp"]
-    n_agents = opts["runs"] or 100
-    n_eval = opts["episodes"] or 1000
     report = population_stats(
-        hp, n_agents, opts["seed"],
-        n_eval=n_eval, n_duel=n_eval, jobs=opts["jobs"],
+        opts["hp"], opts["runs"], opts["seed"],
+        n_eval=opts["episodes"], n_duel=opts["episodes"], jobs=opts["jobs"],
     )
     write_csv(
         os.path.join(opts["out"], "population_agents.csv"),
@@ -388,7 +345,7 @@ def cmd_population(opts):
         )
     means = [a.mean_steps for a in report.agents]
     metrics = {
-        "agents": n_agents,
+        "agents": opts["runs"],
         "best_mean_steps": min(means),
         "median_of_means": float(np.median(means)),
         "best_win_pct": max(a.win_pct for a in report.agents),
@@ -399,15 +356,12 @@ def cmd_population(opts):
 
 
 def _write_snapshots(path, snapshots) -> None:
-    rows = []
-    for episode in sorted(snapshots):
-        grid = snapshots[episode]
-        for x in range(grid.shape[0]):
-            for y in range(grid.shape[1]):
-                rows.append((episode, x, y, float(grid[x, y])))
-    write_csv(path, ("episode", "x", "y", "max_q"), rows)
+    write_csv(path, ("episode", "x", "y", "max_q"),
+              ((episode, x, y, float(grid[x, y])) for episode, grid in sorted(snapshots.items())
+               for x in range(grid.shape[0]) for y in range(grid.shape[1])))
 
 
+@_command("demo-static", "plain Q-learning against one fixed cloud")
 def cmd_demo_static(opts):
     snapshots = static_demo(opts["hp"], opts["seed"])
     _write_snapshots(os.path.join(opts["out"], "demo_static_snapshots.csv"), snapshots)
@@ -416,59 +370,103 @@ def cmd_demo_static(opts):
     return ["demo_static_snapshots.csv"], metrics
 
 
+@_command("demo-dynamic", "plain Q-learning against a respawning cloud", episodes=1000)
 def cmd_demo_dynamic(opts):
-    n_eval = opts["episodes"] or 1000
     snapshots, mean_steps = dynamic_demo(opts["hp"], opts["seed"],
-                                         n_eval_episodes=n_eval)
+                                         n_eval_episodes=opts["episodes"])
     _write_snapshots(os.path.join(opts["out"], "demo_dynamic_snapshots.csv"), snapshots)
     metrics = {"snapshots": sorted(snapshots), "mean_eval_steps": mean_steps,
-               "eval_episodes": n_eval}
+               "eval_episodes": opts["episodes"]}
     return ["demo_dynamic_snapshots.csv"], metrics
 
 
-_COMMANDS = {
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "duel": cmd_duel,
-    "scoremap": cmd_scoremap,
-    "route": cmd_route,
-    "pattern": cmd_pattern,
-    "sweep": cmd_sweep,
-    "population": cmd_population,
-    "demo-static": cmd_demo_static,
-    "demo-dynamic": cmd_demo_dynamic,
-}
+class _Parser(argparse.ArgumentParser):
+    # Usage errors of the top-level parser and of every subparser exit 1.
+    def error(self, message):
+        raise UsageError(message)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="hmc-search",
+        description="Train, evaluate, and duel a pollution-cloud search agent.",
+    )
+    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
+    for name, command in COMMANDS.items():
+        # Absent flags stay out of the namespace, so only explicit ones override.
+        cmd = sub.add_parser(name, help=command.help, argument_default=argparse.SUPPRESS)
+        for flag, default in {**_SHARED, **command.flags}.items():
+            spec = dict(_FLAGS[flag])
+            if default is not None:
+                spec["help"] += f" (default {default})"
+            cmd.add_argument(f"--{flag}", **spec)
+    return parser
+
+
+def _load_manifest(path, command: str) -> dict:
+    try:
+        with open(path) as handle:
+            manifest = json.load(handle)
+    except OSError as err:
+        raise UsageError(f"cannot read manifest: {err}") from err
+    except ValueError as err:
+        raise UsageError(f"malformed manifest JSON {path}: {err}") from err
+    if not (isinstance(manifest, dict) and isinstance(manifest.get("config"), dict)
+            and isinstance(manifest.get("options", {}), dict)):
+        raise UsageError(f"manifest {path} is not a JSON object with config and options objects")
+    if manifest.get("command") != command:
+        raise UsageError(
+            f"manifest was written by {manifest.get('command')!r}, not {command!r}")
+    return manifest
+
+
+def _resolve(argv) -> dict:
+    """Table defaults, then the values stored in --from-manifest, then flags."""
+    parser = build_parser()
+    explicit = vars(parser.parse_args(argv))
+    if explicit["command"] is None:
+        raise UsageError("a subcommand is required (see --help)")
+    declared = COMMANDS[explicit["command"]].flags
+    opts = {**_SHARED, **declared}
+    config = {}
+    if "from_manifest" in explicit:
+        path = explicit["from_manifest"]
+        manifest = _load_manifest(path, explicit["command"])
+        stored = manifest.get("options", {})
+        # Stored values pass the flags' own checks; older manifests hold
+        # nulls and keys of other commands, which are skipped.
+        stored_argv = [f"--seed={manifest.get('seed')}"] + [
+            f"--{flag}={stored[flag]}" for flag in declared if stored.get(flag) is not None]
+        try:
+            opts.update(vars(parser.parse_args([explicit["command"], *stored_argv])))
+        except UsageError as err:
+            raise UsageError(f"manifest {path}: {err}") from err
+        config = manifest["config"]
+    opts.update(explicit)
+    opts["hp"] = parse_config(explicit.get("config", config))
+    opts["out"] = opts["out"] or os.environ.get("HMC_SEARCH_OUT") or "out"
+    return opts
 
 
 def dispatch(argv) -> int:
-    parser = build_parser()
-    parser.error = lambda message: (_ for _ in ()).throw(UsageError(message))
     try:
-        args = parser.parse_args(argv)
-        if not args.command:
-            raise UsageError("a subcommand is required (see --help)")
-        opts = _resolve(args)
+        opts = _resolve(argv)
+        command = COMMANDS[opts["command"]]
         os.makedirs(opts["out"], exist_ok=True)
         started = _utc_now()
-        outputs, metrics = _COMMANDS[args.command](opts)
+        outputs, metrics = command.run(opts)
         manifest = {
-            "command": args.command,
+            "command": opts["command"],
             "config": config_dict(opts["hp"]),
             "seed": opts["seed"],
-            "options": {
-                "runs": opts["runs"],
-                "episodes": opts["episodes"],
-                "qtable": opts["qtable"],
-                "opponent": opts["opponent"],
-                "plan": opts["plan"],
-            },
+            "options": {flag: opts[flag] for flag in command.flags},
             "outputs": outputs,
             "metrics": metrics,
             "started_at": started,
             "finished_at": _utc_now(),
         }
         _write_json_atomic(
-            os.path.join(opts["out"], f"manifest_{args.command}.json"), manifest)
+            os.path.join(opts["out"], f"manifest_{opts['command']}.json"), manifest)
         return 0
     except SystemExit as err:  # argparse --help
         return int(err.code or 0)

@@ -104,9 +104,6 @@ class CloudField:
     clouds: list[Cloud]
     grid_length: int
 
-    def copy(self) -> "CloudField":
-        return CloudField(list(self.clouds), self.grid_length)
-
 
 def spawn_clouds(config: GridConfig, count: int, rng: RandomSource) -> CloudField:
     """Spawn count clouds with centers drawn uniformly over all grid cells.
@@ -144,29 +141,3 @@ def move(pos: Cell, direction: int, config: GridConfig) -> tuple[Cell, bool]:
     if x < 0 or x > limit or y < 0 or y > limit:
         return pos, False
     return (x, y), True
-
-
-def collect(field: CloudField, pos: Cell) -> tuple[CloudField, int]:
-    """Remove every cloud whose support contains pos.
-
-    Returns the updated field and the number of clouds removed.
-    """
-    remaining = [c for c in field.clouds if pos not in c.support]
-    found = len(field.clouds) - len(remaining)
-    return CloudField(remaining, field.grid_length), found
-
-
-def field_to_records(field: CloudField) -> list[dict]:
-    """JSON-ready description of a field, center and diameter per cloud."""
-    return [
-        {"center": [c.center[0], c.center[1]], "diameter": c.diameter}
-        for c in field.clouds
-    ]
-
-
-def field_from_records(records: list[dict], grid_length: int) -> CloudField:
-    clouds = [
-        make_cloud((int(r["center"][0]), int(r["center"][1])), int(r["diameter"]), grid_length)
-        for r in records
-    ]
-    return CloudField(clouds, grid_length)

@@ -198,7 +198,8 @@ def run_episode(q: QTable, hp: Hyperparams, mode: str, rng: RandomSource | None,
     from a fresh all-zero memory each episode and never touches q.  The
     episode ends on the collection that empties the field or when the
     primitive step budget is spent, so an empty field runs to the budget
-    (or the decision cap).  A caller-provided field is copied, not consumed.
+    (or the decision cap).  A caller's field is left as it was:
+    execute_option returns a new field rather than changing its argument.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -206,8 +207,6 @@ def run_episode(q: QTable, hp: Hyperparams, mode: str, rng: RandomSource | None,
     if field is None:
         count = 1 if mode == "eval" else hp.num_clouds
         field = spawn_clouds(cfg, count, rng)
-    else:
-        field = field.copy()
     if epsilon is None:
         epsilon = 0.0 if mode == "eval" else hp.epsilon_start
     params = hp.selection(epsilon if mode == "train" else 0.0)
@@ -340,6 +339,27 @@ def _demo_episode(q: QTable, hp: Hyperparams, cfg: GridConfig, field: CloudField
     return found_at
 
 
+def _plain_q(hp: Hyperparams, rng: RandomSource, n_episodes: int,
+             snapshot_episodes: tuple[int, ...], fixed: CloudField | None):
+    """The demos' training loop: per-step Q-learning on the fixed cloud, or
+    on a cloud respawned every episode when fixed is None.
+
+    Returns (q, {episode: max-Q-per-cell grid}); key 0 is the untrained table.
+    """
+    cfg = hp.grid()
+    q = new_qtable(cfg.grid_length)
+    snapshots: dict[int, np.ndarray] = {}
+    if 0 in snapshot_episodes:
+        snapshots[0] = q.max(axis=2).copy()
+    for episode in range(n_episodes):
+        field = fixed if fixed is not None else spawn_clouds(cfg, 1, rng)
+        _demo_episode(q, hp, cfg, field, _support_cells(field),
+                      _demo_epsilon(episode, n_episodes), rng, learn=True)
+        if episode + 1 in snapshot_episodes:
+            snapshots[episode + 1] = q.max(axis=2).copy()
+    return q, snapshots
+
+
 def static_demo(hp: Hyperparams, seed: int, *, n_episodes: int = 2000,
                 snapshot_episodes: tuple[int, ...] = (0, 500, 1000, 2000)):
     """Plain tabular Q-learning against one fixed cloud.
@@ -350,20 +370,9 @@ def static_demo(hp: Hyperparams, seed: int, *, n_episodes: int = 2000,
     with a positive discount the values propagate back toward the start
     over training.
     """
-    cfg = hp.grid()
     rng = make_rng(seed)
-    q = new_qtable(cfg.grid_length)
-    fixed = spawn_clouds(cfg, 1, rng)
-    support = _support_cells(fixed)
-    snapshots: dict[int, np.ndarray] = {}
-    if 0 in snapshot_episodes:
-        snapshots[0] = q.max(axis=2).copy()
-    for episode in range(n_episodes):
-        epsilon = _demo_epsilon(episode, n_episodes)
-        _demo_episode(q, hp, cfg, fixed, support, epsilon, rng, learn=True)
-        if episode + 1 in snapshot_episodes:
-            snapshots[episode + 1] = q.max(axis=2).copy()
-    return snapshots
+    fixed = spawn_clouds(hp.grid(), 1, rng)
+    return _plain_q(hp, rng, n_episodes, snapshot_episodes, fixed)[1]
 
 
 def dynamic_demo(hp: Hyperparams, seed: int, *, n_episodes: int = 2000,
@@ -378,18 +387,7 @@ def dynamic_demo(hp: Hyperparams, seed: int, *, n_episodes: int = 2000,
     max_steps.
     """
     cfg = hp.grid()
-    rng = make_rng(seed)
-    q = new_qtable(cfg.grid_length)
-    snapshots: dict[int, np.ndarray] = {}
-    if 0 in snapshot_episodes:
-        snapshots[0] = q.max(axis=2).copy()
-    for episode in range(n_episodes):
-        epsilon = _demo_epsilon(episode, n_episodes)
-        spawned = spawn_clouds(cfg, 1, rng)
-        _demo_episode(q, hp, cfg, spawned, _support_cells(spawned), epsilon, rng,
-                      learn=True)
-        if episode + 1 in snapshot_episodes:
-            snapshots[episode + 1] = q.max(axis=2).copy()
+    q, snapshots = _plain_q(hp, make_rng(seed), n_episodes, snapshot_episodes, None)
     eval_rng = make_rng(seed, stream=1)
     total = 0
     for _ in range(n_eval_episodes):

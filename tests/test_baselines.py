@@ -107,6 +107,7 @@ def test_first_hit_tells_a_miss_from_a_hit_at_the_budget():
     row = PatternPath(tuple((x, 0) for x in range(8)), "snake")
     assert first_hit(row, make_cloud((7, 0), 1, 20)) == 7
     assert steps_to_find(row, make_cloud((7, 0), 1, 20), max_steps=7) == 7
+    assert steps_to_find(row, make_cloud((7, 0), 1, 20), max_steps=5) == 5
     assert first_hit(row, make_cloud((7, 5), 1, 20)) is None
     assert steps_to_find(row, make_cloud((7, 5), 1, 20), max_steps=7) == 7
 

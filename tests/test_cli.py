@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hmc_search.cli import (
+    COMMANDS,
     CONFIG_KEYS,
     UsageError,
     config_dict,
@@ -80,6 +81,12 @@ def test_config_keys_are_the_numeric_hyperparams():
 def test_dispatch_requires_valid_subcommand():
     assert run() == 1
     assert run("no-such-command") == 1
+
+
+def test_help_exits_0(capsys):
+    assert run("--help") == 0
+    assert run("sweep", "--help") == 0
+    assert "--plan" in capsys.readouterr().out
 
 
 def test_dispatch_rejects_negative_seed(cfg_file, tmp_path):
@@ -323,3 +330,132 @@ def test_eval_rejects_a_row_off_the_grid(tmp_path, table_lines, capsys):
     table_lines[1] = "-1,0,up,0"
     assert eval_table(tmp_path, table_lines) == 1
     assert "outside a 20-cell grid" in capsys.readouterr().err
+
+
+# --- the command table
+
+
+# Each command's extra flags and their defaults; every command also takes
+# --config, --seed, --out and --from-manifest.
+DECLARED = {
+    "train": {},
+    "eval": {"qtable": None, "episodes": 1000},
+    "duel": {"qtable": None, "runs": 1000},
+    "scoremap": {"qtable": None, "opponent": "snake"},
+    "route": {"qtable": None, "episodes": 1000},
+    "pattern": {},
+    "sweep": {"plan": None, "runs": None, "episodes": 1000, "jobs": 1},
+    "population": {"runs": 100, "episodes": 1000, "jobs": 1},
+    "demo-static": {},
+    "demo-dynamic": {"episodes": 1000},
+}
+TINY = {"grid_length": 8, "pollution_diameter": 3, "max_steps": 30, "num_episodes": 5}
+
+
+@pytest.fixture(scope="module")
+def tiny(tmp_path_factory):
+    """A tiny config, a table trained on it and a plan; the small flags per command."""
+    root = tmp_path_factory.mktemp("tiny")
+    config = root / "tiny.json"
+    config.write_text(json.dumps(TINY))
+    plan = root / "plan.json"
+    plan.write_text(json.dumps({"stages": [{"parameter": "option_length", "values": [1, 2]}]}))
+    assert run("train", "--config", str(config), "--out", str(root)) == 0
+    table = str(root / "qtable.csv")
+    extra = {
+        "train": [],
+        "eval": ["--qtable", table, "--episodes", "5"],
+        "duel": ["--qtable", table, "--runs", "5"],
+        "scoremap": ["--qtable", table, "--opponent", "spiral"],
+        "route": ["--qtable", table, "--episodes", "5"],
+        "pattern": [],
+        "sweep": ["--plan", str(plan), "--runs", "2", "--episodes", "5"],
+        "population": ["--runs", "2", "--episodes", "5"],
+        "demo-static": [],
+        "demo-dynamic": ["--episodes", "5"],
+    }
+    return str(config), table, extra
+
+
+def test_command_table_declares_the_extra_flags():
+    assert {name: command.flags for name, command in COMMANDS.items()} == DECLARED
+    assert sum(4 + len(flags) for flags in DECLARED.values()) == 56
+
+
+@pytest.mark.parametrize("name", DECLARED)
+def test_command_reruns_byte_identically_from_its_manifest(name, tiny, tmp_path):
+    config, _, extra = tiny
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    assert run(name, "--config", config, "--seed", "4", *extra[name],
+               "--out", str(out_a)) == 0
+    manifest = json.loads((out_a / f"manifest_{name}.json").read_text())
+    assert set(manifest["options"]) == set(DECLARED[name])
+    assert run(name, "--from-manifest", str(out_a / f"manifest_{name}.json"),
+               "--out", str(out_b)) == 0
+    assert manifest["outputs"]
+    for output in manifest["outputs"]:
+        assert (out_a / output).read_bytes() == (out_b / output).read_bytes()
+
+
+@pytest.mark.parametrize("name", DECLARED)
+def test_command_rejects_an_undeclared_flag(name, tmp_path, capsys):
+    flag = ["--runs", "3"] if name == "scoremap" else ["--opponent", "snake"]
+    assert run(name, *flag, "--out", str(tmp_path)) == 1
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["scoremap", "--opponent", "bogus"], "--opponent: invalid choice: 'bogus'"),
+    (["train", "--seed", "abc"], "--seed: invalid integer value: 'abc'"),
+    (["eval", "--episodes", "0"], "--episodes: expected an integer >= 1, got '0'"),
+    (["duel", "--runs", "-3"], "--runs: expected an integer >= 1, got '-3'"),
+    (["population", "--jobs", "0"], "--jobs: expected an integer >= 1, got '0'"),
+    (["sweep", "--episodes", "2.5"], "--episodes: invalid integer value: '2.5'"),
+])
+def test_bad_flag_values_are_usage_errors(argv, message, tmp_path, capsys):
+    assert run(*argv, "--out", str(tmp_path)) == 1
+    assert message in capsys.readouterr().err
+
+
+EVAL_MANIFEST = {"command": "eval", "config": {}, "seed": 0}
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read manifest"),
+    ("{not json", "malformed manifest JSON"),
+    ("[1, 2]", "not a JSON object with config and options objects"),
+    (json.dumps({"command": "eval", "seed": 0}), "with config and options objects"),
+    (json.dumps({**EVAL_MANIFEST, "config": "tiny.json"}), "with config and options objects"),
+    (json.dumps({**EVAL_MANIFEST, "config": {"grid_length": "8"}}), "must be a number"),
+    (json.dumps({**EVAL_MANIFEST, "seed": -1}), "--seed: expected an integer >= 0, got '-1'"),
+    (json.dumps({**EVAL_MANIFEST, "seed": 1.5}), "--seed: invalid integer value: '1.5'"),
+    (json.dumps({"command": "eval", "config": {}}), "--seed: invalid integer value: 'None'"),
+    (json.dumps({**EVAL_MANIFEST, "options": []}), "with config and options objects"),
+    (json.dumps({**EVAL_MANIFEST, "options": {"episodes": 0}}),
+     "--episodes: expected an integer >= 1, got '0'"),
+])
+def test_malformed_manifests_are_usage_errors(content, message, tmp_path, capsys):
+    path = tmp_path / "manifest_eval.json"
+    if content is not None:
+        path.write_text(content)
+    assert run("eval", "--from-manifest", str(path), "--out", str(tmp_path)) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_manifest_with_null_and_undeclared_options_reruns(tiny, tmp_path):
+    # Older manifests stored the same five options for every command, null
+    # where the command did not use them.
+    config, table, _ = tiny
+    old = tmp_path / "manifest_eval.json"
+    old.write_text(json.dumps({
+        "command": "eval", "config": TINY, "seed": 2,
+        "options": {"runs": None, "episodes": 7, "qtable": table,
+                    "opponent": "snake", "plan": None},
+    }))
+    assert run("eval", "--from-manifest", str(old), "--out", str(tmp_path / "a")) == 0
+    assert run("eval", "--config", config, "--seed", "2", "--episodes", "7",
+               "--qtable", table, "--out", str(tmp_path / "b")) == 0
+    assert (tmp_path / "a" / "eval_steps.csv").read_bytes() == \
+        (tmp_path / "b" / "eval_steps.csv").read_bytes()
+    manifest = json.loads((tmp_path / "a" / "manifest_eval.json").read_text())
+    assert manifest["options"] == {"qtable": table, "episodes": 7}

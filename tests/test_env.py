@@ -11,10 +11,7 @@ from hmc_search.env import (
     UP,
     CloudField,
     GridConfig,
-    collect,
     disc_offsets,
-    field_from_records,
-    field_to_records,
     make_cloud,
     make_rng,
     move,
@@ -149,27 +146,6 @@ def test_move_stays_in_bounds_and_identity_iff_clamped():
                     assert (nx - x, ny - y) == DELTAS[d]
 
 
-def test_collect_examples():
-    a = make_cloud((5, 5), 3, 20)
-    b = make_cloud((6, 5), 3, 20)
-    field = CloudField([a, b], 20)
-    unchanged, found = collect(field, (15, 15))
-    assert found == 0 and len(unchanged.clouds) == 2
-    one, found = collect(field, (4, 5))
-    assert found == 1 and len(one.clouds) == 1
-    # (5, 5) lies in both supports, so both clouds go at once.
-    both, found = collect(field, (5, 5))
-    assert found == 2 and both.clouds == []
-
-
-def test_collect_leaves_other_clouds_untouched():
-    far = make_cloud((15, 15), 3, 20)
-    field = CloudField([make_cloud((2, 2), 3, 20), far], 20)
-    updated, found = collect(field, (2, 2))
-    assert found == 1
-    assert updated.clouds == [far]
-
-
 def test_spawn_determinism_and_draw_layout():
     cfg = GridConfig()
     first = spawn_clouds(cfg, 4, make_rng(123))
@@ -206,19 +182,3 @@ def test_make_rng_streams():
     assert make_rng(5, 1).random() != make_rng(5, 2).random()
     with pytest.raises(ValueError):
         make_rng(-1)
-
-
-def test_field_record_roundtrip():
-    cfg = GridConfig()
-    field = spawn_clouds(cfg, 3, make_rng(9))
-    records = field_to_records(field)
-    rebuilt = field_from_records(records, cfg.grid_length)
-    assert [c.center for c in rebuilt.clouds] == [c.center for c in field.clouds]
-    assert [c.support for c in rebuilt.clouds] == [c.support for c in field.clouds]
-
-
-def test_field_copy_is_independent():
-    field = CloudField([make_cloud((5, 5), 3, 20)], 20)
-    clone = field.copy()
-    clone.clouds.clear()
-    assert len(field.clouds) == 1

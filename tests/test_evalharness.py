@@ -289,3 +289,14 @@ def test_find_on_the_last_budget_step_is_a_success():
     assert (missed.steps, missed.failures) == ([4], 1)
     traj = run_episode(q, hp, "eval", None, field=CloudField([make_cloud((4, 0), 1, 5)], 5))
     assert (traj.n_step, traj.n_poll) == (4, 1)
+
+
+def test_patterns_are_held_to_the_step_budget():
+    # The snake needs up to 112 moves on the default grid.  With a 37-step
+    # budget every later find scores 37, so a center where the untrained
+    # agent also fails is a tie, not a win.
+    result = score_map(new_qtable(20), Hyperparams(max_steps=37), snake_path(20, 5))
+    assert result.opponent_steps.max() == 37
+    assert (result.opponent_steps == 37).sum() == 267
+    assert not (result.outcome[result.agent_steps == 37] > 0).any()
+    assert (result.wins, result.ties, result.losses) == (111, 162, 127)

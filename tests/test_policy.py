@@ -149,6 +149,17 @@ def test_execute_option_stops_on_final_collection():
     assert after.clouds == []
 
 
+def test_execute_option_collects_every_cloud_on_a_shared_cell():
+    # (5, 5) lies in both supports, so entering it takes both clouds at once;
+    # the caller's field keeps them.
+    field = CloudField([make_cloud((5, 5), 3, 20), make_cloud((6, 5), 3, 20)], 20)
+    outcome, after = execute_option(field, (5, 4), DOWN, 3, 400)
+    assert outcome.found_count == 2
+    assert outcome.path == [(5, 5)]
+    assert after.clouds == []
+    assert len(field.clouds) == 2
+
+
 def test_execute_option_continues_while_clouds_remain():
     near = make_cloud((6, 5), 1, 20)
     far = make_cloud((15, 15), 1, 20)

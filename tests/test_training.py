@@ -99,6 +99,15 @@ def test_adjacent_cloud_found_in_one_step():
     assert traj.r_t == 30.0
 
 
+def test_run_episode_leaves_the_callers_field_unchanged():
+    hp = Hyperparams(pollution_diameter=1)
+    clouds = [make_cloud((0, 1), 1, 20), make_cloud((19, 19), 1, 20)]
+    field = CloudField(list(clouds), 20)
+    traj = run_episode(new_qtable(20), hp, "eval", None, field=field)
+    assert traj.n_poll >= 1
+    assert field.clouds == clouds
+
+
 def test_empty_field_runs_to_the_budget():
     # Nothing to collect, so only the budget ends the walk.
     hp = Hyperparams(max_steps=50)
