@@ -10,7 +10,7 @@ import numpy as np
 from hmc_search import (
     DIRECTION_NAMES,
     RIGHT,
-    GridConfig,
+    START,
     Hyperparams,
     execute_option,
     make_rng,
@@ -39,44 +39,41 @@ def main():
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args()
 
-    cfg = GridConfig()
-    print(f"grid {cfg.grid_length}x{cfg.grid_length}, "
-          f"cloud diameter {cfg.pollution_diameter}, "
-          f"step budget {cfg.max_steps}, start {cfg.start_cell}")
+    hp = Hyperparams()
+    print(f"grid {hp.grid_length}x{hp.grid_length}, "
+          f"cloud diameter {hp.pollution_diameter}, "
+          f"step budget {hp.max_steps}, start {START}")
 
     rng = make_rng(args.seed)
-    field = spawn_clouds(cfg, 3, rng)
+    field = spawn_clouds(hp.grid_length, hp.pollution_diameter, 3, rng)
     print(f"\nspawned {len(field.clouds)} clouds at "
           f"{[c.center for c in field.clouds]}")
     print("sensed intensity per cell (tenths, . = zero):")
-    print(show_field(field, cfg.grid_length))
+    print(show_field(field, hp.grid_length))
 
     cloud = field.clouds[0]
     cx, cy = cloud.center
     profile = [round(sense(field, (x, cy)), 3)
-               for x in range(max(0, cx - 3), min(cfg.grid_length, cx + 4))]
+               for x in range(max(0, cx - 3), min(hp.grid_length, cx + 4))]
     print(f"\nintensity along the row through {cloud.center}: {profile}")
     print(f"cells in that cloud: {len(cloud.support)}")
 
-    hp = Hyperparams()
     stride = option_stride(hp.option_length)
     print(f"\none decision commits to a direction for {stride} cells "
           f"(first move plus {hp.option_length} repeats)")
-    outcome, field = execute_option(field, cfg.start_cell, RIGHT, stride,
-                                    cfg.max_steps)
-    print(f"walking {DIRECTION_NAMES[RIGHT]} from {cfg.start_cell}: "
+    outcome, field = execute_option(field, START, RIGHT, stride, hp.max_steps)
+    print(f"walking {DIRECTION_NAMES[RIGHT]} from {START}: "
           f"path {list(outcome.path)}, ended at {outcome.terminal}, "
           f"clouds collected {outcome.found_count}")
 
     # A visited end cell is penalized at decision time, steering the
     # next option elsewhere even though all values are equal.
-    q = new_qtable(cfg.grid_length)
-    mem = new_visit_memory(cfg.grid_length)
+    q = new_qtable(hp.grid_length)
+    mem = new_visit_memory(hp.grid_length)
     for cell in outcome.path:
         mem[cell] += 1
     pos = outcome.terminal
-    choice = select_option(q, mem, pos, hp.selection(epsilon=0.0),
-                           "exploit", None)
+    choice = select_option(q, mem, pos, hp, "exploit", None)
     print(f"\nafter marking that walk in memory, the greedy choice at "
           f"{pos} turns {DIRECTION_NAMES[choice]}")
     counted = int(np.count_nonzero(mem))

@@ -7,6 +7,7 @@ import argparse
 import os
 
 from hmc_search import (
+    Hyperparams,
     make_cloud,
     ring_insets,
     snake_path,
@@ -26,8 +27,8 @@ def render(pattern, grid_length):
     return "\n".join("".join(row) for row in grid)
 
 
-def center_stats(pattern, grid_length, diameter):
-    steps = [steps_to_find(pattern, make_cloud((x, y), diameter, grid_length))
+def center_stats(pattern, grid_length, diameter, max_steps):
+    steps = [steps_to_find(pattern, make_cloud((x, y), diameter, grid_length), max_steps)
              for x in range(grid_length) for y in range(grid_length)]
     ordered = sorted(steps)
     return {
@@ -55,10 +56,11 @@ def main():
           f"{len(spiral.cells) - 1} moves:")
     print(render(spiral, args.grid))
 
+    budget = Hyperparams().max_steps
     print(f"\nmoves to reach a diameter-{args.diameter} cloud, over all "
           f"{args.grid * args.grid} centers:")
     for name, pattern in (("snake", snake), ("spiral", spiral)):
-        stats = center_stats(pattern, args.grid, args.diameter)
+        stats = center_stats(pattern, args.grid, args.diameter, budget)
         print(f"  {name:7} mean {stats['mean']:7.2f}   "
               f"median {stats['median']:3d}   worst {stats['worst']:3d}")
 

@@ -44,7 +44,8 @@ def main():
     fixed_hp = Hyperparams(discount_rate=args.discount)
     print(f"fixed cloud, discount {args.discount}, seed {args.seed}:")
     snapshots = static_demo(fixed_hp, args.seed)
-    field = spawn_clouds(fixed_hp.grid(), 1, make_rng(args.seed))
+    field = spawn_clouds(fixed_hp.grid_length, fixed_hp.pollution_diameter, 1,
+                         make_rng(args.seed))
     support = set(field.clouds[0].support)
     print(f"  cloud center {field.clouds[0].center}, "
           f"{len(support)} cells")

@@ -19,10 +19,10 @@ from .env import (
     DOWN,
     LEFT,
     RIGHT,
+    START,
     UP,
     Cloud,
     CloudField,
-    GridConfig,
     disc_offsets,
     make_cloud,
     make_rng,
@@ -44,7 +44,6 @@ from .evalharness import (
 )
 from .policy import (
     OptionOutcome,
-    SelectionParams,
     choose_option,
     execute_option,
     mc_update,

@@ -1,6 +1,6 @@
 """Deterministic exhaustive search patterns and their step counts.
 
-Both patterns start at the top-left corner, where the searcher starts,
+Both patterns start at env.START, the top-left corner where the agent starts,
 and are spaced so that no cloud disc fits between two passes: a cloud is
 detected once any path cell lies within diameter / 2 of its center.
 """
@@ -9,9 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .env import Cell, Cloud
-
-DEFAULT_MAX_STEPS = 400
+from .env import START, Cell, Cloud
 
 
 @dataclass(frozen=True)
@@ -59,7 +57,7 @@ def sweep_rows(grid_length: int, diameter: int) -> list[int]:
 def snake_path(grid_length: int, diameter: int) -> PatternPath:
     """Serpentine sweep: alternate full-width rows, connected at the edges."""
     rows = sweep_rows(grid_length, diameter)
-    cells: list[Cell] = [(0, 0)]
+    cells: list[Cell] = [START]
     for row in rows:
         x, _ = cells[-1]
         _extend(cells, x, row)
@@ -113,7 +111,7 @@ def _ring(cells: list[Cell], inset: int, grid_length: int) -> None:
 def spiral_path(grid_length: int, diameter: int) -> PatternPath:
     """Concentric inward rings joined by straight bridges, center last."""
     insets = ring_insets(grid_length, diameter)
-    cells: list[Cell] = [(0, 0)]
+    cells: list[Cell] = [START]
     _ring(cells, 0, grid_length)
     for inset in insets[1:]:
         # Bridge from the previous ring's endpoint to the next top-left corner.
@@ -136,8 +134,7 @@ def first_hit(path: PatternPath, cloud: Cloud) -> int | None:
     return None
 
 
-def steps_to_find(path: PatternPath, cloud: Cloud,
-                  max_steps: int = DEFAULT_MAX_STEPS) -> int:
+def steps_to_find(path: PatternPath, cloud: Cloud, max_steps: int) -> int:
     """Moves from the start until the path first touches the cloud support.
 
     A pattern's start cell is index 0, so a cloud covering it costs zero

@@ -154,8 +154,6 @@ def _command(name: str, help_text: str, **flags):
 
 def _load_qtable(opts):
     path = opts["qtable"]
-    if path is None:
-        path = os.path.join(opts["out"], "qtable.csv")
     if not os.path.exists(path):
         raise FileNotFoundError(
             f"no value table at {path}; train first or pass --qtable")
@@ -290,12 +288,15 @@ def cmd_pattern(opts):
 def cmd_sweep(opts):
     if opts["plan"] is None:
         raise UsageError("sweep requires --plan")
-    stages, plan_opts = load_plan(
-        opts["plan"], opts["hp"],
-        base_seed=opts["seed"],
-        runs_per_value=opts["runs"],
-        n_eval_episodes=opts["episodes"],
-    )
+    try:
+        stages, plan_opts = load_plan(
+            opts["plan"], opts["hp"],
+            base_seed=opts["seed"],
+            runs_per_value=opts["runs"],
+            n_eval_episodes=opts["episodes"],
+        )
+    except (OSError, ValueError) as err:
+        raise UsageError(f"plan {opts['plan']}: {err}") from err
     final_hp, results = tuning_loop(
         stages,
         two_pass=plan_opts["two_pass"],
@@ -445,6 +446,10 @@ def _resolve(argv) -> dict:
     opts.update(explicit)
     opts["hp"] = parse_config(explicit.get("config", config))
     opts["out"] = opts["out"] or os.environ.get("HMC_SEARCH_OUT") or "out"
+    if "qtable" in declared and opts["qtable"] is None:
+        # The manifest records the table actually read, so a rerun into
+        # another directory reads the same one.
+        opts["qtable"] = os.path.join(opts["out"], "qtable.csv")
     return opts
 
 

@@ -31,25 +31,8 @@ def make_rng(seed: int, stream: int = 0) -> RandomSource:
     return np.random.default_rng((int(seed), int(stream)))
 
 
-@dataclass(frozen=True)
-class GridConfig:
-    """Grid geometry plus the per-episode primitive step budget."""
-
-    grid_length: int = 20
-    pollution_diameter: int = 5
-    start_cell: Cell = (0, 0)
-    max_steps: int = 400
-
-    def __post_init__(self):
-        if self.pollution_diameter < 1:
-            raise ValueError("pollution_diameter must be at least 1")
-        if self.grid_length < self.pollution_diameter:
-            raise ValueError("grid_length must be at least pollution_diameter")
-        x, y = self.start_cell
-        if not (0 <= x < self.grid_length and 0 <= y < self.grid_length):
-            raise ValueError("start_cell lies outside the grid")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be at least 1")
+# Every searcher, agent and pattern alike, starts in the top-left corner.
+START: Cell = (0, 0)
 
 
 @lru_cache(maxsize=None)
@@ -105,7 +88,8 @@ class CloudField:
     grid_length: int
 
 
-def spawn_clouds(config: GridConfig, count: int, rng: RandomSource) -> CloudField:
+def spawn_clouds(grid_length: int, diameter: int, count: int,
+                 rng: RandomSource) -> CloudField:
     """Spawn count clouds with centers drawn uniformly over all grid cells.
 
     Centers are independent; overlapping clouds are allowed.  Each cloud
@@ -114,13 +98,12 @@ def spawn_clouds(config: GridConfig, count: int, rng: RandomSource) -> CloudFiel
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    length = config.grid_length
     clouds = []
     for _ in range(count):
-        x = int(rng.integers(length))
-        y = int(rng.integers(length))
-        clouds.append(make_cloud((x, y), config.pollution_diameter, length))
-    return CloudField(clouds, length)
+        x = int(rng.integers(grid_length))
+        y = int(rng.integers(grid_length))
+        clouds.append(make_cloud((x, y), diameter, grid_length))
+    return CloudField(clouds, grid_length)
 
 
 def sense(field: CloudField, pos: Cell) -> float:
@@ -133,11 +116,11 @@ def sense(field: CloudField, pos: Cell) -> float:
     return best
 
 
-def move(pos: Cell, direction: int, config: GridConfig) -> tuple[Cell, bool]:
+def move(pos: Cell, direction: int, grid_length: int) -> tuple[Cell, bool]:
     """One clamped step.  Returns (new position, whether the move happened)."""
     dx, dy = DELTAS[direction]
     x, y = pos[0] + dx, pos[1] + dy
-    limit = config.grid_length - 1
+    limit = grid_length - 1
     if x < 0 or x > limit or y < 0 or y > limit:
         return pos, False
     return (x, y), True

@@ -79,11 +79,14 @@ def agent_route(q: QTable, hp: Hyperparams) -> PatternPath:
     return PatternPath(tuple(traj.cells), "agent", first=1)
 
 
+def _random_cloud(hp: Hyperparams, rng):
+    return spawn_clouds(hp.grid_length, hp.pollution_diameter, 1, rng).clouds[0]
+
+
 def _evaluate_route(route: PatternPath, hp: Hyperparams, n_episodes: int, rng) -> EvalStats:
     if n_episodes < 1:
         raise ValueError("n_episodes must be at least 1")
-    cfg = hp.grid()
-    hits = [first_hit(route, spawn_clouds(cfg, 1, rng).clouds[0]) for _ in range(n_episodes)]
+    hits = [first_hit(route, _random_cloud(hp, rng)) for _ in range(n_episodes)]
     steps = [hp.max_steps if hit is None else hit for hit in hits]
     return EvalStats.from_steps(steps, hits.count(None))
 
@@ -96,17 +99,16 @@ def evaluate_agent(q: QTable, hp: Hyperparams, n_episodes: int, rng) -> EvalStat
 def _duel_route(route: PatternPath, hp: Hyperparams, n: int, rng) -> dict[str, DuelOutcome]:
     if n < 1:
         raise ValueError("n must be at least 1")
-    cfg = hp.grid()
     patterns = {
-        "snake": snake_path(cfg.grid_length, cfg.pollution_diameter),
-        "spiral": spiral_path(cfg.grid_length, cfg.pollution_diameter),
+        "snake": snake_path(hp.grid_length, hp.pollution_diameter),
+        "spiral": spiral_path(hp.grid_length, hp.pollution_diameter),
     }
     outcomes = {name: DuelOutcome() for name in patterns}
     for _ in range(n):
-        cloud = spawn_clouds(cfg, 1, rng).clouds[0]
-        agent_steps = steps_to_find(route, cloud, cfg.max_steps)
+        cloud = _random_cloud(hp, rng)
+        agent_steps = steps_to_find(route, cloud, hp.max_steps)
         for name, pattern in patterns.items():
-            opponent_steps = steps_to_find(pattern, cloud, cfg.max_steps)
+            opponent_steps = steps_to_find(pattern, cloud, hp.max_steps)
             outcomes[name].add(duel(agent_steps, opponent_steps))
     return outcomes
 
@@ -170,7 +172,7 @@ def route_heatmap(q: QTable, hp: Hyperparams, n_episodes: int, rng) -> np.ndarra
     route = agent_route(q, hp)
     counts = np.zeros((hp.grid_length, hp.grid_length), dtype=np.int64)
     for _ in range(n_episodes):
-        hit = first_hit(route, spawn_clouds(hp.grid(), 1, rng).clouds[0])
+        hit = first_hit(route, _random_cloud(hp, rng))
         for cell in route.cells[:None if hit is None else hit + 1]:
             counts[cell] += 1
     return counts

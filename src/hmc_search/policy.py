@@ -12,10 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .env import DELTAS, DIRECTION_NAMES, Cell, CloudField, RandomSource
+
+if TYPE_CHECKING:
+    from .training import Hyperparams
 
 QTable = np.ndarray  # shape (grid_length, grid_length, 4), float64
 VisitMemory = np.ndarray  # shape (grid_length, grid_length), int64
@@ -28,20 +32,6 @@ def new_qtable(grid_length: int) -> QTable:
 def new_visit_memory(grid_length: int) -> VisitMemory:
     """Per-episode visit counts, all zero at episode start."""
     return np.zeros((grid_length, grid_length), dtype=np.int64)
-
-
-@dataclass
-class SelectionParams:
-    """Knobs read by option selection.
-
-    option_length counts the repeats committed after the first move, so
-    each decision spans option_stride(option_length) cells.
-    """
-
-    epsilon: float
-    mof_value: float
-    option_length: int
-    binary_memory: bool = False
 
 
 def option_stride(option_length: int) -> int:
@@ -94,7 +84,7 @@ def option_terminal(s: Cell, direction: int, stride: int, grid_length: int) -> C
     return (x, y)
 
 
-def select_option(q: QTable, mem: VisitMemory, s: Cell, params: SelectionParams,
+def select_option(q: QTable, mem: VisitMemory, s: Cell, hp: Hyperparams,
                   mode: str, rng: RandomSource | None) -> int:
     """Pick a direction.
 
@@ -108,19 +98,16 @@ def select_option(q: QTable, mem: VisitMemory, s: Cell, params: SelectionParams,
         return int(rng.integers(4))
     if mode != "exploit":
         raise ValueError(f"unknown mode {mode!r}")
-    x, y = s
-    limit = mem.shape[0] - 1
-    span = option_stride(params.option_length)
-    weight = params.mof_value
-    row = q[x, y]
+    length = mem.shape[0]
+    span = option_stride(hp.option_length)
+    weight = hp.mof_value
+    binary = hp.binary_memory
+    row = q[s[0], s[1]]
     best_dir = 0
     best = -math.inf
     for d in range(4):
-        dx, dy = DELTAS[d]
-        tx = min(limit, max(0, x + dx * span))
-        ty = min(limit, max(0, y + dy * span))
-        visits = mem[tx, ty]
-        if params.binary_memory and visits > 1:
+        visits = mem[option_terminal(s, d, span, length)]
+        if binary and visits > 1:
             visits = 1
         score = row[d] - weight * visits
         if score > best:
@@ -129,12 +116,12 @@ def select_option(q: QTable, mem: VisitMemory, s: Cell, params: SelectionParams,
     return best_dir
 
 
-def choose_option(q: QTable, mem: VisitMemory, s: Cell, params: SelectionParams,
-                  rng: RandomSource) -> int:
+def choose_option(q: QTable, mem: VisitMemory, s: Cell, hp: Hyperparams,
+                  epsilon: float, rng: RandomSource) -> int:
     """Epsilon-soft wrapper: explore with probability epsilon, else exploit."""
-    if params.epsilon > 0.0 and rng.random() < params.epsilon:
-        return select_option(q, mem, s, params, "explore", rng)
-    return select_option(q, mem, s, params, "exploit", rng)
+    if epsilon > 0.0 and rng.random() < epsilon:
+        return select_option(q, mem, s, hp, "explore", rng)
+    return select_option(q, mem, s, hp, "exploit", rng)
 
 
 def execute_option(field: CloudField, pos: Cell, direction: int,

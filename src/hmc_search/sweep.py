@@ -136,7 +136,8 @@ def load_plan(source, base: Hyperparams, *, base_seed: int = 0,
 
     Plan shape: {"stages": [{"parameter": ..., "values": [...],
     "runs_per_value"?}, ...], "runs_per_value"?, "two_pass"?, "select_on"?}.
-    A runs_per_value argument overrides everything in the file.
+    A runs_per_value argument overrides everything in the file.  Raises
+    ValueError on a plan of another shape, and OSError on an unreadable file.
     """
     if isinstance(source, (str, bytes)) or hasattr(source, "read"):
         if hasattr(source, "read"):
@@ -146,11 +147,18 @@ def load_plan(source, base: Hyperparams, *, base_seed: int = 0,
                 plan = json.load(handle)
     else:
         plan = source
-    if not isinstance(plan, dict) or "stages" not in plan:
+    if not isinstance(plan, dict) or not isinstance(plan.get("stages"), list):
         raise ValueError("plan must be an object with a 'stages' list")
+    select_on = plan.get("select_on", "steps")
+    if select_on not in ("steps", "wins"):
+        raise ValueError(f"select_on must be 'steps' or 'wins', not {select_on!r}")
     default_runs = plan.get("runs_per_value", 20)
     stages = []
-    for entry in plan["stages"]:
+    for i, entry in enumerate(plan["stages"]):
+        if not (isinstance(entry, dict) and "parameter" in entry
+                and isinstance(entry.get("values"), list)):
+            raise ValueError(f"stage {i} must be an object with a 'parameter' "
+                             "and a 'values' list")
         runs = runs_per_value
         if runs is None:
             runs = entry.get("runs_per_value", default_runs)
@@ -164,6 +172,6 @@ def load_plan(source, base: Hyperparams, *, base_seed: int = 0,
         ))
     options = {
         "two_pass": bool(plan.get("two_pass", False)),
-        "select_on": plan.get("select_on", "steps"),
+        "select_on": select_on,
     }
     return stages, options

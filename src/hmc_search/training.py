@@ -16,9 +16,9 @@ from typing import get_type_hints
 import numpy as np
 
 from .env import (
+    START,
     Cell,
     CloudField,
-    GridConfig,
     RandomSource,
     make_rng,
     move,
@@ -27,7 +27,6 @@ from .env import (
 )
 from .policy import (
     QTable,
-    SelectionParams,
     choose_option,
     execute_option,
     mc_update,
@@ -47,7 +46,10 @@ _DECISION_CAP_FACTOR = 8
 
 @dataclass
 class Hyperparams:
-    """Agent and environment settings; defaults are the tuned reference set."""
+    """Agent and environment settings; defaults are the tuned reference set.
+
+    The only settings object: no other layer holds a setting or a default.
+    """
 
     grid_length: int = 20
     pollution_diameter: int = 5
@@ -96,24 +98,12 @@ class Hyperparams:
             raise ValueError("option_length must be at least 1")
         if not self.reward_scaling > 0.0:
             raise ValueError("reward_scaling must be positive")
-        # Grid constraints are validated by GridConfig.
-        self.grid()
-
-    def grid(self) -> GridConfig:
-        return GridConfig(
-            grid_length=self.grid_length,
-            pollution_diameter=self.pollution_diameter,
-            start_cell=(0, 0),
-            max_steps=self.max_steps,
-        )
-
-    def selection(self, epsilon: float) -> SelectionParams:
-        return SelectionParams(
-            epsilon=epsilon,
-            mof_value=self.mof_value,
-            option_length=self.option_length,
-            binary_memory=self.binary_memory,
-        )
+        if self.pollution_diameter < 1:
+            raise ValueError("pollution_diameter must be at least 1")
+        if self.grid_length < self.pollution_diameter:
+            raise ValueError("grid_length must be at least pollution_diameter")
+        if self.max_steps < 1:
+            raise ValueError("max_steps must be at least 1")
 
     def with_value(self, name: str, value) -> "Hyperparams":
         return replace(self, **{name: value})
@@ -193,9 +183,10 @@ def run_episode(q: QTable, hp: Hyperparams, mode: str, rng: RandomSource | None,
                 epsilon: float | None = None) -> Trajectory:
     """Run one option-level episode and return its trajectory.
 
-    mode "train" is epsilon-soft with the given epsilon; mode "eval" is
-    pure greedy.  The memory filter is active in both modes but starts
-    from a fresh all-zero memory each episode and never touches q.  The
+    Every episode starts at START.  mode "train" is epsilon-soft with the
+    given epsilon (default epsilon_start); mode "eval" is pure greedy.
+    The memory filter is active in both modes but starts from a fresh
+    all-zero memory each episode and never touches q.  The
     episode ends on the collection that empties the field or when the
     primitive step budget is spent, so an empty field runs to the budget
     (or the decision cap).  A caller's field is left as it was:
@@ -203,31 +194,28 @@ def run_episode(q: QTable, hp: Hyperparams, mode: str, rng: RandomSource | None,
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
-    cfg = hp.grid()
     if field is None:
         count = 1 if mode == "eval" else hp.num_clouds
-        field = spawn_clouds(cfg, count, rng)
+        field = spawn_clouds(hp.grid_length, hp.pollution_diameter, count, rng)
     if epsilon is None:
-        epsilon = 0.0 if mode == "eval" else hp.epsilon_start
-    params = hp.selection(epsilon if mode == "train" else 0.0)
-    mem = new_visit_memory(cfg.grid_length)
-    pos = cfg.start_cell
+        epsilon = hp.epsilon_start
+    max_steps = hp.max_steps
+    stride = option_stride(hp.option_length)
+    mem = new_visit_memory(hp.grid_length)
+    pos = START
     transitions: list[tuple[Cell, int]] = []
     cells: list[Cell] = [pos]
     n_step = 0
     n_poll = 0
     decisions = 0
-    decision_cap = _DECISION_CAP_FACTOR * cfg.max_steps + 32
-    while n_step < cfg.max_steps and decisions < decision_cap:
+    decision_cap = _DECISION_CAP_FACTOR * max_steps + 32
+    while n_step < max_steps and decisions < decision_cap:
         decisions += 1
         if mode == "train":
-            direction = choose_option(q, mem, pos, params, rng)
+            direction = choose_option(q, mem, pos, hp, epsilon, rng)
         else:
-            direction = select_option(q, mem, pos, params, "exploit", rng)
-        outcome, field = execute_option(
-            field, pos, direction, option_stride(hp.option_length),
-            cfg.max_steps - n_step
-        )
+            direction = select_option(q, mem, pos, hp, "exploit", rng)
+        outcome, field = execute_option(field, pos, direction, stride, max_steps - n_step)
         transitions.append((pos, direction))
         record_visits(mem, outcome)
         cells.extend(outcome.path)
@@ -266,13 +254,12 @@ def train_agent(hp: Hyperparams, seed: int) -> TrainReport:
     episode at or past stop_learn_value * num_episodes does either.
     """
     rng = make_rng(seed)
-    cfg = hp.grid()
-    q = new_qtable(cfg.grid_length)
+    q = new_qtable(hp.grid_length)
     records: list[EpisodeRecord] = []
     learn_until = update_window(hp)
     for episode in range(hp.num_episodes):
         epsilon = epsilon_at(episode, hp)
-        spawned = spawn_clouds(cfg, hp.num_clouds, rng)
+        spawned = spawn_clouds(hp.grid_length, hp.pollution_diameter, hp.num_clouds, rng)
         best: Trajectory | None = None
         for _ in range(hp.best_learn_value):
             traj = run_episode(q, hp, "train", rng, field=spawned, epsilon=epsilon)
@@ -305,9 +292,8 @@ def _support_cells(field: CloudField) -> set[Cell]:
     return cells
 
 
-def _demo_episode(q: QTable, hp: Hyperparams, cfg: GridConfig, field: CloudField,
-                  support: set[Cell], epsilon: float, rng: RandomSource,
-                  learn: bool) -> int | None:
+def _demo_episode(q: QTable, hp: Hyperparams, field: CloudField, support: set[Cell],
+                  epsilon: float, rng: RandomSource, learn: bool) -> int | None:
     """One primitive-action episode for the plain Q-learning demos.
 
     The cloud field is a sensing landscape that stays in place for the
@@ -319,14 +305,15 @@ def _demo_episode(q: QTable, hp: Hyperparams, cfg: GridConfig, field: CloudField
     episodes stop at the find.  Returns the step count of the first
     find, or None.
     """
-    pos = cfg.start_cell
+    length = hp.grid_length
+    pos = START
     found_at: int | None = None
-    for step in range(cfg.max_steps):
+    for step in range(hp.max_steps):
         if learn and epsilon > 0.0 and rng.random() < epsilon:
             action = int(rng.integers(4))
         else:
             action = _greedy_action(q, pos)
-        new_pos, _ = move(pos, action, cfg)
+        new_pos, _ = move(pos, action, length)
         reward = sense(field, new_pos)
         if found_at is None and new_pos in support:
             reward += 100.0
@@ -346,14 +333,14 @@ def _plain_q(hp: Hyperparams, rng: RandomSource, n_episodes: int,
 
     Returns (q, {episode: max-Q-per-cell grid}); key 0 is the untrained table.
     """
-    cfg = hp.grid()
-    q = new_qtable(cfg.grid_length)
+    q = new_qtable(hp.grid_length)
     snapshots: dict[int, np.ndarray] = {}
     if 0 in snapshot_episodes:
         snapshots[0] = q.max(axis=2).copy()
     for episode in range(n_episodes):
-        field = fixed if fixed is not None else spawn_clouds(cfg, 1, rng)
-        _demo_episode(q, hp, cfg, field, _support_cells(field),
+        field = fixed if fixed is not None else spawn_clouds(
+            hp.grid_length, hp.pollution_diameter, 1, rng)
+        _demo_episode(q, hp, field, _support_cells(field),
                       _demo_epsilon(episode, n_episodes), rng, learn=True)
         if episode + 1 in snapshot_episodes:
             snapshots[episode + 1] = q.max(axis=2).copy()
@@ -371,7 +358,7 @@ def static_demo(hp: Hyperparams, seed: int, *, n_episodes: int = 2000,
     over training.
     """
     rng = make_rng(seed)
-    fixed = spawn_clouds(hp.grid(), 1, rng)
+    fixed = spawn_clouds(hp.grid_length, hp.pollution_diameter, 1, rng)
     return _plain_q(hp, rng, n_episodes, snapshot_episodes, fixed)[1]
 
 
@@ -386,13 +373,12 @@ def dynamic_demo(hp: Hyperparams, seed: int, *, n_episodes: int = 2000,
     mean evaluation steps) with failed evaluation episodes counted as
     max_steps.
     """
-    cfg = hp.grid()
     q, snapshots = _plain_q(hp, make_rng(seed), n_episodes, snapshot_episodes, None)
     eval_rng = make_rng(seed, stream=1)
     total = 0
     for _ in range(n_eval_episodes):
-        spawned = spawn_clouds(cfg, 1, eval_rng)
-        steps = _demo_episode(q, hp, cfg, spawned, _support_cells(spawned), 0.0,
+        spawned = spawn_clouds(hp.grid_length, hp.pollution_diameter, 1, eval_rng)
+        steps = _demo_episode(q, hp, spawned, _support_cells(spawned), 0.0,
                               eval_rng, learn=False)
-        total += steps if steps is not None else cfg.max_steps
+        total += steps if steps is not None else hp.max_steps
     return snapshots, total / n_eval_episodes

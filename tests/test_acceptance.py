@@ -14,7 +14,6 @@ from hmc_search.cli import dispatch
 from hmc_search.env import make_cloud, make_rng, spawn_clouds
 from hmc_search.evalharness import evaluate_agent, score_map
 from hmc_search.policy import (
-    SelectionParams,
     mc_update,
     new_qtable,
     new_visit_memory,
@@ -42,7 +41,8 @@ JOBS = min(4, os.cpu_count() or 1)
 
 
 def pattern_steps(pattern, grid_length=20, diameter=5):
-    return [steps_to_find(pattern, make_cloud((x, y), diameter, grid_length))
+    budget = Hyperparams().max_steps
+    return [steps_to_find(pattern, make_cloud((x, y), diameter, grid_length), budget)
             for x in range(grid_length) for y in range(grid_length)]
 
 
@@ -126,7 +126,7 @@ def test_04_discounted_values_pave_a_path_to_the_fixed_cloud():
     passes = 0
     for seed in (0, 1, 2):
         snapshots = static_demo(hp, seed, snapshot_episodes=(2000,))
-        field = spawn_clouds(hp.grid(), 1, make_rng(seed))
+        field = spawn_clouds(hp.grid_length, hp.pollution_diameter, 1, make_rng(seed))
         support = set()
         for cloud in field.clouds:
             support.update(cloud.support)
@@ -181,7 +181,7 @@ def test_06_memory_filter_shuns_visited_cells_and_ignores_shifts():
         mem[visited] = rng.integers(1, 4, size=int(visited.sum()))
         s = (int(rng.integers(length)), int(rng.integers(length)))
         q_range = float(q.max() - q.min())
-        params = SelectionParams(0.0, q_range + 1.0, 2, False)
+        params = Hyperparams(grid_length=length, mof_value=q_range + 1.0, option_length=2)
 
         chosen = select_option(q, mem, s, params, "exploit", None)
         span = params.option_length + 1

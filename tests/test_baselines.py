@@ -4,7 +4,6 @@ import pytest
 from scipy.ndimage import distance_transform_edt
 
 from hmc_search.baselines import (
-    DEFAULT_MAX_STEPS,
     PatternPath,
     first_hit,
     ring_insets,
@@ -15,16 +14,19 @@ from hmc_search.baselines import (
     sweep_rows,
     write_path_csv,
 )
-from hmc_search.env import make_cloud
+from hmc_search.env import START, make_cloud
+from hmc_search.training import Hyperparams
+
+BUDGET = Hyperparams().max_steps
 
 
 def all_steps(pattern, grid_length=20, diameter=5):
-    return [steps_to_find(pattern, make_cloud((x, y), diameter, grid_length))
+    return [steps_to_find(pattern, make_cloud((x, y), diameter, grid_length), BUDGET)
             for x in range(grid_length) for y in range(grid_length)]
 
 
 def assert_valid_route(pattern, grid_length):
-    assert pattern.cells[0] == (0, 0)
+    assert pattern.cells[0] == START
     for (x, y) in pattern.cells:
         assert 0 <= x < grid_length and 0 <= y < grid_length
     for (x0, y0), (x1, y1) in zip(pattern.cells, pattern.cells[1:]):
@@ -86,20 +88,20 @@ def test_spiral_shape():
 
 def test_steps_to_find_cloud_at_start():
     cloud = make_cloud((0, 0), 1, 20)
-    assert steps_to_find(snake_path(20, 1), cloud) == 0
+    assert steps_to_find(snake_path(20, 1), cloud, BUDGET) == 0
 
 
 def test_steps_to_find_snake_first_row():
     # Center (10, 2) with diameter 5 reaches up to row 0 at x in {9..11},
     # so the first sweep touches it after 9 moves.
     cloud = make_cloud((10, 2), 5, 20)
-    assert steps_to_find(snake_path(20, 5), cloud) == 9
+    assert steps_to_find(snake_path(20, 5), cloud, BUDGET) == 9
 
 
 def test_steps_to_find_miss_returns_budget():
     cloud = make_cloud((19, 19), 1, 20)
     stub = PatternPath(((0, 0),), "snake")
-    assert steps_to_find(stub, cloud) == DEFAULT_MAX_STEPS
+    assert steps_to_find(stub, cloud, BUDGET) == BUDGET
     assert steps_to_find(stub, cloud, max_steps=7) == 7
 
 
@@ -151,7 +153,7 @@ def test_distance_oracle_matches_step_counts():
     # bound holds exactly when every center is found within budget.
     for pattern in (snake_path(20, 5), spiral_path(20, 5)):
         assert coverage_gap(pattern, 20, 5) <= 1e-9
-        assert max(all_steps(pattern)) < DEFAULT_MAX_STEPS
+        assert max(all_steps(pattern)) < BUDGET
 
 
 @pytest.mark.parametrize("grid_length", [10, 13, 20, 27, 33, 40])

@@ -259,6 +259,24 @@ def test_sweep_requires_plan(cfg_file, tmp_path):
                "--out", str(tmp_path / "out")) == 1
 
 
+@pytest.mark.parametrize("plan, message", [
+    ([{"parameter": "option_length", "values": [1]}], "plan must be an object"),
+    ({"stages": [{"parameter": "bogus", "values": [1]}]}, "unknown sweep parameter 'bogus'"),
+    ({"stages": [{"values": [1]}]}, "stage 0 must be an object with a 'parameter'"),
+    (None, "No such file or directory"),
+    ({"stages": [{"parameter": "option_length", "values": [1]}], "select_on": "fast"},
+     "select_on must be 'steps' or 'wins'"),
+])
+def test_malformed_plans_are_usage_errors(plan, message, cfg_file, tmp_path, capsys):
+    path = tmp_path / "plan.json"
+    if plan is not None:
+        path.write_text(json.dumps(plan))
+    assert run("sweep", "--config", cfg_file, "--plan", str(path),
+               "--out", str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert f"error: plan {path}: " in err and message in err
+
+
 def test_population_command(cfg_file, tmp_path):
     out = tmp_path / "out"
     assert run("population", "--config", cfg_file, "--runs", "2",
@@ -440,6 +458,22 @@ def test_malformed_manifests_are_usage_errors(content, message, tmp_path, capsys
         path.write_text(content)
     assert run("eval", "--from-manifest", str(path), "--out", str(tmp_path)) == 1
     assert message in capsys.readouterr().err
+
+
+def test_manifest_names_the_table_it_read(tiny, tmp_path):
+    # Without --qtable the table comes from the output directory; the manifest
+    # records that path, so a rerun into another directory reads the same table.
+    config, _, _ = tiny
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    assert run("train", "--config", config, "--seed", "3", "--out", str(out_a)) == 0
+    assert run("eval", "--config", config, "--seed", "3", "--episodes", "20",
+               "--out", str(out_a)) == 0
+    manifest = json.loads((out_a / "manifest_eval.json").read_text())
+    assert manifest["options"]["qtable"] == str(out_a / "qtable.csv")
+    assert run("eval", "--from-manifest", str(out_a / "manifest_eval.json"),
+               "--out", str(out_b)) == 0
+    assert not (out_b / "qtable.csv").exists()
+    assert (out_a / "eval_steps.csv").read_bytes() == (out_b / "eval_steps.csv").read_bytes()
 
 
 def test_manifest_with_null_and_undeclared_options_reruns(tiny, tmp_path):

@@ -10,7 +10,6 @@ from hmc_search.env import (
     RIGHT,
     UP,
     CloudField,
-    GridConfig,
     disc_offsets,
     make_cloud,
     make_rng,
@@ -25,26 +24,6 @@ def test_direction_deltas():
     assert DELTAS[DOWN] == (0, 1)
     assert DELTAS[LEFT] == (-1, 0)
     assert DELTAS[RIGHT] == (1, 0)
-
-
-def test_grid_config_defaults():
-    cfg = GridConfig()
-    assert cfg.grid_length == 20
-    assert cfg.pollution_diameter == 5
-    assert cfg.start_cell == (0, 0)
-    assert cfg.max_steps == 400
-
-
-@pytest.mark.parametrize("kwargs", [
-    {"pollution_diameter": 0},
-    {"grid_length": 3, "pollution_diameter": 5},
-    {"start_cell": (20, 0)},
-    {"start_cell": (0, -1)},
-    {"max_steps": 0},
-])
-def test_grid_config_rejects_bad_values(kwargs):
-    with pytest.raises(ValueError):
-        GridConfig(**kwargs)
 
 
 def test_single_cell_cloud():
@@ -116,29 +95,26 @@ def test_sense_zero_outside_max_over_clouds_inside():
 
 
 def test_sense_positive_iff_in_some_support():
-    cfg = GridConfig()
-    field = spawn_clouds(cfg, 3, make_rng(11))
+    field = spawn_clouds(20, 5, 3, make_rng(11))
     covered = set()
     for cloud in field.clouds:
         covered.update(cloud.support)
-    for x in range(cfg.grid_length):
-        for y in range(cfg.grid_length):
+    for x in range(20):
+        for y in range(20):
             assert (sense(field, (x, y)) > 0.0) == ((x, y) in covered)
 
 
 def test_move_examples():
-    cfg = GridConfig()
-    assert move((0, 0), UP, cfg) == ((0, 0), False)
-    assert move((3, 3), RIGHT, cfg) == ((4, 3), True)
-    assert move((19, 10), RIGHT, cfg) == ((19, 10), False)
+    assert move((0, 0), UP, 20) == ((0, 0), False)
+    assert move((3, 3), RIGHT, 20) == ((4, 3), True)
+    assert move((19, 10), RIGHT, 20) == ((19, 10), False)
 
 
 def test_move_stays_in_bounds_and_identity_iff_clamped():
-    cfg = GridConfig(grid_length=5, pollution_diameter=1)
     for x in range(5):
         for y in range(5):
             for d in range(4):
-                new_pos, moved = move((x, y), d, cfg)
+                new_pos, moved = move((x, y), d, 5)
                 nx, ny = new_pos
                 assert 0 <= nx < 5 and 0 <= ny < 5
                 assert moved == (new_pos != (x, y))
@@ -147,9 +123,8 @@ def test_move_stays_in_bounds_and_identity_iff_clamped():
 
 
 def test_spawn_determinism_and_draw_layout():
-    cfg = GridConfig()
-    first = spawn_clouds(cfg, 4, make_rng(123))
-    second = spawn_clouds(cfg, 4, make_rng(123))
+    first = spawn_clouds(20, 5, 4, make_rng(123))
+    second = spawn_clouds(20, 5, 4, make_rng(123))
     assert [c.center for c in first.clouds] == [c.center for c in second.clouds]
     # Each cloud consumes exactly an x draw then a y draw.
     rng = make_rng(123)
@@ -162,11 +137,10 @@ def test_spawn_determinism_and_draw_layout():
 
 
 def test_spawn_centers_cover_whole_grid():
-    cfg = GridConfig()
     rng = make_rng(7)
     seen = set()
     for _ in range(500):
-        seen.update(c.center for c in spawn_clouds(cfg, 4, rng).clouds)
+        seen.update(c.center for c in spawn_clouds(20, 5, 4, rng).clouds)
     xs = {x for x, _ in seen}
     ys = {y for _, y in seen}
     assert xs == set(range(20)) and ys == set(range(20))
@@ -174,7 +148,7 @@ def test_spawn_centers_cover_whole_grid():
 
 def test_spawn_rejects_zero_count():
     with pytest.raises(ValueError):
-        spawn_clouds(GridConfig(), 0, make_rng(0))
+        spawn_clouds(20, 5, 0, make_rng(0))
 
 
 def test_make_rng_streams():

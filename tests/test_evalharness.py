@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hmc_search.baselines import first_hit, snake_path, spiral_path, steps_to_find
-from hmc_search.env import RIGHT, CloudField, make_cloud, make_rng, spawn_clouds
+from hmc_search.env import RIGHT, START, CloudField, make_cloud, make_rng, spawn_clouds
 from hmc_search.evalharness import (
     LOSS,
     TIE,
@@ -98,22 +98,21 @@ def test_evaluate_agent_is_reproducible():
 
 def test_run_duels_matches_manual_replay():
     q = trained_table()
-    cfg = QUICK.grid()
     outcomes = run_duels(q, QUICK, 40, make_rng(5, stream=2))
     assert set(outcomes) == {"snake", "spiral"}
 
     patterns = {
-        "snake": snake_path(cfg.grid_length, cfg.pollution_diameter),
-        "spiral": spiral_path(cfg.grid_length, cfg.pollution_diameter),
+        "snake": snake_path(QUICK.grid_length, QUICK.pollution_diameter),
+        "spiral": spiral_path(QUICK.grid_length, QUICK.pollution_diameter),
     }
     rng = make_rng(5, stream=2)
     expected = {name: DuelOutcome() for name in patterns}
     for _ in range(40):
-        field = spawn_clouds(cfg, 1, rng)
+        field = spawn_clouds(QUICK.grid_length, QUICK.pollution_diameter, 1, rng)
         traj = run_episode(q, QUICK, "eval", None, field=field)
         agent = traj.n_step if traj.n_poll > 0 else QUICK.max_steps
         for name, pattern in patterns.items():
-            opponent = steps_to_find(pattern, field.clouds[0], cfg.max_steps)
+            opponent = steps_to_find(pattern, field.clouds[0], QUICK.max_steps)
             expected[name].add(duel(agent, opponent))
     for name in patterns:
         assert outcomes[name] == expected[name]
@@ -300,3 +299,10 @@ def test_patterns_are_held_to_the_step_budget():
     assert (result.opponent_steps == 37).sum() == 267
     assert not (result.outcome[result.agent_steps == 37] > 0).any()
     assert (result.wins, result.ties, result.losses) == (111, 162, 127)
+
+
+def test_agent_and_patterns_start_on_the_same_cell():
+    hp = Hyperparams(grid_length=7, pollution_diameter=3)
+    q = make_rng(4).normal(size=(7, 7, 4))
+    routes = (agent_route(q, hp), snake_path(7, 3), spiral_path(7, 3))
+    assert {route.cells[0] for route in routes} == {START}

@@ -12,7 +12,6 @@ from hmc_search.env import (
     make_rng,
 )
 from hmc_search.policy import (
-    SelectionParams,
     choose_option,
     execute_option,
     mc_update,
@@ -26,10 +25,12 @@ from hmc_search.policy import (
     select_option,
     write_qtable_csv,
 )
+from hmc_search.training import Hyperparams
 
 
-def params(epsilon=0.0, mof_value=10.0, option_length=3, binary=False):
-    return SelectionParams(epsilon, mof_value, option_length, binary)
+def params(mof_value=10.0, option_length=3, binary=False):
+    return Hyperparams(mof_value=mof_value, option_length=option_length,
+                       binary_memory=binary)
 
 
 # --- update rules
@@ -253,7 +254,7 @@ def test_explore_mode_is_uniform():
     counts = [0, 0, 0, 0]
     n = 10_000
     for _ in range(n):
-        counts[select_option(q, mem, (5, 5), params(epsilon=1.0), "explore", rng)] += 1
+        counts[select_option(q, mem, (5, 5), params(), "explore", rng)] += 1
     # Each direction is Binomial(n, 1/4); allow 3 sigma around the mean.
     sigma = (n * 0.25 * 0.75) ** 0.5
     for c in counts:
@@ -345,10 +346,10 @@ def test_choose_option_epsilon_extremes():
     q[0, 0] = [0.0, 2.0, 0.0, 0.0]
     mem = new_visit_memory(20)
     rng = make_rng(1)
-    picks = {choose_option(q, mem, (0, 0), params(epsilon=0.0), rng)
+    picks = {choose_option(q, mem, (0, 0), params(), 0.0, rng)
              for _ in range(20)}
     assert picks == {DOWN}
-    picks = {choose_option(q, mem, (0, 0), params(epsilon=1.0), rng)
+    picks = {choose_option(q, mem, (0, 0), params(), 1.0, rng)
              for _ in range(200)}
     assert picks == {UP, DOWN, LEFT, RIGHT}
 

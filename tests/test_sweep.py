@@ -200,3 +200,10 @@ def test_load_plan_rejects_malformed():
         load_plan({"sweeps": []}, QUICK)
     with pytest.raises(ValueError):
         load_plan({"stages": [{"parameter": "bogus", "values": [1]}]}, QUICK)
+    with pytest.raises(ValueError, match="stage 0 must be an object with a 'parameter'"):
+        load_plan({"stages": [{"values": [1]}]}, QUICK)
+    with pytest.raises(ValueError, match="stage 1 must be an object"):
+        load_plan({"stages": [{"parameter": "option_length", "values": [1]},
+                              {"parameter": "option_length", "values": 2}]}, QUICK)
+    with pytest.raises(ValueError, match="select_on must be 'steps' or 'wins', not 'fast'"):
+        load_plan({"stages": [], "select_on": "fast"}, QUICK)

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from hmc_search.env import CloudField, make_cloud, make_rng, spawn_clouds
+from hmc_search.env import START, CloudField, make_cloud, make_rng, spawn_clouds
 from hmc_search.policy import mc_update, new_qtable
 from hmc_search.training import (
     Hyperparams,
@@ -23,6 +23,7 @@ def test_default_settings():
     assert (hp.epsilon_start, hp.epsilon_final, hp.epsilon_decay) == (1.0, 0.0, 0.001)
     assert (hp.best_learn_value, hp.num_clouds, hp.mof_value) == (1, 1, 10.0)
     assert (hp.stop_learn_value, hp.option_length, hp.reward_scaling) == (1.0, 3, 30.0)
+    assert START == (0, 0)
 
 
 @pytest.mark.parametrize("override", [
@@ -40,10 +41,24 @@ def test_default_settings():
     {"option_length": 0},
     {"reward_scaling": 0.0},
     {"grid_length": 4, "pollution_diameter": 5},
+    {"pollution_diameter": 0},
+    {"grid_length": 3, "pollution_diameter": 5},
+    {"max_steps": 0},
 ])
 def test_hyperparams_validation(override):
     with pytest.raises(ValueError):
         Hyperparams(**override)
+
+
+def test_bad_grid_settings_are_rejected_with_their_messages():
+    for override, message in (
+        ({"pollution_diameter": 0}, "pollution_diameter must be at least 1"),
+        ({"grid_length": 3, "pollution_diameter": 5},
+         "grid_length must be at least pollution_diameter"),
+        ({"max_steps": 0}, "max_steps must be at least 1"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Hyperparams(**override)
 
 
 def test_with_value_returns_modified_copy():
@@ -127,7 +142,7 @@ def test_budget_exhaustion_gives_zero_reward():
 
 def test_eval_episode_is_deterministic():
     hp = Hyperparams()
-    field = spawn_clouds(hp.grid(), 1, make_rng(2))
+    field = spawn_clouds(hp.grid_length, hp.pollution_diameter, 1, make_rng(2))
     q = new_qtable(20)
     q[:] = make_rng(3).normal(size=q.shape)
     first = run_episode(q, hp, "eval", None, field=field)
@@ -200,7 +215,7 @@ def test_single_episode_updates_match_manual_replay():
     assert report.records[0].n_poll == 1
 
     rng = make_rng(11)
-    field = spawn_clouds(hp.grid(), 1, rng)
+    field = spawn_clouds(hp.grid_length, hp.pollution_diameter, 1, rng)
     traj = run_episode(new_qtable(20), hp, "train", rng, field=field, epsilon=1.0)
     expected = new_qtable(20)
     for s, o in traj.transitions:
@@ -252,7 +267,7 @@ def test_dynamic_demo_first_episode_marks_only_cloud_approaches():
     touched = {(int(x), int(y)) for x, y in np.argwhere(snaps[1] != 0)}
     assert touched
     rng = make_rng(1)
-    first_cloud = spawn_clouds(Hyperparams().grid(), 1, rng)
+    first_cloud = spawn_clouds(20, 5, 1, rng)
     allowed = set()
     for cloud in first_cloud.clouds:
         for (x, y) in cloud.support:
