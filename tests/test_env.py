@@ -8,6 +8,7 @@ from hmc_search.env import (
     DOWN,
     LEFT,
     RIGHT,
+    START,
     UP,
     CloudField,
     disc_offsets,
@@ -17,6 +18,7 @@ from hmc_search.env import (
     sense,
     spawn_clouds,
 )
+from hmc_search.training import Hyperparams
 
 
 def test_direction_deltas():
@@ -24,6 +26,14 @@ def test_direction_deltas():
     assert DELTAS[DOWN] == (0, 1)
     assert DELTAS[LEFT] == (-1, 0)
     assert DELTAS[RIGHT] == (1, 0)
+
+
+def test_grid_config_defaults():
+    hp = Hyperparams()
+    assert hp.grid_length == 20
+    assert hp.pollution_diameter == 5
+    assert START == (0, 0)
+    assert hp.max_steps == 400
 
 
 def test_single_cell_cloud():
