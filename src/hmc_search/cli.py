@@ -28,7 +28,7 @@ from .env import make_rng
 from .evalharness import (center_steps, evaluate_agent, population_stats, route_heatmap,
                           run_duels, score_map)
 from .policy import read_qtable_csv, write_qtable_csv
-from .sweep import load_plan, tuning_loop
+from .sweep import SweepValueError, load_plan, tuning_loop
 from .training import (CONFIG_TYPES, Hyperparams, dynamic_demo, static_demo,
                        train_agent)
 
@@ -182,6 +182,7 @@ def cmd_train(opts):
         "episodes": hp.num_episodes,
         "tail_mean_steps": sum(r.n_step for r in tail) / len(tail),
         "tail_success_rate": sum(1 for r in tail if r.n_poll > 0) / len(tail),
+        "decision_cap_exits": report.decision_cap_exits,
     }
     return ["qtable.csv", "train_report.csv"], metrics
 
@@ -297,12 +298,15 @@ def cmd_sweep(opts):
         )
     except (OSError, ValueError) as err:
         raise UsageError(f"plan {opts['plan']}: {err}") from err
-    final_hp, results = tuning_loop(
-        stages,
-        two_pass=plan_opts["two_pass"],
-        select_on=plan_opts["select_on"],
-        jobs=opts["jobs"],
-    )
+    try:
+        final_hp, results = tuning_loop(
+            stages,
+            two_pass=plan_opts["two_pass"],
+            select_on=plan_opts["select_on"],
+            jobs=opts["jobs"],
+        )
+    except SweepValueError as err:
+        raise UsageError(f"plan {opts['plan']}: {err}") from err
     outputs = []
     winners = []
     for i, result in enumerate(results):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -82,10 +82,35 @@ def make_cloud(center: Cell, diameter: int, grid_length: int) -> Cloud:
 
 @dataclass
 class CloudField:
-    """The active clouds of one episode."""
+    """The active clouds of one episode; a field is not changed once made."""
 
     clouds: list[Cloud]
     grid_length: int
+
+    @cached_property
+    def masks(self) -> list[int]:
+        """Per cell x * grid_length + y: bit i is set when clouds[i] covers it.
+
+        Stamped once, on first use, so that a hit count is a popcount.
+        """
+        length = self.grid_length
+        masks = [0] * (length * length)
+        for i, cloud in enumerate(self.clouds):
+            for x, y in cloud.support:
+                masks[x * length + y] |= 1 << i
+        return masks
+
+    @cached_property
+    def levels(self) -> list[float]:
+        """Per cell x * grid_length + y: sense() there, stamped once."""
+        length = self.grid_length
+        levels = [0.0] * (length * length)
+        for cloud in self.clouds:
+            for (x, y), level in cloud.support.items():
+                cell = x * length + y
+                if level > levels[cell]:
+                    levels[cell] = level
+        return levels
 
 
 def spawn_clouds(grid_length: int, diameter: int, count: int,

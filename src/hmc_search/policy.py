@@ -12,17 +12,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from functools import lru_cache
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .env import DELTAS, DIRECTION_NAMES, Cell, CloudField, RandomSource
+from .env import DELTAS, DIRECTION_NAMES, Cell, CloudField, RandomSource, move
 
 if TYPE_CHECKING:
     from .training import Hyperparams
 
 QTable = np.ndarray  # shape (grid_length, grid_length, 4), float64
-VisitMemory = np.ndarray  # shape (grid_length, grid_length), int64
+# Visit counts, read and written as mem[x][y]: new_visit_memory's int64
+# array, or the nested lists run_episode keeps because list items are cheaper.
+VisitMemory = np.ndarray | list[list[int]]
 
 
 def new_qtable(grid_length: int) -> QTable:
@@ -41,7 +44,7 @@ def option_stride(option_length: int) -> int:
     return option_length + 1
 
 
-@dataclass
+@dataclass(slots=True)
 class OptionOutcome:
     """What actually happened while executing one option."""
 
@@ -60,9 +63,9 @@ def q_update(q: QTable, s: Cell, o: int, r: float, s_next: Cell,
     if not math.isfinite(r):
         raise ValueError("reward must be finite")
     x, y = s
-    nx, ny = s_next
-    target = r + gamma * q[nx, ny].max()
-    q[x, y, o] += alpha * (target - q[x, y, o])
+    old = q.item(x, y, o)
+    target = r + gamma * max(q[s_next].tolist())
+    q[x, y, o] = old + alpha * (target - old)
     return q
 
 
@@ -71,7 +74,8 @@ def mc_update(q: QTable, s: Cell, o: int, r_t: float, alpha: float) -> QTable:
     if not math.isfinite(r_t):
         raise ValueError("reward must be finite")
     x, y = s
-    q[x, y, o] += alpha * (r_t - q[x, y, o])
+    old = q.item(x, y, o)
+    q[x, y, o] = old + alpha * (r_t - old)
     return q
 
 
@@ -82,6 +86,44 @@ def option_terminal(s: Cell, direction: int, stride: int, grid_length: int) -> C
     x = min(limit, max(0, s[0] + dx * stride))
     y = min(limit, max(0, s[1] + dy * stride))
     return (x, y)
+
+
+class OptionWalks(NamedTuple):
+    """Every option walk of one grid, indexed by cell * 4 + direction.
+
+    A cell is the int x * grid_length + y.  paths[i] holds the cells the
+    full stride enters before the border stops it, points[i] the same
+    cells as (x, y), and terminal[i] is the option_terminal (x, y).
+    """
+
+    paths: tuple[tuple[int, ...], ...]
+    points: tuple[tuple[Cell, ...], ...]
+    terminal: tuple[Cell, ...]
+
+
+@lru_cache(maxsize=8)
+def option_walks(grid_length: int, stride: int) -> OptionWalks:
+    """The walk table of (grid_length, stride), built by move on first use.
+
+    The one walk geometry: options read it, and with stride 1 it is the
+    primitive move table of the plain Q-learning demos.
+    """
+    coords = [(x, y) for x in range(grid_length) for y in range(grid_length)]
+    paths, points, terminal = [], [], []
+    for start in coords:
+        for d in range(4):
+            pos, cells = start, []
+            for _ in range(stride):
+                pos, moved = move(pos, d, grid_length)
+                if not moved:
+                    break
+                cells.append(pos[0] * grid_length + pos[1])
+            paths.append(tuple(cells))
+            points.append(tuple(coords[cell] for cell in cells))
+            tx, ty = option_terminal(start, d, stride, grid_length)
+            terminal.append(coords[tx * grid_length + ty])
+    # Tuples, because every caller shares the cached table.
+    return OptionWalks(tuple(paths), tuple(points), tuple(terminal))
 
 
 def select_option(q: QTable, mem: VisitMemory, s: Cell, hp: Hyperparams,
@@ -98,15 +140,18 @@ def select_option(q: QTable, mem: VisitMemory, s: Cell, hp: Hyperparams,
         return int(rng.integers(4))
     if mode != "exploit":
         raise ValueError(f"unknown mode {mode!r}")
-    length = mem.shape[0]
-    span = option_stride(hp.option_length)
+    length = len(mem)
+    terminal = option_walks(length, option_stride(hp.option_length)).terminal
     weight = hp.mof_value
     binary = hp.binary_memory
-    row = q[s[0], s[1]]
+    x, y = s
+    base = (x * length + y) * 4
+    row = q[x, y].tolist()
     best_dir = 0
     best = -math.inf
     for d in range(4):
-        visits = mem[option_terminal(s, d, span, length)]
+        tx, ty = terminal[base + d]
+        visits = mem[tx][ty]
         if binary and visits > 1:
             visits = 1
         score = row[d] - weight * visits
@@ -132,49 +177,45 @@ def execute_option(field: CloudField, pos: Cell, direction: int,
     Stops early when the budget runs out, when a move clamps at the
     border, or when a collection empties the field.  Collection happens
     on entering a cell; only successful moves count as primitive steps.
-    Returns (OptionOutcome, updated CloudField).
+    Returns (OptionOutcome, field after the collections): the field itself
+    when nothing was collected, else a new one.
     """
-    dx, dy = DELTAS[direction]
-    limit = field.grid_length - 1
-    clouds = list(field.clouds)
-    x, y = pos
-    path: list[Cell] = []
+    length = field.grid_length
+    walks = option_walks(length, stride)
+    key = (pos[0] * length + pos[1]) * 4 + direction
+    walk = walks.paths[key]
+    n = len(walk)
+    if steps_remaining > n:
+        clamped = n < stride
+    else:
+        n, clamped = max(0, steps_remaining), False
+        walk = walk[:n]
+    masks = field.masks
     found = 0
-    clamped = False
-    for _ in range(min(stride, steps_remaining)):
-        nx, ny = x + dx, y + dy
-        if nx < 0 or nx > limit or ny < 0 or ny > limit:
-            clamped = True
-            break
-        x, y = nx, ny
-        path.append((x, y))
-        hits = 0
-        for cloud in clouds:
-            if (x, y) in cloud.support:
-                hits += 1
-        if hits:
-            found += hits
-            clouds = [c for c in clouds if (x, y) not in c.support]
-            if not clouds:
-                break
-    outcome = OptionOutcome(
-        start=pos,
-        direction=direction,
-        path=path,
-        primitive_steps=len(path),
-        found_count=found,
-        terminal=path[-1] if path else pos,
-        clamped=clamped,
-    )
-    return outcome, CloudField(clouds, field.grid_length)
+    # Most options enter no cloud; only a walk that does is counted cell by cell.
+    if any(map(masks.__getitem__, walk)):
+        alive = (1 << len(field.clouds)) - 1
+        for entered, cell in enumerate(walk, 1):
+            hit = masks[cell] & alive
+            if hit:
+                found += hit.bit_count()
+                alive &= ~hit
+                if not alive:
+                    n, clamped = entered, False
+                    break
+        field = CloudField([c for i, c in enumerate(field.clouds) if alive >> i & 1], length)
+    path = list(walks.points[key][:n])
+    terminal = path[-1] if path else pos
+    return OptionOutcome(pos, direction, path, n, found, terminal, clamped), field
 
 
 def record_visits(mem: VisitMemory, outcome: OptionOutcome) -> VisitMemory:
     """Count every cell the option entered; a clamped terminal counts once more."""
-    for cell in outcome.path:
-        mem[cell] += 1
+    for x, y in outcome.path:
+        mem[x][y] += 1
     if outcome.clamped:
-        mem[outcome.terminal] += 1
+        x, y = outcome.terminal
+        mem[x][y] += 1
     return mem
 
 

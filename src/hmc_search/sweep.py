@@ -34,6 +34,10 @@ def confidence_interval(samples) -> tuple[float, float]:
     return mean, 1.96 * math.sqrt(var) / math.sqrt(n)
 
 
+class SweepValueError(ValueError):
+    """A candidate value the settings reject, named with its parameter."""
+
+
 @dataclass
 class SweepSpec:
     parameter: str
@@ -49,8 +53,15 @@ class SweepSpec:
             raise ValueError(f"unknown sweep parameter {self.parameter!r}")
         if not self.values:
             raise ValueError("values must be nonempty")
-        if self.runs_per_value < 1:
-            raise ValueError("runs_per_value must be at least 1")
+        # A value must have its setting's type; a bool is not a number here.
+        integer = CONFIG_TYPES[self.parameter] is int
+        for value in self.values:
+            if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+                kind = "an integer" if integer else "a number"
+                raise ValueError(f"{self.parameter} values must be {kind}, not {value!r}")
+        runs = self.runs_per_value
+        if isinstance(runs, bool) or not isinstance(runs, int) or runs < 1:
+            raise ValueError(f"runs_per_value must be an integer >= 1, not {runs!r}")
 
 
 @dataclass
@@ -81,7 +92,11 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
     n_duel = n_eval if spec.record_duels else 0
     work = []
     for value in spec.values:
-        hp = spec.base.with_value(spec.parameter, value)
+        # Whether a value is in range can depend on an earlier stage's winner.
+        try:
+            hp = spec.base.with_value(spec.parameter, value)
+        except ValueError as err:
+            raise SweepValueError(f"{spec.parameter} = {value!r}: {err}") from err
         for run in range(spec.runs_per_value):
             work.append((hp, spec.base_seed + run, n_eval, n_duel))
     scored = score_agents(work, jobs)
@@ -137,7 +152,10 @@ def load_plan(source, base: Hyperparams, *, base_seed: int = 0,
     Plan shape: {"stages": [{"parameter": ..., "values": [...],
     "runs_per_value"?}, ...], "runs_per_value"?, "two_pass"?, "select_on"?}.
     A runs_per_value argument overrides everything in the file.  Raises
-    ValueError on a plan of another shape, and OSError on an unreadable file.
+    ValueError on a plan of another shape, on a value of the wrong type for
+    its parameter and on a runs_per_value that is not an integer >= 1, and
+    OSError on an unreadable file.  Whether a value is in range is checked
+    by run_sweep, against the settings the stage starts from.
     """
     if isinstance(source, (str, bytes)) or hasattr(source, "read"):
         if hasattr(source, "read"):
@@ -166,7 +184,7 @@ def load_plan(source, base: Hyperparams, *, base_seed: int = 0,
             parameter=entry["parameter"],
             values=list(entry["values"]),
             base=base,
-            runs_per_value=int(runs),
+            runs_per_value=runs,
             base_seed=base_seed,
             n_eval_episodes=n_eval_episodes,
         ))

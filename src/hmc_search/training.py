@@ -15,24 +15,15 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .env import (
-    START,
-    Cell,
-    CloudField,
-    RandomSource,
-    make_rng,
-    move,
-    sense,
-    spawn_clouds,
-)
+from .env import START, Cell, CloudField, RandomSource, make_rng, spawn_clouds
 from .policy import (
     QTable,
     choose_option,
     execute_option,
     mc_update,
     new_qtable,
-    new_visit_memory,
     option_stride,
+    option_walks,
     q_update,
     record_visits,
     select_option,
@@ -125,6 +116,7 @@ class Trajectory:
     n_step: int
     n_poll: int
     r_t: float
+    capped: bool  # the decision cap ended the episode
 
 
 @dataclass
@@ -142,6 +134,7 @@ class TrainReport:
     q: QTable
     seed: int
     hyperparams: Hyperparams
+    decision_cap_exits: int  # attempts the decision cap ended, over all episodes
 
 
 def trajectory_reward(s_r: float, n_step: int, n_poll: int) -> float:
@@ -189,8 +182,9 @@ def run_episode(q: QTable, hp: Hyperparams, mode: str, rng: RandomSource | None,
     all-zero memory each episode and never touches q.  The
     episode ends on the collection that empties the field or when the
     primitive step budget is spent, so an empty field runs to the budget
-    (or the decision cap).  A caller's field is left as it was:
-    execute_option returns a new field rather than changing its argument.
+    (or the decision cap, which sets the trajectory's capped flag).  A
+    caller's field is left as it was: execute_option returns a new field
+    rather than changing its argument.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -201,7 +195,7 @@ def run_episode(q: QTable, hp: Hyperparams, mode: str, rng: RandomSource | None,
         epsilon = hp.epsilon_start
     max_steps = hp.max_steps
     stride = option_stride(hp.option_length)
-    mem = new_visit_memory(hp.grid_length)
+    mem = [[0] * hp.grid_length for _ in range(hp.grid_length)]
     pos = START
     transitions: list[tuple[Cell, int]] = []
     cells: list[Cell] = [pos]
@@ -209,7 +203,11 @@ def run_episode(q: QTable, hp: Hyperparams, mode: str, rng: RandomSource | None,
     n_poll = 0
     decisions = 0
     decision_cap = _DECISION_CAP_FACTOR * max_steps + 32
-    while n_step < max_steps and decisions < decision_cap:
+    capped = False
+    while n_step < max_steps:
+        if decisions == decision_cap:
+            capped = True
+            break
         decisions += 1
         if mode == "train":
             direction = choose_option(q, mem, pos, hp, epsilon, rng)
@@ -228,7 +226,7 @@ def run_episode(q: QTable, hp: Hyperparams, mode: str, rng: RandomSource | None,
         r_t = trajectory_reward(hp.reward_scaling, n_step, n_poll)
     else:
         r_t = 0.0
-    return Trajectory(transitions, cells, n_step, n_poll, r_t)
+    return Trajectory(transitions, cells, n_step, n_poll, r_t, capped)
 
 
 def _apply_trajectory(q: QTable, traj: Trajectory, hp: Hyperparams) -> None:
@@ -257,27 +255,20 @@ def train_agent(hp: Hyperparams, seed: int) -> TrainReport:
     q = new_qtable(hp.grid_length)
     records: list[EpisodeRecord] = []
     learn_until = update_window(hp)
+    cap_exits = 0
     for episode in range(hp.num_episodes):
         epsilon = epsilon_at(episode, hp)
         spawned = spawn_clouds(hp.grid_length, hp.pollution_diameter, hp.num_clouds, rng)
         best: Trajectory | None = None
         for _ in range(hp.best_learn_value):
             traj = run_episode(q, hp, "train", rng, field=spawned, epsilon=epsilon)
+            cap_exits += traj.capped
             if best is None or traj.r_t > best.r_t:
                 best = traj
         if episode < learn_until and best.n_poll > 0:
             _apply_trajectory(q, best, hp)
         records.append(EpisodeRecord(episode, epsilon, best.n_step, best.n_poll, best.r_t))
-    return TrainReport(records, q, seed, hp)
-
-
-def _greedy_action(q: QTable, pos: Cell) -> int:
-    row = q[pos[0], pos[1]]
-    best = 0
-    for d in range(1, 4):
-        if row[d] > row[best]:
-            best = d
-    return best
+    return TrainReport(records, q, seed, hp, cap_exits)
 
 
 def _demo_epsilon(episode: int, n_episodes: int) -> float:
@@ -285,14 +276,7 @@ def _demo_epsilon(episode: int, n_episodes: int) -> float:
     return max(0.0, 1.0 - episode / n_episodes)
 
 
-def _support_cells(field: CloudField) -> set[Cell]:
-    cells: set[Cell] = set()
-    for cloud in field.clouds:
-        cells.update(cloud.support)
-    return cells
-
-
-def _demo_episode(q: QTable, hp: Hyperparams, field: CloudField, support: set[Cell],
+def _demo_episode(q: list[float], hp: Hyperparams, levels: list[float],
                   epsilon: float, rng: RandomSource, learn: bool) -> int | None:
     """One primitive-action episode for the plain Q-learning demos.
 
@@ -304,25 +288,42 @@ def _demo_episode(q: QTable, hp: Hyperparams, field: CloudField, support: set[Ce
     included, so greedy policies cannot stall the clock.  Evaluation
     episodes stop at the find.  Returns the step count of the first
     find, or None.
+
+    Runs on flat state: q is indexed cell * 4 + action and levels is the
+    field's per-cell intensity (CloudField.levels), positive exactly on a
+    cloud; moves come from the stride-1 option_walks table.  The TD
+    backup is q_update's, inline.
     """
     length = hp.grid_length
-    pos = START
+    alpha, gamma = hp.learning_rate, hp.discount_rate
+    moves = option_walks(length, 1).paths
+    explore = learn and epsilon > 0.0
+    cell = START[0] * length + START[1]
     found_at: int | None = None
     for step in range(hp.max_steps):
-        if learn and epsilon > 0.0 and rng.random() < epsilon:
-            action = int(rng.integers(4))
+        key = cell * 4
+        if explore and rng.random() < epsilon:
+            key += int(rng.integers(4))
         else:
-            action = _greedy_action(q, pos)
-        new_pos, _ = move(pos, action, length)
-        reward = sense(field, new_pos)
-        if found_at is None and new_pos in support:
+            best = q[key]
+            for i in range(key + 1, key + 4):
+                if q[i] > best:
+                    best = q[i]
+                    key = i
+        entered = moves[key]
+        after = entered[0] if entered else cell
+        reward = levels[after]
+        if found_at is None and reward > 0.0:
             reward += 100.0
             found_at = step + 1
             if not learn:
                 return found_at
         if learn:
-            q_update(q, pos, action, reward, new_pos, hp.learning_rate, hp.discount_rate)
-        pos = new_pos
+            old = q[key]
+            base = after * 4
+            target = reward + gamma * max(q[base], q[base + 1], q[base + 2], q[base + 3])
+            q[key] = old + alpha * (target - old)
+        cell = after
     return found_at
 
 
@@ -331,19 +332,24 @@ def _plain_q(hp: Hyperparams, rng: RandomSource, n_episodes: int,
     """The demos' training loop: per-step Q-learning on the fixed cloud, or
     on a cloud respawned every episode when fixed is None.
 
-    Returns (q, {episode: max-Q-per-cell grid}); key 0 is the untrained table.
+    Returns (flat q, {episode: max-Q-per-cell grid}); key 0 is the
+    untrained table.
     """
-    q = new_qtable(hp.grid_length)
+    length = hp.grid_length
+    q = [0.0] * (length * length * 4)
     snapshots: dict[int, np.ndarray] = {}
-    if 0 in snapshot_episodes:
-        snapshots[0] = q.max(axis=2).copy()
+
+    def snapshot(episode):
+        if episode in snapshot_episodes:
+            snapshots[episode] = np.array(q).reshape(length, length, 4).max(axis=2)
+
+    snapshot(0)
     for episode in range(n_episodes):
         field = fixed if fixed is not None else spawn_clouds(
-            hp.grid_length, hp.pollution_diameter, 1, rng)
-        _demo_episode(q, hp, field, _support_cells(field),
-                      _demo_epsilon(episode, n_episodes), rng, learn=True)
-        if episode + 1 in snapshot_episodes:
-            snapshots[episode + 1] = q.max(axis=2).copy()
+            length, hp.pollution_diameter, 1, rng)
+        _demo_episode(q, hp, field.levels, _demo_epsilon(episode, n_episodes), rng,
+                      learn=True)
+        snapshot(episode + 1)
     return q, snapshots
 
 
@@ -378,7 +384,6 @@ def dynamic_demo(hp: Hyperparams, seed: int, *, n_episodes: int = 2000,
     total = 0
     for _ in range(n_eval_episodes):
         spawned = spawn_clouds(hp.grid_length, hp.pollution_diameter, 1, eval_rng)
-        steps = _demo_episode(q, hp, spawned, _support_cells(spawned), 0.0,
-                              eval_rng, learn=False)
+        steps = _demo_episode(q, hp, spawned.levels, 0.0, eval_rng, learn=False)
         total += steps if steps is not None else hp.max_steps
     return snapshots, total / n_eval_episodes

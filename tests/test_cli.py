@@ -277,6 +277,36 @@ def test_malformed_plans_are_usage_errors(plan, message, cfg_file, tmp_path, cap
     assert f"error: plan {path}: " in err and message in err
 
 
+@pytest.mark.parametrize("stages, message", [
+    ([{"parameter": "option_length", "values": ["x"]}],
+     "option_length values must be an integer, not 'x'"),
+    ([{"parameter": "option_length", "values": [1], "runs_per_value": None}],
+     "runs_per_value must be an integer >= 1, not None"),
+    ([{"parameter": "option_length", "values": [0]}],
+     "option_length = 0: option_length must be at least 1"),
+])
+def test_bad_plan_values_are_usage_errors(stages, message, cfg_file, tmp_path, capsys):
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps({"stages": stages}))
+    assert run("sweep", "--config", cfg_file, "--plan", str(path),
+               "--out", str(tmp_path / "out")) == 1
+    assert f"error: plan {path}: {message}" in capsys.readouterr().err
+
+
+def test_train_manifest_counts_decision_cap_exits(tmp_path):
+    # No exploration and no memory weight: every episode clamps at the
+    # start until the decision cap ends it.
+    config = {"grid_length": 6, "pollution_diameter": 1, "max_steps": 10,
+              "num_episodes": 5, "epsilon_start": 0.0, "mof_value": 0.0}
+    for name, overrides, exits in (("capped", {}, 5), ("plain", {"epsilon_start": 1.0}, 0)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**config, **overrides}))
+        out = tmp_path / name
+        assert run("train", "--config", str(path), "--out", str(out)) == 0
+        manifest = json.loads((out / "manifest_train.json").read_text())
+        assert manifest["metrics"]["decision_cap_exits"] == exits
+
+
 def test_population_command(cfg_file, tmp_path):
     out = tmp_path / "out"
     assert run("population", "--config", cfg_file, "--runs", "2",

@@ -6,6 +6,7 @@ import pytest
 
 from hmc_search.sweep import (
     SweepSpec,
+    SweepValueError,
     confidence_interval,
     load_plan,
     run_sweep,
@@ -207,3 +208,37 @@ def test_load_plan_rejects_malformed():
                               {"parameter": "option_length", "values": 2}]}, QUICK)
     with pytest.raises(ValueError, match="select_on must be 'steps' or 'wins', not 'fast'"):
         load_plan({"stages": [], "select_on": "fast"}, QUICK)
+
+
+@pytest.mark.parametrize("stage, message", [
+    ({"parameter": "option_length", "values": ["x"]}, "option_length values must be an integer, not 'x'"),
+    ({"parameter": "option_length", "values": [True]}, "option_length values must be an integer, not True"),
+    ({"parameter": "option_length", "values": [2.5]}, "option_length values must be an integer, not 2.5"),
+    ({"parameter": "learning_rate", "values": [None]}, "learning_rate values must be a number, not None"),
+    ({"parameter": "option_length", "values": [1], "runs_per_value": None},
+     "runs_per_value must be an integer >= 1, not None"),
+    ({"parameter": "option_length", "values": [1], "runs_per_value": 0},
+     "runs_per_value must be an integer >= 1, not 0"),
+    ({"parameter": "option_length", "values": [1], "runs_per_value": 1.5},
+     "runs_per_value must be an integer >= 1, not 1.5"),
+])
+def test_load_plan_rejects_values_of_the_wrong_type(stage, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        load_plan({"stages": [stage]}, QUICK)
+
+
+def test_load_plan_accepts_integers_for_a_real_setting():
+    stages, _ = load_plan({"stages": [{"parameter": "discount_rate", "values": [0, 0.5]}]},
+                          QUICK)
+    assert stages[0].values == [0, 0.5]
+
+
+def test_a_value_out_of_range_after_an_earlier_winner_names_its_parameter():
+    # pollution_diameter 6 is valid on the base 20-cell grid but not on the
+    # 5-cell grid the first stage fixes; the spec itself cannot tell.
+    stages = [quick_spec("grid_length", [5], runs=1),
+              quick_spec("pollution_diameter", [6], runs=1)]
+    with pytest.raises(SweepValueError,
+                       match="^pollution_diameter = 6: grid_length must be at least "
+                             "pollution_diameter$"):
+        tuning_loop(stages)
