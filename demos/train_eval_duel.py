@@ -59,8 +59,9 @@ def main():
 
     result = score_map(report.q, hp, snake_path(hp.grid_length,
                                                 hp.pollution_diameter))
-    print(f"\nper-center map vs snake: {result.wins} wins, {result.ties} "
-          f"ties, {result.losses} losses out of 400")
+    tally = result.tally
+    print(f"\nper-center map vs snake: {tally.wins} wins, {tally.ties} "
+          f"ties, {tally.losses} losses out of {tally.total}")
     print("\n".join(outcome_rows(result)))
 
     counts = route_heatmap(report.q, hp, 200, make_rng(args.seed, stream=1))

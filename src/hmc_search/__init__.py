@@ -35,7 +35,6 @@ from .evalharness import (
     EvalStats,
     PopulationReport,
     ScoreMap,
-    duel,
     evaluate_agent,
     population_stats,
     route_heatmap,

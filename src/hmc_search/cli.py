@@ -16,17 +16,19 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import os
 import sys
 import tempfile
+from dataclasses import asdict, astuple
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .baselines import snake_path, spiral_path, write_path_csv
 from .env import make_rng
-from .evalharness import (center_steps, evaluate_agent, population_stats, route_heatmap,
-                          run_duels, score_map)
+from .evalharness import (EvalStats, center_steps, evaluate_agent, population_stats,
+                          route_heatmap, run_duels, score_map)
 from .policy import read_qtable_csv, write_qtable_csv
 from .sweep import SweepValueError, load_plan, tuning_loop
 from .training import (CONFIG_TYPES, Hyperparams, dynamic_demo, static_demo,
@@ -60,6 +62,8 @@ def parse_config(source) -> Hyperparams:
     for key, value in raw.items():
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise UsageError(f"config key {key!r} must be a number")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise UsageError(f"config key {key!r} must be finite, not {value!r}")
         if CONFIG_TYPES[key] is int:
             if int(value) != value:
                 raise UsageError(f"config key {key!r} must be an integer")
@@ -215,10 +219,9 @@ def cmd_duel(opts):
     write_csv(
         os.path.join(opts["out"], "duels.csv"),
         ("opponent", "wins", "ties", "losses"),
-        ((name, o.wins, o.ties, o.losses) for name, o in sorted(outcomes.items())),
+        ((name, *astuple(o)) for name, o in sorted(outcomes.items())),
     )
-    metrics = {name: {"wins": o.wins, "ties": o.ties, "losses": o.losses}
-               for name, o in outcomes.items()}
+    metrics = {name: asdict(o) for name, o in outcomes.items()}
     metrics["iterations"] = opts["runs"]
     return ["duels.csv"], metrics
 
@@ -240,8 +243,7 @@ def cmd_scoremap(opts):
         ((x, y, labels[int(result.outcome[x, y])])
          for x in range(hp.grid_length) for y in range(hp.grid_length)),
     )
-    metrics = {"opponent": name, "wins": result.wins, "ties": result.ties,
-               "losses": result.losses}
+    metrics = {"opponent": name, **asdict(result.tally)}
     return [out_name], metrics
 
 
@@ -275,11 +277,11 @@ def cmd_pattern(opts):
             ((x, y, int(steps[x, y]))
              for x in range(length) for y in range(length)),
         )
-        flat = np.sort(steps.ravel())
+        stats = EvalStats.from_steps(steps.ravel().tolist(), 0)
         metrics[name] = {
             "path_moves": len(pattern.cells) - 1,
-            "mean_steps": float(flat.mean()),
-            "median_steps": float(flat[(flat.size - 1) // 2]),
+            "mean_steps": stats.mean,
+            "median_steps": stats.median,
         }
         outputs += [f"{name}.csv", f"{name}_steps.csv"]
     return outputs, metrics
@@ -299,12 +301,7 @@ def cmd_sweep(opts):
     except (OSError, ValueError) as err:
         raise UsageError(f"plan {opts['plan']}: {err}") from err
     try:
-        final_hp, results = tuning_loop(
-            stages,
-            two_pass=plan_opts["two_pass"],
-            select_on=plan_opts["select_on"],
-            jobs=opts["jobs"],
-        )
+        final_hp, results = tuning_loop(stages, jobs=opts["jobs"], **plan_opts)
     except SweepValueError as err:
         raise UsageError(f"plan {opts['plan']}: {err}") from err
     outputs = []
@@ -336,8 +333,7 @@ def cmd_population(opts):
         os.path.join(opts["out"], "population_agents.csv"),
         ("seed", "mean_steps", "median_steps", "failures",
          "wins", "ties", "losses", "win_pct"),
-        ((a.seed, a.mean_steps, a.median_steps, a.failures,
-          a.wins, a.ties, a.losses, a.win_pct) for a in report.agents),
+        (astuple(a) for a in report.agents),
     )
     for name, (edges, counts) in (
         ("population_steps_hist.csv", report.steps_hist),

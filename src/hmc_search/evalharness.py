@@ -1,7 +1,8 @@
 """Evaluation: step statistics, duels against patterns, score maps.
 
 All comparisons score the agent and the pattern against the identical
-cloud; fewer steps wins.  Failed agent episodes count the full step
+cloud, and DuelOutcome.tally decides every one: strictly fewer steps
+wins, equal steps tie.  Failed agent episodes count the full step
 budget, which makes them automatic losses against any finishing pattern.
 
 The agent is scored like the patterns, by a route and a first-hit lookup:
@@ -11,7 +12,7 @@ every cloud until it enters one, where a single-cloud episode ends.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -19,8 +20,6 @@ from .baselines import PatternPath, first_hit, snake_path, spiral_path, steps_to
 from .env import CloudField, make_cloud, make_rng, spawn_clouds
 from .policy import QTable
 from .training import Hyperparams, run_episode, train_agent
-
-WIN, TIE, LOSS = "win", "tie", "loss"
 
 
 @dataclass
@@ -51,22 +50,12 @@ class DuelOutcome:
     def total(self) -> int:
         return self.wins + self.ties + self.losses
 
-    def add(self, verdict: str) -> None:
-        if verdict == WIN:
-            self.wins += 1
-        elif verdict == TIE:
-            self.ties += 1
-        else:
-            self.losses += 1
-
-
-def duel(agent_steps: int, opponent_steps: int) -> str:
-    """Strictly fewer steps wins; equal steps tie."""
-    if agent_steps < opponent_steps:
-        return WIN
-    if agent_steps == opponent_steps:
-        return TIE
-    return LOSS
+    @classmethod
+    def tally(cls, agent_steps, opponent_steps) -> "DuelOutcome":
+        """Count, element by element: strictly fewer agent steps wins, equal steps tie."""
+        agent, opponent = np.asarray(agent_steps), np.asarray(opponent_steps)
+        return cls(int((agent < opponent).sum()), int((agent == opponent).sum()),
+                   int((agent > opponent).sum()))
 
 
 def agent_route(q: QTable, hp: Hyperparams) -> PatternPath:
@@ -83,10 +72,15 @@ def _random_cloud(hp: Hyperparams, rng):
     return spawn_clouds(hp.grid_length, hp.pollution_diameter, 1, rng).clouds[0]
 
 
+def _first_hits(route: PatternPath, hp: Hyperparams, n_episodes: int, rng) -> list:
+    """first_hit of the route on each of n_episodes random clouds."""
+    return [first_hit(route, _random_cloud(hp, rng)) for _ in range(n_episodes)]
+
+
 def _evaluate_route(route: PatternPath, hp: Hyperparams, n_episodes: int, rng) -> EvalStats:
     if n_episodes < 1:
         raise ValueError("n_episodes must be at least 1")
-    hits = [first_hit(route, _random_cloud(hp, rng)) for _ in range(n_episodes)]
+    hits = _first_hits(route, hp, n_episodes, rng)
     steps = [hp.max_steps if hit is None else hit for hit in hits]
     return EvalStats.from_steps(steps, hits.count(None))
 
@@ -96,38 +90,36 @@ def evaluate_agent(q: QTable, hp: Hyperparams, n_episodes: int, rng) -> EvalStat
     return _evaluate_route(agent_route(q, hp), hp, n_episodes, rng)
 
 
-def _duel_route(route: PatternPath, hp: Hyperparams, n: int, rng) -> dict[str, DuelOutcome]:
+def steps_table(hp: Hyperparams, clouds, *paths: PatternPath) -> np.ndarray:
+    """steps_to_find of every path (rows) on every cloud (columns), each cloud read once."""
+    steps = [steps_to_find(path, cloud, hp.max_steps) for cloud in clouds for path in paths]
+    return np.array(steps, dtype=np.int64).reshape(-1, len(paths)).T
+
+
+def _duels(route: PatternPath, hp: Hyperparams, n: int, rng,
+           *patterns: PatternPath) -> dict[str, DuelOutcome]:
+    """The route against each pattern on n shared random clouds, keyed by kind."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    patterns = {
-        "snake": snake_path(hp.grid_length, hp.pollution_diameter),
-        "spiral": spiral_path(hp.grid_length, hp.pollution_diameter),
-    }
-    outcomes = {name: DuelOutcome() for name in patterns}
-    for _ in range(n):
-        cloud = _random_cloud(hp, rng)
-        agent_steps = steps_to_find(route, cloud, hp.max_steps)
-        for name, pattern in patterns.items():
-            opponent_steps = steps_to_find(pattern, cloud, hp.max_steps)
-            outcomes[name].add(duel(agent_steps, opponent_steps))
-    return outcomes
+    clouds = (_random_cloud(hp, rng) for _ in range(n))
+    agent, *opponents = steps_table(hp, clouds, route, *patterns)
+    return {pattern.kind: DuelOutcome.tally(agent, steps)
+            for pattern, steps in zip(patterns, opponents)}
 
 
 def run_duels(q: QTable, hp: Hyperparams, n: int, rng) -> dict[str, DuelOutcome]:
     """n independent random clouds, each scored for the agent and both patterns."""
-    return _duel_route(agent_route(q, hp), hp, n, rng)
+    length, diameter = hp.grid_length, hp.pollution_diameter
+    return _duels(agent_route(q, hp), hp, n, rng,
+                  snake_path(length, diameter), spiral_path(length, diameter))
 
 
-def center_steps(hp: Hyperparams, *paths: PatternPath) -> list[np.ndarray]:
+def center_steps(hp: Hyperparams, *paths: PatternPath) -> np.ndarray:
     """steps_to_find for a cloud centered on every cell, one (x, y) grid per path."""
     length = hp.grid_length
-    grids = [np.zeros((length, length), dtype=np.int64) for _ in paths]
-    for x in range(length):
-        for y in range(length):
-            cloud = make_cloud((x, y), hp.pollution_diameter, length)
-            for grid, path in zip(grids, paths):
-                grid[x, y] = steps_to_find(path, cloud, hp.max_steps)
-    return grids
+    clouds = (make_cloud((x, y), hp.pollution_diameter, length)
+              for x in range(length) for y in range(length))
+    return steps_table(hp, clouds, *paths).reshape(len(paths), length, length)
 
 
 @dataclass
@@ -138,18 +130,7 @@ class ScoreMap:
     outcome: np.ndarray  # int8 grid, +1 win / 0 tie / -1 loss
     agent_steps: np.ndarray
     opponent_steps: np.ndarray
-
-    @property
-    def wins(self) -> int:
-        return int((self.outcome > 0).sum())
-
-    @property
-    def ties(self) -> int:
-        return int((self.outcome == 0).sum())
-
-    @property
-    def losses(self) -> int:
-        return int((self.outcome < 0).sum())
+    tally: DuelOutcome
 
 
 def score_map(q: QTable, hp: Hyperparams, opponent: PatternPath) -> ScoreMap:
@@ -160,7 +141,8 @@ def score_map(q: QTable, hp: Hyperparams, opponent: PatternPath) -> ScoreMap:
     agent_grid, opponent_grid = center_steps(hp, agent_route(q, hp), opponent)
     # +1 where the agent needs fewer steps (a win), 0 on a tie, -1 on a loss.
     outcome = np.sign(opponent_grid - agent_grid).astype(np.int8)
-    return ScoreMap(opponent.kind, outcome, agent_grid, opponent_grid)
+    return ScoreMap(opponent.kind, outcome, agent_grid, opponent_grid,
+                    DuelOutcome.tally(agent_grid, opponent_grid))
 
 
 def route_heatmap(q: QTable, hp: Hyperparams, n_episodes: int, rng) -> np.ndarray:
@@ -171,8 +153,7 @@ def route_heatmap(q: QTable, hp: Hyperparams, n_episodes: int, rng) -> np.ndarra
     """
     route = agent_route(q, hp)
     counts = np.zeros((hp.grid_length, hp.grid_length), dtype=np.int64)
-    for _ in range(n_episodes):
-        hit = first_hit(route, _random_cloud(hp, rng))
+    for hit in _first_hits(route, hp, n_episodes, rng):
         for cell in route.cells[:None if hit is None else hit + 1]:
             counts[cell] += 1
     return counts
@@ -207,10 +188,10 @@ def score_agent(hp: Hyperparams, seed: int, n_eval: int, n_duel: int) -> AgentSc
     stats = _evaluate_route(route, hp, n_eval, make_rng(seed, stream=1))
     duels = DuelOutcome()
     if n_duel:
-        duels = _duel_route(route, hp, n_duel, make_rng(seed, stream=2))["snake"]
+        snake = snake_path(hp.grid_length, hp.pollution_diameter)
+        duels = _duels(route, hp, n_duel, make_rng(seed, stream=2), snake)["snake"]
     win_pct = 100.0 * duels.wins / duels.total if n_duel else 0.0
-    return AgentScore(seed, stats.mean, stats.median, stats.failures,
-                      duels.wins, duels.ties, duels.losses, win_pct)
+    return AgentScore(seed, stats.mean, stats.median, stats.failures, *astuple(duels), win_pct)
 
 
 def score_agents(work, jobs: int = 1) -> list[AgentScore]:
@@ -237,8 +218,4 @@ def population_stats(hp: Hyperparams, n_agents: int, base_seed: int,
     win_pcts = np.array([a.win_pct for a in agents])
     steps_counts, steps_edges = np.histogram(means, bins=40, range=(0, hp.max_steps))
     win_counts, win_edges = np.histogram(win_pcts, bins=20, range=(0, 100))
-    return PopulationReport(
-        agents=agents,
-        steps_hist=(steps_edges, steps_counts),
-        win_hist=(win_edges, win_counts),
-    )
+    return PopulationReport(agents, (steps_edges, steps_counts), (win_edges, win_counts))

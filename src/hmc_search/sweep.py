@@ -1,8 +1,9 @@
 """Hyperparameter sweeps with confidence intervals.
 
 A sweep trains a batch of independently seeded agents per candidate
-value, scores each by mean evaluation steps, and picks the value with
-the lowest mean.  A tuning loop chains sweeps, fixing each winner into
+value, scores each by mean evaluation steps, and picks the value its
+select_on rule names: the lowest mean steps, or the highest mean snake
+duel win rate.  A tuning loop chains sweeps, fixing each winner into
 the base settings before the next stage, optionally running the whole
 plan a second time for confirmation.
 """
@@ -38,6 +39,11 @@ class SweepValueError(ValueError):
     """A candidate value the settings reject, named with its parameter."""
 
 
+def _check_select_on(select_on) -> None:
+    if select_on not in ("steps", "wins"):
+        raise ValueError(f"select_on must be 'steps' or 'wins', not {select_on!r}")
+
+
 @dataclass
 class SweepSpec:
     parameter: str
@@ -46,7 +52,7 @@ class SweepSpec:
     runs_per_value: int = 20
     base_seed: int = 0
     n_eval_episodes: int = 1000
-    record_duels: bool = False
+    select_on: str = "steps"  # "wins" also duels every run against the snake
 
     def __post_init__(self):
         if self.parameter not in CONFIG_TYPES:
@@ -62,6 +68,7 @@ class SweepSpec:
         runs = self.runs_per_value
         if isinstance(runs, bool) or not isinstance(runs, int) or runs < 1:
             raise ValueError(f"runs_per_value must be an integer >= 1, not {runs!r}")
+        _check_select_on(self.select_on)
 
 
 @dataclass
@@ -86,10 +93,11 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
     The same seed block base_seed .. base_seed + runs_per_value - 1 is
     reused across values so candidates face identical evaluation noise.
     Equal (spec, seeds) always reproduce the same result; ties on the
-    mean go to the earlier candidate, so list cheaper values first.
+    selection score go to the earlier candidate, so list cheaper values
+    first.
     """
     n_eval = spec.n_eval_episodes
-    n_duel = n_eval if spec.record_duels else 0
+    n_duel = n_eval if spec.select_on == "wins" else 0
     work = []
     for value in spec.values:
         # Whether a value is in range can depend on an earlier stage's winner.
@@ -107,21 +115,21 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
         mean, ci_half = confidence_interval(run_means)
         win_rates = [agent.wins / n_duel for agent in block] if n_duel else None
         per_value.append(SweepValueResult(value, run_means, mean, ci_half, win_rates))
-    best = min(range(len(per_value)), key=lambda i: per_value[i].mean)
-    return SweepResult(spec.parameter, per_value, spec.values[best])
+    # max and min both keep the earliest of equal candidates.
+    if spec.select_on == "wins":
+        best = max(per_value, key=lambda v: sum(v.win_rates) / len(v.win_rates))
+    else:
+        best = min(per_value, key=lambda v: v.mean)
+    return SweepResult(spec.parameter, per_value, best.value)
 
 
-def tuning_loop(stages: list[SweepSpec], *, two_pass: bool = False,
-                select_on: str = "steps", jobs: int = 1):
+def tuning_loop(stages: list[SweepSpec], *, two_pass: bool = False, jobs: int = 1):
     """Run sweeps in order, fixing each winner before the next stage.
 
     With two_pass the whole plan repeats once more, starting from the
-    first pass's winners.  select_on "wins" picks the value with the
-    highest duel win rate instead of the lowest mean steps.  Returns
-    (final Hyperparams, all SweepResults in execution order).
+    first pass's winners.  Returns (final Hyperparams, all SweepResults
+    in execution order).
     """
-    if select_on not in ("steps", "wins"):
-        raise ValueError("select_on must be 'steps' or 'wins'")
     if not stages:
         raise ValueError("stages must be nonempty")
     hp = stages[0].base
@@ -129,17 +137,8 @@ def tuning_loop(stages: list[SweepSpec], *, two_pass: bool = False,
     passes = 2 if two_pass else 1
     for _ in range(passes):
         for stage in stages:
-            spec = dataclasses.replace(
-                stage, base=hp,
-                record_duels=stage.record_duels or select_on == "wins",
-            )
-            result = run_sweep(spec, jobs=jobs)
-            if select_on == "wins":
-                rates = [sum(v.win_rates) / len(v.win_rates) for v in result.per_value]
-                best = max(range(len(rates)), key=lambda i: rates[i])
-                result = SweepResult(result.parameter, result.per_value,
-                                     spec.values[best])
-            hp = hp.with_value(spec.parameter, result.best_value)
+            result = run_sweep(dataclasses.replace(stage, base=hp), jobs=jobs)
+            hp = hp.with_value(stage.parameter, result.best_value)
             results.append(result)
     return hp, results
 
@@ -151,25 +150,28 @@ def load_plan(source, base: Hyperparams, *, base_seed: int = 0,
 
     Plan shape: {"stages": [{"parameter": ..., "values": [...],
     "runs_per_value"?}, ...], "runs_per_value"?, "two_pass"?, "select_on"?}.
-    A runs_per_value argument overrides everything in the file.  Raises
+    select_on goes on every stage and options holds two_pass.  A
+    runs_per_value argument overrides everything in the file.  Raises
     ValueError on a plan of another shape, on a value of the wrong type for
-    its parameter and on a runs_per_value that is not an integer >= 1, and
-    OSError on an unreadable file.  Whether a value is in range is checked
-    by run_sweep, against the settings the stage starts from.
+    its parameter, on a runs_per_value that is not an integer >= 1 and on
+    a two_pass that is not a JSON boolean, and OSError on an unreadable
+    file.  Whether a value is in range is checked by run_sweep, against
+    the settings the stage starts from.
     """
-    if isinstance(source, (str, bytes)) or hasattr(source, "read"):
-        if hasattr(source, "read"):
-            plan = json.load(source)
-        else:
-            with open(source) as handle:
-                plan = json.load(handle)
+    if hasattr(source, "read"):
+        plan = json.load(source)
+    elif isinstance(source, (str, bytes)):
+        with open(source) as handle:
+            plan = json.load(handle)
     else:
         plan = source
     if not isinstance(plan, dict) or not isinstance(plan.get("stages"), list):
         raise ValueError("plan must be an object with a 'stages' list")
     select_on = plan.get("select_on", "steps")
-    if select_on not in ("steps", "wins"):
-        raise ValueError(f"select_on must be 'steps' or 'wins', not {select_on!r}")
+    _check_select_on(select_on)  # also when there are no stages to check it
+    two_pass = plan.get("two_pass", False)
+    if not isinstance(two_pass, bool):
+        raise ValueError(f"two_pass must be true or false, not {two_pass!r}")
     default_runs = plan.get("runs_per_value", 20)
     stages = []
     for i, entry in enumerate(plan["stages"]):
@@ -177,19 +179,14 @@ def load_plan(source, base: Hyperparams, *, base_seed: int = 0,
                 and isinstance(entry.get("values"), list)):
             raise ValueError(f"stage {i} must be an object with a 'parameter' "
                              "and a 'values' list")
-        runs = runs_per_value
-        if runs is None:
-            runs = entry.get("runs_per_value", default_runs)
         stages.append(SweepSpec(
             parameter=entry["parameter"],
             values=list(entry["values"]),
             base=base,
-            runs_per_value=runs,
+            runs_per_value=(entry.get("runs_per_value", default_runs)
+                            if runs_per_value is None else runs_per_value),
             base_seed=base_seed,
             n_eval_episodes=n_eval_episodes,
+            select_on=select_on,
         ))
-    options = {
-        "two_pass": bool(plan.get("two_pass", False)),
-        "select_on": select_on,
-    }
-    return stages, options
+    return stages, {"two_pass": two_pass}

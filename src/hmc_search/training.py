@@ -59,11 +59,14 @@ class Hyperparams:
     # decision walks option_length + 1 cells.
     option_length: int = 3
     reward_scaling: float = 30.0
-    # Variant switches, not part of the JSON config surface.
+    # A variant switch, not part of the JSON config surface.
     binary_memory: bool = False
-    normalize_epsilon_decay: bool = True
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, not {value!r}")
         if self.num_episodes < 1:
             raise ValueError("num_episodes must be at least 1")
         if not 0.0 < self.learning_rate <= 1.0:
@@ -149,21 +152,18 @@ def trajectory_reward(s_r: float, n_step: int, n_poll: int) -> float:
 
 
 def epsilon_at(episode: int, hp: Hyperparams) -> float:
-    """Linear exploration schedule.
+    """Linear exploration schedule, normalized to the episode count.
 
-    With normalization on (the default) the decay per episode is
-    (epsilon_start - epsilon_final) / num_episodes, so the schedule hits
-    its midpoint halfway through training regardless of episode count.
-    Otherwise the literal epsilon_decay constant is applied.
+    The decay per episode is (epsilon_start - epsilon_final) /
+    num_episodes, so the schedule hits its midpoint halfway through
+    training regardless of episode count.  epsilon_decay does not enter.
     """
     if episode < 0:
         raise ValueError("episode must be nonnegative")
     start, final = hp.epsilon_start, hp.epsilon_final
-    if hp.normalize_epsilon_decay:
-        if episode >= hp.num_episodes:
-            return final
-        return start + (final - start) * (episode / hp.num_episodes)
-    return max(final, start - episode * hp.epsilon_decay)
+    if episode >= hp.num_episodes:
+        return final
+    return start + (final - start) * (episode / hp.num_episodes)
 
 
 def update_window(hp: Hyperparams) -> int:

@@ -206,7 +206,7 @@ def test_07_trained_agents_compete_with_the_patterns():
         report = train_agent(hp, seed)
         stats = evaluate_agent(report.q, hp, 1000, make_rng(seed, stream=1))
         means.append(stats.mean)
-        wins = score_map(report.q, hp, snake).wins
+        wins = score_map(report.q, hp, snake).tally.wins
         best_wins = max(best_wins, wins)
     elapsed = time.perf_counter() - start
     median_mean = float(np.median(means))

@@ -75,7 +75,21 @@ def test_config_dict_roundtrip():
 def test_config_keys_are_the_numeric_hyperparams():
     fields = [f.name for f in dataclasses.fields(Hyperparams)]
     assert list(CONFIG_KEYS) == [
-        name for name in fields if name not in ("binary_memory", "normalize_epsilon_decay")]
+        name for name in fields if name != "binary_memory"]
+
+
+@pytest.mark.parametrize("config", [
+    '{"mof_value": NaN}', '{"mof_value": Infinity}', '{"epsilon_decay": NaN}',
+    '{"reward_scaling": Infinity}', '{"max_steps": Infinity}',
+])
+def test_non_finite_settings_are_usage_errors(config, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(config)
+    out = tmp_path / "out"
+    assert run("train", "--config", str(path), "--out", str(out)) == 1
+    key = next(iter(json.loads(config)))
+    assert f"error: config key {key!r} must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_dispatch_requires_valid_subcommand():
@@ -266,6 +280,8 @@ def test_sweep_requires_plan(cfg_file, tmp_path):
     (None, "No such file or directory"),
     ({"stages": [{"parameter": "option_length", "values": [1]}], "select_on": "fast"},
      "select_on must be 'steps' or 'wins'"),
+    ({"stages": [{"parameter": "option_length", "values": [1]}], "two_pass": "false"},
+     "two_pass must be true or false, not 'false'"),
 ])
 def test_malformed_plans_are_usage_errors(plan, message, cfg_file, tmp_path, capsys):
     path = tmp_path / "plan.json"
@@ -284,6 +300,8 @@ def test_malformed_plans_are_usage_errors(plan, message, cfg_file, tmp_path, cap
      "runs_per_value must be an integer >= 1, not None"),
     ([{"parameter": "option_length", "values": [0]}],
      "option_length = 0: option_length must be at least 1"),
+    ([{"parameter": "mof_value", "values": [float("nan")]}],
+     "mof_value = nan: mof_value must be finite, not nan"),
 ])
 def test_bad_plan_values_are_usage_errors(stages, message, cfg_file, tmp_path, capsys):
     path = tmp_path / "plan.json"

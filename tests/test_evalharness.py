@@ -7,13 +7,9 @@ from hypothesis import strategies as st
 from hmc_search.baselines import first_hit, snake_path, spiral_path, steps_to_find
 from hmc_search.env import RIGHT, START, CloudField, make_cloud, make_rng, spawn_clouds
 from hmc_search.evalharness import (
-    LOSS,
-    TIE,
-    WIN,
     DuelOutcome,
     EvalStats,
     agent_route,
-    duel,
     evaluate_agent,
     population_stats,
     route_heatmap,
@@ -45,25 +41,44 @@ def test_eval_stats_odd_and_failures():
     assert stats.failures == 2
 
 
+def verdict(agent, opponent):
+    """The duel rule for one cloud, as (win, tie, loss) indicators."""
+    return (int(agent < opponent), int(agent == opponent), int(agent > opponent))
+
+
 def test_duel_verdicts():
-    assert duel(3, 5) == WIN
-    assert duel(5, 5) == TIE
-    assert duel(7, 5) == LOSS
+    # One cloud each: fewer steps wins, equal steps tie, more steps lose.
+    assert DuelOutcome.tally([3], [5]) == DuelOutcome(1, 0, 0)
+    assert DuelOutcome.tally([5], [5]) == DuelOutcome(0, 1, 0)
+    assert DuelOutcome.tally([7], [5]) == DuelOutcome(0, 0, 1)
 
 
 def test_duel_antisymmetry():
     for a in range(4):
         for b in range(4):
-            flipped = {WIN: LOSS, LOSS: WIN, TIE: TIE}[duel(a, b)]
-            assert duel(b, a) == flipped
+            forward, backward = DuelOutcome.tally([a], [b]), DuelOutcome.tally([b], [a])
+            assert (backward.wins, backward.ties, backward.losses) == (
+                forward.losses, forward.ties, forward.wins)
 
 
-def test_duel_outcome_tally():
-    outcome = DuelOutcome()
-    for verdict in (WIN, WIN, TIE, LOSS):
-        outcome.add(verdict)
-    assert (outcome.wins, outcome.ties, outcome.losses) == (2, 1, 1)
-    assert outcome.total == 4
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_duel_outcome_tally(data):
+    # Small values make ties common; wide ones test no overflow of a difference.
+    values = data.draw(st.sampled_from([st.integers(0, 3), st.integers(-2**62, 2**62)]),
+                       label="values")
+    n = data.draw(st.integers(0, 40), label="n")
+    agent = data.draw(st.lists(values, min_size=n, max_size=n), label="agent")
+    opponent = data.draw(st.lists(values, min_size=n, max_size=n), label="opponent")
+    outcome = DuelOutcome.tally(np.array(agent, dtype=np.int64),
+                                np.array(opponent, dtype=np.int64))
+    assert outcome.wins + outcome.ties + outcome.losses == outcome.total == n
+    verdicts = [verdict(a, o) for a, o in zip(agent, opponent)]
+    assert [outcome.wins, outcome.ties, outcome.losses] == [
+        sum(v[i] for v in verdicts) for i in range(3)]
+    swapped = DuelOutcome.tally(opponent, agent)
+    assert (swapped.wins, swapped.ties, swapped.losses) == (
+        outcome.losses, outcome.ties, outcome.wins)
 
 
 def test_evaluate_agent_rejects_empty_batch():
@@ -106,16 +121,16 @@ def test_run_duels_matches_manual_replay():
         "spiral": spiral_path(QUICK.grid_length, QUICK.pollution_diameter),
     }
     rng = make_rng(5, stream=2)
-    expected = {name: DuelOutcome() for name in patterns}
+    verdicts = {name: [] for name in patterns}
     for _ in range(40):
         field = spawn_clouds(QUICK.grid_length, QUICK.pollution_diameter, 1, rng)
         traj = run_episode(q, QUICK, "eval", None, field=field)
         agent = traj.n_step if traj.n_poll > 0 else QUICK.max_steps
         for name, pattern in patterns.items():
             opponent = steps_to_find(pattern, field.clouds[0], QUICK.max_steps)
-            expected[name].add(duel(agent, opponent))
+            verdicts[name].append(verdict(agent, opponent))
     for name in patterns:
-        assert outcomes[name] == expected[name]
+        assert outcomes[name] == DuelOutcome(*map(sum, zip(*verdicts[name])))
         assert outcomes[name].total == 40
 
 
@@ -134,14 +149,15 @@ def test_score_map_covers_every_center():
     smap = score_map(q, SMALL, pattern)
     assert smap.opponent == "snake"
     assert smap.outcome.shape == (6, 6)
-    assert smap.wins + smap.ties + smap.losses == 36
+    assert smap.tally.wins + smap.tally.ties + smap.tally.losses == 36
+    signs = [int((smap.outcome == sign).sum()) for sign in (1, 0, -1)]
+    assert [smap.tally.wins, smap.tally.ties, smap.tally.losses] == signs
 
 
 def test_score_map_matches_manual_duels():
     q = train_agent(SMALL, 1).q
     pattern = spiral_path(6, 3)
     smap = score_map(q, SMALL, pattern)
-    code = {WIN: 1, TIE: 0, LOSS: -1}
     for x in range(6):
         for y in range(6):
             cloud = make_cloud((x, y), 3, 6)
@@ -151,7 +167,8 @@ def test_score_map_matches_manual_duels():
             opponent = steps_to_find(pattern, cloud, SMALL.max_steps)
             assert smap.agent_steps[x, y] == agent
             assert smap.opponent_steps[x, y] == opponent
-            assert smap.outcome[x, y] == code[duel(agent, opponent)]
+            win, _, loss = verdict(agent, opponent)
+            assert smap.outcome[x, y] == win - loss
 
 
 def test_score_map_is_deterministic():
@@ -298,7 +315,7 @@ def test_patterns_are_held_to_the_step_budget():
     assert result.opponent_steps.max() == 37
     assert (result.opponent_steps == 37).sum() == 267
     assert not (result.outcome[result.agent_steps == 37] > 0).any()
-    assert (result.wins, result.ties, result.losses) == (111, 162, 127)
+    assert (result.tally.wins, result.tally.ties, result.tally.losses) == (111, 162, 127)
 
 
 def test_agent_and_patterns_start_on_the_same_cell():

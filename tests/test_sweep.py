@@ -17,10 +17,10 @@ from hmc_search.training import Hyperparams
 QUICK = Hyperparams(num_episodes=30, max_steps=60)
 
 
-def quick_spec(parameter="option_length", values=(1, 2), runs=2, record=False):
+def quick_spec(parameter="option_length", values=(1, 2), runs=2, select_on="steps"):
     return SweepSpec(parameter=parameter, values=list(values), base=QUICK,
                      runs_per_value=runs, base_seed=0, n_eval_episodes=15,
-                     record_duels=record)
+                     select_on=select_on)
 
 
 def test_confidence_interval_constant_samples():
@@ -65,6 +65,8 @@ def test_sweep_spec_validation():
         SweepSpec(parameter="option_length", values=[1], runs_per_value=0)
     with pytest.raises(ValueError):
         SweepSpec(parameter="binary_memory", values=[True])
+    with pytest.raises(ValueError, match="^select_on must be 'steps' or 'wins', not 'fast'$"):
+        SweepSpec(parameter="option_length", values=[1], select_on="fast")
 
 
 def test_run_sweep_structure_and_reproducibility():
@@ -101,7 +103,7 @@ def test_run_sweep_tie_goes_to_earlier_value():
 
 
 def test_run_sweep_records_win_rates_on_request():
-    result = run_sweep(quick_spec(record=True))
+    result = run_sweep(quick_spec(select_on="wins"))
     for per_value in result.per_value:
         assert per_value.win_rates is not None
         assert len(per_value.win_rates) == 2
@@ -143,18 +145,19 @@ def test_tuning_loop_two_pass_repeats_plan():
 
 
 def test_tuning_loop_select_on_wins():
-    hp, results = tuning_loop([quick_spec()], select_on="wins")
-    reference = run_sweep(quick_spec(record=True))
+    hp, results = tuning_loop([quick_spec(select_on="wins")])
+    reference = run_sweep(quick_spec(select_on="wins"))
     rates = [sum(v.win_rates) / len(v.win_rates)
              for v in reference.per_value]
     expected = reference.per_value[max(range(2), key=lambda i: rates[i])].value
+    assert reference.best_value == expected
     assert results[0].best_value == expected
     assert hp.option_length == expected
 
 
 def test_tuning_loop_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        tuning_loop([quick_spec()], select_on="steps_and_wins")
+        tuning_loop([quick_spec(select_on="steps_and_wins")])
     with pytest.raises(ValueError):
         tuning_loop([])
 
@@ -173,7 +176,8 @@ def test_load_plan_from_dict():
         assert stage.base == QUICK
         assert stage.base_seed == 3
         assert stage.n_eval_episodes == 50
-    assert options == {"two_pass": True, "select_on": "wins"}
+        assert stage.select_on == "wins"
+    assert options == {"two_pass": True}
 
 
 def test_load_plan_from_file_with_override(tmp_path):
@@ -185,7 +189,8 @@ def test_load_plan_from_file_with_override(tmp_path):
     assert len(stages) == 1
     assert stages[0].parameter == "reward_scaling"
     assert stages[0].runs_per_value == 2
-    assert options == {"two_pass": False, "select_on": "steps"}
+    assert stages[0].select_on == "steps"
+    assert options == {"two_pass": False}
 
 
 def test_load_plan_defaults_runs_to_twenty():
@@ -208,6 +213,12 @@ def test_load_plan_rejects_malformed():
                               {"parameter": "option_length", "values": 2}]}, QUICK)
     with pytest.raises(ValueError, match="select_on must be 'steps' or 'wins', not 'fast'"):
         load_plan({"stages": [], "select_on": "fast"}, QUICK)
+
+
+@pytest.mark.parametrize("two_pass", ["false", 0, 1, None])
+def test_load_plan_rejects_a_two_pass_that_is_not_a_boolean(two_pass):
+    with pytest.raises(ValueError, match=f"^two_pass must be true or false, not {two_pass!r}$"):
+        load_plan({"stages": [], "two_pass": two_pass}, QUICK)
 
 
 @pytest.mark.parametrize("stage, message", [

@@ -61,6 +61,16 @@ def test_bad_grid_settings_are_rejected_with_their_messages():
             Hyperparams(**override)
 
 
+@pytest.mark.parametrize("name", ["learning_rate", "epsilon_decay", "mof_value",
+                                  "reward_scaling", "max_steps"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_settings_are_rejected(name, value):
+    # One check covers every float, including those no range check would
+    # catch (a NaN compares false, an infinity passes a lower bound).
+    with pytest.raises(ValueError, match=f"^{name} must be finite, not {value!r}$"):
+        Hyperparams(**{name: value})
+
+
 def test_with_value_returns_modified_copy():
     hp = Hyperparams()
     changed = hp.with_value("option_length", 5)
@@ -87,13 +97,6 @@ def test_epsilon_schedule_normalized():
     # The midpoint is exact for any episode count.
     hp2 = Hyperparams(num_episodes=2000)
     assert epsilon_at(1000, hp2) == 0.5
-
-
-def test_epsilon_schedule_literal_decay():
-    hp = Hyperparams(normalize_epsilon_decay=False, epsilon_decay=0.01)
-    assert epsilon_at(0, hp) == 1.0
-    assert epsilon_at(50, hp) == pytest.approx(0.5)
-    assert epsilon_at(200, hp) == 0.0
     with pytest.raises(ValueError):
         epsilon_at(-1, hp)
 
