@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
-import math
 import os
 import sys
 import tempfile
@@ -31,8 +30,8 @@ from .evalharness import (EvalStats, center_steps, evaluate_agent, population_st
                           route_heatmap, run_duels, score_map)
 from .policy import read_qtable_csv, write_qtable_csv
 from .sweep import SweepValueError, load_plan, tuning_loop
-from .training import (CONFIG_TYPES, Hyperparams, dynamic_demo, static_demo,
-                       train_agent)
+from .training import (CONFIG_TYPES, Hyperparams, dynamic_demo, reject_unknown_keys,
+                       static_demo, train_agent)
 
 CONFIG_KEYS = tuple(CONFIG_TYPES)
 
@@ -55,24 +54,9 @@ def parse_config(source) -> Hyperparams:
             raise UsageError(f"malformed config JSON: {err}") from err
     if not isinstance(raw, dict):
         raise UsageError("config must be a JSON object")
-    unknown = sorted(set(raw) - set(CONFIG_KEYS))
-    if unknown:
-        raise UsageError(f"unknown config keys: {', '.join(unknown)}")
-    values = {}
-    for key, value in raw.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise UsageError(f"config key {key!r} must be a number")
-        if isinstance(value, float) and not math.isfinite(value):
-            raise UsageError(f"config key {key!r} must be finite, not {value!r}")
-        if CONFIG_TYPES[key] is int:
-            if int(value) != value:
-                raise UsageError(f"config key {key!r} must be an integer")
-            value = int(value)
-        else:
-            value = float(value)
-        values[key] = value
     try:
-        return Hyperparams(**values)
+        reject_unknown_keys(raw, CONFIG_KEYS, "config")
+        return Hyperparams(**raw)
     except ValueError as err:
         raise UsageError(str(err)) from err
 

@@ -12,10 +12,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 from .evalharness import score_agents
-from .training import CONFIG_TYPES, Hyperparams
+from .training import CONFIG_TYPES, Hyperparams, reject_unknown_keys, setting_value
 
 
 def confidence_interval(samples) -> tuple[float, float]:
@@ -39,11 +40,6 @@ class SweepValueError(ValueError):
     """A candidate value the settings reject, named with its parameter."""
 
 
-def _check_select_on(select_on) -> None:
-    if select_on not in ("steps", "wins"):
-        raise ValueError(f"select_on must be 'steps' or 'wins', not {select_on!r}")
-
-
 @dataclass
 class SweepSpec:
     parameter: str
@@ -59,16 +55,13 @@ class SweepSpec:
             raise ValueError(f"unknown sweep parameter {self.parameter!r}")
         if not self.values:
             raise ValueError("values must be nonempty")
-        # A value must have its setting's type; a bool is not a number here.
-        integer = CONFIG_TYPES[self.parameter] is int
-        for value in self.values:
-            if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
-                kind = "an integer" if integer else "a number"
-                raise ValueError(f"{self.parameter} values must be {kind}, not {value!r}")
+        # Types only: run_sweep checks ranges against the stage's settings.
+        self.values = [setting_value(self.parameter, v) for v in self.values]
         runs = self.runs_per_value
         if isinstance(runs, bool) or not isinstance(runs, int) or runs < 1:
             raise ValueError(f"runs_per_value must be an integer >= 1, not {runs!r}")
-        _check_select_on(self.select_on)
+        if self.select_on not in ("steps", "wins"):
+            raise ValueError(f"select_on must be 'steps' or 'wins', not {self.select_on!r}")
 
 
 @dataclass
@@ -146,29 +139,27 @@ def tuning_loop(stages: list[SweepSpec], *, two_pass: bool = False, jobs: int = 
 def load_plan(source, base: Hyperparams, *, base_seed: int = 0,
               runs_per_value: int | None = None,
               n_eval_episodes: int = 1000):
-    """Build (stages, options) from a JSON plan file or an equivalent dict.
+    """Build (stages, options) from a JSON plan file's path or an equivalent dict.
 
     Plan shape: {"stages": [{"parameter": ..., "values": [...],
     "runs_per_value"?}, ...], "runs_per_value"?, "two_pass"?, "select_on"?}.
     select_on goes on every stage and options holds two_pass.  A
     runs_per_value argument overrides everything in the file.  Raises
-    ValueError on a plan of another shape, on a value of the wrong type for
-    its parameter, on a runs_per_value that is not an integer >= 1 and on
-    a two_pass that is not a JSON boolean, and OSError on an unreadable
-    file.  Whether a value is in range is checked by run_sweep, against
-    the settings the stage starts from.
+    ValueError on a plan of another shape, with unknown keys or no stages,
+    or with a field SweepSpec rejects, and OSError on an unreadable file.
+    Whether a value is in range is checked by run_sweep, against the
+    settings the stage starts from.
     """
-    if hasattr(source, "read"):
-        plan = json.load(source)
-    elif isinstance(source, (str, bytes)):
+    if isinstance(source, (str, os.PathLike)):
         with open(source) as handle:
             plan = json.load(handle)
     else:
         plan = source
     if not isinstance(plan, dict) or not isinstance(plan.get("stages"), list):
         raise ValueError("plan must be an object with a 'stages' list")
-    select_on = plan.get("select_on", "steps")
-    _check_select_on(select_on)  # also when there are no stages to check it
+    reject_unknown_keys(plan, ("stages", "runs_per_value", "two_pass", "select_on"), "plan")
+    if not plan["stages"]:
+        raise ValueError("stages must be nonempty")
     two_pass = plan.get("two_pass", False)
     if not isinstance(two_pass, bool):
         raise ValueError(f"two_pass must be true or false, not {two_pass!r}")
@@ -179,14 +170,15 @@ def load_plan(source, base: Hyperparams, *, base_seed: int = 0,
                 and isinstance(entry.get("values"), list)):
             raise ValueError(f"stage {i} must be an object with a 'parameter' "
                              "and a 'values' list")
+        reject_unknown_keys(entry, ("parameter", "values", "runs_per_value"), f"stage {i}")
         stages.append(SweepSpec(
             parameter=entry["parameter"],
-            values=list(entry["values"]),
+            values=entry["values"],
             base=base,
             runs_per_value=(entry.get("runs_per_value", default_runs)
                             if runs_per_value is None else runs_per_value),
             base_seed=base_seed,
             n_eval_episodes=n_eval_episodes,
-            select_on=select_on,
+            select_on=plan.get("select_on", "steps"),
         ))
     return stages, {"two_pass": two_pass}

@@ -10,7 +10,8 @@ motivates the modified agent can be reproduced and inspected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+import sys
+from dataclasses import dataclass, replace
 from typing import get_type_hints
 
 import numpy as np
@@ -63,41 +64,27 @@ class Hyperparams:
     binary_memory: bool = False
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, not {value!r}")
-        if self.num_episodes < 1:
-            raise ValueError("num_episodes must be at least 1")
-        if not 0.0 < self.learning_rate <= 1.0:
-            raise ValueError("learning_rate must be in (0, 1]")
-        if not 0.0 <= self.discount_rate <= 1.0:
-            raise ValueError("discount_rate must be in [0, 1]")
-        for name in ("epsilon_start", "epsilon_final"):
+        for name in _TYPES:
+            setattr(self, name, setting_value(name, getattr(self, name)))
+        # Every integer setting counts something there must be at least one of.
+        for name, kind in _TYPES.items():
+            if kind is int and getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        for name in ("learning_rate", "stop_learn_value"):
+            if not 0.0 < getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in (0, 1]")
+        for name in ("discount_rate", "epsilon_start", "epsilon_final"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
         if self.epsilon_final > self.epsilon_start:
             raise ValueError("epsilon_final must not exceed epsilon_start")
-        if self.epsilon_decay < 0.0:
-            raise ValueError("epsilon_decay must be nonnegative")
-        if self.best_learn_value < 1:
-            raise ValueError("best_learn_value must be at least 1")
-        if self.num_clouds < 1:
-            raise ValueError("num_clouds must be at least 1")
-        if self.mof_value < 0.0:
-            raise ValueError("mof_value must be nonnegative")
-        if not 0.0 < self.stop_learn_value <= 1.0:
-            raise ValueError("stop_learn_value must be in (0, 1]")
-        if self.option_length < 1:
-            raise ValueError("option_length must be at least 1")
+        for name in ("epsilon_decay", "mof_value"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be nonnegative")
         if not self.reward_scaling > 0.0:
             raise ValueError("reward_scaling must be positive")
-        if self.pollution_diameter < 1:
-            raise ValueError("pollution_diameter must be at least 1")
         if self.grid_length < self.pollution_diameter:
             raise ValueError("grid_length must be at least pollution_diameter")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be at least 1")
 
     def with_value(self, name: str, value) -> "Hyperparams":
         return replace(self, **{name: value})
@@ -106,8 +93,35 @@ class Hyperparams:
 # The settings a JSON config or a sweep may set, with their types; the bool
 # variant switches are left out by their type.
 _TYPES = get_type_hints(Hyperparams)
-CONFIG_TYPES = {f.name: _TYPES[f.name] for f in fields(Hyperparams)
-                if _TYPES[f.name] is not bool}
+CONFIG_TYPES = {name: kind for name, kind in _TYPES.items() if kind is not bool}
+
+
+def setting_value(name: str, value):
+    """What setting name stores for value, or a ValueError naming it.
+
+    Integer settings take whole numbers (stored as int), real settings any
+    finite number (stored as float), switches a bool; a bool is no number.
+    """
+    kind = _TYPES[name]
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, (int, float)):
+        wanted = "true or false" if kind is bool else "a number"
+        raise ValueError(f"{name} must be {wanted}, not {value!r}")
+    if kind is bool:
+        return value
+    if not abs(value) <= sys.float_info.max:  # NaN, infinities, ints past float
+        raise ValueError(f"{name} must be finite, not {value!r}")
+    if kind is float:
+        return float(value)
+    if value != int(value):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    return int(value)
+
+
+def reject_unknown_keys(given, known, what: str) -> None:
+    """Raise a ValueError naming every key of given that is not in known."""
+    unknown = sorted(set(given) - set(known))
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {', '.join(unknown)}")
 
 
 @dataclass

@@ -88,7 +88,7 @@ def test_non_finite_settings_are_usage_errors(config, tmp_path, capsys):
     out = tmp_path / "out"
     assert run("train", "--config", str(path), "--out", str(out)) == 1
     key = next(iter(json.loads(config)))
-    assert f"error: config key {key!r} must be finite" in capsys.readouterr().err
+    assert f"error: {key} must be finite" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -268,6 +268,23 @@ def test_sweep_command(cfg_file, tmp_path):
         summary["winners"][0]["best_value"]
 
 
+def test_a_sweep_writes_integers_for_a_real_setting_as_floats(cfg_file, tmp_path):
+    # The summary writes a plan's 0 and 1 as the floats a config holds.
+    out = tmp_path / "out"
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(
+        {"stages": [{"parameter": "discount_rate", "values": [0, 1]}]}))
+    assert run("sweep", "--config", cfg_file, "--plan", str(plan),
+               "--runs", "1", "--episodes", "5", "--out", str(out)) == 0
+    summary = json.loads((out / "sweep_summary.json").read_text())
+    best = summary["winners"][0]["best_value"]
+    assert type(best) is float and best in (0.0, 1.0)
+    assert summary["final_config"]["discount_rate"] == best
+    assert type(summary["final_config"]["discount_rate"]) is float
+    rows = (out / "sweep_00_discount_rate.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["0", "1"]
+
+
 def test_sweep_requires_plan(cfg_file, tmp_path):
     assert run("sweep", "--config", cfg_file,
                "--out", str(tmp_path / "out")) == 1
@@ -282,6 +299,11 @@ def test_sweep_requires_plan(cfg_file, tmp_path):
      "select_on must be 'steps' or 'wins'"),
     ({"stages": [{"parameter": "option_length", "values": [1]}], "two_pass": "false"},
      "two_pass must be true or false, not 'false'"),
+    ({"stages": []}, "stages must be nonempty"),
+    ({"stages": [{"parameter": "option_length", "values": [1]}], "selecton": "wins"},
+     "unknown plan keys: selecton"),
+    ({"stages": [{"parameter": "option_length", "values": [1], "runs": 1}]},
+     "unknown stage 0 keys: runs"),
 ])
 def test_malformed_plans_are_usage_errors(plan, message, cfg_file, tmp_path, capsys):
     path = tmp_path / "plan.json"
@@ -295,13 +317,13 @@ def test_malformed_plans_are_usage_errors(plan, message, cfg_file, tmp_path, cap
 
 @pytest.mark.parametrize("stages, message", [
     ([{"parameter": "option_length", "values": ["x"]}],
-     "option_length values must be an integer, not 'x'"),
+     "option_length must be a number, not 'x'"),
     ([{"parameter": "option_length", "values": [1], "runs_per_value": None}],
      "runs_per_value must be an integer >= 1, not None"),
     ([{"parameter": "option_length", "values": [0]}],
      "option_length = 0: option_length must be at least 1"),
     ([{"parameter": "mof_value", "values": [float("nan")]}],
-     "mof_value = nan: mof_value must be finite, not nan"),
+     "mof_value must be finite, not nan"),
 ])
 def test_bad_plan_values_are_usage_errors(stages, message, cfg_file, tmp_path, capsys):
     path = tmp_path / "plan.json"

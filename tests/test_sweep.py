@@ -1,6 +1,7 @@
 """Tests for sweeps, the tuning loop, and plan files."""
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -212,20 +213,24 @@ def test_load_plan_rejects_malformed():
         load_plan({"stages": [{"parameter": "option_length", "values": [1]},
                               {"parameter": "option_length", "values": 2}]}, QUICK)
     with pytest.raises(ValueError, match="select_on must be 'steps' or 'wins', not 'fast'"):
-        load_plan({"stages": [], "select_on": "fast"}, QUICK)
+        load_plan({"stages": [{"parameter": "option_length", "values": [1]}],
+                   "select_on": "fast"}, QUICK)
+    with pytest.raises(ValueError, match="^stages must be nonempty$"):
+        load_plan({"stages": []}, QUICK)
 
 
 @pytest.mark.parametrize("two_pass", ["false", 0, 1, None])
 def test_load_plan_rejects_a_two_pass_that_is_not_a_boolean(two_pass):
     with pytest.raises(ValueError, match=f"^two_pass must be true or false, not {two_pass!r}$"):
-        load_plan({"stages": [], "two_pass": two_pass}, QUICK)
+        load_plan({"stages": [{"parameter": "option_length", "values": [1]}],
+                   "two_pass": two_pass}, QUICK)
 
 
 @pytest.mark.parametrize("stage, message", [
-    ({"parameter": "option_length", "values": ["x"]}, "option_length values must be an integer, not 'x'"),
-    ({"parameter": "option_length", "values": [True]}, "option_length values must be an integer, not True"),
-    ({"parameter": "option_length", "values": [2.5]}, "option_length values must be an integer, not 2.5"),
-    ({"parameter": "learning_rate", "values": [None]}, "learning_rate values must be a number, not None"),
+    ({"parameter": "option_length", "values": ["x"]}, "option_length must be a number, not 'x'"),
+    ({"parameter": "option_length", "values": [True]}, "option_length must be a number, not True"),
+    ({"parameter": "option_length", "values": [2.5]}, "option_length must be an integer, not 2.5"),
+    ({"parameter": "learning_rate", "values": [None]}, "learning_rate must be a number, not None"),
     ({"parameter": "option_length", "values": [1], "runs_per_value": None},
      "runs_per_value must be an integer >= 1, not None"),
     ({"parameter": "option_length", "values": [1], "runs_per_value": 0},
@@ -242,6 +247,36 @@ def test_load_plan_accepts_integers_for_a_real_setting():
     stages, _ = load_plan({"stages": [{"parameter": "discount_rate", "values": [0, 0.5]}]},
                           QUICK)
     assert stages[0].values == [0, 0.5]
+    assert [type(v) for v in stages[0].values] == [float, float]
+
+
+def test_load_plan_accepts_whole_floats_for_an_integer_setting():
+    stages, _ = load_plan({"stages": [{"parameter": "option_length", "values": [3.0, 4]}]},
+                          QUICK)
+    assert stages[0].values == [3, 4]
+    assert [type(v) for v in stages[0].values] == [int, int]
+
+
+@pytest.mark.parametrize("plan, message", [
+    ({"stages": [{"parameter": "option_length", "values": [1]}], "selecton": "wins"},
+     "unknown plan keys: selecton"),
+    ({"stages": [{"parameter": "option_length", "values": [1]}], "runs": 1, "jobs": 2},
+     "unknown plan keys: jobs, runs"),
+    ({"stages": [{"parameter": "option_length", "values": [1]},
+                 {"parameter": "mof_value", "values": [1], "runs": 1}]},
+     "unknown stage 1 keys: runs"),
+])
+def test_load_plan_rejects_unknown_keys(plan, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        load_plan(plan, QUICK)
+
+
+def test_every_shipped_plan_loads():
+    plans = sorted((Path(__file__).parent.parent / "demos" / "plans").glob("*.json"))
+    assert plans
+    for path in plans:
+        stages, _ = load_plan(path, Hyperparams())
+        assert stages, path
 
 
 def test_a_value_out_of_range_after_an_earlier_winner_names_its_parameter():

@@ -1,14 +1,23 @@
 """Episode orchestration, trajectory returns, schedules, demo trainers."""
+import math
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hmc_search.cli import UsageError, parse_config
 from hmc_search.env import START, CloudField, make_cloud, make_rng, spawn_clouds
 from hmc_search.policy import mc_update, new_qtable
+from hmc_search.sweep import SweepSpec
 from hmc_search.training import (
+    CONFIG_TYPES,
     Hyperparams,
     dynamic_demo,
     epsilon_at,
     run_episode,
+    setting_value,
     static_demo,
     train_agent,
     trajectory_reward,
@@ -69,6 +78,83 @@ def test_non_finite_settings_are_rejected(name, value):
     # catch (a NaN compares false, an infinity passes a lower bound).
     with pytest.raises(ValueError, match=f"^{name} must be finite, not {value!r}$"):
         Hyperparams(**{name: value})
+
+
+@pytest.mark.parametrize("override, message", [
+    ({"binary_memory": "yes"}, "binary_memory must be true or false, not 'yes'"),
+    ({"binary_memory": 1}, "binary_memory must be true or false, not 1"),
+    ({"num_episodes": True}, "num_episodes must be a number, not True"),
+    ({"mof_value": False}, "mof_value must be a number, not False"),
+    ({"option_length": 3.5}, "option_length must be an integer, not 3.5"),
+    ({"learning_rate": "0.1"}, "learning_rate must be a number, not '0.1'"),
+    ({"reward_scaling": 10 ** 400}, f"reward_scaling must be finite, not {10 ** 400!r}"),
+])
+def test_settings_of_the_wrong_type_are_rejected(override, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Hyperparams(**override)
+    name, value = next(iter(override.items()))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Hyperparams().with_value(name, value)
+
+
+def test_settings_are_stored_with_their_types():
+    hp = Hyperparams(option_length=3.0, mof_value=5, discount_rate=1)
+    assert (hp.option_length, hp.mof_value, hp.discount_rate) == (3, 5.0, 1.0)
+    assert [type(v) for v in (hp.option_length, hp.mof_value, hp.discount_rate)] == \
+        [int, float, float]
+    # A whole float trains exactly like its int.
+    small = dict(grid_length=8, pollution_diameter=3, max_steps=40, num_episodes=20)
+    whole = train_agent(Hyperparams(option_length=3.0, **small), 0)
+    exact = train_agent(Hyperparams(option_length=3, **small), 0)
+    assert np.array_equal(whole.q, exact.q)
+
+
+def _type_verdict(kind, value):
+    """The stored value, or None if the value is rejected for its type."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value):
+        return None
+    if kind is int:
+        return int(value) if value == int(value) else None
+    return float(value)
+
+
+SETTING_INPUTS = st.one_of(
+    st.integers(-10 ** 6, 10 ** 6),
+    st.integers(-10 ** 6, 10 ** 6).map(float),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.5, 2.5]),
+    st.booleans(),
+    st.text(max_size=4),
+    st.none(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(list(CONFIG_TYPES)), SETTING_INPUTS)
+def test_configs_plans_and_keywords_share_one_verdict(name, value):
+    expected = _type_verdict(CONFIG_TYPES[name], value)
+    try:
+        stored = setting_value(name, value)
+    except ValueError as err:
+        assert expected is None
+        exact = f"^{re.escape(str(err))}$"
+        with pytest.raises(UsageError, match=exact):
+            parse_config({name: value})
+        with pytest.raises(ValueError, match=exact):
+            SweepSpec(parameter=name, values=[value])
+        return
+    assert stored == expected and type(stored) is CONFIG_TYPES[name]
+    [swept] = SweepSpec(parameter=name, values=[value]).values
+    assert swept == stored and type(swept) is type(stored)
+    try:
+        configured = getattr(parse_config({name: value}), name)
+    except UsageError as err:
+        # Of the right type but out of range: the keyword path says the same.
+        with pytest.raises(ValueError, match=f"^{re.escape(str(err))}$"):
+            Hyperparams(**{name: stored})
+    else:
+        assert configured == stored and type(configured) is type(stored)
 
 
 def test_with_value_returns_modified_copy():
