@@ -18,14 +18,22 @@ def print_result(result):
               f"+- {entry.ci_half:5.2f}{marker}")
 
 
+def positive_int(text):
+    """argparse type: an integer of at least 1, else a usage error."""
+    value = int(text)  # argparse reports a ValueError as an invalid value
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--plan", help="JSON plan file to run staged")
-    parser.add_argument("--runs", type=int, default=3,
+    parser.add_argument("--runs", type=positive_int, default=3,
                         help="training runs per candidate value")
-    parser.add_argument("--eval", type=int, default=200,
+    parser.add_argument("--eval", type=positive_int, default=200,
                         help="evaluation episodes per run")
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--jobs", type=positive_int, default=1)
     args = parser.parse_args()
 
     base = Hyperparams()

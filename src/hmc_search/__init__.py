@@ -23,9 +23,11 @@ from .env import (
     UP,
     Cloud,
     CloudField,
+    WordTape,
     disc_offsets,
     make_cloud,
     make_rng,
+    make_tape,
     move,
     sense,
     spawn_clouds,

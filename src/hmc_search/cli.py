@@ -24,8 +24,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import __version__
 from .baselines import snake_path, spiral_path, write_path_csv
-from .env import make_rng
+from .env import RNG_CONTRACT, make_tape
 from .evalharness import (EvalStats, center_steps, evaluate_agent, population_stats,
                           route_heatmap, run_duels, score_map)
 from .policy import read_qtable_csv, write_qtable_csv
@@ -34,6 +35,9 @@ from .training import (CONFIG_TYPES, Hyperparams, dynamic_demo, reject_unknown_k
                        static_demo, train_agent)
 
 CONFIG_KEYS = tuple(CONFIG_TYPES)
+# What made a run, in every manifest: reruns ignore it.
+PROVENANCE = {"hmc_search": __version__, "python": sys.version.split()[0],
+              "numpy": np.__version__, "rng": RNG_CONTRACT}
 
 
 class UsageError(Exception):
@@ -69,6 +73,14 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return format(value, ".6g")
     return str(value)
+
+
+def _fmt_exact(value) -> str:
+    """_fmt's text if it reads back as value, else repr: distinct values stay apart."""
+    text = _fmt(value)
+    if isinstance(value, float) and float(text) != value:
+        return repr(value)
+    return text
 
 
 def write_csv(path, header, rows) -> None:
@@ -179,7 +191,7 @@ def cmd_train(opts):
 def cmd_eval(opts):
     hp = opts["hp"]
     q = _load_qtable(opts)
-    stats = evaluate_agent(q, hp, opts["episodes"], make_rng(opts["seed"], stream=1))
+    stats = evaluate_agent(q, hp, opts["episodes"], make_tape(opts["seed"], stream=1))
     write_csv(
         os.path.join(opts["out"], "eval_steps.csv"),
         ("episode", "steps"),
@@ -199,7 +211,7 @@ def cmd_eval(opts):
 def cmd_duel(opts):
     hp = opts["hp"]
     q = _load_qtable(opts)
-    outcomes = run_duels(q, hp, opts["runs"], make_rng(opts["seed"], stream=2))
+    outcomes = run_duels(q, hp, opts["runs"], make_tape(opts["seed"], stream=2))
     write_csv(
         os.path.join(opts["out"], "duels.csv"),
         ("opponent", "wins", "ties", "losses"),
@@ -235,7 +247,7 @@ def cmd_scoremap(opts):
 def cmd_route(opts):
     hp = opts["hp"]
     q = _load_qtable(opts)
-    counts = route_heatmap(q, hp, opts["episodes"], make_rng(opts["seed"], stream=1))
+    counts = route_heatmap(q, hp, opts["episodes"], make_tape(opts["seed"], stream=1))
     write_csv(
         os.path.join(opts["out"], "route.csv"),
         ("x", "y", "count"),
@@ -295,7 +307,7 @@ def cmd_sweep(opts):
         write_csv(
             os.path.join(opts["out"], name),
             ("value", "mean_steps", "ci_half_width"),
-            ((v.value, v.mean, v.ci_half) for v in result.per_value),
+            ((_fmt_exact(v.value), v.mean, v.ci_half) for v in result.per_value),
         )
         outputs.append(name)
         winners.append({"parameter": result.parameter, "best_value": result.best_value})
@@ -453,6 +465,7 @@ def dispatch(argv) -> int:
             "metrics": metrics,
             "started_at": started,
             "finished_at": _utc_now(),
+            "provenance": PROVENANCE,
         }
         _write_json_atomic(
             os.path.join(opts["out"], f"manifest_{opts['command']}.json"), manifest)

@@ -16,19 +16,112 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 Cell = tuple[int, int]
-RandomSource = np.random.Generator
 
 UP, DOWN, LEFT, RIGHT = 0, 1, 2, 3
 DIRECTION_NAMES = ("up", "down", "left", "right")
 # (dx, dy) per direction; up decreases y because y grows downward.
 DELTAS = ((0, -1), (0, 1), (-1, 0), (1, 0))
 
+# How a seed becomes draws: the generator make_rng builds, read as WordTape reads it.
+RNG_CONTRACT = "pcg64/default_rng(seed,stream)/word-tape-1"
+# Raw words a WordTape reads at a time, at least: enough that the numpy call
+# costs little per word, few enough that a block's Python ints stay small.
+_TAPE_BLOCK = 1024
 
-def make_rng(seed: int, stream: int = 0) -> RandomSource:
+
+def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Seeded generator; equal (seed, stream) gives equal draws on any platform."""
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     return np.random.default_rng((int(seed), int(stream)))
+
+
+class WordTape:
+    """A generator's random() and integers(n) draws, decoded from raw words.
+
+    The tape takes over the PCG64 generator it is given and reads its raw
+    64-bit words in blocks; nothing else may draw from the generator
+    afterwards.  It decodes them as numpy's Generator does, so the draws
+    equal the generator's own, in the same order, at a fraction of a
+    scalar numpy call's cost:
+
+    - random() is (w >> 11) * 2**-53;
+    - a 32-bit draw takes the buffered high half of an earlier word if
+      there is one, else a new word's low half, buffering its high half;
+    - integers(n) is Lemire's method: m = (32-bit draw) * n, redrawn
+      while its low 32 bits are below (2**32 - n) % n, gives m >> 32;
+      integers(1) draws nothing.
+
+    words[pos] is the next unused word and half the buffered high half
+    (None when empty).  A hot loop may read words and advance pos itself
+    after ensure(k), and must write pos and half back.
+    """
+
+    __slots__ = ("words", "pos", "half", "_raw", "_consumed")
+
+    def __init__(self, generator: np.random.Generator):
+        state = generator.bit_generator.state
+        if state["bit_generator"] != "PCG64":
+            raise ValueError(f"a WordTape decodes PCG64 words, not {state['bit_generator']}")
+        self._raw = generator.bit_generator.random_raw
+        self.words: list[int] = []
+        self.pos = 0
+        self.half: int | None = state["uinteger"] if state["has_uint32"] else None
+        self._consumed = 0  # words used before words[0]
+
+    @property
+    def used(self) -> int:
+        """Words used since the tape took over its generator."""
+        return self._consumed + self.pos
+
+    def ensure(self, k: int) -> None:
+        """Make words hold at least k unused words from pos on; pos may move."""
+        if len(self.words) - self.pos < k:
+            self._consumed += self.pos
+            del self.words[:self.pos]
+            self.words += self._raw(max(k, _TAPE_BLOCK)).tolist()
+            self.pos = 0
+
+    def _word(self) -> int:
+        if self.pos == len(self.words):
+            self.ensure(1)
+        self.pos += 1
+        return self.words[self.pos - 1]
+
+    def random(self) -> float:
+        """A float in [0, 1), as Generator.random()."""
+        return (self._word() >> 11) * 2**-53
+
+    def _uint32(self) -> int:
+        half = self.half
+        if half is None:
+            word = self._word()
+            self.half = word >> 32
+            return word & 0xFFFFFFFF
+        self.half = None
+        return half
+
+    def integers(self, n: int) -> int:
+        """An int in [0, n), as Generator.integers(n) for 1 <= n <= 2**32."""
+        if not 1 <= n <= 2**32:
+            raise ValueError(f"integers needs 1 <= n <= 2**32, not {n}")
+        if n == 1:
+            return 0
+        m = self._uint32() * n
+        if m & 0xFFFFFFFF < n:
+            threshold = (2**32 - n) % n
+            while m & 0xFFFFFFFF < threshold:
+                m = self._uint32() * n
+        return m >> 32
+
+
+def make_tape(seed: int, stream: int = 0) -> WordTape:
+    """make_rng(seed, stream) read as a WordTape: the same draws, faster."""
+    return WordTape(make_rng(seed, stream))
+
+
+# What a function that draws accepts: a Generator or a tape of one.
+RandomSource = np.random.Generator | WordTape
 
 
 # Every searcher, agent and pattern alike, starts in the top-left corner.

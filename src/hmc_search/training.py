@@ -16,7 +16,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .env import START, Cell, CloudField, RandomSource, make_rng, spawn_clouds
+from .env import START, Cell, CloudField, RandomSource, WordTape, make_tape, spawn_clouds
 from .policy import (
     QTable,
     choose_option,
@@ -265,7 +265,7 @@ def train_agent(hp: Hyperparams, seed: int) -> TrainReport:
     Failed episodes (nothing found) never update the table, and no
     episode at or past stop_learn_value * num_episodes does either.
     """
-    rng = make_rng(seed)
+    rng = make_tape(seed)
     q = new_qtable(hp.grid_length)
     records: list[EpisodeRecord] = []
     learn_until = update_window(hp)
@@ -291,7 +291,7 @@ def _demo_epsilon(episode: int, n_episodes: int) -> float:
 
 
 def _demo_episode(q: list[float], hp: Hyperparams, levels: list[float],
-                  epsilon: float, rng: RandomSource, learn: bool) -> int | None:
+                  epsilon: float, tape: WordTape, learn: bool) -> int | None:
     """One primitive-action episode for the plain Q-learning demos.
 
     The cloud field is a sensing landscape that stays in place for the
@@ -306,24 +306,37 @@ def _demo_episode(q: list[float], hp: Hyperparams, levels: list[float],
     Runs on flat state: q is indexed cell * 4 + action and levels is the
     field's per-cell intensity (CloudField.levels), positive exactly on a
     cloud; moves come from the stride-1 option_walks table.  The TD
-    backup is q_update's, inline.
+    backup is q_update's, inline, and so are the tape's two draws: a step
+    reads at most two words, random() < epsilon is (w >> 11) < epsilon *
+    2**53, and integers(4) is a 32-bit draw's top two bits.
     """
     length = hp.grid_length
     alpha, gamma = hp.learning_rate, hp.discount_rate
     moves = option_walks(length, 1).paths
     explore = learn and epsilon > 0.0
+    if explore:
+        tape.ensure(2 * hp.max_steps)
+    words, pos, half = tape.words, tape.pos, tape.half
+    cut = epsilon * 2**53
     cell = START[0] * length + START[1]
     found_at: int | None = None
     for step in range(hp.max_steps):
         key = cell * 4
-        if explore and rng.random() < epsilon:
-            key += int(rng.integers(4))
+        if explore and words[pos] >> 11 < cut:
+            if half is None:
+                pos += 1
+                key += words[pos] >> 30 & 3
+                half = words[pos] >> 32
+            else:
+                key += half >> 30
+                half = None
         else:
             best = q[key]
             for i in range(key + 1, key + 4):
                 if q[i] > best:
                     best = q[i]
                     key = i
+        pos += 1  # the epsilon test's word; pos means nothing when not exploring
         entered = moves[key]
         after = entered[0] if entered else cell
         reward = levels[after]
@@ -338,10 +351,12 @@ def _demo_episode(q: list[float], hp: Hyperparams, levels: list[float],
             target = reward + gamma * max(q[base], q[base + 1], q[base + 2], q[base + 3])
             q[key] = old + alpha * (target - old)
         cell = after
+    if explore:
+        tape.pos, tape.half = pos, half
     return found_at
 
 
-def _plain_q(hp: Hyperparams, rng: RandomSource, n_episodes: int,
+def _plain_q(hp: Hyperparams, tape: WordTape, n_episodes: int,
              snapshot_episodes: tuple[int, ...], fixed: CloudField | None):
     """The demos' training loop: per-step Q-learning on the fixed cloud, or
     on a cloud respawned every episode when fixed is None.
@@ -360,8 +375,8 @@ def _plain_q(hp: Hyperparams, rng: RandomSource, n_episodes: int,
     snapshot(0)
     for episode in range(n_episodes):
         field = fixed if fixed is not None else spawn_clouds(
-            length, hp.pollution_diameter, 1, rng)
-        _demo_episode(q, hp, field.levels, _demo_epsilon(episode, n_episodes), rng,
+            length, hp.pollution_diameter, 1, tape)
+        _demo_episode(q, hp, field.levels, _demo_epsilon(episode, n_episodes), tape,
                       learn=True)
         snapshot(episode + 1)
     return q, snapshots
@@ -377,9 +392,9 @@ def static_demo(hp: Hyperparams, seed: int, *, n_episodes: int = 2000,
     with a positive discount the values propagate back toward the start
     over training.
     """
-    rng = make_rng(seed)
-    fixed = spawn_clouds(hp.grid_length, hp.pollution_diameter, 1, rng)
-    return _plain_q(hp, rng, n_episodes, snapshot_episodes, fixed)[1]
+    tape = make_tape(seed)
+    fixed = spawn_clouds(hp.grid_length, hp.pollution_diameter, 1, tape)
+    return _plain_q(hp, tape, n_episodes, snapshot_episodes, fixed)[1]
 
 
 def dynamic_demo(hp: Hyperparams, seed: int, *, n_episodes: int = 2000,
@@ -393,11 +408,11 @@ def dynamic_demo(hp: Hyperparams, seed: int, *, n_episodes: int = 2000,
     mean evaluation steps) with failed evaluation episodes counted as
     max_steps.
     """
-    q, snapshots = _plain_q(hp, make_rng(seed), n_episodes, snapshot_episodes, None)
-    eval_rng = make_rng(seed, stream=1)
+    q, snapshots = _plain_q(hp, make_tape(seed), n_episodes, snapshot_episodes, None)
+    eval_tape = make_tape(seed, stream=1)
     total = 0
     for _ in range(n_eval_episodes):
-        spawned = spawn_clouds(hp.grid_length, hp.pollution_diameter, 1, eval_rng)
-        steps = _demo_episode(q, hp, spawned.levels, 0.0, eval_rng, learn=False)
+        spawned = spawn_clouds(hp.grid_length, hp.pollution_diameter, 1, eval_tape)
+        steps = _demo_episode(q, hp, spawned.levels, 0.0, eval_tape, learn=False)
         total += steps if steps is not None else hp.max_steps
     return snapshots, total / n_eval_episodes

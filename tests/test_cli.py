@@ -2,10 +2,12 @@
 import dataclasses
 import json
 import os
+import platform
 
 import numpy as np
 import pytest
 
+import hmc_search
 from hmc_search.cli import (
     COMMANDS,
     CONFIG_KEYS,
@@ -14,7 +16,7 @@ from hmc_search.cli import (
     dispatch,
     parse_config,
 )
-from hmc_search.env import make_rng
+from hmc_search.env import RNG_CONTRACT, make_rng
 from hmc_search.evalharness import evaluate_agent
 from hmc_search.policy import new_qtable, read_qtable_csv, write_qtable_csv
 from hmc_search.training import Hyperparams, train_agent
@@ -285,6 +287,22 @@ def test_a_sweep_writes_integers_for_a_real_setting_as_floats(cfg_file, tmp_path
     assert [row.split(",")[0] for row in rows] == ["0", "1"]
 
 
+def test_a_sweep_value_cell_tells_close_values_apart(cfg_file, tmp_path):
+    # Six significant digits would print each pair as one value; a value
+    # that six digits do not give back is written in full.
+    out = tmp_path / "out"
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"stages": [
+        {"parameter": "learning_rate", "values": [0.1234561, 0.1234562]},
+        {"parameter": "mof_value", "values": [1000000.0, 1000001.0]}]}))
+    assert run("sweep", "--config", cfg_file, "--plan", str(plan),
+               "--runs", "1", "--episodes", "5", "--out", str(out)) == 0
+    for name, cells in (("sweep_00_learning_rate.csv", ["0.1234561", "0.1234562"]),
+                        ("sweep_01_mof_value.csv", ["1e+06", "1000001.0"])):
+        rows = (out / name).read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == cells
+
+
 def test_sweep_requires_plan(cfg_file, tmp_path):
     assert run("sweep", "--config", cfg_file,
                "--out", str(tmp_path / "out")) == 1
@@ -437,6 +455,8 @@ DECLARED = {
     "demo-static": {},
     "demo-dynamic": {"episodes": 1000},
 }
+PROVENANCE = {"hmc_search": hmc_search.__version__, "python": platform.python_version(),
+              "numpy": np.__version__, "rng": RNG_CONTRACT}
 TINY = {"grid_length": 8, "pollution_diameter": 3, "max_steps": 30, "num_episodes": 5}
 
 
@@ -478,6 +498,7 @@ def test_command_reruns_byte_identically_from_its_manifest(name, tiny, tmp_path)
                "--out", str(out_a)) == 0
     manifest = json.loads((out_a / f"manifest_{name}.json").read_text())
     assert set(manifest["options"]) == set(DECLARED[name])
+    assert manifest["provenance"] == PROVENANCE
     assert run(name, "--from-manifest", str(out_a / f"manifest_{name}.json"),
                "--out", str(out_b)) == 0
     assert manifest["outputs"]
@@ -563,3 +584,5 @@ def test_manifest_with_null_and_undeclared_options_reruns(tiny, tmp_path):
         (tmp_path / "b" / "eval_steps.csv").read_bytes()
     manifest = json.loads((tmp_path / "a" / "manifest_eval.json").read_text())
     assert manifest["options"] == {"qtable": table, "episodes": 7}
+    # The old manifest has no provenance; the rerun's manifest records its own.
+    assert manifest["provenance"] == PROVENANCE

@@ -1,7 +1,10 @@
-"""Grid, cloud geometry, sensing, movement, and seeded spawning."""
+"""Grid, cloud geometry, sensing, movement, seeded spawning, and the word tape."""
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hmc_search.env import (
     DELTAS,
@@ -11,9 +14,11 @@ from hmc_search.env import (
     START,
     UP,
     CloudField,
+    WordTape,
     disc_offsets,
     make_cloud,
     make_rng,
+    make_tape,
     move,
     sense,
     spawn_clouds,
@@ -166,3 +171,80 @@ def test_make_rng_streams():
     assert make_rng(5, 1).random() != make_rng(5, 2).random()
     with pytest.raises(ValueError):
         make_rng(-1)
+
+
+# --- the word tape
+
+# integers(n) ranges: small ones, ones whose Lemire step rejects often
+# (3 * 2**30 about a quarter of its draws, 2**31 + 1 about half), the
+# 32-bit edges, and any.
+TAPE_RANGES = st.one_of(
+    st.sampled_from([1, 2, 4, 20, 49, 3 * 2**30, 2**31 + 1, 2**32 - 1, 2**32]),
+    st.integers(1, 2**32))
+TAPE_OPS = st.one_of(
+    st.just(("random", None)),
+    TAPE_RANGES.map(lambda n: ("integers", n)),
+    st.integers(0, 5000).map(lambda k: ("ensure", k)))
+
+
+def draw(source, op, n):
+    """One draw from a Generator or a WordTape."""
+    return source.random() if op == "random" else int(source.integers(n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), half_used=st.booleans(),
+       ops=st.lists(TAPE_OPS, max_size=400))
+def test_a_tape_draws_what_numpy_draws_and_ends_in_its_state(seed, half_used, ops):
+    # Numpy promises no stream stability for Generator: a release that
+    # changes its streams fails here, and the package's outputs would move.
+    reference = np.random.default_rng(seed)
+    if half_used:
+        reference.integers(4)  # a 32-bit draw buffers its word's high half
+    start = reference.bit_generator.state
+    generator = np.random.default_rng()
+    generator.bit_generator.state = start
+    tape = WordTape(generator)
+    for op, n in ops:
+        if op == "ensure":
+            tape.ensure(n)
+            assert len(tape.words) - tape.pos >= n
+        else:
+            assert draw(tape, op, n) == draw(reference, op, n)
+    # Rebuilt from the words the tape used plus its buffered half.
+    rebuilt = np.random.PCG64()
+    rebuilt.state = start
+    rebuilt.advance(tape.used)
+    state = rebuilt.state
+    state.update(has_uint32=int(tape.half is not None), uinteger=tape.half or 0)
+    expected = reference.bit_generator.state
+    assert state["state"] == expected["state"]
+    assert state["has_uint32"] == expected["has_uint32"]
+    if expected["has_uint32"]:  # else numpy leaves a stale value in uinteger
+        assert state["uinteger"] == expected["uinteger"]
+    rebuilt.state = state
+    follower = np.random.Generator(rebuilt)
+    for op, n in [("integers", 4), ("random", None), ("integers", 3 * 2**30),
+                  ("integers", 49), ("random", None)]:
+        value = draw(reference, op, n)
+        assert draw(follower, op, n) == value
+        assert draw(tape, op, n) == value
+
+
+def test_make_tape_reads_make_rng():
+    tape, rng = make_tape(9, 2), make_rng(9, 2)
+    assert [tape.integers(20), tape.random(), tape.integers(1), tape.integers(49)] == \
+        [rng.integers(20), rng.random(), rng.integers(1), rng.integers(49)]
+    assert tape.used == 2  # integers(1) draws nothing; two 32-bit draws share a word
+    assert [c.center for c in spawn_clouds(20, 5, 4, make_tape(123)).clouds] == \
+        [c.center for c in spawn_clouds(20, 5, 4, make_rng(123)).clouds]
+    with pytest.raises(ValueError):
+        make_tape(-1)
+    with pytest.raises(ValueError, match="decodes PCG64 words, not MT19937"):
+        WordTape(np.random.Generator(np.random.MT19937(0)))
+
+
+@pytest.mark.parametrize("n", [0, -4, 2**32 + 1])
+def test_tape_integers_rejects_a_range_outside_1_to_2_pow_32(n):
+    with pytest.raises(ValueError, match="integers needs 1 <= n <= 2\\*\\*32"):
+        make_tape(0).integers(n)

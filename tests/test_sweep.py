@@ -1,6 +1,9 @@
 """Tests for sweeps, the tuning loop, and plan files."""
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -277,6 +280,20 @@ def test_every_shipped_plan_loads():
     for path in plans:
         stages, _ = load_plan(path, Hyperparams())
         assert stages, path
+
+
+@pytest.mark.parametrize("flag", ["--runs", "--eval", "--jobs"])
+def test_the_sweep_demo_rejects_a_count_below_one_with_a_usage_message(flag):
+    demo = Path(__file__).parent.parent / "demos" / "sweep_tuning.py"
+    src = str(Path(__file__).parent.parent / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, str(demo), flag, "0"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert done.stderr.startswith("usage: ")
+    assert f"argument {flag}: expected an integer >= 1, got '0'" in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_a_value_out_of_range_after_an_earlier_winner_names_its_parameter():
