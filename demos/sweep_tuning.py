@@ -8,6 +8,7 @@ files and take a few minutes.
 import argparse
 
 from hmc_search import Hyperparams, SweepSpec, load_plan, run_sweep, tuning_loop
+from hmc_search.sweep import SweepValueError
 
 
 def print_result(result):
@@ -38,10 +39,17 @@ def main():
 
     base = Hyperparams()
     if args.plan:
-        stages, options = load_plan(args.plan, base,
-                                    runs_per_value=args.runs,
-                                    n_eval_episodes=args.eval)
-        final, results = tuning_loop(stages, jobs=args.jobs, **options)
+        # A plan that cannot be read or run ends in a usage message, as the CLI's does.
+        try:
+            stages, options = load_plan(args.plan, base,
+                                        runs_per_value=args.runs,
+                                        n_eval_episodes=args.eval)
+        except (OSError, ValueError) as err:
+            parser.error(f"plan {args.plan}: {err}")
+        try:
+            final, results = tuning_loop(stages, jobs=args.jobs, **options)
+        except SweepValueError as err:
+            parser.error(f"plan {args.plan}: {err}")
         for result in results:
             print_result(result)
         print("\nwinning settings: " + ", ".join(

@@ -45,7 +45,6 @@ from .evalharness import (
 )
 from .policy import (
     OptionOutcome,
-    choose_option,
     execute_option,
     mc_update,
     new_qtable,

@@ -14,7 +14,9 @@ from .env import START, Cell, Cloud
 
 @dataclass(frozen=True)
 class PatternPath:
-    """A fixed search route: 4-adjacent in-grid cells, start included.
+    """A fixed search route: in-grid cells, start included, each 4-adjacent
+    to the one before (a plain Q-learning demo's route also stays in place
+    where it bumps a wall).
 
     first is the first index that can find a cloud: 0 for a pattern, 1 for
     the greedy agent, which collects a cloud only on entering a cell.

@@ -82,24 +82,20 @@ class WordTape:
             self.words += self._raw(max(k, _TAPE_BLOCK)).tolist()
             self.pos = 0
 
-    def _word(self) -> int:
-        if self.pos == len(self.words):
-            self.ensure(1)
-        self.pos += 1
-        return self.words[self.pos - 1]
+    # random() and integers() read words[pos] inline, without a helper call:
+    # they run once or more per decision of every training episode.
 
     def random(self) -> float:
         """A float in [0, 1), as Generator.random()."""
-        return (self._word() >> 11) * 2**-53
-
-    def _uint32(self) -> int:
-        half = self.half
-        if half is None:
-            word = self._word()
-            self.half = word >> 32
-            return word & 0xFFFFFFFF
-        self.half = None
-        return half
+        pos = self.pos
+        try:
+            word = self.words[pos]
+        except IndexError:
+            self.ensure(1)
+            pos = self.pos
+            word = self.words[pos]
+        self.pos = pos + 1
+        return (word >> 11) * 2**-53
 
     def integers(self, n: int) -> int:
         """An int in [0, n), as Generator.integers(n) for 1 <= n <= 2**32."""
@@ -107,12 +103,27 @@ class WordTape:
             raise ValueError(f"integers needs 1 <= n <= 2**32, not {n}")
         if n == 1:
             return 0
-        m = self._uint32() * n
-        if m & 0xFFFFFFFF < n:
-            threshold = (2**32 - n) % n
-            while m & 0xFFFFFFFF < threshold:
-                m = self._uint32() * n
-        return m >> 32
+        while True:
+            half = self.half
+            if half is None:  # a new word: use its low half, buffer the high half
+                pos = self.pos
+                try:
+                    word = self.words[pos]
+                except IndexError:
+                    self.ensure(1)
+                    pos = self.pos
+                    word = self.words[pos]
+                self.pos = pos + 1
+                self.half = word >> 32
+                m = (word & 0xFFFFFFFF) * n
+            else:
+                self.half = None
+                m = half * n
+            # Lemire: accept unless the low half is below (2**32 - n) % n,
+            # which is below n, so the modulo is needed only then.
+            low = m & 0xFFFFFFFF
+            if low >= n or low >= (2**32 - n) % n:
+                return m >> 32
 
 
 def make_tape(seed: int, stream: int = 0) -> WordTape:

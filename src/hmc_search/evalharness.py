@@ -62,9 +62,10 @@ def agent_route(q: QTable, hp: Hyperparams) -> PatternPath:
     """The greedy agent's route: one eval episode on a field with no cloud.
 
     It ends at the step budget or the decision cap, as a fruitless greedy
-    episode does; lookups start at index 1 (see PatternPath.first).
+    episode does; lookups start at index 1 (see PatternPath.first).  The
+    episode reads q as rows of Python floats.
     """
-    traj = run_episode(q, hp, "eval", None, field=CloudField([], hp.grid_length))
+    traj = run_episode(q.tolist(), hp, "eval", None, field=CloudField([], hp.grid_length))
     return PatternPath(tuple(traj.cells), "agent", first=1)
 
 

@@ -23,6 +23,9 @@ if TYPE_CHECKING:
     from .training import Hyperparams
 
 QTable = np.ndarray  # shape (grid_length, grid_length, 4), float64
+# Action values, read and written as q[x][y][d]: a QTable, or the nested lists
+# train_agent keeps because list items are cheaper than numpy scalars.
+QValues = QTable | list[list[list[float]]]
 # Visit counts, read and written as mem[x][y]: new_visit_memory's int64
 # array, or the nested lists run_episode keeps because list items are cheaper.
 VisitMemory = np.ndarray | list[list[int]]
@@ -44,38 +47,44 @@ def option_stride(option_length: int) -> int:
     return option_length + 1
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class OptionOutcome:
-    """What actually happened while executing one option."""
+    """What actually happened while executing one option.
+
+    Frozen, because the walk table hands one outcome to every free walk.
+    """
 
     start: Cell
     direction: int
-    path: list[Cell]  # cells entered, in order; excludes start
+    path: tuple[Cell, ...]  # cells entered, in order; excludes start
     primitive_steps: int
     found_count: int
     terminal: Cell
     clamped: bool
 
 
-def q_update(q: QTable, s: Cell, o: int, r: float, s_next: Cell,
-             alpha: float, gamma: float) -> QTable:
+def q_update(q: QValues, s: Cell, o: int, r: float, s_next: Cell,
+             alpha: float, gamma: float) -> QValues:
     """One temporal-difference backup on entry (s, o).  Mutates q in place."""
     if not math.isfinite(r):
         raise ValueError("reward must be finite")
     x, y = s
-    old = q.item(x, y, o)
-    target = r + gamma * max(q[s_next].tolist())
-    q[x, y, o] = old + alpha * (target - old)
+    nx, ny = s_next
+    row = q[x][y]
+    old = row[o]
+    target = r + gamma * max(q[nx][ny])
+    row[o] = old + alpha * (target - old)
     return q
 
 
-def mc_update(q: QTable, s: Cell, o: int, r_t: float, alpha: float) -> QTable:
+def mc_update(q: QValues, s: Cell, o: int, r_t: float, alpha: float) -> QValues:
     """Monte Carlo backup toward the trajectory return.  Mutates q in place."""
     if not math.isfinite(r_t):
         raise ValueError("reward must be finite")
     x, y = s
-    old = q.item(x, y, o)
-    q[x, y, o] = old + alpha * (r_t - old)
+    row = q[x][y]
+    old = row[o]
+    row[o] = old + alpha * (r_t - old)
     return q
 
 
@@ -92,12 +101,13 @@ class OptionWalks(NamedTuple):
     """Every option walk of one grid, indexed by cell * 4 + direction.
 
     A cell is the int x * grid_length + y.  paths[i] holds the cells the
-    full stride enters before the border stops it, points[i] the same
-    cells as (x, y), and terminal[i] is the option_terminal (x, y).
+    full stride enters before the border stops it, outcomes[i] is the
+    OptionOutcome of that walk on a field it misses (its path holds the
+    same cells as (x, y)), and terminal[i] is the option_terminal (x, y).
     """
 
     paths: tuple[tuple[int, ...], ...]
-    points: tuple[tuple[Cell, ...], ...]
+    outcomes: tuple[OptionOutcome, ...]
     terminal: tuple[Cell, ...]
 
 
@@ -109,7 +119,7 @@ def option_walks(grid_length: int, stride: int) -> OptionWalks:
     primitive move table of the plain Q-learning demos.
     """
     coords = [(x, y) for x in range(grid_length) for y in range(grid_length)]
-    paths, points, terminal = [], [], []
+    paths, outcomes, terminal = [], [], []
     for start in coords:
         for d in range(4):
             pos, cells = start, []
@@ -119,14 +129,15 @@ def option_walks(grid_length: int, stride: int) -> OptionWalks:
                     break
                 cells.append(pos[0] * grid_length + pos[1])
             paths.append(tuple(cells))
-            points.append(tuple(coords[cell] for cell in cells))
             tx, ty = option_terminal(start, d, stride, grid_length)
             terminal.append(coords[tx * grid_length + ty])
-    # Tuples, because every caller shares the cached table.
-    return OptionWalks(tuple(paths), tuple(points), tuple(terminal))
+            outcomes.append(OptionOutcome(start, d, tuple(coords[cell] for cell in cells),
+                                          len(cells), 0, terminal[-1], len(cells) < stride))
+    # Tuples and frozen outcomes, because every caller shares the cached table.
+    return OptionWalks(tuple(paths), tuple(outcomes), tuple(terminal))
 
 
-def select_option(q: QTable, mem: VisitMemory, s: Cell, hp: Hyperparams,
+def select_option(q: QValues, mem: VisitMemory, s: Cell, hp: Hyperparams,
                   mode: str, rng: RandomSource | None) -> int:
     """Pick a direction.
 
@@ -141,12 +152,13 @@ def select_option(q: QTable, mem: VisitMemory, s: Cell, hp: Hyperparams,
     if mode != "exploit":
         raise ValueError(f"unknown mode {mode!r}")
     length = len(mem)
-    terminal = option_walks(length, option_stride(hp.option_length)).terminal
+    # option_stride's count; Hyperparams holds option_length >= 1.
+    terminal = option_walks(length, hp.option_length + 1).terminal
     weight = hp.mof_value
     binary = hp.binary_memory
     x, y = s
     base = (x * length + y) * 4
-    row = q[x, y].tolist()
+    row = q[x][y]
     best_dir = 0
     best = -math.inf
     for d in range(4):
@@ -161,14 +173,6 @@ def select_option(q: QTable, mem: VisitMemory, s: Cell, hp: Hyperparams,
     return best_dir
 
 
-def choose_option(q: QTable, mem: VisitMemory, s: Cell, hp: Hyperparams,
-                  epsilon: float, rng: RandomSource) -> int:
-    """Epsilon-soft wrapper: explore with probability epsilon, else exploit."""
-    if epsilon > 0.0 and rng.random() < epsilon:
-        return select_option(q, mem, s, hp, "explore", rng)
-    return select_option(q, mem, s, hp, "exploit", rng)
-
-
 def execute_option(field: CloudField, pos: Cell, direction: int,
                    stride: int, steps_remaining: int):
     """Walk up to stride primitive steps in one direction.
@@ -178,33 +182,36 @@ def execute_option(field: CloudField, pos: Cell, direction: int,
     border, or when a collection empties the field.  Collection happens
     on entering a cell; only successful moves count as primitive steps.
     Returns (OptionOutcome, field after the collections): the field itself
-    when nothing was collected, else a new one.
+    when nothing was collected, else a new one.  A full walk that enters no
+    cloud returns the walk table's shared outcome.
     """
     length = field.grid_length
     walks = option_walks(length, stride)
     key = (pos[0] * length + pos[1]) * 4 + direction
     walk = walks.paths[key]
     n = len(walk)
+    masks = field.masks
     if steps_remaining > n:
+        # Most options enter no cloud; only a walk that does is counted cell by cell.
+        if not any(map(masks.__getitem__, walk)):
+            return walks.outcomes[key], field
         clamped = n < stride
     else:
         n, clamped = max(0, steps_remaining), False
         walk = walk[:n]
-    masks = field.masks
     found = 0
-    # Most options enter no cloud; only a walk that does is counted cell by cell.
-    if any(map(masks.__getitem__, walk)):
-        alive = (1 << len(field.clouds)) - 1
-        for entered, cell in enumerate(walk, 1):
-            hit = masks[cell] & alive
-            if hit:
-                found += hit.bit_count()
-                alive &= ~hit
-                if not alive:
-                    n, clamped = entered, False
-                    break
+    alive = everything = (1 << len(field.clouds)) - 1
+    for entered, cell in enumerate(walk, 1):
+        hit = masks[cell] & alive
+        if hit:
+            found += hit.bit_count()
+            alive &= ~hit
+            if not alive:
+                n, clamped = entered, False
+                break
+    if alive != everything:
         field = CloudField([c for i, c in enumerate(field.clouds) if alive >> i & 1], length)
-    path = list(walks.points[key][:n])
+    path = walks.outcomes[key].path[:n]
     terminal = path[-1] if path else pos
     return OptionOutcome(pos, direction, path, n, found, terminal, clamped), field
 

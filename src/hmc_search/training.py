@@ -16,10 +16,11 @@ from typing import get_type_hints
 
 import numpy as np
 
+from .baselines import PatternPath, first_hit
 from .env import START, Cell, CloudField, RandomSource, WordTape, make_tape, spawn_clouds
 from .policy import (
     QTable,
-    choose_option,
+    QValues,
     execute_option,
     mc_update,
     new_qtable,
@@ -185,13 +186,15 @@ def update_window(hp: Hyperparams) -> int:
     return min(hp.num_episodes, math.ceil(hp.stop_learn_value * hp.num_episodes))
 
 
-def run_episode(q: QTable, hp: Hyperparams, mode: str, rng: RandomSource | None,
+def run_episode(q: QValues, hp: Hyperparams, mode: str, rng: RandomSource | None,
                 *, field: CloudField | None = None,
                 epsilon: float | None = None) -> Trajectory:
     """Run one option-level episode and return its trajectory.
 
     Every episode starts at START.  mode "train" is epsilon-soft with the
-    given epsilon (default epsilon_start); mode "eval" is pure greedy.
+    given epsilon (default epsilon_start): each decision explores when a
+    random() draw falls below epsilon, and epsilon 0 draws nothing; mode
+    "eval" is pure greedy.
     The memory filter is active in both modes but starts from a fresh
     all-zero memory each episode and never touches q.  The
     episode ends on the collection that empties the field or when the
@@ -207,6 +210,7 @@ def run_episode(q: QTable, hp: Hyperparams, mode: str, rng: RandomSource | None,
         field = spawn_clouds(hp.grid_length, hp.pollution_diameter, count, rng)
     if epsilon is None:
         epsilon = hp.epsilon_start
+    explore = mode == "train" and epsilon > 0.0
     max_steps = hp.max_steps
     stride = option_stride(hp.option_length)
     mem = [[0] * hp.grid_length for _ in range(hp.grid_length)]
@@ -223,10 +227,8 @@ def run_episode(q: QTable, hp: Hyperparams, mode: str, rng: RandomSource | None,
             capped = True
             break
         decisions += 1
-        if mode == "train":
-            direction = choose_option(q, mem, pos, hp, epsilon, rng)
-        else:
-            direction = select_option(q, mem, pos, hp, "exploit", rng)
+        pick = "explore" if explore and rng.random() < epsilon else "exploit"
+        direction = select_option(q, mem, pos, hp, pick, rng)
         outcome, field = execute_option(field, pos, direction, stride, max_steps - n_step)
         transitions.append((pos, direction))
         record_visits(mem, outcome)
@@ -243,7 +245,7 @@ def run_episode(q: QTable, hp: Hyperparams, mode: str, rng: RandomSource | None,
     return Trajectory(transitions, cells, n_step, n_poll, r_t, capped)
 
 
-def _apply_trajectory(q: QTable, traj: Trajectory, hp: Hyperparams) -> None:
+def _apply_trajectory(q: QValues, traj: Trajectory, hp: Hyperparams) -> None:
     # Every-visit backup in trajectory order.  With a positive discount the
     # bootstrap target uses the state where the next decision was made.
     if hp.discount_rate == 0.0:
@@ -263,10 +265,11 @@ def train_agent(hp: Hyperparams, seed: int) -> TrainReport:
     hp.best_learn_value times (same clouds, fresh exploration noise), and
     learns only from the attempt with the highest trajectory return.
     Failed episodes (nothing found) never update the table, and no
-    episode at or past stop_learn_value * num_episodes does either.
+    episode at or past stop_learn_value * num_episodes does either.  The
+    table is kept as rows q[x][y][d] while training and returned as a QTable.
     """
     rng = make_tape(seed)
-    q = new_qtable(hp.grid_length)
+    q = new_qtable(hp.grid_length).tolist()
     records: list[EpisodeRecord] = []
     learn_until = update_window(hp)
     cap_exits = 0
@@ -282,7 +285,7 @@ def train_agent(hp: Hyperparams, seed: int) -> TrainReport:
         if episode < learn_until and best.n_poll > 0:
             _apply_trajectory(q, best, hp)
         records.append(EpisodeRecord(episode, epsilon, best.n_step, best.n_poll, best.r_t))
-    return TrainReport(records, q, seed, hp, cap_exits)
+    return TrainReport(records, np.array(q, dtype=np.float64), seed, hp, cap_exits)
 
 
 def _demo_epsilon(episode: int, n_episodes: int) -> float:
@@ -291,17 +294,15 @@ def _demo_epsilon(episode: int, n_episodes: int) -> float:
 
 
 def _demo_episode(q: list[float], hp: Hyperparams, levels: list[float],
-                  epsilon: float, tape: WordTape, learn: bool) -> int | None:
-    """One primitive-action episode for the plain Q-learning demos.
+                  epsilon: float, tape: WordTape) -> None:
+    """One primitive-action learning episode for the plain Q-learning demos.
 
     The cloud field is a sensing landscape that stays in place for the
     whole episode: each step is rewarded with the intensity at the cell
     occupied after the action, plus a 100 find bonus the first time the
-    agent stands on a cloud cell.  Learning episodes always run the full
+    agent stands on a cloud cell.  An episode always runs the full
     budget, and every attempted action consumes a step, wall bumps
-    included, so greedy policies cannot stall the clock.  Evaluation
-    episodes stop at the find.  Returns the step count of the first
-    find, or None.
+    included, so greedy policies cannot stall the clock.
 
     Runs on flat state: q is indexed cell * 4 + action and levels is the
     field's per-cell intensity (CloudField.levels), positive exactly on a
@@ -313,14 +314,14 @@ def _demo_episode(q: list[float], hp: Hyperparams, levels: list[float],
     length = hp.grid_length
     alpha, gamma = hp.learning_rate, hp.discount_rate
     moves = option_walks(length, 1).paths
-    explore = learn and epsilon > 0.0
+    explore = epsilon > 0.0
     if explore:
         tape.ensure(2 * hp.max_steps)
     words, pos, half = tape.words, tape.pos, tape.half
     cut = epsilon * 2**53
     cell = START[0] * length + START[1]
-    found_at: int | None = None
-    for step in range(hp.max_steps):
+    found = False
+    for _ in range(hp.max_steps):
         key = cell * 4
         if explore and words[pos] >> 11 < cut:
             if half is None:
@@ -340,20 +341,34 @@ def _demo_episode(q: list[float], hp: Hyperparams, levels: list[float],
         entered = moves[key]
         after = entered[0] if entered else cell
         reward = levels[after]
-        if found_at is None and reward > 0.0:
+        if not found and reward > 0.0:
             reward += 100.0
-            found_at = step + 1
-            if not learn:
-                return found_at
-        if learn:
-            old = q[key]
-            base = after * 4
-            target = reward + gamma * max(q[base], q[base + 1], q[base + 2], q[base + 3])
-            q[key] = old + alpha * (target - old)
+            found = True
+        old = q[key]
+        base = after * 4
+        target = reward + gamma * max(q[base], q[base + 1], q[base + 2], q[base + 3])
+        q[key] = old + alpha * (target - old)
         cell = after
     if explore:
         tape.pos, tape.half = pos, half
-    return found_at
+
+
+def _demo_route(q: list[float], hp: Hyperparams) -> PatternPath:
+    """The demos' greedy route on the flat q: max_steps moves from START.
+
+    Each move takes the first of the cell's largest values, as
+    _demo_episode's greedy step does, and a wall bump stays in place, so
+    cells[i] is where step i ends and lookups start at index 1.
+    """
+    length = hp.grid_length
+    moves = option_walks(length, 1).paths
+    cell = START[0] * length + START[1]
+    cells = [START]
+    for _ in range(hp.max_steps):
+        entered = moves[max(range(cell * 4, cell * 4 + 4), key=q.__getitem__)]
+        cell = entered[0] if entered else cell
+        cells.append(divmod(cell, length))
+    return PatternPath(tuple(cells), "demo", first=1)
 
 
 def _plain_q(hp: Hyperparams, tape: WordTape, n_episodes: int,
@@ -376,8 +391,7 @@ def _plain_q(hp: Hyperparams, tape: WordTape, n_episodes: int,
     for episode in range(n_episodes):
         field = fixed if fixed is not None else spawn_clouds(
             length, hp.pollution_diameter, 1, tape)
-        _demo_episode(q, hp, field.levels, _demo_epsilon(episode, n_episodes), tape,
-                      learn=True)
+        _demo_episode(q, hp, field.levels, _demo_epsilon(episode, n_episodes), tape)
         snapshot(episode + 1)
     return q, snapshots
 
@@ -404,15 +418,18 @@ def dynamic_demo(hp: Hyperparams, seed: int, *, n_episodes: int = 2000,
 
     Trains like static_demo but on a moving target, then evaluates the
     final greedy policy (no memory filter) over fresh single-cloud
-    episodes, stopping each at its first find.  Returns (snapshots,
+    episodes, stopping each at its first find.  That policy reads no
+    random source and moves the same way whatever the cloud, so its route
+    is walked once and each cloud scored by first_hit.  Returns (snapshots,
     mean evaluation steps) with failed evaluation episodes counted as
     max_steps.
     """
     q, snapshots = _plain_q(hp, make_tape(seed), n_episodes, snapshot_episodes, None)
+    route = _demo_route(q, hp)
     eval_tape = make_tape(seed, stream=1)
     total = 0
     for _ in range(n_eval_episodes):
-        spawned = spawn_clouds(hp.grid_length, hp.pollution_diameter, 1, eval_tape)
-        steps = _demo_episode(q, hp, spawned.levels, 0.0, eval_tape, learn=False)
-        total += steps if steps is not None else hp.max_steps
+        cloud = spawn_clouds(hp.grid_length, hp.pollution_diameter, 1, eval_tape).clouds[0]
+        hit = first_hit(route, cloud)
+        total += hp.max_steps if hit is None else hit
     return snapshots, total / n_eval_episodes

@@ -89,7 +89,7 @@ def execute_option(field, pos, direction, stride, steps_remaining):
             clouds = [c for c in clouds if (x, y) not in c.support]
             if not clouds:
                 break
-    outcome = OptionOutcome(pos, direction, path, len(path), found,
+    outcome = OptionOutcome(pos, direction, tuple(path), len(path), found,
                             path[-1] if path else pos, clamped)
     return outcome, CloudField(clouds, field.grid_length)
 

@@ -1,6 +1,8 @@
 """Tests for the deterministic search patterns and their step accounting."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.ndimage import distance_transform_edt
 
 from hmc_search.baselines import (
@@ -165,6 +167,38 @@ def test_patterns_cover_and_stay_valid(grid_length):
             path = build(grid_length, diameter)
             assert_valid_route(path, grid_length)
             assert coverage_gap(path, grid_length, diameter) <= 1e-9
+
+
+@st.composite
+def grids(draw):
+    grid_length = draw(st.integers(1, 60), label="grid_length")
+    return grid_length, draw(st.integers(1, grid_length), label="diameter")
+
+
+@settings(max_examples=50, deadline=None)
+@given(grids())
+def test_patterns_find_a_cloud_at_every_center_of_any_grid(grid):
+    grid_length, diameter = grid
+    reach = diameter // 2
+    rows = sweep_rows(grid_length, diameter)
+    assert rows[0] == 0
+    assert all(0 < b - a <= diameter for a, b in zip(rows, rows[1:]))
+    assert rows[-1] >= grid_length - 1 - reach
+    insets = ring_insets(grid_length, diameter)
+    assert insets[0] == 0
+    assert all(0 < b - a <= ring_spacing(diameter) for a, b in zip(insets, insets[1:]))
+    assert (grid_length - 1 - 2 * insets[-1]) // 2 <= reach
+    for build in (snake_path, spiral_path):
+        path = build(grid_length, diameter)
+        assert_valid_route(path, grid_length)
+        # first_hit finds the cloud centered on c exactly when a path cell lies
+        # in the same clipped disc around c, that is when c lies in the disc
+        # around a path cell; so the discs around the path must cover the grid.
+        # (A first_hit per center costs seconds on a 60-cell grid.)
+        covered = set()
+        for cell in set(path.cells):
+            covered.update(make_cloud(cell, diameter, grid_length).support)
+        assert len(covered) == grid_length ** 2
 
 
 def test_write_path_csv(tmp_path):

@@ -6,6 +6,7 @@ kind, discount (0 and positive) and learning window.  Tables with ties,
 zeros and walls make episodes that clamp at the border and episodes
 that the decision cap ends.
 """
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +14,7 @@ import oracle
 from hmc_search.env import START, CloudField, make_cloud, make_rng, spawn_clouds
 from hmc_search.evalharness import agent_route
 from hmc_search.policy import (
+    OptionOutcome,
     execute_option,
     mc_update,
     new_qtable,
@@ -91,11 +93,14 @@ def test_walks_stop_at_the_border_and_end_on_the_terminal(length, stride):
         for y in range(length):
             for d in range(4):
                 key = (x * length + y) * 4 + d
-                path, points = walks.paths[key], walks.points[key]
+                path, outcome = walks.paths[key], walks.outcomes[key]
                 room = (y, length - 1 - y, x, length - 1 - x)[d]
                 assert len(path) == min(stride, room)
-                assert points == tuple(divmod(cell, length) for cell in path)
+                points = tuple(divmod(cell, length) for cell in path)
                 assert walks.terminal[key] == (points[-1] if points else (x, y))
+                # The outcome of the full walk on a field that it misses.
+                assert outcome == OptionOutcome((x, y), d, points, len(path), 0,
+                                                walks.terminal[key], len(path) < stride)
 
 
 @settings(max_examples=200, deadline=None)
@@ -137,13 +142,16 @@ def test_table_updates_match_the_reference(data):
     r = data.draw(st.floats(-100, 100))
     alpha = data.draw(st.floats(0.01, 1.0))
     gamma = data.draw(st.sampled_from([0.0, 0.3, 1.0]))
+    rows = q.tolist()  # the nested lists train_agent keeps
     for update, reference, args in (
             (q_update, oracle.td_update, (s, o, r, s_next, alpha, gamma)),
             (mc_update, oracle.mc_update, (s, o, r, alpha))):
         expected = q.copy()
         reference(expected, *args)
         update(q, *args)
+        update(rows, *args)
         assert q.tobytes() == expected.tobytes()
+        assert np.array(rows, dtype=np.float64).tobytes() == expected.tobytes()
 
 
 # --- whole episodes, training and the demos

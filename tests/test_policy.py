@@ -1,4 +1,6 @@
 """Value updates, option execution, memory-filtered selection, table I/O."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,13 +14,13 @@ from hmc_search.env import (
     make_rng,
 )
 from hmc_search.policy import (
-    choose_option,
     execute_option,
     mc_update,
     new_qtable,
     new_visit_memory,
     option_stride,
     option_terminal,
+    option_walks,
     q_update,
     read_qtable_csv,
     record_visits,
@@ -128,9 +130,22 @@ def test_execute_option_walks_full_stride():
     outcome, after = execute_option(field, (5, 5), RIGHT, 3, 400)
     assert outcome.terminal == (8, 5)
     assert outcome.primitive_steps == 3
-    assert outcome.path == [(6, 5), (7, 5), (8, 5)]
+    assert outcome.path == ((6, 5), (7, 5), (8, 5))
     assert not outcome.clamped
     assert after.clouds == []
+
+
+def test_a_free_walk_returns_the_walk_tables_outcome_and_the_callers_field():
+    field = CloudField([make_cloud((15, 15), 1, 20)], 20)
+    shared = option_walks(20, 4).outcomes[(5 * 20 + 5) * 4 + RIGHT]
+    outcome, after = execute_option(field, (5, 5), RIGHT, 4, 400)
+    assert outcome is shared and after is field
+    assert execute_option(CloudField([], 20), (5, 5), RIGHT, 4, 400)[0] is shared
+    # A budget that only just covers the walk builds its own, equal outcome.
+    cut, _ = execute_option(field, (5, 5), RIGHT, 4, 4)
+    assert cut == shared and cut is not shared
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        outcome.found_count = 1
 
 
 def test_execute_option_stops_at_border():
@@ -156,7 +171,7 @@ def test_execute_option_collects_every_cloud_on_a_shared_cell():
     field = CloudField([make_cloud((5, 5), 3, 20), make_cloud((6, 5), 3, 20)], 20)
     outcome, after = execute_option(field, (5, 4), DOWN, 3, 400)
     assert outcome.found_count == 2
-    assert outcome.path == [(5, 5)]
+    assert outcome.path == ((5, 5),)
     assert after.clouds == []
     assert len(field.clouds) == 2
 
@@ -179,7 +194,7 @@ def test_execute_option_respects_step_budget():
 def test_execute_option_zero_step_when_pinned_to_wall():
     outcome, _ = execute_option(CloudField([], 20), (0, 3), LEFT, 4, 400)
     assert outcome.primitive_steps == 0
-    assert outcome.path == []
+    assert outcome.path == ()
     assert outcome.terminal == (0, 3)
     assert outcome.clamped
 
@@ -339,19 +354,6 @@ def test_select_option_rejects_unknown_mode():
     with pytest.raises(ValueError):
         select_option(new_qtable(4), new_visit_memory(4), (0, 0), params(),
                       "greedy", None)
-
-
-def test_choose_option_epsilon_extremes():
-    q = new_qtable(20)
-    q[0, 0] = [0.0, 2.0, 0.0, 0.0]
-    mem = new_visit_memory(20)
-    rng = make_rng(1)
-    picks = {choose_option(q, mem, (0, 0), params(), 0.0, rng)
-             for _ in range(20)}
-    assert picks == {DOWN}
-    picks = {choose_option(q, mem, (0, 0), params(), 1.0, rng)
-             for _ in range(200)}
-    assert picks == {UP, DOWN, LEFT, RIGHT}
 
 
 # --- persistence

@@ -282,18 +282,39 @@ def test_every_shipped_plan_loads():
         assert stages, path
 
 
-@pytest.mark.parametrize("flag", ["--runs", "--eval", "--jobs"])
-def test_the_sweep_demo_rejects_a_count_below_one_with_a_usage_message(flag):
+def run_sweep_demo(*args):
     demo = Path(__file__).parent.parent / "demos" / "sweep_tuning.py"
     src = str(Path(__file__).parent.parent / "src")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, str(demo), flag, "0"], env=env,
+    return subprocess.run([sys.executable, str(demo), *args], env=env,
                           capture_output=True, text=True, timeout=60)
+
+
+def assert_usage_error(done, message):
     assert done.returncode == 2
     assert done.stderr.startswith("usage: ")
-    assert f"argument {flag}: expected an integer >= 1, got '0'" in done.stderr
+    assert message in done.stderr
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("flag", ["--runs", "--eval", "--jobs"])
+def test_the_sweep_demo_rejects_a_count_below_one_with_a_usage_message(flag):
+    assert_usage_error(run_sweep_demo(flag, "0"),
+                       f"argument {flag}: expected an integer >= 1, got '0'")
+
+
+def test_the_sweep_demo_rejects_a_missing_plan_with_a_usage_message(tmp_path):
+    missing = tmp_path / "nope.json"
+    assert_usage_error(run_sweep_demo("--plan", str(missing)),
+                       f"error: plan {missing}: [Errno 2] No such file or directory")
+
+
+def test_the_sweep_demo_rejects_a_plan_value_the_settings_reject(tmp_path):
+    plan = tmp_path / "zero.json"
+    plan.write_text(json.dumps({"stages": [{"parameter": "option_length", "values": [0]}]}))
+    assert_usage_error(run_sweep_demo("--plan", str(plan)),
+                       f"error: plan {plan}: option_length = 0: option_length must be at least 1")
 
 
 def test_a_value_out_of_range_after_an_earlier_winner_names_its_parameter():

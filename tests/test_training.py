@@ -7,9 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hmc_search import training
 from hmc_search.cli import UsageError, parse_config
-from hmc_search.env import START, CloudField, make_cloud, make_rng, spawn_clouds
-from hmc_search.policy import mc_update, new_qtable
+from hmc_search.env import (
+    DOWN,
+    LEFT,
+    RIGHT,
+    START,
+    UP,
+    CloudField,
+    make_cloud,
+    make_rng,
+    make_tape,
+    spawn_clouds,
+)
+from hmc_search.policy import mc_update, new_qtable, select_option
 from hmc_search.sweep import SweepSpec
 from hmc_search.training import (
     CONFIG_TYPES,
@@ -253,6 +265,29 @@ def test_trajectory_accounting():
             assert traj.r_t == trajectory_reward(30.0, traj.n_step, traj.n_poll)
         else:
             assert traj.r_t == 0.0
+
+
+def test_run_episode_epsilon_extremes(monkeypatch):
+    hp = Hyperparams(grid_length=10, pollution_diameter=3, max_steps=200)
+    q = new_qtable(10)
+    q[:, :, DOWN] = 2.0
+    field = CloudField([make_cloud((7, 7), 3, 10)], 10)
+    # Epsilon 0 draws nothing and walks the greedy episode.
+    tape = make_tape(1)
+    soft = run_episode(q, hp, "train", tape, field=field, epsilon=0.0)
+    assert (tape.used, tape.half) == (0, None)
+    assert soft == run_episode(q, hp, "eval", None, field=field)
+    # Epsilon 1 explores at every decision.
+    modes = []
+
+    def spy(q, mem, s, hp, mode, rng):
+        modes.append(mode)
+        return select_option(q, mem, s, hp, mode, rng)
+
+    monkeypatch.setattr(training, "select_option", spy)
+    traj = run_episode(q, hp, "train", make_tape(1), field=CloudField([], 10), epsilon=1.0)
+    assert modes == ["explore"] * len(traj.transitions)
+    assert {o for _, o in traj.transitions} == {UP, DOWN, LEFT, RIGHT}
 
 
 def test_eval_mode_spawns_exactly_one_cloud():
