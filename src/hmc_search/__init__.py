@@ -27,7 +27,6 @@ from .env import (
     disc_offsets,
     make_cloud,
     make_rng,
-    make_tape,
     move,
     sense,
     spawn_clouds,

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .baselines import snake_path, spiral_path, write_path_csv
-from .env import RNG_CONTRACT, make_tape
+from .env import RNG_CONTRACT, make_rng
 from .evalharness import (EvalStats, center_steps, evaluate_agent, population_stats,
                           route_heatmap, run_duels, score_map)
 from .policy import read_qtable_csv, write_qtable_csv
@@ -54,7 +54,7 @@ def parse_config(source) -> Hyperparams:
                 raw = json.load(handle)
         except OSError as err:
             raise UsageError(f"cannot read config: {err}") from err
-        except json.JSONDecodeError as err:
+        except ValueError as err:
             raise UsageError(f"malformed config JSON: {err}") from err
     if not isinstance(raw, dict):
         raise UsageError("config must be a JSON object")
@@ -191,7 +191,7 @@ def cmd_train(opts):
 def cmd_eval(opts):
     hp = opts["hp"]
     q = _load_qtable(opts)
-    stats = evaluate_agent(q, hp, opts["episodes"], make_tape(opts["seed"], stream=1))
+    stats = evaluate_agent(q, hp, opts["episodes"], make_rng(opts["seed"], stream=1))
     write_csv(
         os.path.join(opts["out"], "eval_steps.csv"),
         ("episode", "steps"),
@@ -211,7 +211,7 @@ def cmd_eval(opts):
 def cmd_duel(opts):
     hp = opts["hp"]
     q = _load_qtable(opts)
-    outcomes = run_duels(q, hp, opts["runs"], make_tape(opts["seed"], stream=2))
+    outcomes = run_duels(q, hp, opts["runs"], make_rng(opts["seed"], stream=2))
     write_csv(
         os.path.join(opts["out"], "duels.csv"),
         ("opponent", "wins", "ties", "losses"),
@@ -247,7 +247,7 @@ def cmd_scoremap(opts):
 def cmd_route(opts):
     hp = opts["hp"]
     q = _load_qtable(opts)
-    counts = route_heatmap(q, hp, opts["episodes"], make_tape(opts["seed"], stream=1))
+    counts = route_heatmap(q, hp, opts["episodes"], make_rng(opts["seed"], stream=1))
     write_csv(
         os.path.join(opts["out"], "route.csv"),
         ("x", "y", "count"),

@@ -22,28 +22,27 @@ DIRECTION_NAMES = ("up", "down", "left", "right")
 # (dx, dy) per direction; up decreases y because y grows downward.
 DELTAS = ((0, -1), (0, 1), (-1, 0), (1, 0))
 
-# How a seed becomes draws: the generator make_rng builds, read as WordTape reads it.
+# How a seed becomes draws: default_rng((seed, stream))'s raw words, decoded by WordTape.
 RNG_CONTRACT = "pcg64/default_rng(seed,stream)/word-tape-1"
 # Raw words a WordTape reads at a time, at least: enough that the numpy call
 # costs little per word, few enough that a block's Python ints stay small.
 _TAPE_BLOCK = 1024
 
 
-def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
-    """Seeded generator; equal (seed, stream) gives equal draws on any platform."""
+def make_rng(seed: int, stream: int = 0) -> WordTape:
+    """default_rng((seed, stream))'s draws as a WordTape, equal on any platform."""
     if seed < 0:
         raise ValueError("seed must be nonnegative")
-    return np.random.default_rng((int(seed), int(stream)))
+    return WordTape(np.random.default_rng((int(seed), int(stream))).bit_generator.random_raw)
 
 
 class WordTape:
     """A generator's random() and integers(n) draws, decoded from raw words.
 
-    The tape takes over the PCG64 generator it is given and reads its raw
-    64-bit words in blocks; nothing else may draw from the generator
-    afterwards.  It decodes them as numpy's Generator does, so the draws
-    equal the generator's own, in the same order, at a fraction of a
-    scalar numpy call's cost:
+    The tape reads a fresh PCG64 generator's raw 64-bit words in blocks
+    and decodes them as numpy's Generator does, so the draws equal the
+    generator's own, in the same order, at a fraction of a scalar numpy
+    call's cost:
 
     - random() is (w >> 11) * 2**-53;
     - a 32-bit draw takes the buffered high half of an earlier word if
@@ -59,19 +58,16 @@ class WordTape:
 
     __slots__ = ("words", "pos", "half", "_raw", "_consumed")
 
-    def __init__(self, generator: np.random.Generator):
-        state = generator.bit_generator.state
-        if state["bit_generator"] != "PCG64":
-            raise ValueError(f"a WordTape decodes PCG64 words, not {state['bit_generator']}")
-        self._raw = generator.bit_generator.random_raw
+    def __init__(self, random_raw):
+        self._raw = random_raw
         self.words: list[int] = []
         self.pos = 0
-        self.half: int | None = state["uinteger"] if state["has_uint32"] else None
+        self.half: int | None = None
         self._consumed = 0  # words used before words[0]
 
     @property
     def used(self) -> int:
-        """Words used since the tape took over its generator."""
+        """Words used since the tape began."""
         return self._consumed + self.pos
 
     def ensure(self, k: int) -> None:
@@ -124,15 +120,6 @@ class WordTape:
             low = m & 0xFFFFFFFF
             if low >= n or low >= (2**32 - n) % n:
                 return m >> 32
-
-
-def make_tape(seed: int, stream: int = 0) -> WordTape:
-    """make_rng(seed, stream) read as a WordTape: the same draws, faster."""
-    return WordTape(make_rng(seed, stream))
-
-
-# What a function that draws accepts: a Generator or a tape of one.
-RandomSource = np.random.Generator | WordTape
 
 
 # Every searcher, agent and pattern alike, starts in the top-left corner.
@@ -218,19 +205,19 @@ class CloudField:
 
 
 def spawn_clouds(grid_length: int, diameter: int, count: int,
-                 rng: RandomSource) -> CloudField:
+                 rng: WordTape) -> CloudField:
     """Spawn count clouds with centers drawn uniformly over all grid cells.
 
     Centers are independent; overlapping clouds are allowed.  Each cloud
     consumes exactly two integer draws (x then y), so spawn sequences are
-    reproducible from the generator state alone.
+    reproducible from the tape's position alone.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
     clouds = []
     for _ in range(count):
-        x = int(rng.integers(grid_length))
-        y = int(rng.integers(grid_length))
+        x = rng.integers(grid_length)
+        y = rng.integers(grid_length)
         clouds.append(make_cloud((x, y), diameter, grid_length))
     return CloudField(clouds, grid_length)
 

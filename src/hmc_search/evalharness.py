@@ -17,7 +17,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .baselines import PatternPath, first_hit, snake_path, spiral_path, steps_to_find
-from .env import CloudField, make_cloud, make_tape, spawn_clouds
+from .env import CloudField, make_cloud, make_rng, spawn_clouds
 from .policy import QTable
 from .training import Hyperparams, run_episode, train_agent
 
@@ -186,11 +186,11 @@ def score_agent(hp: Hyperparams, seed: int, n_eval: int, n_duel: int) -> AgentSc
     from stream 2.  n_duel 0 skips the duel and leaves its tallies at 0.
     """
     route = agent_route(train_agent(hp, seed).q, hp)
-    stats = _evaluate_route(route, hp, n_eval, make_tape(seed, stream=1))
+    stats = _evaluate_route(route, hp, n_eval, make_rng(seed, stream=1))
     duels = DuelOutcome()
     if n_duel:
         snake = snake_path(hp.grid_length, hp.pollution_diameter)
-        duels = _duels(route, hp, n_duel, make_tape(seed, stream=2), snake)["snake"]
+        duels = _duels(route, hp, n_duel, make_rng(seed, stream=2), snake)["snake"]
     win_pct = 100.0 * duels.wins / duels.total if n_duel else 0.0
     return AgentScore(seed, stats.mean, stats.median, stats.failures, *astuple(duels), win_pct)
 

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .env import DELTAS, DIRECTION_NAMES, Cell, CloudField, RandomSource, move
+from .env import DELTAS, DIRECTION_NAMES, Cell, CloudField, WordTape, move
 
 if TYPE_CHECKING:
     from .training import Hyperparams
@@ -138,7 +138,7 @@ def option_walks(grid_length: int, stride: int) -> OptionWalks:
 
 
 def select_option(q: QValues, mem: VisitMemory, s: Cell, hp: Hyperparams,
-                  mode: str, rng: RandomSource | None) -> int:
+                  mode: str, rng: WordTape | None) -> int:
     """Pick a direction.
 
     explore: uniform over the four directions, memory ignored.
@@ -148,7 +148,7 @@ def select_option(q: QValues, mem: VisitMemory, s: Cell, hp: Hyperparams,
     order.
     """
     if mode == "explore":
-        return int(rng.integers(4))
+        return rng.integers(4)
     if mode != "exploit":
         raise ValueError(f"unknown mode {mode!r}")
     length = len(mem)

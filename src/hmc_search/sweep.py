@@ -51,7 +51,7 @@ class SweepSpec:
     select_on: str = "steps"  # "wins" also duels every run against the snake
 
     def __post_init__(self):
-        if self.parameter not in CONFIG_TYPES:
+        if not isinstance(self.parameter, str) or self.parameter not in CONFIG_TYPES:
             raise ValueError(f"unknown sweep parameter {self.parameter!r}")
         if not self.values:
             raise ValueError("values must be nonempty")

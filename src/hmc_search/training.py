@@ -17,7 +17,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .baselines import PatternPath, first_hit
-from .env import START, Cell, CloudField, RandomSource, WordTape, make_tape, spawn_clouds
+from .env import START, Cell, CloudField, WordTape, make_rng, spawn_clouds
 from .policy import (
     QTable,
     QValues,
@@ -186,7 +186,7 @@ def update_window(hp: Hyperparams) -> int:
     return min(hp.num_episodes, math.ceil(hp.stop_learn_value * hp.num_episodes))
 
 
-def run_episode(q: QValues, hp: Hyperparams, mode: str, rng: RandomSource | None,
+def run_episode(q: QValues, hp: Hyperparams, mode: str, rng: WordTape | None,
                 *, field: CloudField | None = None,
                 epsilon: float | None = None) -> Trajectory:
     """Run one option-level episode and return its trajectory.
@@ -268,7 +268,7 @@ def train_agent(hp: Hyperparams, seed: int) -> TrainReport:
     episode at or past stop_learn_value * num_episodes does either.  The
     table is kept as rows q[x][y][d] while training and returned as a QTable.
     """
-    rng = make_tape(seed)
+    rng = make_rng(seed)
     q = new_qtable(hp.grid_length).tolist()
     records: list[EpisodeRecord] = []
     learn_until = update_window(hp)
@@ -406,7 +406,7 @@ def static_demo(hp: Hyperparams, seed: int, *, n_episodes: int = 2000,
     with a positive discount the values propagate back toward the start
     over training.
     """
-    tape = make_tape(seed)
+    tape = make_rng(seed)
     fixed = spawn_clouds(hp.grid_length, hp.pollution_diameter, 1, tape)
     return _plain_q(hp, tape, n_episodes, snapshot_episodes, fixed)[1]
 
@@ -424,9 +424,9 @@ def dynamic_demo(hp: Hyperparams, seed: int, *, n_episodes: int = 2000,
     mean evaluation steps) with failed evaluation episodes counted as
     max_steps.
     """
-    q, snapshots = _plain_q(hp, make_tape(seed), n_episodes, snapshot_episodes, None)
+    q, snapshots = _plain_q(hp, make_rng(seed), n_episodes, snapshot_episodes, None)
     route = _demo_route(q, hp)
-    eval_tape = make_tape(seed, stream=1)
+    eval_tape = make_rng(seed, stream=1)
     total = 0
     for _ in range(n_eval_episodes):
         cloud = spawn_clouds(hp.grid_length, hp.pollution_diameter, 1, eval_tape).clouds[0]

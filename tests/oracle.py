@@ -4,8 +4,9 @@ These are the episode loops and per-decision steps as they were written
 before the walk table, the cloud masks and the flat demo loop: terminals
 by option_terminal arithmetic, collections by a scan of every cloud's
 support, numpy scalar reads and writes, and the demos' per-step calls of
-the public move, sense and q_update.  The package must reproduce them
-byte for byte.
+the public move, sense and q_update.  They draw from numpy's own
+Generator, where the package reads the same streams through a word
+tape.  The package must reproduce them byte for byte.
 """
 from __future__ import annotations
 
@@ -17,7 +18,6 @@ from hmc_search.env import (
     DELTAS,
     START,
     CloudField,
-    make_rng,
     move,
     sense,
     spawn_clouds,
@@ -152,7 +152,7 @@ def run_episode(q, hp, mode, rng, *, field=None, epsilon=None):
 
 def train_agent(hp, seed):
     """(q, records, decision-cap exits) of the trainer."""
-    rng = make_rng(seed)
+    rng = np.random.default_rng((seed, 0))
     q = new_qtable(hp.grid_length)
     records = []
     capped = 0
@@ -231,14 +231,15 @@ def plain_q(hp, rng, n_episodes, snapshot_episodes, fixed):
 
 
 def static_demo(hp, seed, n_episodes, snapshot_episodes):
-    rng = make_rng(seed)
+    rng = np.random.default_rng((seed, 0))
     fixed = spawn_clouds(hp.grid_length, hp.pollution_diameter, 1, rng)
     return plain_q(hp, rng, n_episodes, snapshot_episodes, fixed)[1]
 
 
 def dynamic_demo(hp, seed, n_episodes, snapshot_episodes, n_eval_episodes):
-    q, snapshots = plain_q(hp, make_rng(seed), n_episodes, snapshot_episodes, None)
-    eval_rng = make_rng(seed, stream=1)
+    rng = np.random.default_rng((seed, 0))
+    q, snapshots = plain_q(hp, rng, n_episodes, snapshot_episodes, None)
+    eval_rng = np.random.default_rng((seed, 1))
     total = 0
     for _ in range(n_eval_episodes):
         spawned = spawn_clouds(hp.grid_length, hp.pollution_diameter, 1, eval_rng)

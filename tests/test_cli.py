@@ -94,6 +94,15 @@ def test_non_finite_settings_are_usage_errors(config, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, message", [
+    ("--config", "malformed config JSON"), ("--from-manifest", "malformed manifest JSON")])
+def test_a_file_that_is_not_utf8_is_a_usage_error(flag, message, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert run("train", flag, str(path), "--out", str(tmp_path / "out")) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 def test_dispatch_requires_valid_subcommand():
     assert run() == 1
     assert run("no-such-command") == 1
@@ -322,6 +331,8 @@ def test_sweep_requires_plan(cfg_file, tmp_path):
      "unknown plan keys: selecton"),
     ({"stages": [{"parameter": "option_length", "values": [1], "runs": 1}]},
      "unknown stage 0 keys: runs"),
+    ({"stages": [{"parameter": ["mof_value"], "values": [1.0]}]},
+     "unknown sweep parameter ['mof_value']"),
 ])
 def test_malformed_plans_are_usage_errors(plan, message, cfg_file, tmp_path, capsys):
     path = tmp_path / "plan.json"

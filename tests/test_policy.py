@@ -84,7 +84,7 @@ def test_updates_reject_non_finite_reward():
 
 
 def test_mc_equals_q_update_at_zero_discount():
-    rng = make_rng(99)
+    rng = np.random.default_rng((99, 0))
     for _ in range(2000):
         start = float(rng.normal(scale=50))
         r = float(rng.normal(scale=100))
@@ -200,7 +200,7 @@ def test_execute_option_zero_step_when_pinned_to_wall():
 
 
 def test_execute_option_path_is_a_straight_run():
-    rng = make_rng(4)
+    rng = np.random.default_rng((4, 0))
     for _ in range(200):
         x = int(rng.integers(20))
         y = int(rng.integers(20))
@@ -319,7 +319,7 @@ def test_exploit_terminal_uses_full_stride():
 
 
 def test_strong_filter_prefers_any_unvisited_terminal():
-    rng = make_rng(21)
+    rng = np.random.default_rng((21, 0))
     for _ in range(500):
         q = new_qtable(9)
         q[:] = rng.uniform(-1.0, 1.0, size=q.shape)
@@ -360,7 +360,7 @@ def test_select_option_rejects_unknown_mode():
 
 
 def test_qtable_csv_roundtrip_six_digit_fidelity(tmp_path):
-    rng = make_rng(8)
+    rng = np.random.default_rng((8, 0))
     q = new_qtable(6)
     q[:] = rng.normal(scale=30.0, size=q.shape)
     path = tmp_path / "qtable.csv"
@@ -371,7 +371,7 @@ def test_qtable_csv_roundtrip_six_digit_fidelity(tmp_path):
 
 
 def test_qtable_csv_write_is_byte_stable(tmp_path):
-    rng = make_rng(8)
+    rng = np.random.default_rng((8, 0))
     q = new_qtable(6)
     q[:] = rng.normal(scale=30.0, size=q.shape)
     first = tmp_path / "a.csv"

@@ -63,6 +63,9 @@ def test_confidence_interval_shrinks_with_sample_count():
 def test_sweep_spec_validation():
     with pytest.raises(ValueError):
         SweepSpec(parameter="no_such_field", values=[1])
+    for parameter in (["mof_value"], {"mof_value": 1}):
+        with pytest.raises(ValueError, match=r"^unknown sweep parameter [\[{]'mof_value'"):
+            SweepSpec(parameter=parameter, values=[1.0])
     with pytest.raises(ValueError):
         SweepSpec(parameter="option_length", values=[])
     with pytest.raises(ValueError):
@@ -315,6 +318,13 @@ def test_the_sweep_demo_rejects_a_plan_value_the_settings_reject(tmp_path):
     plan.write_text(json.dumps({"stages": [{"parameter": "option_length", "values": [0]}]}))
     assert_usage_error(run_sweep_demo("--plan", str(plan)),
                        f"error: plan {plan}: option_length = 0: option_length must be at least 1")
+
+
+def test_the_sweep_demo_rejects_a_parameter_that_is_not_a_name(tmp_path):
+    plan = tmp_path / "list.json"
+    plan.write_text(json.dumps({"stages": [{"parameter": ["mof_value"], "values": [1.0]}]}))
+    assert_usage_error(run_sweep_demo("--plan", str(plan)),
+                       f"error: plan {plan}: unknown sweep parameter ['mof_value']")
 
 
 def test_a_value_out_of_range_after_an_earlier_winner_names_its_parameter():

@@ -18,7 +18,6 @@ from hmc_search.env import (
     CloudField,
     make_cloud,
     make_rng,
-    make_tape,
     spawn_clouds,
 )
 from hmc_search.policy import mc_update, new_qtable, select_option
@@ -245,7 +244,7 @@ def test_eval_episode_is_deterministic():
     hp = Hyperparams()
     field = spawn_clouds(hp.grid_length, hp.pollution_diameter, 1, make_rng(2))
     q = new_qtable(20)
-    q[:] = make_rng(3).normal(size=q.shape)
+    q[:] = np.random.default_rng((3, 0)).normal(size=q.shape)
     first = run_episode(q, hp, "eval", None, field=field)
     second = run_episode(q, hp, "eval", None, field=field)
     assert first.transitions == second.transitions
@@ -273,7 +272,7 @@ def test_run_episode_epsilon_extremes(monkeypatch):
     q[:, :, DOWN] = 2.0
     field = CloudField([make_cloud((7, 7), 3, 10)], 10)
     # Epsilon 0 draws nothing and walks the greedy episode.
-    tape = make_tape(1)
+    tape = make_rng(1)
     soft = run_episode(q, hp, "train", tape, field=field, epsilon=0.0)
     assert (tape.used, tape.half) == (0, None)
     assert soft == run_episode(q, hp, "eval", None, field=field)
@@ -285,7 +284,7 @@ def test_run_episode_epsilon_extremes(monkeypatch):
         return select_option(q, mem, s, hp, mode, rng)
 
     monkeypatch.setattr(training, "select_option", spy)
-    traj = run_episode(q, hp, "train", make_tape(1), field=CloudField([], 10), epsilon=1.0)
+    traj = run_episode(q, hp, "train", make_rng(1), field=CloudField([], 10), epsilon=1.0)
     assert modes == ["explore"] * len(traj.transitions)
     assert {o for _, o in traj.transitions} == {UP, DOWN, LEFT, RIGHT}
 
