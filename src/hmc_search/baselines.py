@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .env import START, Cell, Cloud
+from .env import START, Cell, Cloud, cloud_table
 
 
 @dataclass(frozen=True)
@@ -134,6 +134,22 @@ def first_hit(path: PatternPath, cloud: Cloud) -> int | None:
         if cell in support:
             return index
     return None
+
+
+def center_hits(path: PatternPath, grid_length: int, diameter: int) -> list[int | None]:
+    """first_hit of the cloud centered on every cell c = x * grid_length + y.
+
+    One pass over the path, last index first: the disc is symmetric, so
+    the clouds that cover a cell are centered on its env.cloud_table
+    cells, and each center keeps the last index written, its first hit.
+    """
+    covering = cloud_table(grid_length, diameter)
+    hits: list[int | None] = [None] * (grid_length * grid_length)
+    for index in range(len(path.cells) - 1, path.first - 1, -1):
+        x, y = path.cells[index]
+        for center in covering[x * grid_length + y][0]:
+            hits[center] = index
+    return hits
 
 
 def steps_to_find(path: PatternPath, cloud: Cloud, max_steps: int) -> int:

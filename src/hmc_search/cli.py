@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import os
 import sys
@@ -383,7 +384,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every registered command, built once per process."""
     parser = _Parser(
         prog="hmc-search",
         description="Train, evaluate, and duel a pollution-cloud search agent.",

@@ -147,28 +147,56 @@ def disc_offsets(diameter: int) -> tuple[tuple[int, int, float], ...]:
     return tuple(cells)
 
 
+def _disc(center: Cell, diameter: int, grid_length: int):
+    """(x, y, level) of every in-grid cell of the disc around center."""
+    cx, cy = center
+    for dx, dy, level in disc_offsets(diameter):
+        x, y = cx + dx, cy + dy
+        if 0 <= x < grid_length and 0 <= y < grid_length:
+            yield x, y, level
+
+
 @dataclass(frozen=True)
 class Cloud:
-    """One pollution cloud: center cell, diameter, and clipped support.
+    """One pollution cloud: center cell and diameter on a grid.
 
-    support maps each in-grid cell of the disc to its intensity.
+    support maps each in-grid cell of the disc to its intensity.  It is
+    built on first use: fields and scoring read cloud_table instead.
     """
 
     center: Cell
     diameter: int
-    support: dict[Cell, float]
+    grid_length: int
+
+    @cached_property
+    def support(self) -> dict[Cell, float]:
+        return {(x, y): level for x, y, level in _disc(self.center, self.diameter,
+                                                       self.grid_length)}
 
 
 def make_cloud(center: Cell, diameter: int, grid_length: int) -> Cloud:
     cx, cy = center
     if not (0 <= cx < grid_length and 0 <= cy < grid_length):
         raise ValueError("cloud center lies outside the grid")
-    support = {}
-    for dx, dy, level in disc_offsets(diameter):
-        x, y = cx + dx, cy + dy
-        if 0 <= x < grid_length and 0 <= y < grid_length:
-            support[(x, y)] = level
-    return Cloud((cx, cy), diameter, support)
+    disc_offsets(diameter)  # rejects a diameter below 1
+    return Cloud((cx, cy), diameter, grid_length)
+
+
+@lru_cache(maxsize=8)
+def cloud_table(grid_length: int, diameter: int) -> tuple[tuple[tuple, tuple], ...]:
+    """Per center cell c = x * grid_length + y: (cells, levels) of its cloud.
+
+    cells are the covered cell ints and levels their intensities, in
+    disc_offsets order.  The disc is symmetric, so cells are also the
+    centers of the clouds that cover c.  Built on first use.
+    """
+    ints = list(range(grid_length * grid_length))  # one int object per cell, for all rows
+    table = []
+    for center in ints:
+        disc = list(_disc(divmod(center, grid_length), diameter, grid_length))
+        table.append((tuple(ints[x * grid_length + y] for x, y, _ in disc),
+                      tuple(level for _, _, level in disc)))
+    return tuple(table)
 
 
 @dataclass
@@ -180,16 +208,37 @@ class CloudField:
 
     @cached_property
     def masks(self) -> list[int]:
-        """Per cell x * grid_length + y: bit i is set when clouds[i] covers it.
+        """Per cell x * grid_length + y: bit bits[i] is set when clouds[i] covers it.
 
-        Stamped once, on first use, so that a hit count is a popcount.
+        Stamped once, on first use, so that a hit count is a popcount; a
+        field that keep leaves derives its masks from its parent's instead.
         """
         length = self.grid_length
         masks = [0] * (length * length)
-        for i, cloud in enumerate(self.clouds):
-            for x, y in cloud.support:
-                masks[x * length + y] |= 1 << i
+        for cloud, bit in zip(self.clouds, self.bits):
+            x, y = cloud.center
+            for cell in cloud_table(length, cloud.diameter)[x * length + y][0]:
+                masks[cell] |= bit
         return masks
+
+    @cached_property
+    def bits(self) -> tuple[int, ...]:
+        """The masks bit of each cloud: 1 << i for clouds[i] of a stamped field."""
+        return tuple(1 << i for i in range(len(self.clouds)))
+
+    def keep(self, alive: int) -> CloudField:
+        """The field of the clouds whose bits alive holds, its masks these
+        masks with the cells of the other clouds cleared of their bits."""
+        length = self.grid_length
+        field = CloudField([c for c, bit in zip(self.clouds, self.bits) if alive & bit], length)
+        field.bits = tuple(bit for bit in self.bits if alive & bit)
+        field.masks = masks = self.masks.copy()
+        for cloud, bit in zip(self.clouds, self.bits):
+            if not alive & bit:
+                x, y = cloud.center
+                for cell in cloud_table(length, cloud.diameter)[x * length + y][0]:
+                    masks[cell] &= alive
+        return field
 
     @cached_property
     def levels(self) -> list[float]:
@@ -197,29 +246,35 @@ class CloudField:
         length = self.grid_length
         levels = [0.0] * (length * length)
         for cloud in self.clouds:
-            for (x, y), level in cloud.support.items():
-                cell = x * length + y
+            x, y = cloud.center
+            for cell, level in zip(*cloud_table(length, cloud.diameter)[x * length + y]):
                 if level > levels[cell]:
                     levels[cell] = level
         return levels
+
+
+def draw_centers(grid_length: int, count: int, rng: WordTape) -> list[int]:
+    """count cloud centers as cell ints x * grid_length + y.
+
+    Each takes exactly two integer draws, x then y (Python evaluates the
+    left operand first), so draws are reproducible from the tape's
+    position alone.
+    """
+    return [rng.integers(grid_length) * grid_length + rng.integers(grid_length)
+            for _ in range(count)]
 
 
 def spawn_clouds(grid_length: int, diameter: int, count: int,
                  rng: WordTape) -> CloudField:
     """Spawn count clouds with centers drawn uniformly over all grid cells.
 
-    Centers are independent; overlapping clouds are allowed.  Each cloud
-    consumes exactly two integer draws (x then y), so spawn sequences are
-    reproducible from the tape's position alone.
+    Centers are independent and drawn by draw_centers; overlapping clouds
+    are allowed.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    clouds = []
-    for _ in range(count):
-        x = rng.integers(grid_length)
-        y = rng.integers(grid_length)
-        clouds.append(make_cloud((x, y), diameter, grid_length))
-    return CloudField(clouds, grid_length)
+    return CloudField([Cloud(divmod(center, grid_length), diameter, grid_length)
+                       for center in draw_centers(grid_length, count, rng)], grid_length)
 
 
 def sense(field: CloudField, pos: Cell) -> float:

@@ -5,9 +5,12 @@ cloud, and DuelOutcome.tally decides every one: strictly fewer steps
 wins, equal steps tie.  Failed agent episodes count the full step
 budget, which makes them automatic losses against any finishing pattern.
 
-The agent is scored like the patterns, by a route and a first-hit lookup:
+The agent is scored like the patterns, by a route and a per-center table:
 the greedy policy reads no random source and walks the same cells for
-every cloud until it enters one, where a single-cloud episode ends.
+every cloud until it enters one, where a single-cloud episode ends, so
+center_hits gives every center's first_hit in one pass over the route.
+A random cloud is its center, drawn by draw_centers as spawn_clouds
+draws it, and its score a read of the table.
 """
 from __future__ import annotations
 
@@ -16,8 +19,8 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .baselines import PatternPath, first_hit, snake_path, spiral_path, steps_to_find
-from .env import CloudField, make_cloud, make_rng, spawn_clouds
+from .baselines import PatternPath, center_hits, snake_path, spiral_path
+from .env import CloudField, draw_centers, make_rng
 from .policy import QTable
 from .training import Hyperparams, run_episode, train_agent
 
@@ -69,21 +72,13 @@ def agent_route(q: QTable, hp: Hyperparams) -> PatternPath:
     return PatternPath(tuple(traj.cells), "agent", first=1)
 
 
-def _random_cloud(hp: Hyperparams, rng):
-    return spawn_clouds(hp.grid_length, hp.pollution_diameter, 1, rng).clouds[0]
-
-
-def _first_hits(route: PatternPath, hp: Hyperparams, n_episodes: int, rng) -> list:
-    """first_hit of the route on each of n_episodes random clouds."""
-    return [first_hit(route, _random_cloud(hp, rng)) for _ in range(n_episodes)]
-
-
 def _evaluate_route(route: PatternPath, hp: Hyperparams, n_episodes: int, rng) -> EvalStats:
     if n_episodes < 1:
         raise ValueError("n_episodes must be at least 1")
-    hits = _first_hits(route, hp, n_episodes, rng)
-    steps = [hp.max_steps if hit is None else hit for hit in hits]
-    return EvalStats.from_steps(steps, hits.count(None))
+    hits = center_hits(route, hp.grid_length, hp.pollution_diameter)
+    found = [hits[center] for center in draw_centers(hp.grid_length, n_episodes, rng)]
+    steps = [hp.max_steps if hit is None else hit for hit in found]
+    return EvalStats.from_steps(steps, found.count(None))
 
 
 def evaluate_agent(q: QTable, hp: Hyperparams, n_episodes: int, rng) -> EvalStats:
@@ -91,10 +86,12 @@ def evaluate_agent(q: QTable, hp: Hyperparams, n_episodes: int, rng) -> EvalStat
     return _evaluate_route(agent_route(q, hp), hp, n_episodes, rng)
 
 
-def steps_table(hp: Hyperparams, clouds, *paths: PatternPath) -> np.ndarray:
-    """steps_to_find of every path (rows) on every cloud (columns), each cloud read once."""
-    steps = [steps_to_find(path, cloud, hp.max_steps) for cloud in clouds for path in paths]
-    return np.array(steps, dtype=np.int64).reshape(-1, len(paths)).T
+def center_steps(hp: Hyperparams, *paths: PatternPath) -> np.ndarray:
+    """steps_to_find for a cloud centered on every cell, one (x, y) grid per path."""
+    length, budget = hp.grid_length, hp.max_steps
+    steps = [[budget if hit is None else min(hit, budget)
+              for hit in center_hits(path, length, hp.pollution_diameter)] for path in paths]
+    return np.array(steps, dtype=np.int64).reshape(len(paths), length, length)
 
 
 def _duels(route: PatternPath, hp: Hyperparams, n: int, rng,
@@ -102,8 +99,9 @@ def _duels(route: PatternPath, hp: Hyperparams, n: int, rng,
     """The route against each pattern on n shared random clouds, keyed by kind."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    clouds = (_random_cloud(hp, rng) for _ in range(n))
-    agent, *opponents = steps_table(hp, clouds, route, *patterns)
+    centers = draw_centers(hp.grid_length, n, rng)
+    table = center_steps(hp, route, *patterns).reshape(len(patterns) + 1, -1)
+    agent, *opponents = table[:, centers]
     return {pattern.kind: DuelOutcome.tally(agent, steps)
             for pattern, steps in zip(patterns, opponents)}
 
@@ -113,14 +111,6 @@ def run_duels(q: QTable, hp: Hyperparams, n: int, rng) -> dict[str, DuelOutcome]
     length, diameter = hp.grid_length, hp.pollution_diameter
     return _duels(agent_route(q, hp), hp, n, rng,
                   snake_path(length, diameter), spiral_path(length, diameter))
-
-
-def center_steps(hp: Hyperparams, *paths: PatternPath) -> np.ndarray:
-    """steps_to_find for a cloud centered on every cell, one (x, y) grid per path."""
-    length = hp.grid_length
-    clouds = (make_cloud((x, y), hp.pollution_diameter, length)
-              for x in range(length) for y in range(length))
-    return steps_table(hp, clouds, *paths).reshape(len(paths), length, length)
 
 
 @dataclass
@@ -153,10 +143,14 @@ def route_heatmap(q: QTable, hp: Hyperparams, n_episodes: int, rng) -> np.ndarra
     the grand total is the sum of (steps + 1) over episodes.
     """
     route = agent_route(q, hp)
+    hits = center_hits(route, hp.grid_length, hp.pollution_diameter)
+    last = len(route.cells) - 1
+    ends = [last if hits[center] is None else hits[center]
+            for center in draw_centers(hp.grid_length, n_episodes, rng)]
+    # Episodes that walk route index i: those that end there or later.
+    walked = np.bincount(np.array(ends, dtype=np.int64), minlength=last + 1)[::-1].cumsum()[::-1]
     counts = np.zeros((hp.grid_length, hp.grid_length), dtype=np.int64)
-    for hit in _first_hits(route, hp, n_episodes, rng):
-        for cell in route.cells[:None if hit is None else hit + 1]:
-            counts[cell] += 1
+    np.add.at(counts, tuple(np.array(route.cells).T), walked)
     return counts
 
 

@@ -182,8 +182,8 @@ def execute_option(field: CloudField, pos: Cell, direction: int,
     border, or when a collection empties the field.  Collection happens
     on entering a cell; only successful moves count as primitive steps.
     Returns (OptionOutcome, field after the collections): the field itself
-    when nothing was collected, else a new one.  A full walk that enters no
-    cloud returns the walk table's shared outcome.
+    when nothing was collected, else a new one on the same masks.  A full
+    walk that enters no cloud's masks returns the walk table's shared outcome.
     """
     length = field.grid_length
     walks = option_walks(length, stride)
@@ -200,7 +200,7 @@ def execute_option(field: CloudField, pos: Cell, direction: int,
         n, clamped = max(0, steps_remaining), False
         walk = walk[:n]
     found = 0
-    alive = everything = (1 << len(field.clouds)) - 1
+    alive = everything = sum(field.bits)
     for entered, cell in enumerate(walk, 1):
         hit = masks[cell] & alive
         if hit:
@@ -210,7 +210,7 @@ def execute_option(field: CloudField, pos: Cell, direction: int,
                 n, clamped = entered, False
                 break
     if alive != everything:
-        field = CloudField([c for i, c in enumerate(field.clouds) if alive >> i & 1], length)
+        field = field.keep(alive)
     path = walks.outcomes[key].path[:n]
     terminal = path[-1] if path else pos
     return OptionOutcome(pos, direction, path, n, found, terminal, clamped), field
@@ -250,19 +250,20 @@ def read_qtable_csv(path) -> QTable:
     length = math.isqrt(len(rows) // 4)
     if length < 1 or 4 * length * length != len(rows):
         raise ValueError(f"{len(rows)} rows are not 4 per cell of a square grid")
-    q = np.full((length, length, 4), math.nan)
+    values: list[float | None] = [None] * (4 * length * length)
     for line in rows:
         try:
             x, y, name, value = line.split(",")
-            key = (int(x), int(y), index[name])
+            x, y, d = int(x), int(y), index[name]
             value = float(value)
         except (ValueError, KeyError):
             raise ValueError(f"malformed row {line!r}") from None
-        if not (0 <= key[0] < length and 0 <= key[1] < length):
+        if not (0 <= x < length and 0 <= y < length):
             raise ValueError(f"row {line!r} lies outside a {length}-cell grid")
         if not math.isfinite(value):
             raise ValueError(f"row {line!r} has a non-finite value")
-        if not math.isnan(q[key]):
+        key = (x * length + y) * 4 + d
+        if values[key] is not None:
             raise ValueError(f"row {line!r} repeats an (x, y, direction)")
-        q[key] = value
-    return q
+        values[key] = value
+    return np.array(values, dtype=np.float64).reshape(length, length, 4)

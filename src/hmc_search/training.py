@@ -16,8 +16,8 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .baselines import PatternPath, first_hit
-from .env import START, Cell, CloudField, WordTape, make_rng, spawn_clouds
+from .baselines import PatternPath, center_hits
+from .env import START, Cell, CloudField, WordTape, draw_centers, make_rng, spawn_clouds
 from .policy import (
     QTable,
     QValues,
@@ -420,16 +420,12 @@ def dynamic_demo(hp: Hyperparams, seed: int, *, n_episodes: int = 2000,
     final greedy policy (no memory filter) over fresh single-cloud
     episodes, stopping each at its first find.  That policy reads no
     random source and moves the same way whatever the cloud, so its route
-    is walked once and each cloud scored by first_hit.  Returns (snapshots,
-    mean evaluation steps) with failed evaluation episodes counted as
-    max_steps.
+    is walked once and each cloud scored by its center's center_hits entry.
+    Returns (snapshots, mean evaluation steps) with failed evaluation
+    episodes counted as max_steps.
     """
     q, snapshots = _plain_q(hp, make_rng(seed), n_episodes, snapshot_episodes, None)
-    route = _demo_route(q, hp)
-    eval_tape = make_rng(seed, stream=1)
-    total = 0
-    for _ in range(n_eval_episodes):
-        cloud = spawn_clouds(hp.grid_length, hp.pollution_diameter, 1, eval_tape).clouds[0]
-        hit = first_hit(route, cloud)
-        total += hp.max_steps if hit is None else hit
+    hits = center_hits(_demo_route(q, hp), hp.grid_length, hp.pollution_diameter)
+    centers = draw_centers(hp.grid_length, n_eval_episodes, make_rng(seed, stream=1))
+    total = sum(hp.max_steps if hits[c] is None else hits[c] for c in centers)
     return snapshots, total / n_eval_episodes

@@ -4,7 +4,9 @@ These are the episode loops and per-decision steps as they were written
 before the walk table, the cloud masks and the flat demo loop: terminals
 by option_terminal arithmetic, collections by a scan of every cloud's
 support, numpy scalar reads and writes, and the demos' per-step calls of
-the public move, sense and q_update.  They draw from numpy's own
+the public move, sense and q_update.  Scoring and stamping are here as
+they were before the per-center tables: a first_hit per center, and
+masks and levels stamped from every cloud's support.  They draw from numpy's own
 Generator, where the package reads the same streams through a word
 tape.  The package must reproduce them byte for byte.
 """
@@ -18,11 +20,12 @@ from hmc_search.env import (
     DELTAS,
     START,
     CloudField,
+    make_cloud,
     move,
     sense,
     spawn_clouds,
 )
-from hmc_search.baselines import PatternPath
+from hmc_search.baselines import PatternPath, first_hit
 from hmc_search.policy import (
     OptionOutcome,
     new_qtable,
@@ -92,6 +95,23 @@ def execute_option(field, pos, direction, stride, steps_remaining):
     outcome = OptionOutcome(pos, direction, tuple(path), len(path), found,
                             path[-1] if path else pos, clamped)
     return outcome, CloudField(clouds, field.grid_length)
+
+
+def center_hits(path, grid_length, diameter):
+    return [first_hit(path, make_cloud(divmod(center, grid_length), diameter, grid_length))
+            for center in range(grid_length * grid_length)]
+
+
+def stamp(field, bits):
+    """(masks, levels) of field from the supports, bits[i] standing for clouds[i]."""
+    length = field.grid_length
+    masks = [0] * (length * length)
+    levels = [0.0] * (length * length)
+    for cloud, bit in zip(field.clouds, bits):
+        for (x, y), level in cloud.support.items():
+            masks[x * length + y] |= bit
+            levels[x * length + y] = max(levels[x * length + y], level)
+    return masks, levels
 
 
 def record_visits(mem, outcome):

@@ -12,6 +12,7 @@ from hmc_search.cli import (
     COMMANDS,
     CONFIG_KEYS,
     UsageError,
+    build_parser,
     config_dict,
     dispatch,
     parse_config,
@@ -112,6 +113,14 @@ def test_help_exits_0(capsys):
     assert run("--help") == 0
     assert run("sweep", "--help") == 0
     assert "--plan" in capsys.readouterr().out
+
+
+def test_the_parser_is_built_once_and_reused(capsys):
+    parser = build_parser()
+    assert run("no-such-command") == 1
+    assert run("eval", "--help") == 0
+    assert build_parser() is parser
+    assert "--qtable" in capsys.readouterr().out
 
 
 def test_dispatch_rejects_negative_seed(cfg_file, tmp_path):

@@ -1,4 +1,5 @@
-"""The episode loops against the reference loops in oracle.py, byte for byte.
+"""The episode loops and the per-center tables against the reference code
+in oracle.py, byte for byte.
 
 Random settings cover the grid, cloud size and count, step budget,
 option length, attempts per episode, memory weight (0 included) and
@@ -11,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from hmc_search.env import START, CloudField, make_cloud, make_rng, spawn_clouds
+from hmc_search.baselines import PatternPath, center_hits
+from hmc_search.env import START, CloudField, make_cloud, make_rng, move, spawn_clouds
 from hmc_search.evalharness import agent_route
 from hmc_search.policy import (
     OptionOutcome,
@@ -80,6 +82,69 @@ def draw_field(data, hp):
 def trajectory_key(traj):
     return repr((traj.transitions, traj.cells, traj.n_step, traj.n_poll, traj.r_t,
                  traj.capped))
+
+
+# --- the per-center tables
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_center_hits_equal_a_first_hit_per_center(data):
+    length = data.draw(st.integers(1, 30), label="grid_length")
+    diameter = data.draw(st.integers(1, length), label="diameter")
+    cell = data.draw(st.tuples(st.integers(0, length - 1), st.integers(0, length - 1)),
+                     label="start")
+    cells = [cell]
+    for direction in data.draw(st.lists(st.integers(0, 3), max_size=60), label="moves"):
+        cell = move(cell, direction, length)[0]  # a bump stays in place, as a demo route does
+        cells.append(cell)
+    path = PatternPath(tuple(cells), "route", first=data.draw(st.integers(0, 1), label="first"))
+    assert center_hits(path, length, diameter) == oracle.center_hits(path, length, diameter)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_spawned_clouds_are_two_draws_and_make_cloud_each(data):
+    length = data.draw(st.integers(1, 30), label="grid_length")
+    diameter = data.draw(st.integers(1, length), label="diameter")
+    count = data.draw(st.integers(1, 5), label="count")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    tape, reference = make_rng(seed), make_rng(seed)
+    # Odd numbers of earlier 32-bit draws leave a buffered half word.
+    for _ in range(data.draw(st.integers(0, 3), label="earlier draws")):
+        tape.integers(7)
+        reference.integers(7)
+    field = spawn_clouds(length, diameter, count, tape)
+    expected = []
+    for _ in range(count):
+        x = reference.integers(length)
+        y = reference.integers(length)
+        expected.append(make_cloud((x, y), diameter, length))
+    assert field.clouds == expected
+    assert [c.support for c in field.clouds] == [c.support for c in expected]
+    assert (tape.used, tape.half) == (reference.used, reference.half)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_table_stamps_and_derived_masks_equal_support_stamps(data):
+    length = data.draw(st.integers(1, 16), label="grid_length")
+    centers = data.draw(st.lists(st.tuples(st.integers(0, length - 1),
+                                           st.integers(0, length - 1),
+                                           st.integers(1, length)), max_size=6),
+                        label="centers and diameters")
+    field = CloudField([make_cloud((x, y), d, length) for x, y, d in centers], length)
+    assert (field.masks, field.levels) == oracle.stamp(field, field.bits)
+    # Collections keep random subsets; each kept field derives its masks.
+    while field.clouds:
+        everything = sum(field.bits)
+        alive = data.draw(st.integers(0, everything), label="alive") & everything
+        if alive == everything:
+            break
+        kept = field.keep(alive)
+        assert kept.clouds == [c for c, bit in zip(field.clouds, field.bits) if alive & bit]
+        assert (kept.masks, kept.levels) == oracle.stamp(kept, kept.bits)
+        field = kept
 
 
 # --- the walk table and the per-decision steps
