@@ -147,15 +147,6 @@ def disc_offsets(diameter: int) -> tuple[tuple[int, int, float], ...]:
     return tuple(cells)
 
 
-def _disc(center: Cell, diameter: int, grid_length: int):
-    """(x, y, level) of every in-grid cell of the disc around center."""
-    cx, cy = center
-    for dx, dy, level in disc_offsets(diameter):
-        x, y = cx + dx, cy + dy
-        if 0 <= x < grid_length and 0 <= y < grid_length:
-            yield x, y, level
-
-
 @dataclass(frozen=True)
 class Cloud:
     """One pollution cloud: center cell and diameter on a grid.
@@ -170,8 +161,13 @@ class Cloud:
 
     @cached_property
     def support(self) -> dict[Cell, float]:
-        return {(x, y): level for x, y, level in _disc(self.center, self.diameter,
-                                                       self.grid_length)}
+        (cx, cy), length = self.center, self.grid_length
+        support = {}
+        for dx, dy, level in disc_offsets(self.diameter):
+            x, y = cx + dx, cy + dy
+            if 0 <= x < length and 0 <= y < length:
+                support[(x, y)] = level
+        return support
 
 
 def make_cloud(center: Cell, diameter: int, grid_length: int) -> Cloud:
@@ -186,16 +182,18 @@ def make_cloud(center: Cell, diameter: int, grid_length: int) -> Cloud:
 def cloud_table(grid_length: int, diameter: int) -> tuple[tuple[tuple, tuple], ...]:
     """Per center cell c = x * grid_length + y: (cells, levels) of its cloud.
 
-    cells are the covered cell ints and levels their intensities, in
-    disc_offsets order.  The disc is symmetric, so cells are also the
-    centers of the clouds that cover c.  Built on first use.
+    cells are the ints of the cloud's support cells and levels their
+    intensities, in support order.  The disc is symmetric, so cells are
+    also the centers of the clouds that cover c.  Built on first use, it
+    holds every center's support: up to pi / 4 * grid_length**2 *
+    diameter**2 entries of two 8-byte references each.
     """
     ints = list(range(grid_length * grid_length))  # one int object per cell, for all rows
     table = []
     for center in ints:
-        disc = list(_disc(divmod(center, grid_length), diameter, grid_length))
-        table.append((tuple(ints[x * grid_length + y] for x, y, _ in disc),
-                      tuple(level for _, _, level in disc)))
+        support = Cloud(divmod(center, grid_length), diameter, grid_length).support
+        table.append((tuple(ints[x * grid_length + y] for x, y in support),
+                      tuple(support.values())))
     return tuple(table)
 
 
@@ -208,37 +206,17 @@ class CloudField:
 
     @cached_property
     def masks(self) -> list[int]:
-        """Per cell x * grid_length + y: bit bits[i] is set when clouds[i] covers it.
+        """Per cell x * grid_length + y: bit i is set when clouds[i] covers it.
 
-        Stamped once, on first use, so that a hit count is a popcount; a
-        field that keep leaves derives its masks from its parent's instead.
+        Stamped once, on first use, so that a hit count is a popcount.
         """
         length = self.grid_length
         masks = [0] * (length * length)
-        for cloud, bit in zip(self.clouds, self.bits):
+        for i, cloud in enumerate(self.clouds):
             x, y = cloud.center
             for cell in cloud_table(length, cloud.diameter)[x * length + y][0]:
-                masks[cell] |= bit
+                masks[cell] |= 1 << i
         return masks
-
-    @cached_property
-    def bits(self) -> tuple[int, ...]:
-        """The masks bit of each cloud: 1 << i for clouds[i] of a stamped field."""
-        return tuple(1 << i for i in range(len(self.clouds)))
-
-    def keep(self, alive: int) -> CloudField:
-        """The field of the clouds whose bits alive holds, its masks these
-        masks with the cells of the other clouds cleared of their bits."""
-        length = self.grid_length
-        field = CloudField([c for c, bit in zip(self.clouds, self.bits) if alive & bit], length)
-        field.bits = tuple(bit for bit in self.bits if alive & bit)
-        field.masks = masks = self.masks.copy()
-        for cloud, bit in zip(self.clouds, self.bits):
-            if not alive & bit:
-                x, y = cloud.center
-                for cell in cloud_table(length, cloud.diameter)[x * length + y][0]:
-                    masks[cell] &= alive
-        return field
 
     @cached_property
     def levels(self) -> list[float]:

@@ -72,36 +72,41 @@ def agent_route(q: QTable, hp: Hyperparams) -> PatternPath:
     return PatternPath(tuple(traj.cells), "agent", first=1)
 
 
-def _evaluate_route(route: PatternPath, hp: Hyperparams, n_episodes: int, rng) -> EvalStats:
+def _steps(hp: Hyperparams, hits) -> list[int]:
+    """steps_to_find from first hits: a miss, or a hit past the budget, scores max_steps."""
+    budget = hp.max_steps
+    return [budget if hit is None else min(hit, budget) for hit in hits]
+
+
+def _evaluate(hits: list, hp: Hyperparams, n_episodes: int, rng) -> EvalStats:
+    """Single-cloud episodes of the route whose center_hits are hits."""
     if n_episodes < 1:
         raise ValueError("n_episodes must be at least 1")
-    hits = center_hits(route, hp.grid_length, hp.pollution_diameter)
     found = [hits[center] for center in draw_centers(hp.grid_length, n_episodes, rng)]
-    steps = [hp.max_steps if hit is None else hit for hit in found]
-    return EvalStats.from_steps(steps, found.count(None))
+    return EvalStats.from_steps(_steps(hp, found), found.count(None))
 
 
 def evaluate_agent(q: QTable, hp: Hyperparams, n_episodes: int, rng) -> EvalStats:
     """Greedy single-cloud episodes; a find on the budget's last step succeeds."""
-    return _evaluate_route(agent_route(q, hp), hp, n_episodes, rng)
+    hits = center_hits(agent_route(q, hp), hp.grid_length, hp.pollution_diameter)
+    return _evaluate(hits, hp, n_episodes, rng)
 
 
 def center_steps(hp: Hyperparams, *paths: PatternPath) -> np.ndarray:
     """steps_to_find for a cloud centered on every cell, one (x, y) grid per path."""
-    length, budget = hp.grid_length, hp.max_steps
-    steps = [[budget if hit is None else min(hit, budget)
-              for hit in center_hits(path, length, hp.pollution_diameter)] for path in paths]
+    length = hp.grid_length
+    steps = [_steps(hp, center_hits(path, length, hp.pollution_diameter)) for path in paths]
     return np.array(steps, dtype=np.int64).reshape(len(paths), length, length)
 
 
-def _duels(route: PatternPath, hp: Hyperparams, n: int, rng,
+def _duels(hits: list, hp: Hyperparams, n: int, rng,
            *patterns: PatternPath) -> dict[str, DuelOutcome]:
-    """The route against each pattern on n shared random clouds, keyed by kind."""
+    """The route (its center_hits) against each pattern on n shared random clouds, by kind."""
     if n < 1:
         raise ValueError("n must be at least 1")
     centers = draw_centers(hp.grid_length, n, rng)
-    table = center_steps(hp, route, *patterns).reshape(len(patterns) + 1, -1)
-    agent, *opponents = table[:, centers]
+    agent = _steps(hp, [hits[center] for center in centers])
+    opponents = center_steps(hp, *patterns).reshape(len(patterns), -1)[:, centers]
     return {pattern.kind: DuelOutcome.tally(agent, steps)
             for pattern, steps in zip(patterns, opponents)}
 
@@ -109,7 +114,7 @@ def _duels(route: PatternPath, hp: Hyperparams, n: int, rng,
 def run_duels(q: QTable, hp: Hyperparams, n: int, rng) -> dict[str, DuelOutcome]:
     """n independent random clouds, each scored for the agent and both patterns."""
     length, diameter = hp.grid_length, hp.pollution_diameter
-    return _duels(agent_route(q, hp), hp, n, rng,
+    return _duels(center_hits(agent_route(q, hp), length, diameter), hp, n, rng,
                   snake_path(length, diameter), spiral_path(length, diameter))
 
 
@@ -180,11 +185,12 @@ def score_agent(hp: Hyperparams, seed: int, n_eval: int, n_duel: int) -> AgentSc
     from stream 2.  n_duel 0 skips the duel and leaves its tallies at 0.
     """
     route = agent_route(train_agent(hp, seed).q, hp)
-    stats = _evaluate_route(route, hp, n_eval, make_rng(seed, stream=1))
+    hits = center_hits(route, hp.grid_length, hp.pollution_diameter)
+    stats = _evaluate(hits, hp, n_eval, make_rng(seed, stream=1))
     duels = DuelOutcome()
     if n_duel:
         snake = snake_path(hp.grid_length, hp.pollution_diameter)
-        duels = _duels(route, hp, n_duel, make_rng(seed, stream=2), snake)["snake"]
+        duels = _duels(hits, hp, n_duel, make_rng(seed, stream=2), snake)["snake"]
     win_pct = 100.0 * duels.wins / duels.total if n_duel else 0.0
     return AgentScore(seed, stats.mean, stats.median, stats.failures, *astuple(duels), win_pct)
 

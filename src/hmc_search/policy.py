@@ -182,8 +182,8 @@ def execute_option(field: CloudField, pos: Cell, direction: int,
     border, or when a collection empties the field.  Collection happens
     on entering a cell; only successful moves count as primitive steps.
     Returns (OptionOutcome, field after the collections): the field itself
-    when nothing was collected, else a new one on the same masks.  A full
-    walk that enters no cloud's masks returns the walk table's shared outcome.
+    when nothing was collected, else a new one.  A full walk that enters no
+    cloud returns the walk table's shared outcome.
     """
     length = field.grid_length
     walks = option_walks(length, stride)
@@ -200,7 +200,7 @@ def execute_option(field: CloudField, pos: Cell, direction: int,
         n, clamped = max(0, steps_remaining), False
         walk = walk[:n]
     found = 0
-    alive = everything = sum(field.bits)
+    alive = everything = (1 << len(field.clouds)) - 1
     for entered, cell in enumerate(walk, 1):
         hit = masks[cell] & alive
         if hit:
@@ -210,7 +210,7 @@ def execute_option(field: CloudField, pos: Cell, direction: int,
                 n, clamped = entered, False
                 break
     if alive != everything:
-        field = field.keep(alive)
+        field = CloudField([c for i, c in enumerate(field.clouds) if alive >> i & 1], length)
     path = walks.outcomes[key].path[:n]
     terminal = path[-1] if path else pos
     return OptionOutcome(pos, direction, path, n, found, terminal, clamped), field

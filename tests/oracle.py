@@ -102,14 +102,14 @@ def center_hits(path, grid_length, diameter):
             for center in range(grid_length * grid_length)]
 
 
-def stamp(field, bits):
-    """(masks, levels) of field from the supports, bits[i] standing for clouds[i]."""
+def stamp(field):
+    """(masks, levels) of field, stamped from the cloud supports."""
     length = field.grid_length
     masks = [0] * (length * length)
     levels = [0.0] * (length * length)
-    for cloud, bit in zip(field.clouds, bits):
+    for i, cloud in enumerate(field.clouds):
         for (x, y), level in cloud.support.items():
-            masks[x * length + y] |= bit
+            masks[x * length + y] |= 1 << i
             levels[x * length + y] = max(levels[x * length + y], level)
     return masks, levels
 
