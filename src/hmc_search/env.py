@@ -178,23 +178,38 @@ def make_cloud(center: Cell, diameter: int, grid_length: int) -> Cloud:
     return Cloud((cx, cy), diameter, grid_length)
 
 
+class _CloudRows(dict):
+    """cloud_table's rows: per center cell c = x * grid_length + y, the
+    (cells, levels) of its cloud, built the first time c is read."""
+
+    def __init__(self, grid_length: int, diameter: int):
+        super().__init__()
+        self.grid_length = grid_length
+        self.diameter = diameter
+        self.ints = list(range(grid_length * grid_length))  # one int object per cell, for all rows
+
+    def __missing__(self, center: int) -> tuple[tuple, tuple]:
+        length = self.grid_length
+        if not 0 <= center < length * length:
+            raise KeyError(center)
+        support = Cloud(divmod(center, length), self.diameter, length).support
+        row = self[center] = (tuple(self.ints[x * length + y] for x, y in support),
+                              tuple(support.values()))
+        return row
+
+
 @lru_cache(maxsize=8)
-def cloud_table(grid_length: int, diameter: int) -> tuple[tuple[tuple, tuple], ...]:
+def cloud_table(grid_length: int, diameter: int) -> _CloudRows:
     """Per center cell c = x * grid_length + y: (cells, levels) of its cloud.
 
     cells are the ints of the cloud's support cells and levels their
     intensities, in support order.  The disc is symmetric, so cells are
-    also the centers of the clouds that cover c.  Built on first use, it
-    holds every center's support: up to pi / 4 * grid_length**2 *
-    diameter**2 entries of two 8-byte references each.
+    also the centers of the clouds that cover c.  A row is built the first
+    time its center is read, so the table grows with the centers a process
+    draws or scores, each up to pi / 4 * diameter**2 entries of two 8-byte
+    references, not with the whole grid.
     """
-    ints = list(range(grid_length * grid_length))  # one int object per cell, for all rows
-    table = []
-    for center in ints:
-        support = Cloud(divmod(center, grid_length), diameter, grid_length).support
-        table.append((tuple(ints[x * grid_length + y] for x, y in support),
-                      tuple(support.values())))
-    return tuple(table)
+    return _CloudRows(grid_length, diameter)
 
 
 @dataclass

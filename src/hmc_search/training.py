@@ -293,7 +293,17 @@ def _demo_epsilon(episode: int, n_episodes: int) -> float:
     return max(0.0, 1.0 - episode / n_episodes)
 
 
-def _demo_episode(q: list[float], hp: Hyperparams, levels: list[float],
+def _demo_moves(grid_length: int) -> list[int]:
+    """Per key cell * 4 + action: the cell one primitive move ends on.
+
+    The stride-1 option_walks table as plain ints, where a wall bump stays
+    on its cell.  Built per demo run, never at import.
+    """
+    return [path[0] if path else key >> 2
+            for key, path in enumerate(option_walks(grid_length, 1).paths)]
+
+
+def _demo_episode(q: list[float], hp: Hyperparams, levels: list[float], moves: list[int],
                   epsilon: float, tape: WordTape) -> None:
     """One primitive-action learning episode for the plain Q-learning demos.
 
@@ -304,26 +314,40 @@ def _demo_episode(q: list[float], hp: Hyperparams, levels: list[float],
     budget, and every attempted action consumes a step, wall bumps
     included, so greedy policies cannot stall the clock.
 
-    Runs on flat state: q is indexed cell * 4 + action and levels is the
+    Runs on flat state: q is indexed cell * 4 + action, levels is the
     field's per-cell intensity (CloudField.levels), positive exactly on a
-    cloud; moves come from the stride-1 option_walks table.  The TD
-    backup is q_update's, inline, and so are the tape's two draws: a step
-    reads at most two words, random() < epsilon is (w >> 11) < epsilon *
-    2**53, and integers(4) is a 32-bit draw's top two bits.
+    cloud, and moves is _demo_moves' table.  The TD backup is q_update's,
+    inline, and so are the tape's two draws: a step reads at most two
+    words, random() < epsilon is (w >> 11) < epsilon * 2**53, and
+    integers(4) is a 32-bit draw's top two bits.
+
+    A step reads each row of four values at most once:
+
+    - a greedy step takes its row's first maximum by strict > compares,
+      so ties go up, down, left, right, as max over the row's keys does;
+    - with a positive discount, the scan of the entered cell's row that
+      gives the bootstrap max also gives the next greedy key.  The update
+      writes only the row of the cell the step started from, so that key
+      still holds on the next step unless a wall bump kept the agent on
+      that cell; then the next greedy step scans the row again, with the
+      value just written;
+    - with a zero discount the bootstrap is skipped.  q stays finite and
+      a reward is never -0.0, so reward + 0.0 * max == reward bit for
+      bit, and the update is old + alpha * (reward - old).
     """
     length = hp.grid_length
     alpha, gamma = hp.learning_rate, hp.discount_rate
-    moves = option_walks(length, 1).paths
     explore = epsilon > 0.0
     if explore:
         tape.ensure(2 * hp.max_steps)
     words, pos, half = tape.words, tape.pos, tape.half
     cut = epsilon * 2**53
     cell = START[0] * length + START[1]
+    greedy = -1  # the first-max key of cell's row when known, else -1
     found = False
     for _ in range(hp.max_steps):
-        key = cell * 4
         if explore and words[pos] >> 11 < cut:
+            key = cell * 4
             if half is None:
                 pos += 1
                 key += words[pos] >> 30 & 3
@@ -331,23 +355,43 @@ def _demo_episode(q: list[float], hp: Hyperparams, levels: list[float],
             else:
                 key += half >> 30
                 half = None
+        elif greedy >= 0:
+            key = greedy
         else:
-            best = q[key]
-            for i in range(key + 1, key + 4):
-                if q[i] > best:
-                    best = q[i]
-                    key = i
+            row = key = cell * 4
+            a, b, c, d = q[row:row + 4]
+            if b > a:
+                a = b
+                key = row + 1
+            if c > a:
+                a = c
+                key = row + 2
+            if d > a:
+                key = row + 3
         pos += 1  # the epsilon test's word; pos means nothing when not exploring
-        entered = moves[key]
-        after = entered[0] if entered else cell
+        after = moves[key]
         reward = levels[after]
         if not found and reward > 0.0:
             reward += 100.0
             found = True
         old = q[key]
-        base = after * 4
-        target = reward + gamma * max(q[base], q[base + 1], q[base + 2], q[base + 3])
-        q[key] = old + alpha * (target - old)
+        if gamma:
+            row = greedy = after * 4
+            a, b, c, d = q[row:row + 4]
+            if b > a:
+                a = b
+                greedy = row + 1
+            if c > a:
+                a = c
+                greedy = row + 2
+            if d > a:
+                a = d
+                greedy = row + 3
+            q[key] = old + alpha * (reward + gamma * a - old)
+            if after == cell:
+                greedy = -1
+        else:
+            q[key] = old + alpha * (reward - old)
         cell = after
     if explore:
         tape.pos, tape.half = pos, half
@@ -361,12 +405,11 @@ def _demo_route(q: list[float], hp: Hyperparams) -> PatternPath:
     cells[i] is where step i ends and lookups start at index 1.
     """
     length = hp.grid_length
-    moves = option_walks(length, 1).paths
+    moves = _demo_moves(length)
     cell = START[0] * length + START[1]
     cells = [START]
     for _ in range(hp.max_steps):
-        entered = moves[max(range(cell * 4, cell * 4 + 4), key=q.__getitem__)]
-        cell = entered[0] if entered else cell
+        cell = moves[max(range(cell * 4, cell * 4 + 4), key=q.__getitem__)]
         cells.append(divmod(cell, length))
     return PatternPath(tuple(cells), "demo", first=1)
 
@@ -381,6 +424,7 @@ def _plain_q(hp: Hyperparams, tape: WordTape, n_episodes: int,
     """
     length = hp.grid_length
     q = [0.0] * (length * length * 4)
+    moves = _demo_moves(length)
     snapshots: dict[int, np.ndarray] = {}
 
     def snapshot(episode):
@@ -391,7 +435,7 @@ def _plain_q(hp: Hyperparams, tape: WordTape, n_episodes: int,
     for episode in range(n_episodes):
         field = fixed if fixed is not None else spawn_clouds(
             length, hp.pollution_diameter, 1, tape)
-        _demo_episode(q, hp, field.levels, _demo_epsilon(episode, n_episodes), tape)
+        _demo_episode(q, hp, field.levels, moves, _demo_epsilon(episode, n_episodes), tape)
         snapshot(episode + 1)
     return q, snapshots
 
@@ -424,6 +468,8 @@ def dynamic_demo(hp: Hyperparams, seed: int, *, n_episodes: int = 2000,
     Returns (snapshots, mean evaluation steps) with failed evaluation
     episodes counted as max_steps.
     """
+    if n_eval_episodes < 1:
+        raise ValueError("n_eval_episodes must be at least 1")
     q, snapshots = _plain_q(hp, make_rng(seed), n_episodes, snapshot_episodes, None)
     hits = center_hits(_demo_route(q, hp), hp.grid_length, hp.pollution_diameter)
     centers = draw_centers(hp.grid_length, n_eval_episodes, make_rng(seed, stream=1))

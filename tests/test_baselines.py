@@ -7,6 +7,7 @@ from scipy.ndimage import distance_transform_edt
 
 from hmc_search.baselines import (
     PatternPath,
+    center_hits,
     first_hit,
     ring_insets,
     ring_spacing,
@@ -16,7 +17,7 @@ from hmc_search.baselines import (
     sweep_rows,
     write_path_csv,
 )
-from hmc_search.env import START, make_cloud
+from hmc_search.env import START, cloud_table, make_cloud, move
 from hmc_search.training import Hyperparams
 
 BUDGET = Hyperparams().max_steps
@@ -214,3 +215,22 @@ def test_write_path_csv(tmp_path):
     last = len(path.cells) - 1
     x, y = path.cells[-1]
     assert lines[-1] == f"{last},{x},{y}"
+
+
+def test_center_hits_builds_only_the_rows_of_the_route_cells():
+    # A large disc on a large grid: the whole table would hold about 15
+    # million cells; one short route builds one row per distinct cell.
+    length, diameter = 100, 50
+    cloud_table.cache_clear()
+    cells = [(7, 9)]
+    for direction in [3] * 20 + [1] * 15 + [2] * 5 + [0] * 3:
+        cells.append(move(cells[-1], direction, length)[0])
+    path = PatternPath(tuple(cells), "route", first=1)
+    hits = center_hits(path, length, diameter)
+    table = cloud_table(length, diameter)
+    assert len(table) == len(set(cells[1:])) <= 44
+    for x, y in [(0, 0), (7, 9), (50, 50), (99, 99)]:
+        assert hits[x * length + y] == first_hit(path, make_cloud((x, y), diameter, length))
+    for center in (-1, length * length):
+        with pytest.raises(KeyError):
+            table[center]

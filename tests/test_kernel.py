@@ -8,6 +8,7 @@ zeros and walls make episodes that clamp at the border and episodes
 that the decision cap ends.
 """
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,6 +27,7 @@ from hmc_search.policy import (
     record_visits,
     select_option,
 )
+from hmc_search import training
 from hmc_search.training import (
     Hyperparams,
     dynamic_demo,
@@ -253,6 +255,37 @@ def test_demos_match_the_reference(data):
     expected, expected_mean = oracle.dynamic_demo(hp, seed, n, snaps, 20)
     assert oracle.snapshot_bytes(snapshots) == oracle.snapshot_bytes(expected)
     assert repr(mean) == repr(expected_mean)
+
+
+@pytest.mark.parametrize("hp, seed", [
+    (Hyperparams(discount_rate=0.9), 0), (Hyperparams(discount_rate=0.9), 3),
+    (Hyperparams(), 0), (Hyperparams(), 3)])
+def test_demos_on_the_default_grid_match_the_reference(hp, seed):
+    # The drawn settings above stay at 10 cells; these run the default
+    # 20 x 20 grid and its 400-step budget, with and without a discount.
+    snaps = (0, 1, 20, 40)
+    assert oracle.snapshot_bytes(static_demo(hp, seed, n_episodes=40, snapshot_episodes=snaps)) \
+        == oracle.snapshot_bytes(oracle.static_demo(hp, seed, 40, snaps))
+    snapshots, mean = dynamic_demo(hp, seed, n_episodes=40, snapshot_episodes=snaps,
+                                   n_eval_episodes=20)
+    expected, expected_mean = oracle.dynamic_demo(hp, seed, 40, snaps, 20)
+    assert oracle.snapshot_bytes(snapshots) == oracle.snapshot_bytes(expected)
+    assert repr(mean) == repr(expected_mean)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.1])
+def test_a_demo_step_after_a_wall_bump_sees_the_value_just_written(gamma):
+    # Up is best at the start, so the first greedy step bumps the top wall
+    # and stays.  Its update drops that value below down's 0.5, so the
+    # second greedy step must go down, not up again.
+    hp = Hyperparams(grid_length=3, pollution_diameter=1, max_steps=2,
+                     learning_rate=1.0, discount_rate=gamma)
+    q = [0.0] * 36
+    q[0:2] = [1.0, 0.5]
+    training._demo_episode(q, hp, [0.0] * 9, training._demo_moves(3), 0.0, make_rng(0))
+    expected = [0.0] * 36
+    expected[0] = 1.0 + 1.0 * (0.0 + gamma * 1.0 - 1.0)  # q_update's backup of the bump
+    assert q == expected  # and down, taken second, earned 0 from an all-zero row
 
 
 # --- decision-cap exits are recorded

@@ -405,6 +405,12 @@ def test_dynamic_demo_returns_mean_in_budget():
     assert 0.0 < mean_steps <= 400.0
 
 
+def test_dynamic_demo_rejects_no_evaluation_episodes():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n_eval_episodes must be at least 1"):
+            dynamic_demo(Hyperparams(), 0, n_episodes=1, n_eval_episodes=n)
+
+
 def test_static_demo_values_grow_toward_cloud():
     hp = Hyperparams(discount_rate=0.9)
     snaps = static_demo(hp, 0, n_episodes=400, snapshot_episodes=(100, 400))
