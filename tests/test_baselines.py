@@ -218,7 +218,7 @@ def test_write_path_csv(tmp_path):
 
 
 def test_center_hits_builds_only_the_rows_of_the_route_cells():
-    # A large disc on a large grid: the whole table would hold about 15
+    # A large disc on a large grid: the whole table would hold over ten
     # million cells; one short route builds one row per distinct cell.
     length, diameter = 100, 50
     cloud_table.cache_clear()

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
+from hmc_search import training
 from hmc_search.baselines import PatternPath, center_hits
 from hmc_search.env import START, CloudField, make_cloud, make_rng, move, spawn_clouds
 from hmc_search.evalharness import agent_route
@@ -27,7 +28,6 @@ from hmc_search.policy import (
     record_visits,
     select_option,
 )
-from hmc_search import training
 from hmc_search.training import (
     Hyperparams,
     dynamic_demo,
