@@ -15,7 +15,6 @@ from hmc_search import (
     execute_option,
     make_rng,
     new_qtable,
-    new_visit_memory,
     option_stride,
     select_option,
     sense,
@@ -69,7 +68,7 @@ def main():
     # A visited end cell is penalized at decision time, steering the
     # next option elsewhere even though all values are equal.
     q = new_qtable(hp.grid_length)
-    mem = new_visit_memory(hp.grid_length)
+    mem = np.zeros((hp.grid_length, hp.grid_length), dtype=np.int64)
     for cell in outcome.path:
         mem[cell] += 1
     pos = outcome.terminal

@@ -47,7 +47,6 @@ from .policy import (
     execute_option,
     mc_update,
     new_qtable,
-    new_visit_memory,
     option_stride,
     option_terminal,
     q_update,

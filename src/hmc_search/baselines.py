@@ -139,17 +139,25 @@ def first_hit(path: PatternPath, cloud: Cloud) -> int | None:
 def center_hits(path: PatternPath, grid_length: int, diameter: int) -> list[int | None]:
     """first_hit of the cloud centered on every cell c = x * grid_length + y.
 
-    One pass over the path, last index first: the disc is symmetric, so
-    the clouds that cover a cell are centered on its env.cloud_table
-    cells, and each center keeps the last index written, its first hit.
+    The disc is symmetric, so the clouds that cover a cell are centered on
+    its env.cloud_table cells.  One pass finds each distinct cell's first
+    index; their rows are then written latest first, so each center keeps
+    the last index written, its first hit, and each row is read once.
     """
     covering = cloud_table(grid_length, diameter)
+    first: dict[Cell, int] = {}
+    for index in range(path.first, len(path.cells)):
+        first.setdefault(path.cells[index], index)
     hits: list[int | None] = [None] * (grid_length * grid_length)
-    for index in range(len(path.cells) - 1, path.first - 1, -1):
-        x, y = path.cells[index]
+    for (x, y), index in reversed(first.items()):
         for center in covering[x * grid_length + y][0]:
             hits[center] = index
     return hits
+
+
+def budget_steps(hits, max_steps: int) -> list[int]:
+    """steps_to_find from first hits: a miss, or a hit past the budget, scores max_steps."""
+    return [max_steps if hit is None else min(hit, max_steps) for hit in hits]
 
 
 def steps_to_find(path: PatternPath, cloud: Cloud, max_steps: int) -> int:

@@ -35,7 +35,6 @@ from .sweep import SweepValueError, load_plan, tuning_loop
 from .training import (CONFIG_TYPES, Hyperparams, dynamic_demo, reject_unknown_keys,
                        static_demo, train_agent)
 
-CONFIG_KEYS = tuple(CONFIG_TYPES)
 # What made a run, in every manifest: reruns ignore it.
 PROVENANCE = {"hmc_search": __version__, "python": sys.version.split()[0],
               "numpy": np.__version__, "rng": RNG_CONTRACT}
@@ -60,14 +59,14 @@ def parse_config(source) -> Hyperparams:
     if not isinstance(raw, dict):
         raise UsageError("config must be a JSON object")
     try:
-        reject_unknown_keys(raw, CONFIG_KEYS, "config")
+        reject_unknown_keys(raw, CONFIG_TYPES, "config")
         return Hyperparams(**raw)
     except ValueError as err:
         raise UsageError(str(err)) from err
 
 
 def config_dict(hp: Hyperparams) -> dict:
-    return {key: getattr(hp, key) for key in CONFIG_KEYS}
+    return {key: getattr(hp, key) for key in CONFIG_TYPES}
 
 
 def _fmt(value) -> str:
@@ -88,7 +87,14 @@ def write_csv(path, header, rows) -> None:
     with open(path, "w", newline="") as handle:
         handle.write(",".join(header) + "\n")
         for row in rows:
-            handle.write(",".join(_fmt(v) for v in row) + "\n")
+            handle.write(",".join(map(_fmt, row)) + "\n")
+
+
+def _grid_rows(grid, *lead):
+    """(*lead, x, y, grid[x, y]) for every cell, x major, as Python scalars."""
+    for x, column in enumerate(grid.tolist()):
+        for y, value in enumerate(column):
+            yield (*lead, x, y, value)
 
 
 def _write_json_atomic(path, payload) -> None:
@@ -232,14 +238,10 @@ def cmd_scoremap(opts):
     pattern = (snake_path if name == "snake" else spiral_path)(
         hp.grid_length, hp.pollution_diameter)
     result = score_map(q, hp, pattern)
-    labels = {1: "win", 0: "tie", -1: "loss"}
+    labels = np.array(["loss", "tie", "win"])  # outcome -1, 0, +1
     out_name = f"scoremap_{name}.csv"
-    write_csv(
-        os.path.join(opts["out"], out_name),
-        ("x", "y", "outcome"),
-        ((x, y, labels[int(result.outcome[x, y])])
-         for x in range(hp.grid_length) for y in range(hp.grid_length)),
-    )
+    write_csv(os.path.join(opts["out"], out_name), ("x", "y", "outcome"),
+              _grid_rows(labels[result.outcome + 1]))
     metrics = {"opponent": name, **asdict(result.tally)}
     return [out_name], metrics
 
@@ -249,12 +251,7 @@ def cmd_route(opts):
     hp = opts["hp"]
     q = _load_qtable(opts)
     counts = route_heatmap(q, hp, opts["episodes"], make_rng(opts["seed"], stream=1))
-    write_csv(
-        os.path.join(opts["out"], "route.csv"),
-        ("x", "y", "count"),
-        ((x, y, int(counts[x, y]))
-         for x in range(hp.grid_length) for y in range(hp.grid_length)),
-    )
+    write_csv(os.path.join(opts["out"], "route.csv"), ("x", "y", "count"), _grid_rows(counts))
     return ["route.csv"], {"episodes": opts["episodes"], "total_visits": int(counts.sum())}
 
 
@@ -268,12 +265,8 @@ def cmd_pattern(opts):
     for pattern, steps in zip(patterns, center_steps(hp, *patterns)):
         name = pattern.kind
         write_path_csv(os.path.join(opts["out"], f"{name}.csv"), pattern)
-        write_csv(
-            os.path.join(opts["out"], f"{name}_steps.csv"),
-            ("x", "y", "steps"),
-            ((x, y, int(steps[x, y]))
-             for x in range(length) for y in range(length)),
-        )
+        write_csv(os.path.join(opts["out"], f"{name}_steps.csv"), ("x", "y", "steps"),
+                  _grid_rows(steps))
         stats = EvalStats.from_steps(steps.ravel().tolist(), 0)
         metrics[name] = {
             "path_moves": len(pattern.cells) - 1,
@@ -322,10 +315,8 @@ def cmd_sweep(opts):
 @_command("population", "train a population of agents and report distributions",
           runs=100, episodes=1000, jobs=1)
 def cmd_population(opts):
-    report = population_stats(
-        opts["hp"], opts["runs"], opts["seed"],
-        n_eval=opts["episodes"], n_duel=opts["episodes"], jobs=opts["jobs"],
-    )
+    report = population_stats(opts["hp"], opts["runs"], opts["seed"],
+                              n_episodes=opts["episodes"], jobs=opts["jobs"])
     write_csv(
         os.path.join(opts["out"], "population_agents.csv"),
         ("seed", "mean_steps", "median_steps", "failures",
@@ -355,8 +346,8 @@ def cmd_population(opts):
 
 def _write_snapshots(path, snapshots) -> None:
     write_csv(path, ("episode", "x", "y", "max_q"),
-              ((episode, x, y, float(grid[x, y])) for episode, grid in sorted(snapshots.items())
-               for x in range(grid.shape[0]) for y in range(grid.shape[1])))
+              (row for episode, grid in sorted(snapshots.items())
+               for row in _grid_rows(grid, episode)))
 
 
 @_command("demo-static", "plain Q-learning against one fixed cloud")

@@ -75,7 +75,8 @@ class WordTape:
         if len(self.words) - self.pos < k:
             self._consumed += self.pos
             del self.words[:self.pos]
-            self.words += self._raw(max(k, _TAPE_BLOCK)).tolist()
+            # 8 reservations of k words, so that one refill serves several.
+            self.words += self._raw(max(8 * k, _TAPE_BLOCK)).tolist()
             self.pos = 0
 
     # random() and integers() read words[pos] inline, without a helper call:

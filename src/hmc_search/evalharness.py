@@ -19,7 +19,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .baselines import PatternPath, center_hits, snake_path, spiral_path
+from .baselines import PatternPath, budget_steps, center_hits, snake_path, spiral_path
 from .env import CloudField, draw_centers, make_rng
 from .policy import QTable
 from .training import Hyperparams, run_episode, train_agent
@@ -72,18 +72,12 @@ def agent_route(q: QTable, hp: Hyperparams) -> PatternPath:
     return PatternPath(tuple(traj.cells), "agent", first=1)
 
 
-def _steps(hp: Hyperparams, hits) -> list[int]:
-    """steps_to_find from first hits: a miss, or a hit past the budget, scores max_steps."""
-    budget = hp.max_steps
-    return [budget if hit is None else min(hit, budget) for hit in hits]
-
-
 def _evaluate(hits: list, hp: Hyperparams, n_episodes: int, rng) -> EvalStats:
     """Single-cloud episodes of the route whose center_hits are hits."""
     if n_episodes < 1:
         raise ValueError("n_episodes must be at least 1")
     found = [hits[center] for center in draw_centers(hp.grid_length, n_episodes, rng)]
-    return EvalStats.from_steps(_steps(hp, found), found.count(None))
+    return EvalStats.from_steps(budget_steps(found, hp.max_steps), found.count(None))
 
 
 def evaluate_agent(q: QTable, hp: Hyperparams, n_episodes: int, rng) -> EvalStats:
@@ -95,7 +89,8 @@ def evaluate_agent(q: QTable, hp: Hyperparams, n_episodes: int, rng) -> EvalStat
 def center_steps(hp: Hyperparams, *paths: PatternPath) -> np.ndarray:
     """steps_to_find for a cloud centered on every cell, one (x, y) grid per path."""
     length = hp.grid_length
-    steps = [_steps(hp, center_hits(path, length, hp.pollution_diameter)) for path in paths]
+    steps = [budget_steps(center_hits(path, length, hp.pollution_diameter), hp.max_steps)
+             for path in paths]
     return np.array(steps, dtype=np.int64).reshape(len(paths), length, length)
 
 
@@ -105,7 +100,7 @@ def _duels(hits: list, hp: Hyperparams, n: int, rng,
     if n < 1:
         raise ValueError("n must be at least 1")
     centers = draw_centers(hp.grid_length, n, rng)
-    agent = _steps(hp, [hits[center] for center in centers])
+    agent = budget_steps([hits[center] for center in centers], hp.max_steps)
     opponents = center_steps(hp, *patterns).reshape(len(patterns), -1)[:, centers]
     return {pattern.kind: DuelOutcome.tally(agent, steps)
             for pattern, steps in zip(patterns, opponents)}
@@ -204,17 +199,17 @@ def score_agents(work, jobs: int = 1) -> list[AgentScore]:
 
 
 def population_stats(hp: Hyperparams, n_agents: int, base_seed: int,
-                     *, n_eval: int = 1000, n_duel: int = 1000,
-                     jobs: int = 1) -> PopulationReport:
+                     *, n_episodes: int = 1000, jobs: int = 1) -> PopulationReport:
     """Train many independently seeded agents and report score distributions.
 
-    Seeds run base_seed .. base_seed + n_agents - 1.  Aggregation order is
-    fixed by seed, so results do not depend on worker scheduling.
+    Seeds run base_seed .. base_seed + n_agents - 1, each agent scored over
+    n_episodes evaluation episodes and as many snake duels.  Aggregation
+    order is fixed by seed, so results do not depend on worker scheduling.
     """
     if n_agents < 1:
         raise ValueError("n_agents must be at least 1")
     agents = score_agents(
-        [(hp, base_seed + i, n_eval, n_duel) for i in range(n_agents)], jobs)
+        [(hp, base_seed + i, n_episodes, n_episodes) for i in range(n_agents)], jobs)
     means = np.array([a.mean_steps for a in agents])
     win_pcts = np.array([a.win_pct for a in agents])
     steps_counts, steps_edges = np.histogram(means, bins=40, range=(0, hp.max_steps))

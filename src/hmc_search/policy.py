@@ -26,18 +26,14 @@ QTable = np.ndarray  # shape (grid_length, grid_length, 4), float64
 # Action values, read and written as q[x][y][d]: a QTable, or the nested lists
 # train_agent keeps because list items are cheaper than numpy scalars.
 QValues = QTable | list[list[list[float]]]
-# Visit counts, read and written as mem[x][y]: new_visit_memory's int64
-# array, or the nested lists run_episode keeps because list items are cheaper.
+# Visit counts, read and written as mem[x][y]: an int64 (grid_length,
+# grid_length) array, or the nested lists run_episode keeps because list
+# items are cheaper.
 VisitMemory = np.ndarray | list[list[int]]
 
 
 def new_qtable(grid_length: int) -> QTable:
     return np.zeros((grid_length, grid_length, 4), dtype=np.float64)
-
-
-def new_visit_memory(grid_length: int) -> VisitMemory:
-    """Per-episode visit counts, all zero at episode start."""
-    return np.zeros((grid_length, grid_length), dtype=np.int64)
 
 
 def option_stride(option_length: int) -> int:
@@ -65,15 +61,21 @@ class OptionOutcome:
 
 def q_update(q: QValues, s: Cell, o: int, r: float, s_next: Cell,
              alpha: float, gamma: float) -> QValues:
-    """One temporal-difference backup on entry (s, o).  Mutates q in place."""
+    """One temporal-difference backup on entry (s, o).  Mutates q in place.
+
+    A zero discount reads no bootstrap row: for a finite row,
+    old + alpha * (r + 0.0 * max - old) equals old + alpha * (r - old) bit
+    for bit, -0.0 included, which is mc_update's backup toward r.
+    """
     if not math.isfinite(r):
         raise ValueError("reward must be finite")
     x, y = s
-    nx, ny = s_next
     row = q[x][y]
     old = row[o]
-    target = r + gamma * max(q[nx][ny])
-    row[o] = old + alpha * (target - old)
+    if gamma:
+        nx, ny = s_next
+        r += gamma * max(q[nx][ny])
+    row[o] = old + alpha * (r - old)
     return q
 
 

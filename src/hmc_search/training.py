@@ -16,7 +16,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .baselines import PatternPath, center_hits
+from .baselines import PatternPath, budget_steps, center_hits
 from .env import START, Cell, CloudField, WordTape, draw_centers, make_rng, spawn_clouds
 from .policy import (
     QTable,
@@ -331,9 +331,7 @@ def _demo_episode(q: list[float], hp: Hyperparams, levels: list[float], moves: l
       still holds on the next step unless a wall bump kept the agent on
       that cell; then the next greedy step scans the row again, with the
       value just written;
-    - with a zero discount the bootstrap is skipped.  q stays finite and
-      a reward is never -0.0, so reward + 0.0 * max == reward bit for
-      bit, and the update is old + alpha * (reward - old).
+    - with a zero discount the bootstrap is skipped, as q_update skips it.
     """
     length = hp.grid_length
     alpha, gamma = hp.learning_rate, hp.discount_rate
@@ -473,5 +471,5 @@ def dynamic_demo(hp: Hyperparams, seed: int, *, n_episodes: int = 2000,
     q, snapshots = _plain_q(hp, make_rng(seed), n_episodes, snapshot_episodes, None)
     hits = center_hits(_demo_route(q, hp), hp.grid_length, hp.pollution_diameter)
     centers = draw_centers(hp.grid_length, n_eval_episodes, make_rng(seed, stream=1))
-    total = sum(hp.max_steps if hits[c] is None else hits[c] for c in centers)
-    return snapshots, total / n_eval_episodes
+    steps = budget_steps([hits[c] for c in centers], hp.max_steps)
+    return snapshots, sum(steps) / n_eval_episodes

@@ -29,7 +29,6 @@ from hmc_search.baselines import PatternPath, first_hit
 from hmc_search.policy import (
     OptionOutcome,
     new_qtable,
-    new_visit_memory,
     option_stride,
     option_terminal,
     q_update,
@@ -142,7 +141,7 @@ def run_episode(q, hp, mode, rng, *, field=None, epsilon=None):
         epsilon = hp.epsilon_start
     max_steps = hp.max_steps
     stride = option_stride(hp.option_length)
-    mem = new_visit_memory(hp.grid_length)
+    mem = np.zeros((hp.grid_length, hp.grid_length), dtype=np.int64)
     pos = START
     transitions, cells = [], [pos]
     n_step = n_poll = decisions = 0

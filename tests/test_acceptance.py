@@ -16,7 +16,6 @@ from hmc_search.evalharness import evaluate_agent, score_map
 from hmc_search.policy import (
     mc_update,
     new_qtable,
-    new_visit_memory,
     option_terminal,
     q_update,
     select_option,
@@ -176,7 +175,7 @@ def test_06_memory_filter_shuns_visited_cells_and_ignores_shifts():
     length = 9
     for _ in range(2000):
         q = rng.normal(0, 5, size=(length, length, 4))
-        mem = new_visit_memory(length)
+        mem = np.zeros((length, length), dtype=np.int64)
         visited = rng.random(size=(length, length)) < 0.4
         mem[visited] = rng.integers(1, 4, size=int(visited.sum()))
         s = (int(rng.integers(length)), int(rng.integers(length)))

@@ -1,12 +1,16 @@
 """Tests for the deterministic search patterns and their step accounting."""
+import collections
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.ndimage import distance_transform_edt
 
+from hmc_search import baselines
 from hmc_search.baselines import (
     PatternPath,
+    budget_steps,
     center_hits,
     first_hit,
     ring_insets,
@@ -234,3 +238,40 @@ def test_center_hits_builds_only_the_rows_of_the_route_cells():
     for center in (-1, length * length):
         with pytest.raises(KeyError):
             table[center]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_budget_steps_of_center_hits_equal_steps_to_find(data):
+    length = data.draw(st.integers(1, 12), label="grid_length")
+    diameter = data.draw(st.integers(1, length), label="diameter")
+    cells = [data.draw(st.tuples(st.integers(0, length - 1), st.integers(0, length - 1)),
+                       label="start")]
+    for direction in data.draw(st.lists(st.integers(0, 3), max_size=40), label="moves"):
+        cells.append(move(cells[-1], direction, length)[0])
+    path = PatternPath(tuple(cells), "route", first=data.draw(st.integers(0, 1), label="first"))
+    # Budgets shorter than the route cut hits short; longer ones leave misses.
+    budget = data.draw(st.integers(1, len(cells) + 1), label="max_steps")
+    steps = budget_steps(center_hits(path, length, diameter), budget)
+    assert steps == [steps_to_find(path, make_cloud((x, y), diameter, length), budget)
+                     for x in range(length) for y in range(length)]
+
+
+def test_center_hits_reads_each_distinct_cell_row_once(monkeypatch):
+    # A trained plain Q-learning route can bump the wall at START for all
+    # of its 400 steps: 401 cells, one of them distinct.
+    length, diameter = 100, 50
+    table = cloud_table(length, diameter)
+    reads = collections.Counter()
+
+    class CountedTable:
+        def __getitem__(self, center):
+            reads[center] += 1
+            return table[center]
+
+    monkeypatch.setattr(baselines, "cloud_table", lambda *args: CountedTable())
+    path = PatternPath((START,) * 401, "demo", first=1)
+    hits = center_hits(path, length, diameter)
+    assert reads == {0: 1}
+    for x, y in [(0, 0), (0, 25), (18, 18), (50, 50)]:
+        assert hits[x * length + y] == first_hit(path, make_cloud((x, y), diameter, length))

@@ -10,7 +10,6 @@ import pytest
 import hmc_search
 from hmc_search.cli import (
     COMMANDS,
-    CONFIG_KEYS,
     UsageError,
     build_parser,
     config_dict,
@@ -20,7 +19,7 @@ from hmc_search.cli import (
 from hmc_search.env import RNG_CONTRACT, make_rng
 from hmc_search.evalharness import evaluate_agent
 from hmc_search.policy import new_qtable, read_qtable_csv, write_qtable_csv
-from hmc_search.training import Hyperparams, train_agent
+from hmc_search.training import CONFIG_TYPES, Hyperparams, train_agent
 
 FAST = {"num_episodes": 25, "max_steps": 60}
 
@@ -72,12 +71,12 @@ def test_parse_config_rejects_bad_input(tmp_path):
 def test_config_dict_roundtrip():
     hp = Hyperparams(num_episodes=77, mof_value=5.0)
     assert parse_config(config_dict(hp)) == hp
-    assert set(config_dict(hp)) == set(CONFIG_KEYS)
+    assert set(config_dict(hp)) == set(CONFIG_TYPES)
 
 
 def test_config_keys_are_the_numeric_hyperparams():
     fields = [f.name for f in dataclasses.fields(Hyperparams)]
-    assert list(CONFIG_KEYS) == [
+    assert list(CONFIG_TYPES) == [
         name for name in fields if name != "binary_memory"]
 
 

@@ -198,14 +198,14 @@ def test_population_stats_rejects_empty():
 
 
 def test_population_single_agent_matches_components():
-    report = population_stats(QUICK, 1, 13, n_eval=30, n_duel=25)
+    report = population_stats(QUICK, 1, 13, n_episodes=30)
     assert len(report.agents) == 1
     agent = report.agents[0]
     assert agent.seed == 13
 
     q = train_agent(QUICK, 13).q
     stats = evaluate_agent(q, QUICK, 30, make_rng(13, stream=1))
-    duels = run_duels(q, QUICK, 25, make_rng(13, stream=2))["snake"]
+    duels = run_duels(q, QUICK, 30, make_rng(13, stream=2))["snake"]
     assert agent.mean_steps == stats.mean
     assert agent.median_steps == stats.median
     assert agent.failures == stats.failures
@@ -215,7 +215,7 @@ def test_population_single_agent_matches_components():
 
 
 def test_population_histograms_conserve_agents():
-    report = population_stats(QUICK, 3, 0, n_eval=20, n_duel=20)
+    report = population_stats(QUICK, 3, 0, n_episodes=20)
     steps_edges, steps_counts = report.steps_hist
     win_edges, win_counts = report.win_hist
     assert len(steps_edges) == 41 and len(steps_counts) == 40

@@ -22,7 +22,6 @@ from hmc_search.policy import (
     execute_option,
     mc_update,
     new_qtable,
-    new_visit_memory,
     option_walks,
     q_update,
     record_visits,
@@ -176,7 +175,7 @@ def test_per_decision_steps_match_the_reference(data):
     assert outcome == expected
     assert after.clouds == expected_after.clouds
 
-    mem = new_visit_memory(length)
+    mem = np.zeros((length, length), dtype=np.int64)
     mem_rng = np.random.default_rng((data.draw(st.integers(0, 2**32 - 1)), 0))
     mem[:] = mem_rng.integers(0, 3, size=mem.shape)
     reference = mem.copy()

@@ -1,8 +1,11 @@
 """Value updates, option execution, memory-filtered selection, table I/O."""
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hmc_search.env import (
     DOWN,
@@ -17,7 +20,6 @@ from hmc_search.policy import (
     execute_option,
     mc_update,
     new_qtable,
-    new_visit_memory,
     option_stride,
     option_terminal,
     option_walks,
@@ -28,6 +30,11 @@ from hmc_search.policy import (
     write_qtable_csv,
 )
 from hmc_search.training import Hyperparams
+
+
+def new_memory(grid_length):
+    """Visit counts of a fresh episode, as the int64 array select_option reads."""
+    return np.zeros((grid_length, grid_length), dtype=np.int64)
 
 
 def params(mof_value=10.0, option_length=3, binary=False):
@@ -83,20 +90,37 @@ def test_updates_reject_non_finite_reward():
             mc_update(q, (0, 0), UP, bad, 0.1)
 
 
-def test_mc_equals_q_update_at_zero_discount():
-    rng = np.random.default_rng((99, 0))
-    for _ in range(2000):
-        start = float(rng.normal(scale=50))
-        r = float(rng.normal(scale=100))
-        alpha = float(rng.uniform(0.01, 1.0))
-        a = new_qtable(3)
-        b = new_qtable(3)
-        a[1, 1, DOWN] = start
-        b[1, 1, DOWN] = start
-        b[2, 2, :] = rng.normal(size=4)  # bootstrap row must be irrelevant
-        mc_update(a, (1, 1), DOWN, r, alpha)
-        q_update(b, (1, 1), DOWN, r, (2, 2), alpha, 0.0)
-        assert abs(a[1, 1, DOWN] - b[1, 1, DOWN]) <= 1e-12
+# Finite values small enough that no backup overflows, both zeros included.
+VALUES = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e6, 1e6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(old=VALUES, r=VALUES, alpha=st.floats(0.01, 1.0),
+       row=st.lists(VALUES, min_size=4, max_size=4), o=st.integers(0, 3))
+# r + 0.0 * max is +0.0 where r is -0.0; the backup must still agree.
+@example(old=0.0, r=-0.0, alpha=0.5, row=[1.0, 0.0, 0.0, 0.0], o=0)
+@example(old=-0.0, r=-0.0, alpha=0.5, row=[1.0, 0.0, 0.0, 0.0], o=0)
+def test_mc_equals_q_update_at_zero_discount(old, r, alpha, row, o):
+    q = new_qtable(2)
+    q[0, 0, o] = old
+    q[1, 1] = row  # the bootstrap row, which a zero discount ignores
+    for make in (np.copy, np.ndarray.tolist):
+        a, b = make(q), make(q)
+        q_update(a, (0, 0), o, r, (1, 1), alpha, 0.0)
+        mc_update(b, (0, 0), o, r, alpha)
+        assert np.array(a).tobytes() == np.array(b).tobytes()
+
+
+def test_zero_discount_q_update_reads_no_bootstrap_row():
+    q = new_qtable(3)
+    q[1, 1, DOWN] = 2.0
+    q[2, 2] = math.nan
+    for table in (q.copy(), q.tolist()):
+        q_update(table, (1, 1), DOWN, 5.0, (2, 2), 0.5, 0.0)
+        assert table[1][1][DOWN] == 2.0 + 0.5 * (5.0 - 2.0)
+    # A positive discount reads it.
+    q_update(q, (1, 1), DOWN, 5.0, (2, 2), 0.5, 0.9)
+    assert math.isnan(q[1, 1, DOWN])
 
 
 def test_mc_update_converges_geometrically():
@@ -220,7 +244,7 @@ def test_execute_option_path_is_a_straight_run():
 
 
 def test_record_visits_counts_path_cells():
-    mem = new_visit_memory(20)
+    mem = new_memory(20)
     outcome, _ = execute_option(CloudField([], 20), (5, 5), RIGHT, 3, 400)
     record_visits(mem, outcome)
     assert mem[(6, 5)] == 1 and mem[(7, 5)] == 1 and mem[(8, 5)] == 1
@@ -228,7 +252,7 @@ def test_record_visits_counts_path_cells():
 
 
 def test_record_visits_empty_path_no_change():
-    mem = new_visit_memory(20)
+    mem = new_memory(20)
     outcome, _ = execute_option(CloudField([], 20), (0, 3), LEFT, 4, 400)
     record_visits(mem, outcome)
     # The zero-step clamp still marks its terminal once.
@@ -237,7 +261,7 @@ def test_record_visits_empty_path_no_change():
 
 
 def test_record_visits_clamped_terminal_counts_twice():
-    mem = new_visit_memory(20)
+    mem = new_memory(20)
     outcome, _ = execute_option(CloudField([], 20), (17, 5), RIGHT, 4, 400)
     assert outcome.clamped and outcome.terminal == (19, 5)
     record_visits(mem, outcome)
@@ -246,7 +270,7 @@ def test_record_visits_clamped_terminal_counts_twice():
 
 
 def test_record_visits_never_decrements():
-    mem = new_visit_memory(20)
+    mem = new_memory(20)
     rng = make_rng(3)
     for _ in range(100):
         x = int(rng.integers(20))
@@ -264,7 +288,7 @@ def test_record_visits_never_decrements():
 def test_explore_mode_is_uniform():
     q = new_qtable(20)
     q[5, 5] = [9.0, 0.0, 0.0, 0.0]
-    mem = new_visit_memory(20)
+    mem = new_memory(20)
     rng = make_rng(17)
     counts = [0, 0, 0, 0]
     n = 10_000
@@ -279,7 +303,7 @@ def test_explore_mode_is_uniform():
 def test_exploit_filter_redirects_from_visited_terminal():
     q = new_qtable(20)
     q[10, 10] = [0.9, 0.8, 0.7, 0.6]
-    mem = new_visit_memory(20)
+    mem = new_memory(20)
     up_terminal = option_terminal((10, 10), UP, option_stride(3), 20)
     mem[up_terminal] = 1
     assert select_option(q, mem, (10, 10), params(), "exploit", None) == DOWN
@@ -288,8 +312,8 @@ def test_exploit_filter_redirects_from_visited_terminal():
 def test_exploit_uniform_memory_shift_keeps_argmax():
     q = new_qtable(20)
     q[10, 10] = [0.9, 0.8, 0.7, 0.6]
-    clean = new_visit_memory(20)
-    shifted = new_visit_memory(20)
+    clean = new_memory(20)
+    shifted = new_memory(20)
     for d in range(4):
         shifted[option_terminal((10, 10), d, option_stride(3), 20)] = 1
     assert (select_option(q, clean, (10, 10), params(), "exploit", None)
@@ -299,7 +323,7 @@ def test_exploit_uniform_memory_shift_keeps_argmax():
 
 def test_exploit_tie_break_order():
     q = new_qtable(20)
-    mem = new_visit_memory(20)
+    mem = new_memory(20)
     assert select_option(q, mem, (10, 10), params(), "exploit", None) == UP
     q[10, 10] = [0.0, 1.0, 1.0, 0.0]
     assert select_option(q, mem, (10, 10), params(), "exploit", None) == DOWN
@@ -310,7 +334,7 @@ def test_exploit_terminal_uses_full_stride():
     # that far ahead, not option_length cells.
     q = new_qtable(20)
     q[10, 10] = [0.0, 0.0, 0.0, 1.0]
-    mem = new_visit_memory(20)
+    mem = new_memory(20)
     mem[14, 10] = 1  # stride-4 terminal of moving right
     assert select_option(q, mem, (10, 10), params(), "exploit", None) == UP
     mem[14, 10] = 0
@@ -323,7 +347,7 @@ def test_strong_filter_prefers_any_unvisited_terminal():
     for _ in range(500):
         q = new_qtable(9)
         q[:] = rng.uniform(-1.0, 1.0, size=q.shape)
-        mem = new_visit_memory(9)
+        mem = new_memory(9)
         mem[:] = rng.integers(0, 3, size=mem.shape)
         x = int(rng.integers(9))
         y = int(rng.integers(9))
@@ -340,7 +364,7 @@ def test_strong_filter_prefers_any_unvisited_terminal():
 def test_binary_memory_caps_repeat_penalty():
     q = new_qtable(20)
     q[10, 10] = [0.0, 5.0, 0.0, 0.0]
-    mem = new_visit_memory(20)
+    mem = new_memory(20)
     mem[option_terminal((10, 10), DOWN, option_stride(3), 20)] = 3
     # Counting memory: penalty 30 sinks the 5.0 entry.
     assert select_option(q, mem, (10, 10), params(), "exploit", None) == UP
@@ -352,7 +376,7 @@ def test_binary_memory_caps_repeat_penalty():
 
 def test_select_option_rejects_unknown_mode():
     with pytest.raises(ValueError):
-        select_option(new_qtable(4), new_visit_memory(4), (0, 0), params(),
+        select_option(new_qtable(4), new_memory(4), (0, 0), params(),
                       "greedy", None)
 
 

@@ -416,3 +416,23 @@ def test_static_demo_values_grow_toward_cloud():
     snaps = static_demo(hp, 0, n_episodes=400, snapshot_episodes=(100, 400))
     assert snaps[400].max() > snaps[100].max() * 0.5
     assert snaps[400].max() > 0
+
+
+def test_a_demo_refill_serves_several_episodes(monkeypatch):
+    # Each exploring episode reserves 2 * max_steps words; fetching one
+    # 1024-word block per reservation made 981 fetches in this run.
+    fetches = []
+
+    def counted_rng(seed, stream=0):
+        tape = make_rng(seed, stream)
+        raw = tape._raw
+        tape._raw = lambda n: fetches.append(n) or raw(n)
+        return tape
+
+    monkeypatch.setattr(training, "make_rng", counted_rng)
+    dynamic_demo(Hyperparams(), 0)
+    assert len(fetches) <= 981 // 3
+    # A one-word refill still reads one block.
+    tape = make_rng(0)
+    tape.ensure(1)
+    assert len(tape.words) == 1024
