@@ -7,15 +7,15 @@ import argparse
 import os
 
 from hmc_search import (
+    EvalStats,
     Hyperparams,
-    make_cloud,
     ring_insets,
     snake_path,
     spiral_path,
-    steps_to_find,
     sweep_rows,
 )
-from hmc_search.baselines import write_path_csv
+from hmc_search.cli import write_csv
+from hmc_search.evalharness import center_steps
 
 
 def render(pattern, grid_length):
@@ -25,17 +25,6 @@ def render(pattern, grid_length):
     sx, sy = pattern.cells[0]
     grid[sy][sx] = "S"
     return "\n".join("".join(row) for row in grid)
-
-
-def center_stats(pattern, grid_length, diameter, max_steps):
-    steps = [steps_to_find(pattern, make_cloud((x, y), diameter, grid_length), max_steps)
-             for x in range(grid_length) for y in range(grid_length)]
-    ordered = sorted(steps)
-    return {
-        "mean": sum(steps) / len(steps),
-        "median": ordered[(len(ordered) - 1) // 2],
-        "worst": ordered[-1],
-    }
 
 
 def main():
@@ -56,19 +45,20 @@ def main():
           f"{len(spiral.cells) - 1} moves:")
     print(render(spiral, args.grid))
 
-    budget = Hyperparams().max_steps
+    hp = Hyperparams(grid_length=args.grid, pollution_diameter=args.diameter)
     print(f"\nmoves to reach a diameter-{args.diameter} cloud, over all "
           f"{args.grid * args.grid} centers:")
-    for name, pattern in (("snake", snake), ("spiral", spiral)):
-        stats = center_stats(pattern, args.grid, args.diameter, budget)
-        print(f"  {name:7} mean {stats['mean']:7.2f}   "
-              f"median {stats['median']:3d}   worst {stats['worst']:3d}")
+    for pattern, steps in zip((snake, spiral), center_steps(hp, snake, spiral)):
+        stats = EvalStats.from_steps(steps.ravel().tolist(), 0)
+        print(f"  {pattern.kind:7} mean {stats.mean:7.2f}   "
+              f"median {stats.median:3.0f}   worst {max(stats.steps):3d}")
 
     if args.csv:
         os.makedirs(args.csv, exist_ok=True)
-        for name, pattern in (("snake", snake), ("spiral", spiral)):
-            target = os.path.join(args.csv, f"{name}.csv")
-            write_path_csv(target, pattern)
+        for pattern in (snake, spiral):
+            target = os.path.join(args.csv, f"{pattern.kind}.csv")
+            write_csv(target, ("step", "x", "y"),
+                      ((i, x, y) for i, (x, y) in enumerate(pattern.cells)))
             print(f"wrote {target}")
 
 

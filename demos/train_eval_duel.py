@@ -11,12 +11,14 @@ import numpy as np
 
 from hmc_search import (
     Hyperparams,
+    agent_route,
     evaluate_agent,
     make_rng,
     route_heatmap,
     run_duels,
     score_map,
     snake_path,
+    spiral_path,
     train_agent,
 )
 
@@ -44,27 +46,30 @@ def main():
           f"last 100: {successes} succeeded, "
           f"mean {sum(r.n_step for r in tail) / len(tail):.1f} steps")
 
-    stats = evaluate_agent(report.q, hp, args.episodes,
+    # Every scoring function takes a route; the greedy agent's is walked once.
+    route = agent_route(report.q, hp)
+    stats = evaluate_agent(route, hp, args.episodes,
                            make_rng(args.seed, stream=1))
     print(f"\ngreedy evaluation over {args.episodes} random clouds: "
           f"mean {stats.mean:.2f}, median {stats.median:.0f}, "
           f"failures {stats.failures}")
 
-    duels = run_duels(report.q, hp, args.episodes,
-                      make_rng(args.seed, stream=2))
+    snake = snake_path(hp.grid_length, hp.pollution_diameter)
+    spiral = spiral_path(hp.grid_length, hp.pollution_diameter)
+    duels = run_duels(route, hp, args.episodes,
+                      make_rng(args.seed, stream=2), snake, spiral)
     for name in ("snake", "spiral"):
         o = duels[name]
         print(f"vs {name:7} wins {o.wins:4d}  ties {o.ties:3d}  "
               f"losses {o.losses:4d}  ({100.0 * o.wins / o.total:.1f}% won)")
 
-    result = score_map(report.q, hp, snake_path(hp.grid_length,
-                                                hp.pollution_diameter))
+    result = score_map(route, hp, snake)
     tally = result.tally
     print(f"\nper-center map vs snake: {tally.wins} wins, {tally.ties} "
           f"ties, {tally.losses} losses out of {tally.total}")
     print("\n".join(outcome_rows(result)))
 
-    counts = route_heatmap(report.q, hp, 200, make_rng(args.seed, stream=1))
+    counts = route_heatmap(route, hp, 200, make_rng(args.seed, stream=1))
     flat = [((x, y), int(counts[x, y]))
             for x in range(hp.grid_length) for y in range(hp.grid_length)]
     top = sorted(flat, key=lambda item: -item[1])[:5]

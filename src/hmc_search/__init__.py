@@ -36,6 +36,7 @@ from .evalharness import (
     EvalStats,
     PopulationReport,
     ScoreMap,
+    agent_route,
     evaluate_agent,
     population_stats,
     route_heatmap,

@@ -169,10 +169,3 @@ def steps_to_find(path: PatternPath, cloud: Cloud, max_steps: int) -> int:
     """
     hit = first_hit(path, cloud)
     return max_steps if hit is None else min(hit, max_steps)
-
-
-def write_path_csv(path_file, pattern: PatternPath) -> None:
-    with open(path_file, "w", newline="") as handle:
-        handle.write("step,x,y\n")
-        for index, (x, y) in enumerate(pattern.cells):
-            handle.write(f"{index},{x},{y}\n")

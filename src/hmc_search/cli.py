@@ -26,10 +26,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .baselines import snake_path, spiral_path, write_path_csv
+from .baselines import PatternPath, snake_path, spiral_path
 from .env import RNG_CONTRACT, make_rng
-from .evalharness import (EvalStats, center_steps, evaluate_agent, population_stats,
-                          route_heatmap, run_duels, score_map)
+from .evalharness import (EvalStats, agent_route, center_steps, evaluate_agent,
+                          population_stats, route_heatmap, run_duels, score_map)
 from .policy import read_qtable_csv, write_qtable_csv
 from .sweep import SweepValueError, load_plan, tuning_loop
 from .training import (CONFIG_TYPES, Hyperparams, dynamic_demo, reject_unknown_keys,
@@ -159,7 +159,8 @@ def _command(name: str, help_text: str, **flags):
     return register
 
 
-def _load_qtable(opts):
+def _load_route(opts) -> PatternPath:
+    """The greedy route of the value table at --qtable."""
     path = opts["qtable"]
     if not os.path.exists(path):
         raise FileNotFoundError(
@@ -171,7 +172,7 @@ def _load_qtable(opts):
             raise ValueError(f"it is for a {q.shape[0]}-cell grid, not grid_length {length}")
     except ValueError as err:
         raise UsageError(f"bad value table {path}: {err}") from err
-    return q
+    return agent_route(q, opts["hp"])
 
 
 @_command("train", "train an agent and save its value table")
@@ -197,8 +198,8 @@ def cmd_train(opts):
 @_command("eval", "score a saved agent over random episodes", qtable=None, episodes=1000)
 def cmd_eval(opts):
     hp = opts["hp"]
-    q = _load_qtable(opts)
-    stats = evaluate_agent(q, hp, opts["episodes"], make_rng(opts["seed"], stream=1))
+    route = _load_route(opts)
+    stats = evaluate_agent(route, hp, opts["episodes"], make_rng(opts["seed"], stream=1))
     write_csv(
         os.path.join(opts["out"], "eval_steps.csv"),
         ("episode", "steps"),
@@ -217,8 +218,10 @@ def cmd_eval(opts):
           qtable=None, runs=1000)
 def cmd_duel(opts):
     hp = opts["hp"]
-    q = _load_qtable(opts)
-    outcomes = run_duels(q, hp, opts["runs"], make_rng(opts["seed"], stream=2))
+    route = _load_route(opts)
+    length, diameter = hp.grid_length, hp.pollution_diameter
+    outcomes = run_duels(route, hp, opts["runs"], make_rng(opts["seed"], stream=2),
+                         snake_path(length, diameter), spiral_path(length, diameter))
     write_csv(
         os.path.join(opts["out"], "duels.csv"),
         ("opponent", "wins", "ties", "losses"),
@@ -233,11 +236,11 @@ def cmd_duel(opts):
           qtable=None, opponent="snake")
 def cmd_scoremap(opts):
     hp = opts["hp"]
-    q = _load_qtable(opts)
+    route = _load_route(opts)
     name = opts["opponent"]
     pattern = (snake_path if name == "snake" else spiral_path)(
         hp.grid_length, hp.pollution_diameter)
-    result = score_map(q, hp, pattern)
+    result = score_map(route, hp, pattern)
     labels = np.array(["loss", "tie", "win"])  # outcome -1, 0, +1
     out_name = f"scoremap_{name}.csv"
     write_csv(os.path.join(opts["out"], out_name), ("x", "y", "outcome"),
@@ -249,8 +252,8 @@ def cmd_scoremap(opts):
 @_command("route", "visit-count heatmap of the greedy policy", qtable=None, episodes=1000)
 def cmd_route(opts):
     hp = opts["hp"]
-    q = _load_qtable(opts)
-    counts = route_heatmap(q, hp, opts["episodes"], make_rng(opts["seed"], stream=1))
+    route = _load_route(opts)
+    counts = route_heatmap(route, hp, opts["episodes"], make_rng(opts["seed"], stream=1))
     write_csv(os.path.join(opts["out"], "route.csv"), ("x", "y", "count"), _grid_rows(counts))
     return ["route.csv"], {"episodes": opts["episodes"], "total_visits": int(counts.sum())}
 
@@ -264,7 +267,8 @@ def cmd_pattern(opts):
     metrics = {}
     for pattern, steps in zip(patterns, center_steps(hp, *patterns)):
         name = pattern.kind
-        write_path_csv(os.path.join(opts["out"], f"{name}.csv"), pattern)
+        write_csv(os.path.join(opts["out"], f"{name}.csv"), ("step", "x", "y"),
+                  ((i, x, y) for i, (x, y) in enumerate(pattern.cells)))
         write_csv(os.path.join(opts["out"], f"{name}_steps.csv"), ("x", "y", "steps"),
                   _grid_rows(steps))
         stats = EvalStats.from_steps(steps.ravel().tolist(), 0)

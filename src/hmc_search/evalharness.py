@@ -5,10 +5,12 @@ cloud, and DuelOutcome.tally decides every one: strictly fewer steps
 wins, equal steps tie.  Failed agent episodes count the full step
 budget, which makes them automatic losses against any finishing pattern.
 
-The agent is scored like the patterns, by a route and a per-center table:
-the greedy policy reads no random source and walks the same cells for
-every cloud until it enters one, where a single-cloud episode ends, so
-center_hits gives every center's first_hit in one pass over the route.
+Every scoring function takes a route (a PatternPath), never a value
+table, so the agent is scored like the patterns, by a route and a
+per-center table.  agent_route is the one place a value table becomes a
+route: the greedy policy reads no random source and walks the same cells
+for every cloud until it enters one, where a single-cloud episode ends,
+so center_hits gives every center's first_hit in one pass over the route.
 A random cloud is its center, drawn by draw_centers as spawn_clouds
 draws it, and its score a read of the table.
 """
@@ -19,7 +21,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .baselines import PatternPath, budget_steps, center_hits, snake_path, spiral_path
+from .baselines import PatternPath, budget_steps, center_hits, snake_path
 from .env import CloudField, draw_centers, make_rng
 from .policy import QTable
 from .training import Hyperparams, run_episode, train_agent
@@ -72,18 +74,13 @@ def agent_route(q: QTable, hp: Hyperparams) -> PatternPath:
     return PatternPath(tuple(traj.cells), "agent", first=1)
 
 
-def _evaluate(hits: list, hp: Hyperparams, n_episodes: int, rng) -> EvalStats:
-    """Single-cloud episodes of the route whose center_hits are hits."""
+def evaluate_agent(route: PatternPath, hp: Hyperparams, n_episodes: int, rng) -> EvalStats:
+    """Single-cloud episodes of the route; a find on the budget's last step succeeds."""
     if n_episodes < 1:
         raise ValueError("n_episodes must be at least 1")
+    hits = center_hits(route, hp.grid_length, hp.pollution_diameter)
     found = [hits[center] for center in draw_centers(hp.grid_length, n_episodes, rng)]
     return EvalStats.from_steps(budget_steps(found, hp.max_steps), found.count(None))
-
-
-def evaluate_agent(q: QTable, hp: Hyperparams, n_episodes: int, rng) -> EvalStats:
-    """Greedy single-cloud episodes; a find on the budget's last step succeeds."""
-    hits = center_hits(agent_route(q, hp), hp.grid_length, hp.pollution_diameter)
-    return _evaluate(hits, hp, n_episodes, rng)
 
 
 def center_steps(hp: Hyperparams, *paths: PatternPath) -> np.ndarray:
@@ -94,23 +91,15 @@ def center_steps(hp: Hyperparams, *paths: PatternPath) -> np.ndarray:
     return np.array(steps, dtype=np.int64).reshape(len(paths), length, length)
 
 
-def _duels(hits: list, hp: Hyperparams, n: int, rng,
-           *patterns: PatternPath) -> dict[str, DuelOutcome]:
-    """The route (its center_hits) against each pattern on n shared random clouds, by kind."""
+def run_duels(route: PatternPath, hp: Hyperparams, n: int, rng,
+              *patterns: PatternPath) -> dict[str, DuelOutcome]:
+    """The route against each pattern on n shared random clouds, by pattern kind."""
     if n < 1:
         raise ValueError("n must be at least 1")
     centers = draw_centers(hp.grid_length, n, rng)
-    agent = budget_steps([hits[center] for center in centers], hp.max_steps)
-    opponents = center_steps(hp, *patterns).reshape(len(patterns), -1)[:, centers]
-    return {pattern.kind: DuelOutcome.tally(agent, steps)
-            for pattern, steps in zip(patterns, opponents)}
-
-
-def run_duels(q: QTable, hp: Hyperparams, n: int, rng) -> dict[str, DuelOutcome]:
-    """n independent random clouds, each scored for the agent and both patterns."""
-    length, diameter = hp.grid_length, hp.pollution_diameter
-    return _duels(center_hits(agent_route(q, hp), length, diameter), hp, n, rng,
-                  snake_path(length, diameter), spiral_path(length, diameter))
+    steps = center_steps(hp, route, *patterns).reshape(len(patterns) + 1, -1)[:, centers]
+    return {pattern.kind: DuelOutcome.tally(steps[0], opponent)
+            for pattern, opponent in zip(patterns, steps[1:])}
 
 
 @dataclass
@@ -124,25 +113,24 @@ class ScoreMap:
     tally: DuelOutcome
 
 
-def score_map(q: QTable, hp: Hyperparams, opponent: PatternPath) -> ScoreMap:
-    """Exhaustive duel over all grid_length ** 2 cloud centers.
+def score_map(route: PatternPath, hp: Hyperparams, opponent: PatternPath) -> ScoreMap:
+    """Exhaustive duel of the route over all grid_length ** 2 cloud centers.
 
     Both sides are deterministic, so the map needs no random source.
     """
-    agent_grid, opponent_grid = center_steps(hp, agent_route(q, hp), opponent)
+    agent_grid, opponent_grid = center_steps(hp, route, opponent)
     # +1 where the agent needs fewer steps (a win), 0 on a tie, -1 on a loss.
     outcome = np.sign(opponent_grid - agent_grid).astype(np.int8)
     return ScoreMap(opponent.kind, outcome, agent_grid, opponent_grid,
                     DuelOutcome.tally(agent_grid, opponent_grid))
 
 
-def route_heatmap(q: QTable, hp: Hyperparams, n_episodes: int, rng) -> np.ndarray:
-    """Visit counts per cell over greedy evaluation episodes.
+def route_heatmap(route: PatternPath, hp: Hyperparams, n_episodes: int, rng) -> np.ndarray:
+    """Visit counts per cell over the route's single-cloud episodes.
 
     Each episode contributes its start cell plus every cell entered, so
     the grand total is the sum of (steps + 1) over episodes.
     """
-    route = agent_route(q, hp)
     hits = center_hits(route, hp.grid_length, hp.pollution_diameter)
     last = len(route.cells) - 1
     ends = [last if hits[center] is None else hits[center]
@@ -180,12 +168,11 @@ def score_agent(hp: Hyperparams, seed: int, n_eval: int, n_duel: int) -> AgentSc
     from stream 2.  n_duel 0 skips the duel and leaves its tallies at 0.
     """
     route = agent_route(train_agent(hp, seed).q, hp)
-    hits = center_hits(route, hp.grid_length, hp.pollution_diameter)
-    stats = _evaluate(hits, hp, n_eval, make_rng(seed, stream=1))
+    stats = evaluate_agent(route, hp, n_eval, make_rng(seed, stream=1))
     duels = DuelOutcome()
     if n_duel:
         snake = snake_path(hp.grid_length, hp.pollution_diameter)
-        duels = _duels(hits, hp, n_duel, make_rng(seed, stream=2), snake)["snake"]
+        duels = run_duels(route, hp, n_duel, make_rng(seed, stream=2), snake)["snake"]
     win_pct = 100.0 * duels.wins / duels.total if n_duel else 0.0
     return AgentScore(seed, stats.mean, stats.median, stats.failures, *astuple(duels), win_pct)
 

@@ -12,7 +12,7 @@ from scipy.ndimage import distance_transform_edt
 from hmc_search.baselines import snake_path, spiral_path, steps_to_find
 from hmc_search.cli import dispatch
 from hmc_search.env import make_cloud, make_rng, spawn_clouds
-from hmc_search.evalharness import evaluate_agent, score_map
+from hmc_search.evalharness import agent_route, evaluate_agent, score_map
 from hmc_search.policy import (
     mc_update,
     new_qtable,
@@ -202,10 +202,10 @@ def test_07_trained_agents_compete_with_the_patterns():
     means = []
     best_wins = 0
     for seed in range(20):
-        report = train_agent(hp, seed)
-        stats = evaluate_agent(report.q, hp, 1000, make_rng(seed, stream=1))
+        route = agent_route(train_agent(hp, seed).q, hp)
+        stats = evaluate_agent(route, hp, 1000, make_rng(seed, stream=1))
         means.append(stats.mean)
-        wins = score_map(report.q, hp, snake).tally.wins
+        wins = score_map(route, hp, snake).tally.wins
         best_wins = max(best_wins, wins)
     elapsed = time.perf_counter() - start
     median_mean = float(np.median(means))

@@ -19,8 +19,8 @@ from hmc_search.baselines import (
     spiral_path,
     steps_to_find,
     sweep_rows,
-    write_path_csv,
 )
+from hmc_search.cli import dispatch
 from hmc_search.env import START, cloud_table, make_cloud, move
 from hmc_search.training import Hyperparams
 
@@ -207,18 +207,16 @@ def test_patterns_find_a_cloud_at_every_center_of_any_grid(grid):
 
 
 def test_write_path_csv(tmp_path):
-    target = tmp_path / "pattern.csv"
-    path = snake_path(6, 3)
-    write_path_csv(target, path)
-    raw = target.read_bytes().decode()
-    assert "\r" not in raw
-    lines = raw.splitlines()
-    assert lines[0] == "step,x,y"
-    assert len(lines) == len(path.cells) + 1
-    assert lines[1] == "0,0,0"
-    last = len(path.cells) - 1
-    x, y = path.cells[-1]
-    assert lines[-1] == f"{last},{x},{y}"
+    # The pattern command writes each path as step,x,y rows, start first.
+    config = tmp_path / "small.json"
+    config.write_text('{"grid_length": 6, "pollution_diameter": 3}')
+    assert dispatch(["pattern", "--config", str(config), "--out", str(tmp_path)]) == 0
+    for path in (snake_path(6, 3), spiral_path(6, 3)):
+        raw = (tmp_path / f"{path.kind}.csv").read_bytes().decode()
+        assert "\r" not in raw
+        lines = raw.splitlines()
+        assert lines[0] == "step,x,y"
+        assert lines[1:] == [f"{i},{x},{y}" for i, (x, y) in enumerate(path.cells)]
 
 
 def test_center_hits_builds_only_the_rows_of_the_route_cells():

@@ -17,7 +17,7 @@ from hmc_search.cli import (
     parse_config,
 )
 from hmc_search.env import RNG_CONTRACT, make_rng
-from hmc_search.evalharness import evaluate_agent
+from hmc_search.evalharness import agent_route, evaluate_agent
 from hmc_search.policy import new_qtable, read_qtable_csv, write_qtable_csv
 from hmc_search.training import CONFIG_TYPES, Hyperparams, train_agent
 
@@ -198,7 +198,7 @@ def test_eval_pipeline(cfg_file, tmp_path):
 
     hp = Hyperparams(**FAST)
     q = read_qtable_csv(out / "qtable.csv")
-    stats = evaluate_agent(q, hp, 20, make_rng(2, stream=1))
+    stats = evaluate_agent(agent_route(q, hp), hp, 20, make_rng(2, stream=1))
     manifest = json.loads((out / "manifest_eval.json").read_text())
     assert manifest["metrics"]["mean_steps"] == stats.mean
     assert manifest["metrics"]["failures"] == stats.failures

@@ -5,11 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hmc_search.baselines import first_hit, snake_path, spiral_path, steps_to_find
-from hmc_search.env import RIGHT, START, CloudField, make_cloud, make_rng, spawn_clouds
+from hmc_search.env import (RIGHT, START, CloudField, draw_centers, make_cloud, make_rng,
+                            spawn_clouds)
 from hmc_search.evalharness import (
     DuelOutcome,
     EvalStats,
     agent_route,
+    center_steps,
     evaluate_agent,
     population_stats,
     route_heatmap,
@@ -83,12 +85,12 @@ def test_duel_outcome_tally(data):
 
 def test_evaluate_agent_rejects_empty_batch():
     with pytest.raises(ValueError):
-        evaluate_agent(new_qtable(20), QUICK, 0, make_rng(0, stream=1))
+        evaluate_agent(agent_route(new_qtable(20), QUICK), QUICK, 0, make_rng(0, stream=1))
 
 
 def test_evaluate_agent_matches_manual_episodes():
     q = trained_table()
-    stats = evaluate_agent(q, QUICK, 30, make_rng(7, stream=1))
+    stats = evaluate_agent(agent_route(q, QUICK), QUICK, 30, make_rng(7, stream=1))
     rng = make_rng(7, stream=1)
     expected = []
     failures = 0
@@ -105,21 +107,22 @@ def test_evaluate_agent_matches_manual_episodes():
 
 
 def test_evaluate_agent_is_reproducible():
-    q = trained_table()
-    first = evaluate_agent(q, QUICK, 25, make_rng(11, stream=1))
-    second = evaluate_agent(q, QUICK, 25, make_rng(11, stream=1))
+    route = agent_route(trained_table(), QUICK)
+    first = evaluate_agent(route, QUICK, 25, make_rng(11, stream=1))
+    second = evaluate_agent(route, QUICK, 25, make_rng(11, stream=1))
     assert first.steps == second.steps
 
 
 def test_run_duels_matches_manual_replay():
     q = trained_table()
-    outcomes = run_duels(q, QUICK, 40, make_rng(5, stream=2))
-    assert set(outcomes) == {"snake", "spiral"}
-
     patterns = {
         "snake": snake_path(QUICK.grid_length, QUICK.pollution_diameter),
         "spiral": spiral_path(QUICK.grid_length, QUICK.pollution_diameter),
     }
+    outcomes = run_duels(agent_route(q, QUICK), QUICK, 40, make_rng(5, stream=2),
+                         *patterns.values())
+    assert set(outcomes) == {"snake", "spiral"}
+
     rng = make_rng(5, stream=2)
     verdicts = {name: [] for name in patterns}
     for _ in range(40):
@@ -136,7 +139,8 @@ def test_run_duels_matches_manual_replay():
 
 def test_run_duels_rejects_empty_batch():
     with pytest.raises(ValueError):
-        run_duels(new_qtable(20), QUICK, 0, make_rng(0, stream=2))
+        run_duels(agent_route(new_qtable(20), QUICK), QUICK, 0, make_rng(0, stream=2),
+                  snake_path(20, 5))
 
 
 SMALL = Hyperparams(grid_length=6, pollution_diameter=3, max_steps=40,
@@ -144,9 +148,8 @@ SMALL = Hyperparams(grid_length=6, pollution_diameter=3, max_steps=40,
 
 
 def test_score_map_covers_every_center():
-    q = train_agent(SMALL, 1).q
-    pattern = snake_path(6, 3)
-    smap = score_map(q, SMALL, pattern)
+    route = agent_route(train_agent(SMALL, 1).q, SMALL)
+    smap = score_map(route, SMALL, snake_path(6, 3))
     assert smap.opponent == "snake"
     assert smap.outcome.shape == (6, 6)
     assert smap.tally.wins + smap.tally.ties + smap.tally.losses == 36
@@ -157,7 +160,7 @@ def test_score_map_covers_every_center():
 def test_score_map_matches_manual_duels():
     q = train_agent(SMALL, 1).q
     pattern = spiral_path(6, 3)
-    smap = score_map(q, SMALL, pattern)
+    smap = score_map(agent_route(q, SMALL), SMALL, pattern)
     for x in range(6):
         for y in range(6):
             cloud = make_cloud((x, y), 3, 6)
@@ -172,17 +175,17 @@ def test_score_map_matches_manual_duels():
 
 
 def test_score_map_is_deterministic():
-    q = train_agent(SMALL, 2).q
+    route = agent_route(train_agent(SMALL, 2).q, SMALL)
     pattern = snake_path(6, 3)
-    first = score_map(q, SMALL, pattern)
-    second = score_map(q, SMALL, pattern)
+    first = score_map(route, SMALL, pattern)
+    second = score_map(route, SMALL, pattern)
     assert np.array_equal(first.outcome, second.outcome)
     assert np.array_equal(first.agent_steps, second.agent_steps)
 
 
 def test_route_heatmap_accounting():
     q = trained_table()
-    counts = route_heatmap(q, QUICK, 20, make_rng(9, stream=1))
+    counts = route_heatmap(agent_route(q, QUICK), QUICK, 20, make_rng(9, stream=1))
     rng = make_rng(9, stream=1)
     total = sum(run_episode(q, QUICK, "eval", rng).n_step + 1
                 for _ in range(20))
@@ -203,9 +206,9 @@ def test_population_single_agent_matches_components():
     agent = report.agents[0]
     assert agent.seed == 13
 
-    q = train_agent(QUICK, 13).q
-    stats = evaluate_agent(q, QUICK, 30, make_rng(13, stream=1))
-    duels = run_duels(q, QUICK, 30, make_rng(13, stream=2))["snake"]
+    route = agent_route(train_agent(QUICK, 13).q, QUICK)
+    stats = evaluate_agent(route, QUICK, 30, make_rng(13, stream=1))
+    duels = run_duels(route, QUICK, 30, make_rng(13, stream=2), snake_path(20, 5))["snake"]
     assert agent.mean_steps == stats.mean
     assert agent.median_steps == stats.median
     assert agent.failures == stats.failures
@@ -228,7 +231,8 @@ def test_population_histograms_conserve_agents():
 
 def test_score_agent_without_duel_matches_evaluation():
     agent = score_agent(QUICK, 13, 30, 0)
-    stats = evaluate_agent(train_agent(QUICK, 13).q, QUICK, 30, make_rng(13, stream=1))
+    route = agent_route(train_agent(QUICK, 13).q, QUICK)
+    stats = evaluate_agent(route, QUICK, 30, make_rng(13, stream=1))
     assert (agent.mean_steps, agent.median_steps, agent.failures) == (
         stats.mean, stats.median, stats.failures)
     assert (agent.wins, agent.ties, agent.losses, agent.win_pct) == (0, 0, 0, 0.0)
@@ -274,7 +278,7 @@ def test_agent_loses_every_center_whose_cloud_covers_the_start():
     hp = Hyperparams()
     q = new_qtable(20)
     q[:] = np.random.default_rng((4, 0)).normal(size=q.shape)
-    smap = score_map(q, hp, snake_path(20, 5))
+    smap = score_map(agent_route(q, hp), hp, snake_path(20, 5))
     covering = smap.opponent_steps == 0
     assert int(covering.sum()) == 8
     assert (smap.agent_steps[covering] >= 1).all()
@@ -299,10 +303,11 @@ def test_find_on_the_last_budget_step_is_a_success():
     hp = Hyperparams(grid_length=5, pollution_diameter=1, max_steps=4, option_length=1)
     q = new_qtable(5)
     q[:, :, RIGHT] = 1.0
-    assert agent_route(q, hp).cells == ((0, 0), (1, 0), (2, 0), (3, 0), (4, 0))
-    found = evaluate_agent(q, hp, 1, FixedDraws(4, 0))
+    route = agent_route(q, hp)
+    assert route.cells == ((0, 0), (1, 0), (2, 0), (3, 0), (4, 0))
+    found = evaluate_agent(route, hp, 1, FixedDraws(4, 0))
     assert (found.steps, found.failures) == ([4], 0)
-    missed = evaluate_agent(q, hp, 1, FixedDraws(4, 1))
+    missed = evaluate_agent(route, hp, 1, FixedDraws(4, 1))
     assert (missed.steps, missed.failures) == ([4], 1)
     traj = run_episode(q, hp, "eval", None, field=CloudField([make_cloud((4, 0), 1, 5)], 5))
     assert (traj.n_step, traj.n_poll) == (4, 1)
@@ -312,7 +317,8 @@ def test_patterns_are_held_to_the_step_budget():
     # The snake needs up to 112 moves on the default grid.  With a 37-step
     # budget every later find scores 37, so a center where the untrained
     # agent also fails is a tie, not a win.
-    result = score_map(new_qtable(20), Hyperparams(max_steps=37), snake_path(20, 5))
+    hp = Hyperparams(max_steps=37)
+    result = score_map(agent_route(new_qtable(20), hp), hp, snake_path(20, 5))
     assert result.opponent_steps.max() == 37
     assert (result.opponent_steps == 37).sum() == 267
     assert not (result.outcome[result.agent_steps == 37] > 0).any()
@@ -324,3 +330,39 @@ def test_agent_and_patterns_start_on_the_same_cell():
     q = np.random.default_rng((4, 0)).normal(size=(7, 7, 4))
     routes = (agent_route(q, hp), snake_path(7, 3), spiral_path(7, 3))
     assert {route.cells[0] for route in routes} == {START}
+
+
+# --- any route, pattern or agent, is scored by the same functions
+
+
+@pytest.mark.parametrize("build", [
+    lambda hp: snake_path(hp.grid_length, hp.pollution_diameter),
+    lambda hp: spiral_path(hp.grid_length, hp.pollution_diameter),
+    lambda hp: agent_route(trained_table(), hp),
+], ids=["snake", "spiral", "agent"])
+def test_a_route_ties_itself_at_every_center(build):
+    route = build(QUICK)
+    smap = score_map(route, QUICK, route)
+    assert smap.opponent == route.kind
+    assert (smap.outcome == 0).all()
+    assert np.array_equal(smap.agent_steps, smap.opponent_steps)
+    assert smap.tally == DuelOutcome(0, QUICK.grid_length ** 2, 0)
+
+
+def test_a_duel_verdict_does_not_depend_on_the_other_patterns():
+    # score_agent duels the snake alone, the duel command both patterns.
+    route = agent_route(trained_table(), QUICK)
+    snake, spiral = snake_path(20, 5), spiral_path(20, 5)
+    both = run_duels(route, QUICK, 50, make_rng(4, stream=2), snake, spiral)
+    for pattern in (snake, spiral):
+        alone = run_duels(route, QUICK, 50, make_rng(4, stream=2), pattern)
+        assert alone == {pattern.kind: both[pattern.kind]}
+
+
+def test_evaluating_a_pattern_reads_its_center_steps():
+    hp = Hyperparams()
+    snake = snake_path(20, 5)
+    stats = evaluate_agent(snake, hp, 300, make_rng(6, stream=1))
+    centers = draw_centers(20, 300, make_rng(6, stream=1))
+    assert stats.failures == 0
+    assert stats.steps == center_steps(hp, snake)[0].ravel()[centers].tolist()
