@@ -5,8 +5,6 @@ returns, so the output reads as a guided tour of the simulator.
 """
 import argparse
 
-import numpy as np
-
 from hmc_search import (
     DIRECTION_NAMES,
     RIGHT,
@@ -14,7 +12,6 @@ from hmc_search import (
     Hyperparams,
     execute_option,
     make_rng,
-    new_qtable,
     option_stride,
     select_option,
     sense,
@@ -57,25 +54,30 @@ def main():
     print(f"\nintensity along the row through {cloud.center}: {profile}")
     print(f"cells in that cloud: {len(cloud.support)}")
 
+    # Inside the learners a cell is the int x * grid_length + y, and the
+    # value table and visit memory are flat lists indexed by it.
+    length = hp.grid_length
     stride = option_stride(hp.option_length)
     print(f"\none decision commits to a direction for {stride} cells "
           f"(first move plus {hp.option_length} repeats)")
-    outcome, field = execute_option(field, START, RIGHT, stride, hp.max_steps)
+    start = START[0] * length + START[1]
+    outcome, field = execute_option(field, start, RIGHT, stride, hp.max_steps)
     print(f"walking {DIRECTION_NAMES[RIGHT]} from {START}: "
-          f"path {list(outcome.path)}, ended at {outcome.terminal}, "
+          f"path {[divmod(cell, length) for cell in outcome.path]}, "
+          f"ended at {divmod(outcome.terminal, length)}, "
           f"clouds collected {outcome.found_count}")
 
     # A visited end cell is penalized at decision time, steering the
     # next option elsewhere even though all values are equal.
-    q = new_qtable(hp.grid_length)
-    mem = np.zeros((hp.grid_length, hp.grid_length), dtype=np.int64)
+    q = [0.0] * (length * length * 4)
+    mem = [0] * (length * length)
     for cell in outcome.path:
         mem[cell] += 1
     pos = outcome.terminal
     choice = select_option(q, mem, pos, hp, "exploit", None)
     print(f"\nafter marking that walk in memory, the greedy choice at "
-          f"{pos} turns {DIRECTION_NAMES[choice]}")
-    counted = int(np.count_nonzero(mem))
+          f"{divmod(pos, length)} turns {DIRECTION_NAMES[choice]}")
+    counted = sum(1 for visits in mem if visits)
     print(f"memory now marks {counted} cells; it resets at every episode "
           "start and never changes the value table")
 

@@ -136,8 +136,9 @@ def first_hit(path: PatternPath, cloud: Cloud) -> int | None:
     return None
 
 
-def center_hits(path: PatternPath, grid_length: int, diameter: int) -> list[int | None]:
-    """first_hit of the cloud centered on every cell c = x * grid_length + y.
+def center_hits(path: PatternPath, grid_length: int, diameter: int,
+                max_steps: int) -> list[int | None]:
+    """first_hit, by max_steps, of the cloud centered on each cell c = x * grid_length + y.
 
     The disc is symmetric, so the clouds that cover a cell are centered on
     its env.cloud_table cells.  One pass finds each distinct cell's first
@@ -146,7 +147,7 @@ def center_hits(path: PatternPath, grid_length: int, diameter: int) -> list[int 
     """
     covering = cloud_table(grid_length, diameter)
     first: dict[Cell, int] = {}
-    for index in range(path.first, len(path.cells)):
+    for index in range(path.first, min(len(path.cells), max_steps + 1)):
         first.setdefault(path.cells[index], index)
     hits: list[int | None] = [None] * (grid_length * grid_length)
     for (x, y), index in reversed(first.items()):
@@ -156,8 +157,8 @@ def center_hits(path: PatternPath, grid_length: int, diameter: int) -> list[int 
 
 
 def budget_steps(hits, max_steps: int) -> list[int]:
-    """steps_to_find from first hits: a miss, or a hit past the budget, scores max_steps."""
-    return [max_steps if hit is None else min(hit, max_steps) for hit in hits]
+    """steps_to_find from center_hits: a miss scores max_steps."""
+    return [max_steps if hit is None else hit for hit in hits]
 
 
 def steps_to_find(path: PatternPath, cloud: Cloud, max_steps: int) -> int:

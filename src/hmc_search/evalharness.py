@@ -68,17 +68,19 @@ def agent_route(q: QTable, hp: Hyperparams) -> PatternPath:
 
     It ends at the step budget or the decision cap, as a fruitless greedy
     episode does; lookups start at index 1 (see PatternPath.first).  The
-    episode reads q as rows of Python floats.
+    episode walks q as the learners' flat list, and its cell ints become
+    (x, y) here.
     """
-    traj = run_episode(q.tolist(), hp, "eval", None, field=CloudField([], hp.grid_length))
-    return PatternPath(tuple(traj.cells), "agent", first=1)
+    length = hp.grid_length
+    traj = run_episode(q.ravel().tolist(), hp, "eval", None, field=CloudField([], length))
+    return PatternPath(tuple(divmod(cell, length) for cell in traj.cells), "agent", first=1)
 
 
 def evaluate_agent(route: PatternPath, hp: Hyperparams, n_episodes: int, rng) -> EvalStats:
-    """Single-cloud episodes of the route; a find on the budget's last step succeeds."""
+    """Single-cloud episodes of the route; a find by the budget's last step succeeds."""
     if n_episodes < 1:
         raise ValueError("n_episodes must be at least 1")
-    hits = center_hits(route, hp.grid_length, hp.pollution_diameter)
+    hits = center_hits(route, hp.grid_length, hp.pollution_diameter, hp.max_steps)
     found = [hits[center] for center in draw_centers(hp.grid_length, n_episodes, rng)]
     return EvalStats.from_steps(budget_steps(found, hp.max_steps), found.count(None))
 
@@ -86,8 +88,8 @@ def evaluate_agent(route: PatternPath, hp: Hyperparams, n_episodes: int, rng) ->
 def center_steps(hp: Hyperparams, *paths: PatternPath) -> np.ndarray:
     """steps_to_find for a cloud centered on every cell, one (x, y) grid per path."""
     length = hp.grid_length
-    steps = [budget_steps(center_hits(path, length, hp.pollution_diameter), hp.max_steps)
-             for path in paths]
+    steps = [budget_steps(center_hits(path, length, hp.pollution_diameter, hp.max_steps),
+                          hp.max_steps) for path in paths]
     return np.array(steps, dtype=np.int64).reshape(len(paths), length, length)
 
 
@@ -128,17 +130,19 @@ def score_map(route: PatternPath, hp: Hyperparams, opponent: PatternPath) -> Sco
 def route_heatmap(route: PatternPath, hp: Hyperparams, n_episodes: int, rng) -> np.ndarray:
     """Visit counts per cell over the route's single-cloud episodes.
 
-    Each episode contributes its start cell plus every cell entered, so
-    the grand total is the sum of (steps + 1) over episodes.
+    Each episode contributes its start cell plus every cell entered until
+    its find or the budget, so the grand total is the sum of (steps + 1).
     """
-    hits = center_hits(route, hp.grid_length, hp.pollution_diameter)
-    last = len(route.cells) - 1
+    if n_episodes < 1:
+        raise ValueError("n_episodes must be at least 1")
+    hits = center_hits(route, hp.grid_length, hp.pollution_diameter, hp.max_steps)
+    last = min(len(route.cells) - 1, hp.max_steps)
     ends = [last if hits[center] is None else hits[center]
             for center in draw_centers(hp.grid_length, n_episodes, rng)]
     # Episodes that walk route index i: those that end there or later.
     walked = np.bincount(np.array(ends, dtype=np.int64), minlength=last + 1)[::-1].cumsum()[::-1]
     counts = np.zeros((hp.grid_length, hp.grid_length), dtype=np.int64)
-    np.add.at(counts, tuple(np.array(route.cells).T), walked)
+    np.add.at(counts, tuple(np.array(route.cells[:last + 1]).T), walked)
     return counts
 
 

@@ -7,13 +7,18 @@ greedy selection a visit-count memory is subtracted from the table
 values (scaled by the filter strength) so already searched regions lose
 out against fresh ones; the stored values themselves are never touched
 by the filter.
+
+Inside the learners a cell is the int x * grid_length + y, the values a
+flat list q[cell * 4 + d] and the visit counts a flat list mem[cell], as
+list items are cheaper than numpy scalars; a QTable is a trained table's
+form at the API and in its CSV.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -23,13 +28,6 @@ if TYPE_CHECKING:
     from .training import Hyperparams
 
 QTable = np.ndarray  # shape (grid_length, grid_length, 4), float64
-# Action values, read and written as q[x][y][d]: a QTable, or the nested lists
-# train_agent keeps because list items are cheaper than numpy scalars.
-QValues = QTable | list[list[list[float]]]
-# Visit counts, read and written as mem[x][y]: an int64 (grid_length,
-# grid_length) array, or the nested lists run_episode keeps because list
-# items are cheaper.
-VisitMemory = np.ndarray | list[list[int]]
 
 
 def new_qtable(grid_length: int) -> QTable:
@@ -50,17 +48,15 @@ class OptionOutcome:
     Frozen, because the walk table hands one outcome to every free walk.
     """
 
-    start: Cell
-    direction: int
-    path: tuple[Cell, ...]  # cells entered, in order; excludes start
+    path: tuple[int, ...]  # cells entered, in order; excludes the start
     primitive_steps: int
     found_count: int
-    terminal: Cell
+    terminal: int
     clamped: bool
 
 
-def q_update(q: QValues, s: Cell, o: int, r: float, s_next: Cell,
-             alpha: float, gamma: float) -> QValues:
+def q_update(q: list[float], s: int, o: int, r: float, s_next: int,
+             alpha: float, gamma: float) -> list[float]:
     """One temporal-difference backup on entry (s, o).  Mutates q in place.
 
     A zero discount reads no bootstrap row: for a finite row,
@@ -69,24 +65,22 @@ def q_update(q: QValues, s: Cell, o: int, r: float, s_next: Cell,
     """
     if not math.isfinite(r):
         raise ValueError("reward must be finite")
-    x, y = s
-    row = q[x][y]
-    old = row[o]
+    key = s * 4 + o
+    old = q[key]
     if gamma:
-        nx, ny = s_next
-        r += gamma * max(q[nx][ny])
-    row[o] = old + alpha * (r - old)
+        row = s_next * 4
+        r += gamma * max(q[row:row + 4])
+    q[key] = old + alpha * (r - old)
     return q
 
 
-def mc_update(q: QValues, s: Cell, o: int, r_t: float, alpha: float) -> QValues:
+def mc_update(q: list[float], s: int, o: int, r_t: float, alpha: float) -> list[float]:
     """Monte Carlo backup toward the trajectory return.  Mutates q in place."""
     if not math.isfinite(r_t):
         raise ValueError("reward must be finite")
-    x, y = s
-    row = q[x][y]
-    old = row[o]
-    row[o] = old + alpha * (r_t - old)
+    key = s * 4 + o
+    old = q[key]
+    q[key] = old + alpha * (r_t - old)
     return q
 
 
@@ -99,47 +93,34 @@ def option_terminal(s: Cell, direction: int, stride: int, grid_length: int) -> C
     return (x, y)
 
 
-class OptionWalks(NamedTuple):
+@lru_cache(maxsize=8)
+def option_walks(grid_length: int, stride: int) -> tuple[OptionOutcome, ...]:
     """Every option walk of one grid, indexed by cell * 4 + direction.
 
-    A cell is the int x * grid_length + y.  paths[i] holds the cells the
-    full stride enters before the border stops it, outcomes[i] is the
-    OptionOutcome of that walk on a field it misses (its path holds the
-    same cells as (x, y)), and terminal[i] is the option_terminal (x, y).
+    Entry i is the OptionOutcome of the full stride on a field it misses:
+    the cells it enters before the border stops it and the cell it ends
+    on.  The one walk geometry, built by move on first use: options read
+    it, and with stride 1 it is the primitive move table of the plain
+    Q-learning demos.
     """
-
-    paths: tuple[tuple[int, ...], ...]
-    outcomes: tuple[OptionOutcome, ...]
-    terminal: tuple[Cell, ...]
-
-
-@lru_cache(maxsize=8)
-def option_walks(grid_length: int, stride: int) -> OptionWalks:
-    """The walk table of (grid_length, stride), built by move on first use.
-
-    The one walk geometry: options read it, and with stride 1 it is the
-    primitive move table of the plain Q-learning demos.
-    """
-    coords = [(x, y) for x in range(grid_length) for y in range(grid_length)]
-    paths, outcomes, terminal = [], [], []
-    for start in coords:
-        for d in range(4):
-            pos, cells = start, []
-            for _ in range(stride):
-                pos, moved = move(pos, d, grid_length)
-                if not moved:
-                    break
-                cells.append(pos[0] * grid_length + pos[1])
-            paths.append(tuple(cells))
-            tx, ty = option_terminal(start, d, stride, grid_length)
-            terminal.append(coords[tx * grid_length + ty])
-            outcomes.append(OptionOutcome(start, d, tuple(coords[cell] for cell in cells),
-                                          len(cells), 0, terminal[-1], len(cells) < stride))
-    # Tuples and frozen outcomes, because every caller shares the cached table.
-    return OptionWalks(tuple(paths), tuple(outcomes), tuple(terminal))
+    walks = []
+    for x in range(grid_length):
+        for y in range(grid_length):
+            for d in range(4):
+                pos, cells = (x, y), []
+                for _ in range(stride):
+                    pos, moved = move(pos, d, grid_length)
+                    if not moved:
+                        break
+                    cells.append(pos[0] * grid_length + pos[1])
+                # pos is where the walk stopped: its last cell, or the start.
+                walks.append(OptionOutcome(tuple(cells), len(cells), 0,
+                                           pos[0] * grid_length + pos[1], len(cells) < stride))
+    # A tuple of frozen outcomes, because every caller shares the cached table.
+    return tuple(walks)
 
 
-def select_option(q: QValues, mem: VisitMemory, s: Cell, hp: Hyperparams,
+def select_option(q: list[float], mem: list[int], s: int, hp: Hyperparams,
                   mode: str, rng: WordTape | None) -> int:
     """Pick a direction.
 
@@ -153,29 +134,25 @@ def select_option(q: QValues, mem: VisitMemory, s: Cell, hp: Hyperparams,
         return rng.integers(4)
     if mode != "exploit":
         raise ValueError(f"unknown mode {mode!r}")
-    length = len(mem)
     # option_stride's count; Hyperparams holds option_length >= 1.
-    terminal = option_walks(length, hp.option_length + 1).terminal
+    walks = option_walks(hp.grid_length, hp.option_length + 1)
     weight = hp.mof_value
     binary = hp.binary_memory
-    x, y = s
-    base = (x * length + y) * 4
-    row = q[x][y]
+    base = s * 4
     best_dir = 0
     best = -math.inf
     for d in range(4):
-        tx, ty = terminal[base + d]
-        visits = mem[tx][ty]
+        visits = mem[walks[base + d].terminal]
         if binary and visits > 1:
             visits = 1
-        score = row[d] - weight * visits
+        score = q[base + d] - weight * visits
         if score > best:
             best = score
             best_dir = d
     return best_dir
 
 
-def execute_option(field: CloudField, pos: Cell, direction: int,
+def execute_option(field: CloudField, pos: int, direction: int,
                    stride: int, steps_remaining: int):
     """Walk up to stride primitive steps in one direction.
 
@@ -187,17 +164,15 @@ def execute_option(field: CloudField, pos: Cell, direction: int,
     when nothing was collected, else a new one.  A full walk that enters no
     cloud returns the walk table's shared outcome.
     """
-    length = field.grid_length
-    walks = option_walks(length, stride)
-    key = (pos[0] * length + pos[1]) * 4 + direction
-    walk = walks.paths[key]
+    free = option_walks(field.grid_length, stride)[pos * 4 + direction]
+    walk = free.path
     n = len(walk)
     masks = field.masks
     if steps_remaining > n:
         # Most options enter no cloud; only a walk that does is counted cell by cell.
         if not any(map(masks.__getitem__, walk)):
-            return walks.outcomes[key], field
-        clamped = n < stride
+            return free, field
+        clamped = free.clamped
     else:
         n, clamped = max(0, steps_remaining), False
         walk = walk[:n]
@@ -212,19 +187,18 @@ def execute_option(field: CloudField, pos: Cell, direction: int,
                 n, clamped = entered, False
                 break
     if alive != everything:
-        field = CloudField([c for i, c in enumerate(field.clouds) if alive >> i & 1], length)
-    path = walks.outcomes[key].path[:n]
-    terminal = path[-1] if path else pos
-    return OptionOutcome(pos, direction, path, n, found, terminal, clamped), field
+        field = CloudField([c for i, c in enumerate(field.clouds) if alive >> i & 1],
+                           field.grid_length)
+    path = walk[:n]
+    return OptionOutcome(path, n, found, path[-1] if path else pos, clamped), field
 
 
-def record_visits(mem: VisitMemory, outcome: OptionOutcome) -> VisitMemory:
+def record_visits(mem: list[int], outcome: OptionOutcome) -> list[int]:
     """Count every cell the option entered; a clamped terminal counts once more."""
-    for x, y in outcome.path:
-        mem[x][y] += 1
+    for cell in outcome.path:
+        mem[cell] += 1
     if outcome.clamped:
-        x, y = outcome.terminal
-        mem[x][y] += 1
+        mem[outcome.terminal] += 1
     return mem
 
 

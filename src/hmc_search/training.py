@@ -17,13 +17,11 @@ from typing import get_type_hints
 import numpy as np
 
 from .baselines import PatternPath, budget_steps, center_hits
-from .env import START, Cell, CloudField, WordTape, draw_centers, make_rng, spawn_clouds
+from .env import START, CloudField, WordTape, draw_centers, make_rng, spawn_clouds
 from .policy import (
     QTable,
-    QValues,
     execute_option,
     mc_update,
-    new_qtable,
     option_stride,
     option_walks,
     q_update,
@@ -127,10 +125,10 @@ def reject_unknown_keys(given, known, what: str) -> None:
 
 @dataclass
 class Trajectory:
-    """One episode as seen by the learner."""
+    """One episode as seen by the learner; a cell is the int x * grid_length + y."""
 
-    transitions: list[tuple[Cell, int]]  # (state, option direction) per decision
-    cells: list[Cell]  # start cell plus every cell entered, in order
+    transitions: list[tuple[int, int]]  # (state, option direction) per decision
+    cells: list[int]  # start cell plus every cell entered, in order
     n_step: int
     n_poll: int
     r_t: float
@@ -186,17 +184,18 @@ def update_window(hp: Hyperparams) -> int:
     return min(hp.num_episodes, math.ceil(hp.stop_learn_value * hp.num_episodes))
 
 
-def run_episode(q: QValues, hp: Hyperparams, mode: str, rng: WordTape | None,
+def run_episode(q: list[float], hp: Hyperparams, mode: str, rng: WordTape | None,
                 *, field: CloudField | None = None,
                 epsilon: float | None = None) -> Trajectory:
     """Run one option-level episode and return its trajectory.
 
-    Every episode starts at START.  mode "train" is epsilon-soft with the
-    given epsilon (default epsilon_start): each decision explores when a
-    random() draw falls below epsilon, and epsilon 0 draws nothing; mode
-    "eval" is pure greedy.
+    q is the flat list q[cell * 4 + d], and cells, the trajectory's too,
+    are ints x * grid_length + y.  Every episode starts at START.  mode
+    "train" is epsilon-soft with the given epsilon (default epsilon_start):
+    each decision explores when a random() draw falls below epsilon, and
+    epsilon 0 draws nothing; mode "eval" is pure greedy.
     The memory filter is active in both modes but starts from a fresh
-    all-zero memory each episode and never touches q.  The
+    all-zero list mem[cell] each episode and never touches q.  The
     episode ends on the collection that empties the field or when the
     primitive step budget is spent, so an empty field runs to the budget
     (or the decision cap, which sets the trajectory's capped flag).  A
@@ -213,10 +212,10 @@ def run_episode(q: QValues, hp: Hyperparams, mode: str, rng: WordTape | None,
     explore = mode == "train" and epsilon > 0.0
     max_steps = hp.max_steps
     stride = option_stride(hp.option_length)
-    mem = [[0] * hp.grid_length for _ in range(hp.grid_length)]
-    pos = START
-    transitions: list[tuple[Cell, int]] = []
-    cells: list[Cell] = [pos]
+    mem = [0] * hp.grid_length**2
+    pos = START[0] * hp.grid_length + START[1]
+    transitions: list[tuple[int, int]] = []
+    cells = [pos]
     n_step = 0
     n_poll = 0
     decisions = 0
@@ -245,7 +244,7 @@ def run_episode(q: QValues, hp: Hyperparams, mode: str, rng: WordTape | None,
     return Trajectory(transitions, cells, n_step, n_poll, r_t, capped)
 
 
-def _apply_trajectory(q: QValues, traj: Trajectory, hp: Hyperparams) -> None:
+def _apply_trajectory(q: list[float], traj: Trajectory, hp: Hyperparams) -> None:
     # Every-visit backup in trajectory order.  With a positive discount the
     # bootstrap target uses the state where the next decision was made.
     if hp.discount_rate == 0.0:
@@ -266,10 +265,11 @@ def train_agent(hp: Hyperparams, seed: int) -> TrainReport:
     learns only from the attempt with the highest trajectory return.
     Failed episodes (nothing found) never update the table, and no
     episode at or past stop_learn_value * num_episodes does either.  The
-    table is kept as rows q[x][y][d] while training and returned as a QTable.
+    table is kept flat, q[cell * 4 + d], and returned as a QTable.
     """
     rng = make_rng(seed)
-    q = new_qtable(hp.grid_length).tolist()
+    length = hp.grid_length
+    q = [0.0] * (length * length * 4)
     records: list[EpisodeRecord] = []
     learn_until = update_window(hp)
     cap_exits = 0
@@ -285,7 +285,7 @@ def train_agent(hp: Hyperparams, seed: int) -> TrainReport:
         if episode < learn_until and best.n_poll > 0:
             _apply_trajectory(q, best, hp)
         records.append(EpisodeRecord(episode, epsilon, best.n_step, best.n_poll, best.r_t))
-    return TrainReport(records, np.array(q, dtype=np.float64), seed, hp, cap_exits)
+    return TrainReport(records, np.reshape(q, (length, length, 4)), seed, hp, cap_exits)
 
 
 def _demo_epsilon(episode: int, n_episodes: int) -> float:
@@ -296,11 +296,10 @@ def _demo_epsilon(episode: int, n_episodes: int) -> float:
 def _demo_moves(grid_length: int) -> list[int]:
     """Per key cell * 4 + action: the cell one primitive move ends on.
 
-    The stride-1 option_walks table as plain ints, where a wall bump stays
-    on its cell.  Built per demo run, never at import.
+    The terminals of the stride-1 option_walks table, where a wall bump
+    stays on its cell.  Built per demo run, never at import.
     """
-    return [path[0] if path else key >> 2
-            for key, path in enumerate(option_walks(grid_length, 1).paths)]
+    return [walk.terminal for walk in option_walks(grid_length, 1)]
 
 
 def _demo_episode(q: list[float], hp: Hyperparams, levels: list[float], moves: list[int],
@@ -314,12 +313,12 @@ def _demo_episode(q: list[float], hp: Hyperparams, levels: list[float], moves: l
     budget, and every attempted action consumes a step, wall bumps
     included, so greedy policies cannot stall the clock.
 
-    Runs on flat state: q is indexed cell * 4 + action, levels is the
-    field's per-cell intensity (CloudField.levels), positive exactly on a
-    cloud, and moves is _demo_moves' table.  The TD backup is q_update's,
-    inline, and so are the tape's two draws: a step reads at most two
-    words, random() < epsilon is (w >> 11) < epsilon * 2**53, and
-    integers(4) is a 32-bit draw's top two bits.
+    Runs on the learners' layout: q is indexed cell * 4 + action, levels
+    is the field's per-cell intensity (CloudField.levels), positive
+    exactly on a cloud, and moves is _demo_moves' table.  Its backup is
+    q_update's on that layout, inline, and so are the tape's two draws:
+    a step reads at most two words, random() < epsilon is
+    (w >> 11) < epsilon * 2**53, and integers(4) is a 32-bit draw's top two bits.
 
     A step reads each row of four values at most once:
 
@@ -469,7 +468,8 @@ def dynamic_demo(hp: Hyperparams, seed: int, *, n_episodes: int = 2000,
     if n_eval_episodes < 1:
         raise ValueError("n_eval_episodes must be at least 1")
     q, snapshots = _plain_q(hp, make_rng(seed), n_episodes, snapshot_episodes, None)
-    hits = center_hits(_demo_route(q, hp), hp.grid_length, hp.pollution_diameter)
+    hits = center_hits(_demo_route(q, hp), hp.grid_length, hp.pollution_diameter,
+                       hp.max_steps)
     centers = draw_centers(hp.grid_length, n_eval_episodes, make_rng(seed, stream=1))
     steps = budget_steps([hits[c] for c in centers], hp.max_steps)
     return snapshots, sum(steps) / n_eval_episodes

@@ -1,18 +1,21 @@
 """Reference episode loops for the property tests in test_kernel.py.
 
 These are the episode loops and per-decision steps as they were written
-before the walk table, the cloud masks and the flat demo loop: terminals
-by option_terminal arithmetic, collections by a scan of every cloud's
-support, numpy scalar reads and writes, and the demos' per-step calls of
-the public move, sense and q_update.  Scoring and stamping are here as
-they were before the per-center tables: a first_hit per center, and
-masks and levels stamped from every cloud's support.  They draw from numpy's own
-Generator, where the package reads the same streams through a word
-tape.  The package must reproduce them byte for byte.
+before the walk table, the cloud masks and the flat lists: (x, y) cells,
+(grid_length, grid_length, 4) value tables and visit-count arrays,
+terminals by option_terminal arithmetic, collections by a scan of every
+cloud's support, numpy scalar reads and writes, and the demos' per-step
+calls of the public move and sense with a backup of their own.  Scoring
+and stamping are here as they were before the per-center tables: a
+first_hit per center, and masks and levels stamped from every cloud's
+support.  They draw from numpy's own Generator, where the package reads
+the same streams through a word tape.  The package must reproduce them
+byte for byte.
 """
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,13 +29,7 @@ from hmc_search.env import (
     spawn_clouds,
 )
 from hmc_search.baselines import PatternPath, first_hit
-from hmc_search.policy import (
-    OptionOutcome,
-    new_qtable,
-    option_stride,
-    option_terminal,
-    q_update,
-)
+from hmc_search.policy import new_qtable, option_stride, option_terminal
 from hmc_search.training import (
     _DECISION_CAP_FACTOR,
     EpisodeRecord,
@@ -70,6 +67,16 @@ def choose_option(q, mem, s, hp, epsilon, rng):
     return select_option(q, mem, s, hp, "exploit", rng)
 
 
+class Outcome(NamedTuple):
+    """An option's outcome, as policy.OptionOutcome holds it, in (x, y) cells."""
+
+    path: tuple
+    primitive_steps: int
+    found_count: int
+    terminal: tuple
+    clamped: bool
+
+
 def execute_option(field, pos, direction, stride, steps_remaining):
     dx, dy = DELTAS[direction]
     limit = field.grid_length - 1
@@ -91,8 +98,7 @@ def execute_option(field, pos, direction, stride, steps_remaining):
             clouds = [c for c in clouds if (x, y) not in c.support]
             if not clouds:
                 break
-    outcome = OptionOutcome(pos, direction, tuple(path), len(path), found,
-                            path[-1] if path else pos, clamped)
+    outcome = Outcome(tuple(path), len(path), found, path[-1] if path else pos, clamped)
     return outcome, CloudField(clouds, field.grid_length)
 
 
@@ -230,7 +236,7 @@ def demo_episode(q, hp, field, epsilon, rng, learn):
             if not learn:
                 return found_at
         if learn:
-            q_update(q, pos, action, reward, new_pos, hp.learning_rate, hp.discount_rate)
+            td_update(q, pos, action, reward, new_pos, hp.learning_rate, hp.discount_rate)
         pos = new_pos
     return found_at
 

@@ -15,7 +15,6 @@ from hmc_search.env import make_cloud, make_rng, spawn_clouds
 from hmc_search.evalharness import agent_route, evaluate_agent, score_map
 from hmc_search.policy import (
     mc_update,
-    new_qtable,
     option_terminal,
     q_update,
     select_option,
@@ -150,17 +149,20 @@ def test_05_zero_discount_update_equals_monte_carlo_update():
     bootstraps = rng.normal(0, 40, size=n).tolist()
     rewards = rng.normal(0, 30, size=n).tolist()
     alphas = rng.uniform(0.01, 1.0, size=n).tolist()
-    qa = new_qtable(20)
-    qb = new_qtable(20)
+    # The learners' layout: cell x * 20 + y, values q[cell * 4 + d].
+    qa = [0.0] * (20 * 20 * 4)
+    qb = [0.0] * (20 * 20 * 4)
     worst = 0.0
     for x, y, a, nx, ny, v, b, r, al in zip(xs, ys, ds, nxs, nys, values,
                                             bootstraps, rewards, alphas):
-        qa[nx, ny] = b
-        qa[x, y, a] = v
-        qb[x, y, a] = v
-        q_update(qa, (x, y), a, r, (nx, ny), al, 0.0)
-        mc_update(qb, (x, y), a, r, al)
-        diff = abs(qa[x, y, a] - qb[x, y, a])
+        s, s_next = x * 20 + y, nx * 20 + ny
+        qa[s_next * 4:s_next * 4 + 4] = [b] * 4
+        key = s * 4 + a
+        qa[key] = v
+        qb[key] = v
+        q_update(qa, s, a, r, s_next, al, 0.0)
+        mc_update(qb, s, a, r, al)
+        diff = abs(qa[key] - qb[key])
         if diff > worst:
             worst = diff
     elapsed = time.perf_counter() - start
@@ -181,15 +183,18 @@ def test_06_memory_filter_shuns_visited_cells_and_ignores_shifts():
         s = (int(rng.integers(length)), int(rng.integers(length)))
         q_range = float(q.max() - q.min())
         params = Hyperparams(grid_length=length, mof_value=q_range + 1.0, option_length=2)
+        # The learners' layout: cell x * length + y, q[cell * 4 + d] and mem[cell].
+        flat_q, cell = q.ravel().tolist(), s[0] * length + s[1]
 
-        chosen = select_option(q, mem, s, params, "exploit", None)
+        chosen = select_option(flat_q, mem.ravel().tolist(), cell, params, "exploit", None)
         span = params.option_length + 1
         terminals = [option_terminal(s, d, span, length) for d in range(4)]
         if any(mem[t] == 0 for t in terminals):
             assert mem[terminals[chosen]] == 0
 
         shifted = mem + int(rng.integers(1, 10))
-        assert select_option(q, shifted, s, params, "exploit", None) == chosen
+        assert select_option(flat_q, shifted.ravel().tolist(), cell, params, "exploit",
+                             None) == chosen
     elapsed = time.perf_counter() - start
     print(f"2000 randomized selections verified, {elapsed:.2f}s")
     assert elapsed < 1.0

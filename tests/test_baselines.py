@@ -228,7 +228,7 @@ def test_center_hits_builds_only_the_rows_of_the_route_cells():
     for direction in [3] * 20 + [1] * 15 + [2] * 5 + [0] * 3:
         cells.append(move(cells[-1], direction, length)[0])
     path = PatternPath(tuple(cells), "route", first=1)
-    hits = center_hits(path, length, diameter)
+    hits = center_hits(path, length, diameter, BUDGET)
     table = cloud_table(length, diameter)
     assert len(table) == len(set(cells[1:])) <= 44
     for x, y in [(0, 0), (7, 9), (50, 50), (99, 99)]:
@@ -250,7 +250,7 @@ def test_budget_steps_of_center_hits_equal_steps_to_find(data):
     path = PatternPath(tuple(cells), "route", first=data.draw(st.integers(0, 1), label="first"))
     # Budgets shorter than the route cut hits short; longer ones leave misses.
     budget = data.draw(st.integers(1, len(cells) + 1), label="max_steps")
-    steps = budget_steps(center_hits(path, length, diameter), budget)
+    steps = budget_steps(center_hits(path, length, diameter, budget), budget)
     assert steps == [steps_to_find(path, make_cloud((x, y), diameter, length), budget)
                      for x in range(length) for y in range(length)]
 
@@ -269,7 +269,7 @@ def test_center_hits_reads_each_distinct_cell_row_once(monkeypatch):
 
     monkeypatch.setattr(baselines, "cloud_table", lambda *args: CountedTable())
     path = PatternPath((START,) * 401, "demo", first=1)
-    hits = center_hits(path, length, diameter)
+    hits = center_hits(path, length, diameter, BUDGET)
     assert reads == {0: 1}
     for x, y in [(0, 0), (0, 25), (18, 18), (50, 50)]:
         assert hits[x * length + y] == first_hit(path, make_cloud((x, y), diameter, length))

@@ -29,6 +29,12 @@ def trained_table(seed=3):
     return train_agent(QUICK, seed).q
 
 
+def flat(q):
+    """A (grid_length, grid_length, 4) table as the flat list q[cell * 4 + d] the episode
+    loop reads."""
+    return q.ravel().tolist()
+
+
 def test_eval_stats_lower_median_even():
     stats = EvalStats.from_steps([4, 1, 3, 2], failures=0)
     assert stats.mean == 2.5
@@ -95,7 +101,7 @@ def test_evaluate_agent_matches_manual_episodes():
     expected = []
     failures = 0
     for _ in range(30):
-        traj = run_episode(q, QUICK, "eval", rng)
+        traj = run_episode(flat(q), QUICK, "eval", rng)
         if traj.n_poll > 0:
             expected.append(traj.n_step)
         else:
@@ -127,7 +133,7 @@ def test_run_duels_matches_manual_replay():
     verdicts = {name: [] for name in patterns}
     for _ in range(40):
         field = spawn_clouds(QUICK.grid_length, QUICK.pollution_diameter, 1, rng)
-        traj = run_episode(q, QUICK, "eval", None, field=field)
+        traj = run_episode(flat(q), QUICK, "eval", None, field=field)
         agent = traj.n_step if traj.n_poll > 0 else QUICK.max_steps
         for name, pattern in patterns.items():
             opponent = steps_to_find(pattern, field.clouds[0], QUICK.max_steps)
@@ -164,7 +170,7 @@ def test_score_map_matches_manual_duels():
     for x in range(6):
         for y in range(6):
             cloud = make_cloud((x, y), 3, 6)
-            traj = run_episode(q, SMALL, "eval", None,
+            traj = run_episode(flat(q), SMALL, "eval", None,
                                field=CloudField([cloud], 6))
             agent = traj.n_step if traj.n_poll > 0 else SMALL.max_steps
             opponent = steps_to_find(pattern, cloud, SMALL.max_steps)
@@ -187,12 +193,31 @@ def test_route_heatmap_accounting():
     q = trained_table()
     counts = route_heatmap(agent_route(q, QUICK), QUICK, 20, make_rng(9, stream=1))
     rng = make_rng(9, stream=1)
-    total = sum(run_episode(q, QUICK, "eval", rng).n_step + 1
+    total = sum(run_episode(flat(q), QUICK, "eval", rng).n_step + 1
                 for _ in range(20))
     assert int(counts.sum()) == total
     # Every episode starts at the corner, so its count is at least the
     # episode count.
     assert counts[0, 0] >= 20
+
+
+def test_route_heatmap_rejects_an_empty_batch():
+    route = agent_route(new_qtable(20), QUICK)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n_episodes must be at least 1"):
+            route_heatmap(route, QUICK, n, make_rng(0, stream=1))
+
+
+def test_a_route_longer_than_the_budget_is_scored_up_to_the_budget():
+    # The snake needs up to 112 moves; with a 37-step budget a later find
+    # is a failure, and an episode walks at most 38 cells.
+    hp = Hyperparams(max_steps=37)
+    snake = snake_path(20, 5)
+    stats = evaluate_agent(snake, hp, 400, make_rng(0, stream=1))
+    assert stats.failures == 267
+    assert stats.steps.count(37) == 268  # one find on the budget's last step
+    counts = route_heatmap(snake, hp, 400, make_rng(0, stream=1))
+    assert int(counts.sum()) == sum(steps + 1 for steps in stats.steps) == 12_647
 
 
 def test_population_stats_rejects_empty():
@@ -267,9 +292,10 @@ def test_route_lookup_equals_episode_replay(data):
     for x in range(length):
         for y in range(length):
             cloud = make_cloud((x, y), hp.pollution_diameter, length)
-            traj = run_episode(q, hp, "eval", None, field=CloudField([cloud], length))
+            traj = run_episode(flat(q), hp, "eval", None, field=CloudField([cloud], length))
             assert first_hit(route, cloud) == (traj.n_step if traj.n_poll else None)
-            assert list(route.cells[:len(traj.cells)]) == traj.cells
+            assert list(route.cells[:len(traj.cells)]) == \
+                [divmod(cell, length) for cell in traj.cells]
 
 
 def test_agent_loses_every_center_whose_cloud_covers_the_start():
@@ -284,7 +310,7 @@ def test_agent_loses_every_center_whose_cloud_covers_the_start():
     assert (smap.agent_steps[covering] >= 1).all()
     assert (smap.outcome[covering] == -1).all()
     cloud = make_cloud((0, 0), 5, 20)
-    traj = run_episode(q, hp, "eval", None, field=CloudField([cloud], 20))
+    traj = run_episode(flat(q), hp, "eval", None, field=CloudField([cloud], 20))
     assert traj.n_poll == 1 and traj.n_step >= 1
 
 
@@ -309,7 +335,8 @@ def test_find_on_the_last_budget_step_is_a_success():
     assert (found.steps, found.failures) == ([4], 0)
     missed = evaluate_agent(route, hp, 1, FixedDraws(4, 1))
     assert (missed.steps, missed.failures) == ([4], 1)
-    traj = run_episode(q, hp, "eval", None, field=CloudField([make_cloud((4, 0), 1, 5)], 5))
+    traj = run_episode(flat(q), hp, "eval", None,
+                       field=CloudField([make_cloud((4, 0), 1, 5)], 5))
     assert (traj.n_step, traj.n_poll) == (4, 1)
 
 

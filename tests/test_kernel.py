@@ -6,6 +6,10 @@ option length, attempts per episode, memory weight (0 included) and
 kind, discount (0 and positive) and learning window.  Tables with ties,
 zeros and walls make episodes that clamp at the border and episodes
 that the decision cap ends.
+
+The package's learners keep cells as ints x * grid_length + y and their
+tables as flat lists; the reference keeps (x, y) cells and arrays.  The
+tests translate between the two where they compare them.
 """
 import numpy as np
 import pytest
@@ -15,13 +19,14 @@ from hypothesis import strategies as st
 import oracle
 from hmc_search import training
 from hmc_search.baselines import PatternPath, center_hits
-from hmc_search.env import START, CloudField, make_cloud, make_rng, move, spawn_clouds
+from hmc_search.env import DELTAS, CloudField, make_cloud, make_rng, move, spawn_clouds
 from hmc_search.evalharness import agent_route
 from hmc_search.policy import (
     OptionOutcome,
     execute_option,
     mc_update,
     new_qtable,
+    option_terminal,
     option_walks,
     q_update,
     record_visits,
@@ -80,9 +85,18 @@ def draw_field(data, hp):
                        for c in centers], hp.grid_length)
 
 
-def trajectory_key(traj):
-    return repr((traj.transitions, traj.cells, traj.n_step, traj.n_poll, traj.r_t,
-                 traj.capped))
+def flat(q):
+    """A (grid_length, grid_length, 4) table as the learners' flat list q[cell * 4 + d]."""
+    return q.ravel().tolist()
+
+
+def trajectory_key(traj, length=None):
+    """The trajectory as text; with a length, its cell ints are read as (x, y)."""
+    transitions, cells = traj.transitions, traj.cells
+    if length is not None:
+        transitions = [(divmod(s, length), o) for s, o in transitions]
+        cells = [divmod(cell, length) for cell in cells]
+    return repr((transitions, cells, traj.n_step, traj.n_poll, traj.r_t, traj.capped))
 
 
 # --- the per-center tables
@@ -100,7 +114,11 @@ def test_center_hits_equal_a_first_hit_per_center(data):
         cell = move(cell, direction, length)[0]  # a bump stays in place, as a demo route does
         cells.append(cell)
     path = PatternPath(tuple(cells), "route", first=data.draw(st.integers(0, 1), label="first"))
-    assert center_hits(path, length, diameter) == oracle.center_hits(path, length, diameter)
+    # Budgets shorter than the route turn its later hits into misses.
+    budget = data.draw(st.integers(1, len(cells) + 1), label="max_steps")
+    expected = [hit if hit is not None and hit <= budget else None
+                for hit in oracle.center_hits(path, length, diameter)]
+    assert center_hits(path, length, diameter, budget) == expected
 
 
 @settings(max_examples=80, deadline=None)
@@ -148,15 +166,15 @@ def test_walks_stop_at_the_border_and_end_on_the_terminal(length, stride):
     for x in range(length):
         for y in range(length):
             for d in range(4):
-                key = (x * length + y) * 4 + d
-                path, outcome = walks.paths[key], walks.outcomes[key]
+                walk = walks[(x * length + y) * 4 + d]
                 room = (y, length - 1 - y, x, length - 1 - x)[d]
-                assert len(path) == min(stride, room)
-                points = tuple(divmod(cell, length) for cell in path)
-                assert walks.terminal[key] == (points[-1] if points else (x, y))
+                n = min(stride, room)
+                dx, dy = DELTAS[d]
+                assert [divmod(cell, length) for cell in walk.path] == \
+                    [(x + dx * i, y + dy * i) for i in range(1, n + 1)]
+                tx, ty = option_terminal((x, y), d, stride, length)
                 # The outcome of the full walk on a field that it misses.
-                assert outcome == OptionOutcome((x, y), d, points, len(path), 0,
-                                                walks.terminal[key], len(path) < stride)
+                assert walk == OptionOutcome(walk.path, n, 0, tx * length + ty, n < stride)
 
 
 @settings(max_examples=200, deadline=None)
@@ -170,22 +188,25 @@ def test_per_decision_steps_match_the_reference(data):
     direction = data.draw(st.integers(0, 3), label="direction")
     stride = data.draw(st.integers(1, 6), label="stride")
     budget = data.draw(st.integers(-1, 8), label="steps_remaining")
-    outcome, after = execute_option(field, pos, direction, stride, budget)
+    cell = pos[0] * length + pos[1]
+    outcome, after = execute_option(field, cell, direction, stride, budget)
     expected, expected_after = oracle.execute_option(field, pos, direction, stride, budget)
-    assert outcome == expected
+    assert oracle.Outcome(tuple(divmod(c, length) for c in outcome.path),
+                          outcome.primitive_steps, outcome.found_count,
+                          divmod(outcome.terminal, length), outcome.clamped) == expected
     assert after.clouds == expected_after.clouds
 
-    mem = np.zeros((length, length), dtype=np.int64)
+    reference = np.zeros((length, length), dtype=np.int64)
     mem_rng = np.random.default_rng((data.draw(st.integers(0, 2**32 - 1)), 0))
-    mem[:] = mem_rng.integers(0, 3, size=mem.shape)
-    reference = mem.copy()
+    reference[:] = mem_rng.integers(0, 3, size=reference.shape)
+    mem = reference.ravel().tolist()
     record_visits(mem, outcome)
     oracle.record_visits(reference, expected)
-    assert mem.tobytes() == reference.tobytes()
+    assert mem == reference.ravel().tolist()
 
     q = draw_table(data, length)
-    assert select_option(q, mem, pos, hp, "exploit", None) == \
-        oracle.select_option(q, mem, pos, hp, "exploit", None)
+    assert select_option(flat(q), mem, cell, hp, "exploit", None) == \
+        oracle.select_option(q, reference, pos, hp, "exploit", None)
 
 
 @settings(max_examples=100, deadline=None)
@@ -199,16 +220,15 @@ def test_table_updates_match_the_reference(data):
     r = data.draw(st.floats(-100, 100))
     alpha = data.draw(st.floats(0.01, 1.0))
     gamma = data.draw(st.sampled_from([0.0, 0.3, 1.0]))
-    rows = q.tolist()  # the nested lists train_agent keeps
-    for update, reference, args in (
-            (q_update, oracle.td_update, (s, o, r, s_next, alpha, gamma)),
-            (mc_update, oracle.mc_update, (s, o, r, alpha))):
-        expected = q.copy()
-        reference(expected, *args)
-        update(q, *args)
-        update(rows, *args)
-        assert q.tobytes() == expected.tobytes()
-        assert np.array(rows, dtype=np.float64).tobytes() == expected.tobytes()
+    rows = flat(q)  # the flat list train_agent keeps
+    cell, cell_next = s[0] * length + s[1], s_next[0] * length + s_next[1]
+    for update, reference, args, flat_args in (
+            (q_update, oracle.td_update, (s, o, r, s_next, alpha, gamma),
+             (cell, o, r, cell_next, alpha, gamma)),
+            (mc_update, oracle.mc_update, (s, o, r, alpha), (cell, o, r, alpha))):
+        reference(q, *args)
+        update(rows, *flat_args)
+        assert np.array(rows, dtype=np.float64).tobytes() == q.tobytes()
 
 
 # --- whole episodes, training and the demos
@@ -232,10 +252,11 @@ def test_eval_episodes_and_routes_match_the_reference(data):
     hp = draw_hp(data)
     q = draw_table(data, hp.grid_length)
     field = draw_field(data, hp)
-    assert trajectory_key(run_episode(q, hp, "eval", None, field=field)) == \
+    length = hp.grid_length
+    assert trajectory_key(run_episode(flat(q), hp, "eval", None, field=field), length) == \
         trajectory_key(oracle.run_episode(q, hp, "eval", None, field=field))
     seed = data.draw(st.integers(0, 2**31), label="seed")
-    assert trajectory_key(run_episode(q, hp, "eval", make_rng(seed))) == \
+    assert trajectory_key(run_episode(flat(q), hp, "eval", make_rng(seed)), length) == \
         trajectory_key(oracle.run_episode(q, hp, "eval", np.random.default_rng((seed, 0))))
     assert agent_route(q, hp) == oracle.agent_route(q, hp)
 
@@ -294,17 +315,18 @@ def test_a_wall_bound_greedy_episode_is_capped():
     # Ties pick up, which clamps at the start without a step; with no
     # memory weight nothing turns the agent away until the cap.
     hp = Hyperparams(grid_length=6, pollution_diameter=1, max_steps=10, mof_value=0.0)
-    traj = run_episode(new_qtable(6), hp, "eval", None,
+    traj = run_episode([0.0] * (6 * 6 * 4), hp, "eval", None,
                        field=CloudField([make_cloud((5, 5), 1, 6)], 6))
     assert traj.capped
     assert traj.n_step == 0 and len(traj.transitions) == 8 * 10 + 32
-    assert traj.cells == [START]
+    assert traj.cells == [0]  # START
 
 
 def test_episodes_ended_by_a_find_or_the_budget_are_not_capped():
     hp = Hyperparams(grid_length=6, pollution_diameter=1, max_steps=10)
     q = new_qtable(6)
     q[:, :, 1] = 1.0  # straight down from the start
+    q = flat(q)
     found = run_episode(q, hp, "eval", None, field=CloudField([make_cloud((0, 3), 1, 6)], 6))
     assert (found.n_poll, found.n_step, found.capped) == (1, 3, False)
     spent = run_episode(q, hp, "eval", None, field=CloudField([], 6))

@@ -32,62 +32,83 @@ from hmc_search.policy import (
 from hmc_search.training import Hyperparams
 
 
+def at(x, y, length=20):
+    """The cell int of (x, y), as the learners keep it."""
+    return x * length + y
+
+
+def points(cells, length=20):
+    """Cell ints as (x, y)."""
+    return tuple(divmod(cell, length) for cell in cells)
+
+
+def flat(q):
+    """A (grid_length, grid_length, 4) table as the flat list q[cell * 4 + d]."""
+    return q.ravel().tolist()
+
+
+def grid(q, length):
+    """A flat table as a (grid_length, grid_length, 4) array, to index by (x, y, d)."""
+    return np.array(q, dtype=np.float64).reshape(length, length, 4)
+
+
 def new_memory(grid_length):
-    """Visit counts of a fresh episode, as the int64 array select_option reads."""
-    return np.zeros((grid_length, grid_length), dtype=np.int64)
+    """Visit counts of a fresh episode, the flat list mem[cell] select_option reads."""
+    return [0] * (grid_length * grid_length)
 
 
-def params(mof_value=10.0, option_length=3, binary=False):
-    return Hyperparams(mof_value=mof_value, option_length=option_length,
-                       binary_memory=binary)
+def params(mof_value=10.0, option_length=3, binary=False, length=20):
+    return Hyperparams(grid_length=length, mof_value=mof_value,
+                       option_length=option_length, binary_memory=binary)
 
 
 # --- update rules
 
 
 def test_q_update_zero_fixed_point():
-    q = new_qtable(4)
-    q_update(q, (1, 1), UP, 0.0, (1, 0), 0.1, 0.9)
-    assert q[1, 1, UP] == 0.0
+    q = flat(new_qtable(4))
+    q_update(q, at(1, 1, 4), UP, 0.0, at(1, 0, 4), 0.1, 0.9)
+    assert grid(q, 4)[1, 1, UP] == 0.0
 
 
 def test_q_update_direct_substitution():
-    q = new_qtable(4)
-    q_update(q, (1, 1), RIGHT, 100.0, (2, 1), 0.1, 0.9)
-    assert q[1, 1, RIGHT] == pytest.approx(10.0)
+    q = flat(new_qtable(4))
+    q_update(q, at(1, 1, 4), RIGHT, 100.0, at(2, 1, 4), 0.1, 0.9)
+    assert grid(q, 4)[1, 1, RIGHT] == pytest.approx(10.0)
 
 
 def test_q_update_decay_toward_bootstrap():
-    q = new_qtable(4)
-    q[1, 1, LEFT] = 10.0
-    q[0, 1, :] = 10.0
-    q_update(q, (1, 1), LEFT, 0.0, (0, 1), 0.1, 0.9)
-    assert q[1, 1, LEFT] == pytest.approx(9.9)
+    table = new_qtable(4)
+    table[1, 1, LEFT] = 10.0
+    table[0, 1, :] = 10.0
+    q = flat(table)
+    q_update(q, at(1, 1, 4), LEFT, 0.0, at(0, 1, 4), 0.1, 0.9)
+    assert grid(q, 4)[1, 1, LEFT] == pytest.approx(9.9)
 
 
 def test_q_update_touches_one_entry():
-    q = new_qtable(4)
-    q_update(q, (2, 3), DOWN, 5.0, (2, 3), 0.5, 0.0)
-    touched = np.nonzero(q)
+    q = flat(new_qtable(4))
+    q_update(q, at(2, 3, 4), DOWN, 5.0, at(2, 3, 4), 0.5, 0.0)
+    touched = np.nonzero(grid(q, 4))
     assert list(zip(*touched)) == [(2, 3, DOWN)]
 
 
 def test_mc_update_examples():
-    q = new_qtable(4)
-    mc_update(q, (0, 0), UP, 0.5, 0.1)
-    assert q[0, 0, UP] == pytest.approx(0.05)
-    q[0, 0, UP] = 0.5
-    mc_update(q, (0, 0), UP, 0.5, 0.1)
-    assert q[0, 0, UP] == 0.5
+    q = flat(new_qtable(4))
+    mc_update(q, at(0, 0, 4), UP, 0.5, 0.1)
+    assert q[UP] == pytest.approx(0.05)
+    q[UP] = 0.5
+    mc_update(q, at(0, 0, 4), UP, 0.5, 0.1)
+    assert q[UP] == 0.5
 
 
 def test_updates_reject_non_finite_reward():
-    q = new_qtable(4)
+    q = flat(new_qtable(4))
     for bad in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValueError):
-            q_update(q, (0, 0), UP, bad, (0, 1), 0.1, 0.0)
+            q_update(q, 0, UP, bad, at(0, 1, 4), 0.1, 0.0)
         with pytest.raises(ValueError):
-            mc_update(q, (0, 0), UP, bad, 0.1)
+            mc_update(q, 0, UP, bad, 0.1)
 
 
 # Finite values small enough that no backup overflows, both zeros included.
@@ -104,32 +125,32 @@ def test_mc_equals_q_update_at_zero_discount(old, r, alpha, row, o):
     q = new_qtable(2)
     q[0, 0, o] = old
     q[1, 1] = row  # the bootstrap row, which a zero discount ignores
-    for make in (np.copy, np.ndarray.tolist):
-        a, b = make(q), make(q)
-        q_update(a, (0, 0), o, r, (1, 1), alpha, 0.0)
-        mc_update(b, (0, 0), o, r, alpha)
-        assert np.array(a).tobytes() == np.array(b).tobytes()
+    a, b = flat(q), flat(q)
+    q_update(a, at(0, 0, 2), o, r, at(1, 1, 2), alpha, 0.0)
+    mc_update(b, at(0, 0, 2), o, r, alpha)
+    assert np.array(a).tobytes() == np.array(b).tobytes()
 
 
 def test_zero_discount_q_update_reads_no_bootstrap_row():
     q = new_qtable(3)
     q[1, 1, DOWN] = 2.0
     q[2, 2] = math.nan
-    for table in (q.copy(), q.tolist()):
-        q_update(table, (1, 1), DOWN, 5.0, (2, 2), 0.5, 0.0)
-        assert table[1][1][DOWN] == 2.0 + 0.5 * (5.0 - 2.0)
+    table = flat(q)
+    q_update(table, at(1, 1, 3), DOWN, 5.0, at(2, 2, 3), 0.5, 0.0)
+    assert grid(table, 3)[1, 1, DOWN] == 2.0 + 0.5 * (5.0 - 2.0)
     # A positive discount reads it.
-    q_update(q, (1, 1), DOWN, 5.0, (2, 2), 0.5, 0.9)
-    assert math.isnan(q[1, 1, DOWN])
+    table = flat(q)
+    q_update(table, at(1, 1, 3), DOWN, 5.0, at(2, 2, 3), 0.5, 0.9)
+    assert math.isnan(grid(table, 3)[1, 1, DOWN])
 
 
 def test_mc_update_converges_geometrically():
-    q = new_qtable(3)
-    q[0, 0, UP] = 8.0
+    q = flat(new_qtable(3))
+    q[UP] = 8.0
     target = 2.0
     for k in range(1, 30):
-        mc_update(q, (0, 0), UP, target, 0.1)
-        assert abs(q[0, 0, UP] - target) == pytest.approx(0.9 ** k * 6.0)
+        mc_update(q, at(0, 0, 3), UP, target, 0.1)
+        assert abs(q[UP] - target) == pytest.approx(0.9 ** k * 6.0)
 
 
 # --- option geometry
@@ -151,30 +172,30 @@ def test_option_terminal_clamps_at_borders():
 
 def test_execute_option_walks_full_stride():
     field = CloudField([], 20)
-    outcome, after = execute_option(field, (5, 5), RIGHT, 3, 400)
-    assert outcome.terminal == (8, 5)
+    outcome, after = execute_option(field, at(5, 5), RIGHT, 3, 400)
+    assert outcome.terminal == at(8, 5)
     assert outcome.primitive_steps == 3
-    assert outcome.path == ((6, 5), (7, 5), (8, 5))
+    assert points(outcome.path) == ((6, 5), (7, 5), (8, 5))
     assert not outcome.clamped
     assert after.clouds == []
 
 
 def test_a_free_walk_returns_the_walk_tables_outcome_and_the_callers_field():
     field = CloudField([make_cloud((15, 15), 1, 20)], 20)
-    shared = option_walks(20, 4).outcomes[(5 * 20 + 5) * 4 + RIGHT]
-    outcome, after = execute_option(field, (5, 5), RIGHT, 4, 400)
+    shared = option_walks(20, 4)[at(5, 5) * 4 + RIGHT]
+    outcome, after = execute_option(field, at(5, 5), RIGHT, 4, 400)
     assert outcome is shared and after is field
-    assert execute_option(CloudField([], 20), (5, 5), RIGHT, 4, 400)[0] is shared
+    assert execute_option(CloudField([], 20), at(5, 5), RIGHT, 4, 400)[0] is shared
     # A budget that only just covers the walk builds its own, equal outcome.
-    cut, _ = execute_option(field, (5, 5), RIGHT, 4, 4)
+    cut, _ = execute_option(field, at(5, 5), RIGHT, 4, 4)
     assert cut == shared and cut is not shared
     with pytest.raises(dataclasses.FrozenInstanceError):
         outcome.found_count = 1
 
 
 def test_execute_option_stops_at_border():
-    outcome, _ = execute_option(CloudField([], 20), (18, 5), RIGHT, 3, 400)
-    assert outcome.terminal == (19, 5)
+    outcome, _ = execute_option(CloudField([], 20), at(18, 5), RIGHT, 3, 400)
+    assert outcome.terminal == at(19, 5)
     assert outcome.primitive_steps == 1
     assert outcome.clamped
 
@@ -182,8 +203,8 @@ def test_execute_option_stops_at_border():
 def test_execute_option_stops_on_final_collection():
     cloud = make_cloud((9, 5), 1, 20)
     field = CloudField([cloud], 20)
-    outcome, after = execute_option(field, (7, 5), RIGHT, 3, 400)
-    assert outcome.terminal == (9, 5)
+    outcome, after = execute_option(field, at(7, 5), RIGHT, 3, 400)
+    assert outcome.terminal == at(9, 5)
     assert outcome.primitive_steps == 2
     assert outcome.found_count == 1
     assert after.clouds == []
@@ -193,9 +214,9 @@ def test_execute_option_collects_every_cloud_on_a_shared_cell():
     # (5, 5) lies in both supports, so entering it takes both clouds at once;
     # the caller's field keeps them.
     field = CloudField([make_cloud((5, 5), 3, 20), make_cloud((6, 5), 3, 20)], 20)
-    outcome, after = execute_option(field, (5, 4), DOWN, 3, 400)
+    outcome, after = execute_option(field, at(5, 4), DOWN, 3, 400)
     assert outcome.found_count == 2
-    assert outcome.path == ((5, 5),)
+    assert points(outcome.path) == ((5, 5),)
     assert after.clouds == []
     assert len(field.clouds) == 2
 
@@ -203,23 +224,23 @@ def test_execute_option_collects_every_cloud_on_a_shared_cell():
 def test_execute_option_continues_while_clouds_remain():
     near = make_cloud((6, 5), 1, 20)
     far = make_cloud((15, 15), 1, 20)
-    outcome, after = execute_option(CloudField([near, far], 20), (5, 5), RIGHT, 3, 400)
+    outcome, after = execute_option(CloudField([near, far], 20), at(5, 5), RIGHT, 3, 400)
     assert outcome.found_count == 1
     assert outcome.primitive_steps == 3
     assert [c.center for c in after.clouds] == [(15, 15)]
 
 
 def test_execute_option_respects_step_budget():
-    outcome, _ = execute_option(CloudField([], 20), (5, 5), RIGHT, 4, 2)
+    outcome, _ = execute_option(CloudField([], 20), at(5, 5), RIGHT, 4, 2)
     assert outcome.primitive_steps == 2
-    assert outcome.terminal == (7, 5)
+    assert outcome.terminal == at(7, 5)
 
 
 def test_execute_option_zero_step_when_pinned_to_wall():
-    outcome, _ = execute_option(CloudField([], 20), (0, 3), LEFT, 4, 400)
+    outcome, _ = execute_option(CloudField([], 20), at(0, 3), LEFT, 4, 400)
     assert outcome.primitive_steps == 0
     assert outcome.path == ()
-    assert outcome.terminal == (0, 3)
+    assert outcome.terminal == at(0, 3)
     assert outcome.clamped
 
 
@@ -230,13 +251,13 @@ def test_execute_option_path_is_a_straight_run():
         y = int(rng.integers(20))
         d = int(rng.integers(4))
         stride = int(rng.integers(1, 7))
-        outcome, _ = execute_option(CloudField([], 20), (x, y), d, stride, 400)
+        outcome, _ = execute_option(CloudField([], 20), at(x, y), d, stride, 400)
         assert outcome.primitive_steps <= stride
         prev = (x, y)
-        for cell in outcome.path:
+        for cell in points(outcome.path):
             assert abs(cell[0] - prev[0]) + abs(cell[1] - prev[1]) == 1
             prev = cell
-        assert outcome.terminal == option_terminal(
+        assert divmod(outcome.terminal, 20) == option_terminal(
             (x, y), d, outcome.primitive_steps, 20)
 
 
@@ -245,28 +266,28 @@ def test_execute_option_path_is_a_straight_run():
 
 def test_record_visits_counts_path_cells():
     mem = new_memory(20)
-    outcome, _ = execute_option(CloudField([], 20), (5, 5), RIGHT, 3, 400)
+    outcome, _ = execute_option(CloudField([], 20), at(5, 5), RIGHT, 3, 400)
     record_visits(mem, outcome)
-    assert mem[(6, 5)] == 1 and mem[(7, 5)] == 1 and mem[(8, 5)] == 1
-    assert mem.sum() == 3
+    assert mem[at(6, 5)] == 1 and mem[at(7, 5)] == 1 and mem[at(8, 5)] == 1
+    assert sum(mem) == 3
 
 
 def test_record_visits_empty_path_no_change():
     mem = new_memory(20)
-    outcome, _ = execute_option(CloudField([], 20), (0, 3), LEFT, 4, 400)
+    outcome, _ = execute_option(CloudField([], 20), at(0, 3), LEFT, 4, 400)
     record_visits(mem, outcome)
     # The zero-step clamp still marks its terminal once.
-    assert mem[(0, 3)] == 1
-    assert mem.sum() == 1
+    assert mem[at(0, 3)] == 1
+    assert sum(mem) == 1
 
 
 def test_record_visits_clamped_terminal_counts_twice():
     mem = new_memory(20)
-    outcome, _ = execute_option(CloudField([], 20), (17, 5), RIGHT, 4, 400)
-    assert outcome.clamped and outcome.terminal == (19, 5)
+    outcome, _ = execute_option(CloudField([], 20), at(17, 5), RIGHT, 4, 400)
+    assert outcome.clamped and outcome.terminal == at(19, 5)
     record_visits(mem, outcome)
-    assert mem[(18, 5)] == 1
-    assert mem[(19, 5)] == 2
+    assert mem[at(18, 5)] == 1
+    assert mem[at(19, 5)] == 2
 
 
 def test_record_visits_never_decrements():
@@ -276,10 +297,10 @@ def test_record_visits_never_decrements():
         x = int(rng.integers(20))
         y = int(rng.integers(20))
         outcome, _ = execute_option(
-            CloudField([], 20), (x, y), int(rng.integers(4)), 4, 400)
-        before = mem.copy()
+            CloudField([], 20), at(x, y), int(rng.integers(4)), 4, 400)
+        before = list(mem)
         record_visits(mem, outcome)
-        assert (mem >= before).all()
+        assert all(now >= then for now, then in zip(mem, before))
 
 
 # --- selection
@@ -288,12 +309,13 @@ def test_record_visits_never_decrements():
 def test_explore_mode_is_uniform():
     q = new_qtable(20)
     q[5, 5] = [9.0, 0.0, 0.0, 0.0]
+    q = flat(q)
     mem = new_memory(20)
     rng = make_rng(17)
     counts = [0, 0, 0, 0]
     n = 10_000
     for _ in range(n):
-        counts[select_option(q, mem, (5, 5), params(), "explore", rng)] += 1
+        counts[select_option(q, mem, at(5, 5), params(), "explore", rng)] += 1
     # Each direction is Binomial(n, 1/4); allow 3 sigma around the mean.
     sigma = (n * 0.25 * 0.75) ** 0.5
     for c in counts:
@@ -305,28 +327,29 @@ def test_exploit_filter_redirects_from_visited_terminal():
     q[10, 10] = [0.9, 0.8, 0.7, 0.6]
     mem = new_memory(20)
     up_terminal = option_terminal((10, 10), UP, option_stride(3), 20)
-    mem[up_terminal] = 1
-    assert select_option(q, mem, (10, 10), params(), "exploit", None) == DOWN
+    mem[at(*up_terminal)] = 1
+    assert select_option(flat(q), mem, at(10, 10), params(), "exploit", None) == DOWN
 
 
 def test_exploit_uniform_memory_shift_keeps_argmax():
     q = new_qtable(20)
     q[10, 10] = [0.9, 0.8, 0.7, 0.6]
+    q = flat(q)
     clean = new_memory(20)
     shifted = new_memory(20)
     for d in range(4):
-        shifted[option_terminal((10, 10), d, option_stride(3), 20)] = 1
-    assert (select_option(q, clean, (10, 10), params(), "exploit", None)
-            == select_option(q, shifted, (10, 10), params(), "exploit", None)
+        shifted[at(*option_terminal((10, 10), d, option_stride(3), 20))] = 1
+    assert (select_option(q, clean, at(10, 10), params(), "exploit", None)
+            == select_option(q, shifted, at(10, 10), params(), "exploit", None)
             == UP)
 
 
 def test_exploit_tie_break_order():
     q = new_qtable(20)
     mem = new_memory(20)
-    assert select_option(q, mem, (10, 10), params(), "exploit", None) == UP
+    assert select_option(flat(q), mem, at(10, 10), params(), "exploit", None) == UP
     q[10, 10] = [0.0, 1.0, 1.0, 0.0]
-    assert select_option(q, mem, (10, 10), params(), "exploit", None) == DOWN
+    assert select_option(flat(q), mem, at(10, 10), params(), "exploit", None) == DOWN
 
 
 def test_exploit_terminal_uses_full_stride():
@@ -334,12 +357,13 @@ def test_exploit_terminal_uses_full_stride():
     # that far ahead, not option_length cells.
     q = new_qtable(20)
     q[10, 10] = [0.0, 0.0, 0.0, 1.0]
+    q = flat(q)
     mem = new_memory(20)
-    mem[14, 10] = 1  # stride-4 terminal of moving right
-    assert select_option(q, mem, (10, 10), params(), "exploit", None) == UP
-    mem[14, 10] = 0
-    mem[13, 10] = 1  # three cells out: not the terminal, no penalty
-    assert select_option(q, mem, (10, 10), params(), "exploit", None) == RIGHT
+    mem[at(14, 10)] = 1  # stride-4 terminal of moving right
+    assert select_option(q, mem, at(10, 10), params(), "exploit", None) == UP
+    mem[at(14, 10)] = 0
+    mem[at(13, 10)] = 1  # three cells out: not the terminal, no penalty
+    assert select_option(q, mem, at(10, 10), params(), "exploit", None) == RIGHT
 
 
 def test_strong_filter_prefers_any_unvisited_terminal():
@@ -347,13 +371,12 @@ def test_strong_filter_prefers_any_unvisited_terminal():
     for _ in range(500):
         q = new_qtable(9)
         q[:] = rng.uniform(-1.0, 1.0, size=q.shape)
-        mem = new_memory(9)
-        mem[:] = rng.integers(0, 3, size=mem.shape)
+        mem = rng.integers(0, 3, size=(9, 9))
         x = int(rng.integers(9))
         y = int(rng.integers(9))
         q_range = float(q.max() - q.min())
-        p = params(mof_value=q_range + 1.0, option_length=2)
-        chosen = select_option(q, mem, (x, y), p, "exploit", None)
+        p = params(mof_value=q_range + 1.0, option_length=2, length=9)
+        chosen = select_option(flat(q), mem.ravel().tolist(), at(x, y, 9), p, "exploit", None)
         terminals = [option_terminal((x, y), d, option_stride(2), 9)
                      for d in range(4)]
         visited = [mem[t] > 0 for t in terminals]
@@ -365,19 +388,18 @@ def test_binary_memory_caps_repeat_penalty():
     q = new_qtable(20)
     q[10, 10] = [0.0, 5.0, 0.0, 0.0]
     mem = new_memory(20)
-    mem[option_terminal((10, 10), DOWN, option_stride(3), 20)] = 3
+    mem[at(*option_terminal((10, 10), DOWN, option_stride(3), 20))] = 3
     # Counting memory: penalty 30 sinks the 5.0 entry.
-    assert select_option(q, mem, (10, 10), params(), "exploit", None) == UP
+    assert select_option(flat(q), mem, at(10, 10), params(), "exploit", None) == UP
     # Binary memory: penalty capped at 10, 5.0 - 10 < 0 still loses.
-    assert select_option(q, mem, (10, 10), params(binary=True), "exploit", None) == UP
+    assert select_option(flat(q), mem, at(10, 10), params(binary=True), "exploit", None) == UP
     q[10, 10, DOWN] = 15.0
-    assert select_option(q, mem, (10, 10), params(binary=True), "exploit", None) == DOWN
+    assert select_option(flat(q), mem, at(10, 10), params(binary=True), "exploit", None) == DOWN
 
 
 def test_select_option_rejects_unknown_mode():
     with pytest.raises(ValueError):
-        select_option(new_qtable(4), new_memory(4), (0, 0), params(),
-                      "greedy", None)
+        select_option(flat(new_qtable(4)), new_memory(4), 0, params(), "greedy", None)
 
 
 # --- persistence

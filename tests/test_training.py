@@ -20,7 +20,7 @@ from hmc_search.env import (
     make_rng,
     spawn_clouds,
 )
-from hmc_search.policy import mc_update, new_qtable, select_option
+from hmc_search.policy import mc_update, select_option
 from hmc_search.sweep import SweepSpec
 from hmc_search.training import (
     CONFIG_TYPES,
@@ -34,6 +34,11 @@ from hmc_search.training import (
     trajectory_reward,
     update_window,
 )
+
+
+def zeros(grid_length):
+    """An all-zero value table, as the flat list q[cell * 4 + d] the episode loop reads."""
+    return [0.0] * (grid_length * grid_length * 4)
 
 
 def test_default_settings():
@@ -208,7 +213,7 @@ def test_adjacent_cloud_found_in_one_step():
     # Detection happens on entry, so the fastest possible find is one step.
     hp = Hyperparams(pollution_diameter=1)
     field = CloudField([make_cloud((0, 1), 1, 20)], 20)
-    traj = run_episode(new_qtable(20), hp, "eval", None, field=field)
+    traj = run_episode(zeros(20), hp, "eval", None, field=field)
     assert traj.n_step == 1
     assert traj.n_poll == 1
     assert traj.r_t == 30.0
@@ -218,7 +223,7 @@ def test_run_episode_leaves_the_callers_field_unchanged():
     hp = Hyperparams(pollution_diameter=1)
     clouds = [make_cloud((0, 1), 1, 20), make_cloud((19, 19), 1, 20)]
     field = CloudField(list(clouds), 20)
-    traj = run_episode(new_qtable(20), hp, "eval", None, field=field)
+    traj = run_episode(zeros(20), hp, "eval", None, field=field)
     assert traj.n_poll >= 1
     assert field.clouds == clouds
 
@@ -226,7 +231,7 @@ def test_run_episode_leaves_the_callers_field_unchanged():
 def test_empty_field_runs_to_the_budget():
     # Nothing to collect, so only the budget ends the walk.
     hp = Hyperparams(max_steps=50)
-    traj = run_episode(new_qtable(20), hp, "eval", None, field=CloudField([], 20))
+    traj = run_episode(zeros(20), hp, "eval", None, field=CloudField([], 20))
     assert (traj.n_step, traj.n_poll, traj.r_t) == (50, 0, 0.0)
     assert len(traj.cells) == 51
 
@@ -234,7 +239,7 @@ def test_empty_field_runs_to_the_budget():
 def test_budget_exhaustion_gives_zero_reward():
     hp = Hyperparams(pollution_diameter=1, max_steps=3)
     field = CloudField([make_cloud((19, 19), 1, 20)], 20)
-    traj = run_episode(new_qtable(20), hp, "eval", None, field=field)
+    traj = run_episode(zeros(20), hp, "eval", None, field=field)
     assert traj.n_step == 3
     assert traj.n_poll == 0
     assert traj.r_t == 0.0
@@ -243,8 +248,7 @@ def test_budget_exhaustion_gives_zero_reward():
 def test_eval_episode_is_deterministic():
     hp = Hyperparams()
     field = spawn_clouds(hp.grid_length, hp.pollution_diameter, 1, make_rng(2))
-    q = new_qtable(20)
-    q[:] = np.random.default_rng((3, 0)).normal(size=q.shape)
+    q = np.random.default_rng((3, 0)).normal(size=20 * 20 * 4).tolist()
     first = run_episode(q, hp, "eval", None, field=field)
     second = run_episode(q, hp, "eval", None, field=field)
     assert first.transitions == second.transitions
@@ -256,10 +260,10 @@ def test_trajectory_accounting():
     hp = Hyperparams()
     rng = make_rng(6)
     for _ in range(20):
-        traj = run_episode(new_qtable(20), hp, "train", rng, epsilon=1.0)
+        traj = run_episode(zeros(20), hp, "train", rng, epsilon=1.0)
         assert traj.n_step <= hp.max_steps
         assert len(traj.cells) == traj.n_step + 1
-        assert traj.cells[0] == (0, 0)
+        assert traj.cells[0] == 0  # START
         if traj.n_poll > 0:
             assert traj.r_t == trajectory_reward(30.0, traj.n_step, traj.n_poll)
         else:
@@ -268,8 +272,7 @@ def test_trajectory_accounting():
 
 def test_run_episode_epsilon_extremes(monkeypatch):
     hp = Hyperparams(grid_length=10, pollution_diameter=3, max_steps=200)
-    q = new_qtable(10)
-    q[:, :, DOWN] = 2.0
+    q = [2.0 if d == DOWN else 0.0 for _ in range(10 * 10) for d in range(4)]
     field = CloudField([make_cloud((7, 7), 3, 10)], 10)
     # Epsilon 0 draws nothing and walks the greedy episode.
     tape = make_rng(1)
@@ -292,7 +295,7 @@ def test_run_episode_epsilon_extremes(monkeypatch):
 def test_eval_mode_spawns_exactly_one_cloud():
     hp = Hyperparams(num_clouds=4)
     rng = make_rng(5)
-    run_episode(new_qtable(20), hp, "eval", rng)
+    run_episode(zeros(20), hp, "eval", rng)
     # Greedy evaluation must consume exactly the two spawn draws.
     reference = make_rng(5)
     reference.integers(20)
@@ -309,7 +312,7 @@ def test_multi_cloud_training_counts_every_find():
 
 def test_run_episode_rejects_unknown_mode():
     with pytest.raises(ValueError):
-        run_episode(new_qtable(20), Hyperparams(), "test", make_rng(0))
+        run_episode(zeros(20), Hyperparams(), "test", make_rng(0))
 
 
 def test_train_agent_is_deterministic():
@@ -339,12 +342,12 @@ def test_single_episode_updates_match_manual_replay():
 
     rng = make_rng(11)
     field = spawn_clouds(hp.grid_length, hp.pollution_diameter, 1, rng)
-    traj = run_episode(new_qtable(20), hp, "train", rng, field=field, epsilon=1.0)
-    expected = new_qtable(20)
+    traj = run_episode(zeros(20), hp, "train", rng, field=field, epsilon=1.0)
+    expected = zeros(20)
     for s, o in traj.transitions:
         mc_update(expected, s, o, traj.r_t, hp.learning_rate)
-    assert np.array_equal(report.q, expected)
-    assert expected.any()
+    assert np.array_equal(report.q, np.array(expected).reshape(20, 20, 4))
+    assert any(expected)
 
 
 def test_stop_learn_freezes_the_table():
