@@ -60,12 +60,16 @@ def main():
     stride = option_stride(hp.option_length)
     print(f"\none decision commits to a direction for {stride} cells "
           f"(first move plus {hp.option_length} repeats)")
+    # An episode keeps the clouds still to be found as a bitmask over
+    # field.clouds; the walk clears the bit of every cloud it enters.
     start = START[0] * length + START[1]
-    outcome, field = execute_option(field, start, RIGHT, stride, hp.max_steps)
+    alive = (1 << len(field.clouds)) - 1
+    outcome, alive = execute_option(field, alive, start, RIGHT, stride, hp.max_steps)
     print(f"walking {DIRECTION_NAMES[RIGHT]} from {START}: "
           f"path {[divmod(cell, length) for cell in outcome.path]}, "
           f"ended at {divmod(outcome.terminal, length)}, "
-          f"clouds collected {outcome.found_count}")
+          f"clouds collected {outcome.found_count}, "
+          f"{alive.bit_count()} still to find")
 
     # A visited end cell is penalized at decision time, steering the
     # next option elsewhere even though all values are equal.

@@ -52,8 +52,8 @@ class WordTape:
       integers(1) draws nothing.
 
     words[pos] is the next unused word and half the buffered high half
-    (None when empty).  A hot loop may read words and advance pos itself
-    after ensure(k), and must write pos and half back.
+    (None when empty).  A hot loop may read words[pos] itself, after ensure(k)
+    or with ensure(1) on an IndexError, and must leave pos and half as draws would.
     """
 
     __slots__ = ("words", "pos", "half", "_raw", "_consumed")
@@ -71,7 +71,7 @@ class WordTape:
         return self._consumed + self.pos
 
     def ensure(self, k: int) -> None:
-        """Make words hold at least k unused words from pos on; pos may move."""
+        """Make words hold at least k unused words from pos on, in place; pos may move."""
         if len(self.words) - self.pos < k:
             self._consumed += self.pos
             del self.words[:self.pos]
@@ -79,19 +79,16 @@ class WordTape:
             self.words += self._raw(max(8 * k, _TAPE_BLOCK)).tolist()
             self.pos = 0
 
-    # random() and integers() read words[pos] inline, without a helper call:
-    # they run once or more per decision of every training episode.
+    # The draws read words[pos] inline: spawning and scoring draw two integers per cloud.
 
     def random(self) -> float:
         """A float in [0, 1), as Generator.random()."""
-        pos = self.pos
         try:
-            word = self.words[pos]
+            word = self.words[self.pos]
         except IndexError:
             self.ensure(1)
-            pos = self.pos
-            word = self.words[pos]
-        self.pos = pos + 1
+            word = self.words[self.pos]
+        self.pos += 1
         return (word >> 11) * 2**-53
 
     def integers(self, n: int) -> int:
@@ -103,14 +100,12 @@ class WordTape:
         while True:
             half = self.half
             if half is None:  # a new word: use its low half, buffer the high half
-                pos = self.pos
                 try:
-                    word = self.words[pos]
+                    word = self.words[self.pos]
                 except IndexError:
                     self.ensure(1)
-                    pos = self.pos
-                    word = self.words[pos]
-                self.pos = pos + 1
+                    word = self.words[self.pos]
+                self.pos += 1
                 self.half = word >> 32
                 m = (word & 0xFFFFFFFF) * n
             else:

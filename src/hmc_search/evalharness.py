@@ -16,7 +16,6 @@ draws it, and its score a read of the table.
 """
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -69,9 +68,11 @@ def agent_route(q: QTable, hp: Hyperparams) -> PatternPath:
     It ends at the step budget or the decision cap, as a fruitless greedy
     episode does; lookups start at index 1 (see PatternPath.first).  The
     episode walks q as the learners' flat list, and its cell ints become
-    (x, y) here.
+    (x, y) here.  Raises ValueError unless q is a table of hp's grid.
     """
     length = hp.grid_length
+    if q.shape != (length, length, 4):
+        raise ValueError(f"q has shape {q.shape}, not ({length}, {length}, 4)")
     traj = run_episode(q.ravel().tolist(), hp, "eval", None, field=CloudField([], length))
     return PatternPath(tuple(divmod(cell, length) for cell in traj.cells), "agent", first=1)
 
@@ -184,6 +185,8 @@ def score_agent(hp: Hyperparams, seed: int, n_eval: int, n_duel: int) -> AgentSc
 def score_agents(work, jobs: int = 1) -> list[AgentScore]:
     """score_agent for each (hp, seed, n_eval, n_duel), in order, on jobs processes."""
     if jobs > 1:
+        # Imported here: the pool pulls in multiprocessing, which one process never needs.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(score_agent, *zip(*work)))
     return [score_agent(*item) for item in work]

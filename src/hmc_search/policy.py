@@ -120,64 +120,86 @@ def option_walks(grid_length: int, stride: int) -> tuple[OptionOutcome, ...]:
     return tuple(walks)
 
 
+@lru_cache(maxsize=8)
+def option_terminals(grid_length: int, stride: int) -> tuple[int, ...]:
+    """option_walks' terminal cells, indexed by cell * 4 + direction."""
+    return tuple(walk.terminal for walk in option_walks(grid_length, stride))
+
+
 def select_option(q: list[float], mem: list[int], s: int, hp: Hyperparams,
                   mode: str, rng: WordTape | None) -> int:
     """Pick a direction.
 
-    explore: uniform over the four directions, memory ignored.
+    explore: uniform over the four directions, memory ignored; the tape's
+    integers(4), read inline, as Lemire's method never redraws for 4.
     exploit: argmax over q(s, o) - mof_value * mem(terminal(o)), where the
     terminal is a dry run of the full option stride with no cloud
     interaction.  Ties keep the first direction in up, down, left, right
-    order.
+    order, and a NaN score never wins.
     """
     if mode == "explore":
-        return rng.integers(4)
+        half = rng.half
+        if half is None:  # a new word: its low half's top bits, the high half buffered
+            try:
+                word = rng.words[rng.pos]
+            except IndexError:
+                rng.ensure(1)
+                word = rng.words[rng.pos]
+            rng.pos += 1
+            rng.half = word >> 32
+            return word >> 30 & 3
+        rng.half = None
+        return half >> 30
     if mode != "exploit":
         raise ValueError(f"unknown mode {mode!r}")
     # option_stride's count; Hyperparams holds option_length >= 1.
-    walks = option_walks(hp.grid_length, hp.option_length + 1)
+    ends = option_terminals(hp.grid_length, hp.option_length + 1)
+    key = s * 4
+    up, down, left, right = (mem[ends[key]], mem[ends[key + 1]],
+                             mem[ends[key + 2]], mem[ends[key + 3]])
+    if hp.binary_memory:
+        up, down, left, right = min(up, 1), min(down, 1), min(left, 1), min(right, 1)
     weight = hp.mof_value
-    binary = hp.binary_memory
-    base = s * 4
-    best_dir = 0
-    best = -math.inf
-    for d in range(4):
-        visits = mem[walks[base + d].terminal]
-        if binary and visits > 1:
-            visits = 1
-        score = q[base + d] - weight * visits
-        if score > best:
-            best = score
-            best_dir = d
-    return best_dir
+    best, pick = -math.inf, 0
+    if (score := q[key] - weight * up) > best:
+        best = score
+    if (score := q[key + 1] - weight * down) > best:
+        best, pick = score, 1
+    if (score := q[key + 2] - weight * left) > best:
+        best, pick = score, 2
+    if q[key + 3] - weight * right > best:
+        pick = 3
+    return pick
 
 
-def execute_option(field: CloudField, pos: int, direction: int,
-                   stride: int, steps_remaining: int):
+def execute_option(field: CloudField, alive: int, pos: int, direction: int,
+                   stride: int, steps_remaining: int) -> tuple[OptionOutcome, int]:
     """Walk up to stride primitive steps in one direction.
 
     Callers executing a full option pass option_stride(option_length).
+    Bit i of alive is set while field.clouds[i] is still to be found.
     Stops early when the budget runs out, when a move clamps at the
-    border, or when a collection empties the field.  Collection happens
+    border, or when a collection clears the last bit.  Collection happens
     on entering a cell; only successful moves count as primitive steps.
-    Returns (OptionOutcome, field after the collections): the field itself
-    when nothing was collected, else a new one.  A full walk that enters no
-    cloud returns the walk table's shared outcome.
+    Returns (OptionOutcome, alive after the collections).  A full walk that
+    enters no live cloud returns the walk table's shared outcome.
     """
     free = option_walks(field.grid_length, stride)[pos * 4 + direction]
     walk = free.path
     n = len(walk)
     masks = field.masks
     if steps_remaining > n:
-        # Most options enter no cloud; only a walk that does is counted cell by cell.
-        if not any(map(masks.__getitem__, walk)):
-            return free, field
+        # Most options enter no live cloud; only a walk that does is counted cell by cell.
+        for cell in walk:
+            if masks[cell] & alive:
+                break
+        else:
+            return free, alive
         clamped = free.clamped
     else:
         n, clamped = max(0, steps_remaining), False
         walk = walk[:n]
     found = 0
-    alive = everything = (1 << len(field.clouds)) - 1
     for entered, cell in enumerate(walk, 1):
         hit = masks[cell] & alive
         if hit:
@@ -186,11 +208,8 @@ def execute_option(field: CloudField, pos: int, direction: int,
             if not alive:
                 n, clamped = entered, False
                 break
-    if alive != everything:
-        field = CloudField([c for i, c in enumerate(field.clouds) if alive >> i & 1],
-                           field.grid_length)
     path = walk[:n]
-    return OptionOutcome(path, n, found, path[-1] if path else pos, clamped), field
+    return OptionOutcome(path, n, found, path[-1] if path else pos, clamped), alive
 
 
 def record_visits(mem: list[int], outcome: OptionOutcome) -> list[int]:

@@ -23,7 +23,7 @@ from .policy import (
     execute_option,
     mc_update,
     option_stride,
-    option_walks,
+    option_terminals,
     q_update,
     record_visits,
     select_option,
@@ -198,9 +198,9 @@ def run_episode(q: list[float], hp: Hyperparams, mode: str, rng: WordTape | None
     all-zero list mem[cell] each episode and never touches q.  The
     episode ends on the collection that empties the field or when the
     primitive step budget is spent, so an empty field runs to the budget
-    (or the decision cap, which sets the trajectory's capped flag).  A
-    caller's field is left as it was: execute_option returns a new field
-    rather than changing its argument.
+    (or the decision cap, which sets the trajectory's capped flag).  The
+    clouds still to be found are one bitmask over field.clouds, which
+    execute_option narrows, so a caller's field is left as it was.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -210,6 +210,8 @@ def run_episode(q: list[float], hp: Hyperparams, mode: str, rng: WordTape | None
     if epsilon is None:
         epsilon = hp.epsilon_start
     explore = mode == "train" and epsilon > 0.0
+    if explore:
+        words, cut = rng.words, epsilon * 2**53  # random() < epsilon is (w >> 11) < cut
     max_steps = hp.max_steps
     stride = option_stride(hp.option_length)
     mem = [0] * hp.grid_length**2
@@ -221,21 +223,31 @@ def run_episode(q: list[float], hp: Hyperparams, mode: str, rng: WordTape | None
     decisions = 0
     decision_cap = _DECISION_CAP_FACTOR * max_steps + 32
     capped = False
+    alive = (1 << len(field.clouds)) - 1
     while n_step < max_steps:
         if decisions == decision_cap:
             capped = True
             break
         decisions += 1
-        pick = "explore" if explore and rng.random() < epsilon else "exploit"
+        pick = "exploit"
+        if explore:
+            try:
+                word = words[rng.pos]
+            except IndexError:
+                rng.ensure(1)
+                word = words[rng.pos]
+            rng.pos += 1
+            if word >> 11 < cut:
+                pick = "explore"
         direction = select_option(q, mem, pos, hp, pick, rng)
-        outcome, field = execute_option(field, pos, direction, stride, max_steps - n_step)
+        outcome, alive = execute_option(field, alive, pos, direction, stride, max_steps - n_step)
         transitions.append((pos, direction))
         record_visits(mem, outcome)
         cells.extend(outcome.path)
         n_step += outcome.primitive_steps
         n_poll += outcome.found_count
         pos = outcome.terminal
-        if outcome.found_count and not field.clouds:
+        if outcome.found_count and not alive:
             break
     if n_poll > 0:
         r_t = trajectory_reward(hp.reward_scaling, n_step, n_poll)
@@ -293,16 +305,7 @@ def _demo_epsilon(episode: int, n_episodes: int) -> float:
     return max(0.0, 1.0 - episode / n_episodes)
 
 
-def _demo_moves(grid_length: int) -> list[int]:
-    """Per key cell * 4 + action: the cell one primitive move ends on.
-
-    The terminals of the stride-1 option_walks table, where a wall bump
-    stays on its cell.  Built per demo run, never at import.
-    """
-    return [walk.terminal for walk in option_walks(grid_length, 1)]
-
-
-def _demo_episode(q: list[float], hp: Hyperparams, levels: list[float], moves: list[int],
+def _demo_episode(q: list[float], hp: Hyperparams, levels: list[float], moves: tuple[int, ...],
                   epsilon: float, tape: WordTape) -> None:
     """One primitive-action learning episode for the plain Q-learning demos.
 
@@ -315,9 +318,9 @@ def _demo_episode(q: list[float], hp: Hyperparams, levels: list[float], moves: l
 
     Runs on the learners' layout: q is indexed cell * 4 + action, levels
     is the field's per-cell intensity (CloudField.levels), positive
-    exactly on a cloud, and moves is _demo_moves' table.  Its backup is
-    q_update's on that layout, inline, and so are the tape's two draws:
-    a step reads at most two words, random() < epsilon is
+    exactly on a cloud, and moves is option_terminals(grid_length, 1).  Its
+    backup is q_update's on that layout, inline, and so are the tape's two
+    draws: a step reads at most two words, random() < epsilon is
     (w >> 11) < epsilon * 2**53, and integers(4) is a 32-bit draw's top two bits.
 
     A step reads each row of four values at most once:
@@ -402,7 +405,7 @@ def _demo_route(q: list[float], hp: Hyperparams) -> PatternPath:
     cells[i] is where step i ends and lookups start at index 1.
     """
     length = hp.grid_length
-    moves = _demo_moves(length)
+    moves = option_terminals(length, 1)
     cell = START[0] * length + START[1]
     cells = [START]
     for _ in range(hp.max_steps):
@@ -421,7 +424,7 @@ def _plain_q(hp: Hyperparams, tape: WordTape, n_episodes: int,
     """
     length = hp.grid_length
     q = [0.0] * (length * length * 4)
-    moves = _demo_moves(length)
+    moves = option_terminals(length, 1)
     snapshots: dict[int, np.ndarray] = {}
 
     def snapshot(episode):

@@ -1,4 +1,9 @@
 """Tests for evaluation statistics, duels, score maps, and populations."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +22,7 @@ from hmc_search.evalharness import (
     route_heatmap,
     run_duels,
     score_agent,
+    score_agents,
     score_map,
 )
 from hmc_search.policy import new_qtable
@@ -252,6 +258,32 @@ def test_population_histograms_conserve_agents():
     assert int(win_counts.sum()) == 3
     for agent in report.agents:
         assert 0.0 <= agent.win_pct <= 100.0
+
+
+def test_importing_the_package_loads_no_process_pool():
+    src = str(Path(__file__).parent.parent / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, hmc_search, hmc_search.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+def test_pooled_scores_equal_the_in_process_scores():
+    work = [(QUICK, seed, 20, 20) for seed in (3, 4, 5)]
+    assert score_agents(work, jobs=2) == score_agents(work, jobs=1)
+
+
+def test_agent_route_rejects_a_table_of_another_grid():
+    small = Hyperparams(grid_length=10, pollution_diameter=3)
+    for shape in ((20, 20, 4), (10, 10, 3), (10, 20, 4), (400, 4)):
+        with pytest.raises(ValueError, match=r"not \(10, 10, 4\)"):
+            agent_route(np.zeros(shape), small)
+    assert len(agent_route(new_qtable(10), small).cells) > 1
 
 
 def test_score_agent_without_duel_matches_evaluation():

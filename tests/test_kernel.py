@@ -11,6 +11,8 @@ The package's learners keep cells as ints x * grid_length + y and their
 tables as flat lists; the reference keeps (x, y) cells and arrays.  The
 tests translate between the two where they compare them.
 """
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,7 @@ from hmc_search.policy import (
     mc_update,
     new_qtable,
     option_terminal,
+    option_terminals,
     option_walks,
     q_update,
     record_visits,
@@ -88,6 +91,18 @@ def draw_field(data, hp):
 def flat(q):
     """A (grid_length, grid_length, 4) table as the learners' flat list q[cell * 4 + d]."""
     return q.ravel().tolist()
+
+
+def as_points(outcome, length):
+    """An OptionOutcome as the reference's Outcome, in (x, y) cells."""
+    return oracle.Outcome(tuple(divmod(c, length) for c in outcome.path),
+                          outcome.primitive_steps, outcome.found_count,
+                          divmod(outcome.terminal, length), outcome.clamped)
+
+
+def surviving(field, alive):
+    """The clouds of field whose bit is set in alive, in order."""
+    return [cloud for i, cloud in enumerate(field.clouds) if alive >> i & 1]
 
 
 def trajectory_key(traj, length=None):
@@ -189,12 +204,11 @@ def test_per_decision_steps_match_the_reference(data):
     stride = data.draw(st.integers(1, 6), label="stride")
     budget = data.draw(st.integers(-1, 8), label="steps_remaining")
     cell = pos[0] * length + pos[1]
-    outcome, after = execute_option(field, cell, direction, stride, budget)
+    outcome, alive = execute_option(field, (1 << len(field.clouds)) - 1, cell, direction,
+                                    stride, budget)
     expected, expected_after = oracle.execute_option(field, pos, direction, stride, budget)
-    assert oracle.Outcome(tuple(divmod(c, length) for c in outcome.path),
-                          outcome.primitive_steps, outcome.found_count,
-                          divmod(outcome.terminal, length), outcome.clamped) == expected
-    assert after.clouds == expected_after.clouds
+    assert as_points(outcome, length) == expected
+    assert surviving(field, alive) == expected_after.clouds
 
     reference = np.zeros((length, length), dtype=np.int64)
     mem_rng = np.random.default_rng((data.draw(st.integers(0, 2**32 - 1)), 0))
@@ -207,6 +221,34 @@ def test_per_decision_steps_match_the_reference(data):
     q = draw_table(data, length)
     assert select_option(flat(q), mem, cell, hp, "exploit", None) == \
         oracle.select_option(q, reference, pos, hp, "exploit", None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_execute_option_narrows_alive_as_the_reference_drops_clouds(data):
+    # The reference walks a field of the live clouds alone; the package
+    # walks the whole field under a mask of them.
+    length = data.draw(st.integers(2, 10), label="grid_length")
+    diameter = data.draw(st.integers(1, min(length, 5)), label="diameter")
+    count = data.draw(st.integers(1, 6), label="clouds")
+    # Centers from a small block, so that clouds overlap and share centers.
+    span = data.draw(st.integers(1, length), label="center span")
+    centers = data.draw(st.lists(st.tuples(st.integers(0, span - 1), st.integers(0, span - 1)),
+                                 min_size=count, max_size=count), label="centers")
+    field = CloudField([make_cloud(c, diameter, length) for c in centers], length)
+    alive = data.draw(st.integers(0, (1 << count) - 1), label="alive")
+    pos = data.draw(st.tuples(st.integers(0, length - 1), st.integers(0, length - 1)),
+                    label="pos")
+    direction = data.draw(st.integers(0, 3), label="direction")
+    stride = data.draw(st.integers(1, 6), label="stride")
+    budget = stride + data.draw(st.integers(-2, 2), label="budget - stride")
+    outcome, left = execute_option(field, alive, pos[0] * length + pos[1], direction,
+                                   stride, budget)
+    expected, expected_after = oracle.execute_option(
+        CloudField(surviving(field, alive), length), pos, direction, stride, budget)
+    assert as_points(outcome, length) == expected
+    assert left & ~alive == 0
+    assert surviving(field, left) == expected_after.clouds
 
 
 @settings(max_examples=100, deadline=None)
@@ -261,6 +303,49 @@ def test_eval_episodes_and_routes_match_the_reference(data):
     assert agent_route(q, hp) == oracle.agent_route(q, hp)
 
 
+@pytest.mark.parametrize("skip", [1020, 1021, 1022, 1023, 1024])
+@pytest.mark.parametrize("buffered", [False, True])
+@pytest.mark.parametrize("epsilon", [1.0, 0.5])
+def test_training_episodes_read_the_tape_across_a_block_end(skip, buffered, epsilon):
+    # The tape reads 1024-word blocks.  Skipping up to its end puts an
+    # epsilon word or an explore draw on a block's last word, with and
+    # without a buffered half; the reference calls the tape's random() and
+    # integers(4) where the episode reads the words itself.
+    hp = Hyperparams(grid_length=8, pollution_diameter=1, max_steps=60, num_clouds=2)
+    field = CloudField([make_cloud((7, 7), 1, 8), make_cloud((3, 6), 1, 8)], 8)
+    q = new_qtable(8)
+    q[:] = np.random.default_rng((5, 0)).normal(size=q.shape)  # no wall pull: many decisions
+    tape, reference = make_rng(2), make_rng(2)
+    for t in (tape, reference):
+        for _ in range(skip - buffered):
+            t.random()
+        if buffered:
+            t.integers(7)
+    traj = run_episode(flat(q), hp, "train", tape, field=field, epsilon=epsilon)
+    expected = oracle.run_episode(q, hp, "train", reference, field=field, epsilon=epsilon)
+    assert trajectory_key(traj, 8) == trajectory_key(expected)
+    assert (tape.used, tape.half) == (reference.used, reference.half)
+    assert tape.used > 1024
+
+
+def test_training_stamps_each_spawned_field_once(monkeypatch):
+    # Every attempt of an episode walks the one spawned field under its own
+    # bitmask, so train_heavy's settings stamp masks once per episode.
+    stamps = []
+    stamp = CloudField.masks.func
+
+    def counted(field):
+        stamps.append(len(field.clouds))
+        return stamp(field)
+
+    masks = functools.cached_property(counted)
+    masks.__set_name__(CloudField, "masks")
+    monkeypatch.setattr(CloudField, "masks", masks)
+    hp = Hyperparams(num_clouds=3, best_learn_value=3)
+    train_agent(hp, 0)
+    assert stamps == [3] * hp.num_episodes
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_demos_match_the_reference(data):
@@ -302,7 +387,7 @@ def test_a_demo_step_after_a_wall_bump_sees_the_value_just_written(gamma):
                      learning_rate=1.0, discount_rate=gamma)
     q = [0.0] * 36
     q[0:2] = [1.0, 0.5]
-    training._demo_episode(q, hp, [0.0] * 9, training._demo_moves(3), 0.0, make_rng(0))
+    training._demo_episode(q, hp, [0.0] * 9, option_terminals(3, 1), 0.0, make_rng(0))
     expected = [0.0] * 36
     expected[0] = 1.0 + 1.0 * (0.0 + gamma * 1.0 - 1.0)  # q_update's backup of the bump
     assert q == expected  # and down, taken second, earned 0 from an all-zero row

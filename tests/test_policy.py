@@ -172,29 +172,33 @@ def test_option_terminal_clamps_at_borders():
 
 def test_execute_option_walks_full_stride():
     field = CloudField([], 20)
-    outcome, after = execute_option(field, at(5, 5), RIGHT, 3, 400)
+    outcome, alive = execute_option(field, 0, at(5, 5), RIGHT, 3, 400)
     assert outcome.terminal == at(8, 5)
     assert outcome.primitive_steps == 3
     assert points(outcome.path) == ((6, 5), (7, 5), (8, 5))
     assert not outcome.clamped
-    assert after.clouds == []
+    assert alive == 0
 
 
-def test_a_free_walk_returns_the_walk_tables_outcome_and_the_callers_field():
+def test_a_free_walk_returns_the_walk_tables_outcome_and_the_callers_mask():
     field = CloudField([make_cloud((15, 15), 1, 20)], 20)
     shared = option_walks(20, 4)[at(5, 5) * 4 + RIGHT]
-    outcome, after = execute_option(field, at(5, 5), RIGHT, 4, 400)
-    assert outcome is shared and after is field
-    assert execute_option(CloudField([], 20), at(5, 5), RIGHT, 4, 400)[0] is shared
+    outcome, alive = execute_option(field, 1, at(5, 5), RIGHT, 4, 400)
+    assert outcome is shared and alive == 1
+    assert execute_option(CloudField([], 20), 0, at(5, 5), RIGHT, 4, 400)[0] is shared
+    # A cloud already found is no hit, so a walk across it is free too.
+    found = CloudField([make_cloud((7, 5), 1, 20), make_cloud((15, 15), 1, 20)], 20)
+    outcome, alive = execute_option(found, 0b10, at(5, 5), RIGHT, 4, 400)
+    assert outcome is shared and alive == 0b10
     # A budget that only just covers the walk builds its own, equal outcome.
-    cut, _ = execute_option(field, at(5, 5), RIGHT, 4, 4)
+    cut, _ = execute_option(field, 1, at(5, 5), RIGHT, 4, 4)
     assert cut == shared and cut is not shared
     with pytest.raises(dataclasses.FrozenInstanceError):
         outcome.found_count = 1
 
 
 def test_execute_option_stops_at_border():
-    outcome, _ = execute_option(CloudField([], 20), at(18, 5), RIGHT, 3, 400)
+    outcome, _ = execute_option(CloudField([], 20), 0, at(18, 5), RIGHT, 3, 400)
     assert outcome.terminal == at(19, 5)
     assert outcome.primitive_steps == 1
     assert outcome.clamped
@@ -203,41 +207,42 @@ def test_execute_option_stops_at_border():
 def test_execute_option_stops_on_final_collection():
     cloud = make_cloud((9, 5), 1, 20)
     field = CloudField([cloud], 20)
-    outcome, after = execute_option(field, at(7, 5), RIGHT, 3, 400)
+    outcome, alive = execute_option(field, 1, at(7, 5), RIGHT, 3, 400)
     assert outcome.terminal == at(9, 5)
     assert outcome.primitive_steps == 2
     assert outcome.found_count == 1
-    assert after.clouds == []
+    assert alive == 0
 
 
 def test_execute_option_collects_every_cloud_on_a_shared_cell():
     # (5, 5) lies in both supports, so entering it takes both clouds at once;
     # the caller's field keeps them.
     field = CloudField([make_cloud((5, 5), 3, 20), make_cloud((6, 5), 3, 20)], 20)
-    outcome, after = execute_option(field, at(5, 4), DOWN, 3, 400)
+    outcome, alive = execute_option(field, 0b11, at(5, 4), DOWN, 3, 400)
     assert outcome.found_count == 2
     assert points(outcome.path) == ((5, 5),)
-    assert after.clouds == []
+    assert alive == 0
     assert len(field.clouds) == 2
 
 
 def test_execute_option_continues_while_clouds_remain():
     near = make_cloud((6, 5), 1, 20)
     far = make_cloud((15, 15), 1, 20)
-    outcome, after = execute_option(CloudField([near, far], 20), at(5, 5), RIGHT, 3, 400)
+    field = CloudField([near, far], 20)
+    outcome, alive = execute_option(field, 0b11, at(5, 5), RIGHT, 3, 400)
     assert outcome.found_count == 1
     assert outcome.primitive_steps == 3
-    assert [c.center for c in after.clouds] == [(15, 15)]
+    assert [c.center for i, c in enumerate(field.clouds) if alive >> i & 1] == [(15, 15)]
 
 
 def test_execute_option_respects_step_budget():
-    outcome, _ = execute_option(CloudField([], 20), at(5, 5), RIGHT, 4, 2)
+    outcome, _ = execute_option(CloudField([], 20), 0, at(5, 5), RIGHT, 4, 2)
     assert outcome.primitive_steps == 2
     assert outcome.terminal == at(7, 5)
 
 
 def test_execute_option_zero_step_when_pinned_to_wall():
-    outcome, _ = execute_option(CloudField([], 20), at(0, 3), LEFT, 4, 400)
+    outcome, _ = execute_option(CloudField([], 20), 0, at(0, 3), LEFT, 4, 400)
     assert outcome.primitive_steps == 0
     assert outcome.path == ()
     assert outcome.terminal == at(0, 3)
@@ -251,7 +256,7 @@ def test_execute_option_path_is_a_straight_run():
         y = int(rng.integers(20))
         d = int(rng.integers(4))
         stride = int(rng.integers(1, 7))
-        outcome, _ = execute_option(CloudField([], 20), at(x, y), d, stride, 400)
+        outcome, _ = execute_option(CloudField([], 20), 0, at(x, y), d, stride, 400)
         assert outcome.primitive_steps <= stride
         prev = (x, y)
         for cell in points(outcome.path):
@@ -266,7 +271,7 @@ def test_execute_option_path_is_a_straight_run():
 
 def test_record_visits_counts_path_cells():
     mem = new_memory(20)
-    outcome, _ = execute_option(CloudField([], 20), at(5, 5), RIGHT, 3, 400)
+    outcome, _ = execute_option(CloudField([], 20), 0, at(5, 5), RIGHT, 3, 400)
     record_visits(mem, outcome)
     assert mem[at(6, 5)] == 1 and mem[at(7, 5)] == 1 and mem[at(8, 5)] == 1
     assert sum(mem) == 3
@@ -274,7 +279,7 @@ def test_record_visits_counts_path_cells():
 
 def test_record_visits_empty_path_no_change():
     mem = new_memory(20)
-    outcome, _ = execute_option(CloudField([], 20), at(0, 3), LEFT, 4, 400)
+    outcome, _ = execute_option(CloudField([], 20), 0, at(0, 3), LEFT, 4, 400)
     record_visits(mem, outcome)
     # The zero-step clamp still marks its terminal once.
     assert mem[at(0, 3)] == 1
@@ -283,7 +288,7 @@ def test_record_visits_empty_path_no_change():
 
 def test_record_visits_clamped_terminal_counts_twice():
     mem = new_memory(20)
-    outcome, _ = execute_option(CloudField([], 20), at(17, 5), RIGHT, 4, 400)
+    outcome, _ = execute_option(CloudField([], 20), 0, at(17, 5), RIGHT, 4, 400)
     assert outcome.clamped and outcome.terminal == at(19, 5)
     record_visits(mem, outcome)
     assert mem[at(18, 5)] == 1
@@ -297,7 +302,7 @@ def test_record_visits_never_decrements():
         x = int(rng.integers(20))
         y = int(rng.integers(20))
         outcome, _ = execute_option(
-            CloudField([], 20), at(x, y), int(rng.integers(4)), 4, 400)
+            CloudField([], 20), 0, at(x, y), int(rng.integers(4)), 4, 400)
         before = list(mem)
         record_visits(mem, outcome)
         assert all(now >= then for now, then in zip(mem, before))
@@ -320,6 +325,40 @@ def test_explore_mode_is_uniform():
     sigma = (n * 0.25 * 0.75) ** 0.5
     for c in counts:
         assert abs(c - n / 4) < 3 * sigma
+
+
+@pytest.mark.parametrize("skip, buffered", [(1022, False), (1022, True), (1023, False),
+                                            (1023, True), (1024, False), (2047, True)])
+def test_explore_mode_reads_the_tapes_integers_four(skip, buffered):
+    # The tape reads blocks of 1024 words; draws start before, on and after
+    # a block's last word, with and without a buffered half word.
+    mem = new_memory(20)
+    q = flat(new_qtable(20))
+    tape, reference = make_rng(11), make_rng(11)
+    for t in (tape, reference):
+        for _ in range(skip - buffered):
+            t.random()
+        if buffered:
+            t.integers(7)
+    for _ in range(2100):
+        assert select_option(q, mem, at(5, 5), params(), "explore", tape) == \
+            reference.integers(4)
+        assert (tape.used, tape.half) == (reference.used, reference.half)
+
+
+@pytest.mark.parametrize("row, expected", [
+    ([math.nan, 1.0, 0.0, 0.0], DOWN),
+    ([0.0, math.nan, 2.0, math.nan], LEFT),
+    ([-math.inf, math.nan, -math.inf, -5.0], RIGHT),
+    ([-math.inf] * 4, UP),
+    ([math.nan] * 4, UP),
+    ([1.0, 1.0, math.inf, math.inf], LEFT)])
+def test_exploit_scores_compare_as_a_loop_from_minus_infinity(row, expected):
+    # The first strictly greater score wins; NaN never does, and a row with
+    # no score above -inf keeps up.
+    q = flat(new_qtable(20))
+    q[at(10, 10) * 4:at(10, 10) * 4 + 4] = row
+    assert select_option(q, new_memory(20), at(10, 10), params(), "exploit", None) == expected
 
 
 def test_exploit_filter_redirects_from_visited_terminal():
