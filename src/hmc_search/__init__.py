@@ -47,7 +47,6 @@ from .policy import (
     OptionOutcome,
     execute_option,
     mc_update,
-    new_qtable,
     option_stride,
     option_terminal,
     q_update,

@@ -124,21 +124,10 @@ def spiral_path(grid_length: int, diameter: int) -> PatternPath:
     return PatternPath(tuple(cells), "spiral")
 
 
-def first_hit(path: PatternPath, cloud: Cloud) -> int | None:
-    """Index of the first path cell, from path.first on, in the cloud support.
-
-    None on a miss, so that a miss stays distinct from a hit at any index.
-    """
-    support = cloud.support
-    for index, cell in enumerate(path.cells[path.first:], path.first):
-        if cell in support:
-            return index
-    return None
-
-
 def center_hits(path: PatternPath, grid_length: int, diameter: int,
                 max_steps: int) -> list[int | None]:
-    """first_hit, by max_steps, of the cloud centered on each cell c = x * grid_length + y.
+    """The first path index, from path.first up to max_steps, that lies in
+    the cloud centered on each cell c = x * grid_length + y; None on a miss.
 
     The disc is symmetric, so the clouds that cover a cell are centered on
     its env.cloud_table cells.  One pass finds each distinct cell's first
@@ -162,11 +151,15 @@ def budget_steps(hits, max_steps: int) -> list[int]:
 
 
 def steps_to_find(path: PatternPath, cloud: Cloud, max_steps: int) -> int:
-    """Moves from the start until the path first touches the cloud support.
+    """Moves from the start until the path, from path.first on, first
+    touches the cloud support: the per-cloud reference for center_hits.
 
     A pattern's start cell is index 0, so a cloud covering it costs zero
     moves.  The count is capped at max_steps, the budget every searcher is
     held to, so a miss and a hit past the budget both score max_steps.
     """
-    hit = first_hit(path, cloud)
-    return max_steps if hit is None else min(hit, max_steps)
+    support = cloud.support
+    for index, cell in enumerate(path.cells[path.first:], path.first):
+        if cell in support:
+            return min(index, max_steps)
+    return max_steps

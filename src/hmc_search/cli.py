@@ -165,14 +165,10 @@ def _load_route(opts) -> PatternPath:
     if not os.path.exists(path):
         raise FileNotFoundError(
             f"no value table at {path}; train first or pass --qtable")
-    length = opts["hp"].grid_length
     try:
-        q = read_qtable_csv(path)
-        if q.shape[0] != length:
-            raise ValueError(f"it is for a {q.shape[0]}-cell grid, not grid_length {length}")
+        return agent_route(read_qtable_csv(path), opts["hp"])
     except ValueError as err:
         raise UsageError(f"bad value table {path}: {err}") from err
-    return agent_route(q, opts["hp"])
 
 
 @_command("train", "train an agent and save its value table")

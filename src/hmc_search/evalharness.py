@@ -10,7 +10,7 @@ table, so the agent is scored like the patterns, by a route and a
 per-center table.  agent_route is the one place a value table becomes a
 route: the greedy policy reads no random source and walks the same cells
 for every cloud until it enters one, where a single-cloud episode ends,
-so center_hits gives every center's first_hit in one pass over the route.
+so center_hits gives every center's first hit in one pass over the route.
 A random cloud is its center, drawn by draw_centers as spawn_clouds
 draws it, and its score a read of the table.
 """

@@ -30,10 +30,6 @@ if TYPE_CHECKING:
 QTable = np.ndarray  # shape (grid_length, grid_length, 4), float64
 
 
-def new_qtable(grid_length: int) -> QTable:
-    return np.zeros((grid_length, grid_length, 4), dtype=np.float64)
-
-
 def option_stride(option_length: int) -> int:
     """Primitive moves per decision: the first move plus the repeats."""
     if option_length < 1:

@@ -185,15 +185,15 @@ def update_window(hp: Hyperparams) -> int:
 
 
 def run_episode(q: list[float], hp: Hyperparams, mode: str, rng: WordTape | None,
-                *, field: CloudField | None = None,
-                epsilon: float | None = None) -> Trajectory:
-    """Run one option-level episode and return its trajectory.
+                *, field: CloudField, epsilon: float = 0.0) -> Trajectory:
+    """Run one option-level episode on field and return its trajectory.
 
     q is the flat list q[cell * 4 + d], and cells, the trajectory's too,
-    are ints x * grid_length + y.  Every episode starts at START.  mode
-    "train" is epsilon-soft with the given epsilon (default epsilon_start):
-    each decision explores when a random() draw falls below epsilon, and
-    epsilon 0 draws nothing; mode "eval" is pure greedy.
+    are ints x * grid_length + y.  Every episode starts at START.  The
+    caller spawns the field, so the episode draws no cloud.  mode "train"
+    is epsilon-soft with the given epsilon: each decision explores when a
+    random() draw from rng falls below epsilon, and epsilon 0 draws
+    nothing; mode "eval" is pure greedy and reads no rng word.
     The memory filter is active in both modes but starts from a fresh
     all-zero list mem[cell] each episode and never touches q.  The
     episode ends on the collection that empties the field or when the
@@ -204,11 +204,6 @@ def run_episode(q: list[float], hp: Hyperparams, mode: str, rng: WordTape | None
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
-    if field is None:
-        count = 1 if mode == "eval" else hp.num_clouds
-        field = spawn_clouds(hp.grid_length, hp.pollution_diameter, count, rng)
-    if epsilon is None:
-        epsilon = hp.epsilon_start
     explore = mode == "train" and epsilon > 0.0
     if explore:
         words, cut = rng.words, epsilon * 2**53  # random() < epsilon is (w >> 11) < cut

@@ -28,8 +28,8 @@ from hmc_search.env import (
     sense,
     spawn_clouds,
 )
-from hmc_search.baselines import PatternPath, first_hit
-from hmc_search.policy import new_qtable, option_stride, option_terminal
+from hmc_search.baselines import PatternPath
+from hmc_search.policy import option_stride, option_terminal
 from hmc_search.training import (
     _DECISION_CAP_FACTOR,
     EpisodeRecord,
@@ -102,6 +102,18 @@ def execute_option(field, pos, direction, stride, steps_remaining):
     return outcome, CloudField(clouds, field.grid_length)
 
 
+def first_hit(path, cloud):
+    """Index of the first path cell, from path.first on, in the cloud support.
+
+    None on a miss, so that a miss stays distinct from a hit at any index.
+    """
+    support = cloud.support
+    for index, cell in enumerate(path.cells[path.first:], path.first):
+        if cell in support:
+            return index
+    return None
+
+
 def center_hits(path, grid_length, diameter):
     return [first_hit(path, make_cloud(divmod(center, grid_length), diameter, grid_length))
             for center in range(grid_length * grid_length)]
@@ -139,12 +151,7 @@ def td_update(q, s, o, r, s_next, alpha, gamma):
     q[x, y, o] += alpha * (target - q[x, y, o])
 
 
-def run_episode(q, hp, mode, rng, *, field=None, epsilon=None):
-    if field is None:
-        count = 1 if mode == "eval" else hp.num_clouds
-        field = spawn_clouds(hp.grid_length, hp.pollution_diameter, count, rng)
-    if epsilon is None:
-        epsilon = hp.epsilon_start
+def run_episode(q, hp, mode, rng, *, field, epsilon=0.0):
     max_steps = hp.max_steps
     stride = option_stride(hp.option_length)
     mem = np.zeros((hp.grid_length, hp.grid_length), dtype=np.int64)
@@ -178,7 +185,7 @@ def run_episode(q, hp, mode, rng, *, field=None, epsilon=None):
 def train_agent(hp, seed):
     """(q, records, decision-cap exits) of the trainer."""
     rng = np.random.default_rng((seed, 0))
-    q = new_qtable(hp.grid_length)
+    q = np.zeros((hp.grid_length, hp.grid_length, 4))
     records = []
     capped = 0
     for episode in range(hp.num_episodes):
@@ -242,7 +249,7 @@ def demo_episode(q, hp, field, epsilon, rng, learn):
 
 
 def plain_q(hp, rng, n_episodes, snapshot_episodes, fixed):
-    q = new_qtable(hp.grid_length)
+    q = np.zeros((hp.grid_length, hp.grid_length, 4))
     snapshots = {}
     if 0 in snapshot_episodes:
         snapshots[0] = q.max(axis=2).copy()

@@ -12,7 +12,6 @@ from hmc_search.baselines import (
     PatternPath,
     budget_steps,
     center_hits,
-    first_hit,
     ring_insets,
     ring_spacing,
     snake_path,
@@ -23,6 +22,7 @@ from hmc_search.baselines import (
 from hmc_search.cli import dispatch
 from hmc_search.env import START, cloud_table, make_cloud, move
 from hmc_search.training import Hyperparams
+from oracle import first_hit
 
 BUDGET = Hyperparams().max_steps
 

@@ -18,7 +18,7 @@ from hmc_search.cli import (
 )
 from hmc_search.env import RNG_CONTRACT, make_rng
 from hmc_search.evalharness import agent_route, evaluate_agent
-from hmc_search.policy import new_qtable, read_qtable_csv, write_qtable_csv
+from hmc_search.policy import read_qtable_csv, write_qtable_csv
 from hmc_search.training import CONFIG_TYPES, Hyperparams, train_agent
 
 FAST = {"num_episodes": 25, "max_steps": 60}
@@ -401,7 +401,7 @@ def test_population_command(cfg_file, tmp_path):
 def table_lines(tmp_path):
     """Lines of a valid value table for a 20-cell grid, header first."""
     path = tmp_path / "qtable.csv"
-    write_qtable_csv(path, new_qtable(20))
+    write_qtable_csv(path, np.zeros((20, 20, 4)))
     return path.read_text().splitlines()
 
 
@@ -420,7 +420,9 @@ def test_eval_rejects_a_table_for_another_grid(tmp_path, table_lines, capsys):
     config = tmp_path / "grid10.json"
     config.write_text(json.dumps({"grid_length": 10}))
     assert eval_table(tmp_path, table_lines, "--config", str(config)) == 1
-    assert "20-cell grid, not grid_length 10" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "bad value table" in err
+    assert "shape (20, 20, 4), not (10, 10, 4)" in err
 
 
 def test_eval_rejects_a_table_with_missing_rows(tmp_path, table_lines, capsys):

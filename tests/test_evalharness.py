@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hmc_search.baselines import first_hit, snake_path, spiral_path, steps_to_find
+from hmc_search.baselines import snake_path, spiral_path, steps_to_find
 from hmc_search.env import (RIGHT, START, CloudField, draw_centers, make_cloud, make_rng,
                             spawn_clouds)
 from hmc_search.evalharness import (
@@ -25,8 +25,8 @@ from hmc_search.evalharness import (
     score_agents,
     score_map,
 )
-from hmc_search.policy import new_qtable
 from hmc_search.training import Hyperparams, run_episode, train_agent
+from oracle import first_hit
 
 QUICK = Hyperparams(num_episodes=40, max_steps=80)
 
@@ -97,7 +97,8 @@ def test_duel_outcome_tally(data):
 
 def test_evaluate_agent_rejects_empty_batch():
     with pytest.raises(ValueError):
-        evaluate_agent(agent_route(new_qtable(20), QUICK), QUICK, 0, make_rng(0, stream=1))
+        evaluate_agent(agent_route(np.zeros((20, 20, 4)), QUICK), QUICK, 0,
+                       make_rng(0, stream=1))
 
 
 def test_evaluate_agent_matches_manual_episodes():
@@ -107,7 +108,8 @@ def test_evaluate_agent_matches_manual_episodes():
     expected = []
     failures = 0
     for _ in range(30):
-        traj = run_episode(flat(q), QUICK, "eval", rng)
+        field = spawn_clouds(QUICK.grid_length, QUICK.pollution_diameter, 1, rng)
+        traj = run_episode(flat(q), QUICK, "eval", None, field=field)
         if traj.n_poll > 0:
             expected.append(traj.n_step)
         else:
@@ -116,6 +118,27 @@ def test_evaluate_agent_matches_manual_episodes():
     assert stats.steps == expected
     assert stats.failures == failures
     assert stats.mean == sum(expected) / 30
+
+
+@pytest.mark.parametrize("kind", ["snake", "spiral", "untrained agent"])
+def test_sampled_evaluation_agrees_with_the_exact_mean_over_all_centers(kind):
+    # Each episode's cloud center is uniform over the grid, so the mean of n
+    # sampled episodes has the exact mean over all centers as its expectation
+    # and their SD / sqrt(n) as its standard error.  Over 50 seeds the z
+    # scores must look standard normal; this checks draw_centers' uniformity
+    # and the budget rule together.
+    hp = Hyperparams()
+    route = {"snake": snake_path(20, 5), "spiral": spiral_path(20, 5),
+             "untrained agent": agent_route(np.zeros((20, 20, 4)), hp)}[kind]
+    exact = center_steps(hp, route).ravel()
+    n = 1000
+    error = exact.std() / np.sqrt(n)
+    assert error > 0
+    z = np.array([(evaluate_agent(route, hp, n, make_rng(seed, stream=1)).mean - exact.mean())
+                  / error for seed in range(50)])
+    assert np.abs(z).max() < 4
+    assert abs(z.mean()) <= 0.5
+    assert 0.7 <= z.std() <= 1.3
 
 
 def test_evaluate_agent_is_reproducible():
@@ -151,8 +174,8 @@ def test_run_duels_matches_manual_replay():
 
 def test_run_duels_rejects_empty_batch():
     with pytest.raises(ValueError):
-        run_duels(agent_route(new_qtable(20), QUICK), QUICK, 0, make_rng(0, stream=2),
-                  snake_path(20, 5))
+        run_duels(agent_route(np.zeros((20, 20, 4)), QUICK), QUICK, 0,
+                  make_rng(0, stream=2), snake_path(20, 5))
 
 
 SMALL = Hyperparams(grid_length=6, pollution_diameter=3, max_steps=40,
@@ -199,8 +222,10 @@ def test_route_heatmap_accounting():
     q = trained_table()
     counts = route_heatmap(agent_route(q, QUICK), QUICK, 20, make_rng(9, stream=1))
     rng = make_rng(9, stream=1)
-    total = sum(run_episode(flat(q), QUICK, "eval", rng).n_step + 1
-                for _ in range(20))
+    total = 0
+    for _ in range(20):
+        field = spawn_clouds(QUICK.grid_length, QUICK.pollution_diameter, 1, rng)
+        total += run_episode(flat(q), QUICK, "eval", None, field=field).n_step + 1
     assert int(counts.sum()) == total
     # Every episode starts at the corner, so its count is at least the
     # episode count.
@@ -208,7 +233,7 @@ def test_route_heatmap_accounting():
 
 
 def test_route_heatmap_rejects_an_empty_batch():
-    route = agent_route(new_qtable(20), QUICK)
+    route = agent_route(np.zeros((20, 20, 4)), QUICK)
     for n in (0, -1):
         with pytest.raises(ValueError, match="n_episodes must be at least 1"):
             route_heatmap(route, QUICK, n, make_rng(0, stream=1))
@@ -283,7 +308,7 @@ def test_agent_route_rejects_a_table_of_another_grid():
     for shape in ((20, 20, 4), (10, 10, 3), (10, 20, 4), (400, 4)):
         with pytest.raises(ValueError, match=r"not \(10, 10, 4\)"):
             agent_route(np.zeros(shape), small)
-    assert len(agent_route(new_qtable(10), small).cells) > 1
+    assert len(agent_route(np.zeros((10, 10, 4)), small).cells) > 1
 
 
 def test_score_agent_without_duel_matches_evaluation():
@@ -314,7 +339,7 @@ def test_route_lookup_equals_episode_replay(data):
     # weight walks into a wall until the decision cap ends the episode.
     table_seed = data.draw(st.integers(0, 2**32 - 1), label="table seed")
     table_rng = np.random.default_rng((table_seed, 0))
-    q = new_qtable(length)
+    q = np.zeros((length, length, 4))
     kind = data.draw(st.sampled_from(["normal", "ties", "zeros"]), label="table")
     if kind == "normal":
         q[:] = table_rng.normal(size=q.shape)
@@ -334,7 +359,7 @@ def test_agent_loses_every_center_whose_cloud_covers_the_start():
     # A pattern senses its start cell and scores 0 there; the agent collects
     # only on entering a cell, so it needs at least one step and loses.
     hp = Hyperparams()
-    q = new_qtable(20)
+    q = np.zeros((20, 20, 4))
     q[:] = np.random.default_rng((4, 0)).normal(size=q.shape)
     smap = score_map(agent_route(q, hp), hp, snake_path(20, 5))
     covering = smap.opponent_steps == 0
@@ -359,7 +384,7 @@ class FixedDraws:
 def test_find_on_the_last_budget_step_is_a_success():
     # The agent walks the top row to the right and reaches (4, 0) on step 4.
     hp = Hyperparams(grid_length=5, pollution_diameter=1, max_steps=4, option_length=1)
-    q = new_qtable(5)
+    q = np.zeros((5, 5, 4))
     q[:, :, RIGHT] = 1.0
     route = agent_route(q, hp)
     assert route.cells == ((0, 0), (1, 0), (2, 0), (3, 0), (4, 0))
@@ -377,7 +402,7 @@ def test_patterns_are_held_to_the_step_budget():
     # budget every later find scores 37, so a center where the untrained
     # agent also fails is a tie, not a win.
     hp = Hyperparams(max_steps=37)
-    result = score_map(agent_route(new_qtable(20), hp), hp, snake_path(20, 5))
+    result = score_map(agent_route(np.zeros((20, 20, 4)), hp), hp, snake_path(20, 5))
     assert result.opponent_steps.max() == 37
     assert (result.opponent_steps == 37).sum() == 267
     assert not (result.outcome[result.agent_steps == 37] > 0).any()

@@ -19,7 +19,6 @@ from hmc_search.env import (
 from hmc_search.policy import (
     execute_option,
     mc_update,
-    new_qtable,
     option_stride,
     option_terminal,
     option_walks,
@@ -66,19 +65,19 @@ def params(mof_value=10.0, option_length=3, binary=False, length=20):
 
 
 def test_q_update_zero_fixed_point():
-    q = flat(new_qtable(4))
+    q = flat(np.zeros((4, 4, 4)))
     q_update(q, at(1, 1, 4), UP, 0.0, at(1, 0, 4), 0.1, 0.9)
     assert grid(q, 4)[1, 1, UP] == 0.0
 
 
 def test_q_update_direct_substitution():
-    q = flat(new_qtable(4))
+    q = flat(np.zeros((4, 4, 4)))
     q_update(q, at(1, 1, 4), RIGHT, 100.0, at(2, 1, 4), 0.1, 0.9)
     assert grid(q, 4)[1, 1, RIGHT] == pytest.approx(10.0)
 
 
 def test_q_update_decay_toward_bootstrap():
-    table = new_qtable(4)
+    table = np.zeros((4, 4, 4))
     table[1, 1, LEFT] = 10.0
     table[0, 1, :] = 10.0
     q = flat(table)
@@ -87,14 +86,14 @@ def test_q_update_decay_toward_bootstrap():
 
 
 def test_q_update_touches_one_entry():
-    q = flat(new_qtable(4))
+    q = flat(np.zeros((4, 4, 4)))
     q_update(q, at(2, 3, 4), DOWN, 5.0, at(2, 3, 4), 0.5, 0.0)
     touched = np.nonzero(grid(q, 4))
     assert list(zip(*touched)) == [(2, 3, DOWN)]
 
 
 def test_mc_update_examples():
-    q = flat(new_qtable(4))
+    q = flat(np.zeros((4, 4, 4)))
     mc_update(q, at(0, 0, 4), UP, 0.5, 0.1)
     assert q[UP] == pytest.approx(0.05)
     q[UP] = 0.5
@@ -103,7 +102,7 @@ def test_mc_update_examples():
 
 
 def test_updates_reject_non_finite_reward():
-    q = flat(new_qtable(4))
+    q = flat(np.zeros((4, 4, 4)))
     for bad in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValueError):
             q_update(q, 0, UP, bad, at(0, 1, 4), 0.1, 0.0)
@@ -122,7 +121,7 @@ VALUES = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e6, 1e6))
 @example(old=0.0, r=-0.0, alpha=0.5, row=[1.0, 0.0, 0.0, 0.0], o=0)
 @example(old=-0.0, r=-0.0, alpha=0.5, row=[1.0, 0.0, 0.0, 0.0], o=0)
 def test_mc_equals_q_update_at_zero_discount(old, r, alpha, row, o):
-    q = new_qtable(2)
+    q = np.zeros((2, 2, 4))
     q[0, 0, o] = old
     q[1, 1] = row  # the bootstrap row, which a zero discount ignores
     a, b = flat(q), flat(q)
@@ -132,7 +131,7 @@ def test_mc_equals_q_update_at_zero_discount(old, r, alpha, row, o):
 
 
 def test_zero_discount_q_update_reads_no_bootstrap_row():
-    q = new_qtable(3)
+    q = np.zeros((3, 3, 4))
     q[1, 1, DOWN] = 2.0
     q[2, 2] = math.nan
     table = flat(q)
@@ -145,7 +144,7 @@ def test_zero_discount_q_update_reads_no_bootstrap_row():
 
 
 def test_mc_update_converges_geometrically():
-    q = flat(new_qtable(3))
+    q = flat(np.zeros((3, 3, 4)))
     q[UP] = 8.0
     target = 2.0
     for k in range(1, 30):
@@ -312,7 +311,7 @@ def test_record_visits_never_decrements():
 
 
 def test_explore_mode_is_uniform():
-    q = new_qtable(20)
+    q = np.zeros((20, 20, 4))
     q[5, 5] = [9.0, 0.0, 0.0, 0.0]
     q = flat(q)
     mem = new_memory(20)
@@ -333,7 +332,7 @@ def test_explore_mode_reads_the_tapes_integers_four(skip, buffered):
     # The tape reads blocks of 1024 words; draws start before, on and after
     # a block's last word, with and without a buffered half word.
     mem = new_memory(20)
-    q = flat(new_qtable(20))
+    q = flat(np.zeros((20, 20, 4)))
     tape, reference = make_rng(11), make_rng(11)
     for t in (tape, reference):
         for _ in range(skip - buffered):
@@ -356,13 +355,13 @@ def test_explore_mode_reads_the_tapes_integers_four(skip, buffered):
 def test_exploit_scores_compare_as_a_loop_from_minus_infinity(row, expected):
     # The first strictly greater score wins; NaN never does, and a row with
     # no score above -inf keeps up.
-    q = flat(new_qtable(20))
+    q = flat(np.zeros((20, 20, 4)))
     q[at(10, 10) * 4:at(10, 10) * 4 + 4] = row
     assert select_option(q, new_memory(20), at(10, 10), params(), "exploit", None) == expected
 
 
 def test_exploit_filter_redirects_from_visited_terminal():
-    q = new_qtable(20)
+    q = np.zeros((20, 20, 4))
     q[10, 10] = [0.9, 0.8, 0.7, 0.6]
     mem = new_memory(20)
     up_terminal = option_terminal((10, 10), UP, option_stride(3), 20)
@@ -371,7 +370,7 @@ def test_exploit_filter_redirects_from_visited_terminal():
 
 
 def test_exploit_uniform_memory_shift_keeps_argmax():
-    q = new_qtable(20)
+    q = np.zeros((20, 20, 4))
     q[10, 10] = [0.9, 0.8, 0.7, 0.6]
     q = flat(q)
     clean = new_memory(20)
@@ -384,7 +383,7 @@ def test_exploit_uniform_memory_shift_keeps_argmax():
 
 
 def test_exploit_tie_break_order():
-    q = new_qtable(20)
+    q = np.zeros((20, 20, 4))
     mem = new_memory(20)
     assert select_option(flat(q), mem, at(10, 10), params(), "exploit", None) == UP
     q[10, 10] = [0.0, 1.0, 1.0, 0.0]
@@ -394,7 +393,7 @@ def test_exploit_tie_break_order():
 def test_exploit_terminal_uses_full_stride():
     # One decision spans option_length + 1 cells, so the filter must look
     # that far ahead, not option_length cells.
-    q = new_qtable(20)
+    q = np.zeros((20, 20, 4))
     q[10, 10] = [0.0, 0.0, 0.0, 1.0]
     q = flat(q)
     mem = new_memory(20)
@@ -408,7 +407,7 @@ def test_exploit_terminal_uses_full_stride():
 def test_strong_filter_prefers_any_unvisited_terminal():
     rng = np.random.default_rng((21, 0))
     for _ in range(500):
-        q = new_qtable(9)
+        q = np.zeros((9, 9, 4))
         q[:] = rng.uniform(-1.0, 1.0, size=q.shape)
         mem = rng.integers(0, 3, size=(9, 9))
         x = int(rng.integers(9))
@@ -424,7 +423,7 @@ def test_strong_filter_prefers_any_unvisited_terminal():
 
 
 def test_binary_memory_caps_repeat_penalty():
-    q = new_qtable(20)
+    q = np.zeros((20, 20, 4))
     q[10, 10] = [0.0, 5.0, 0.0, 0.0]
     mem = new_memory(20)
     mem[at(*option_terminal((10, 10), DOWN, option_stride(3), 20))] = 3
@@ -438,7 +437,8 @@ def test_binary_memory_caps_repeat_penalty():
 
 def test_select_option_rejects_unknown_mode():
     with pytest.raises(ValueError):
-        select_option(flat(new_qtable(4)), new_memory(4), 0, params(), "greedy", None)
+        select_option(flat(np.zeros((4, 4, 4))), new_memory(4), 0, params(), "greedy",
+                      None)
 
 
 # --- persistence
@@ -446,7 +446,7 @@ def test_select_option_rejects_unknown_mode():
 
 def test_qtable_csv_roundtrip_six_digit_fidelity(tmp_path):
     rng = np.random.default_rng((8, 0))
-    q = new_qtable(6)
+    q = np.zeros((6, 6, 4))
     q[:] = rng.normal(scale=30.0, size=q.shape)
     path = tmp_path / "qtable.csv"
     write_qtable_csv(path, q)
@@ -457,7 +457,7 @@ def test_qtable_csv_roundtrip_six_digit_fidelity(tmp_path):
 
 def test_qtable_csv_write_is_byte_stable(tmp_path):
     rng = np.random.default_rng((8, 0))
-    q = new_qtable(6)
+    q = np.zeros((6, 6, 4))
     q[:] = rng.normal(scale=30.0, size=q.shape)
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"

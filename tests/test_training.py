@@ -260,7 +260,8 @@ def test_trajectory_accounting():
     hp = Hyperparams()
     rng = make_rng(6)
     for _ in range(20):
-        traj = run_episode(zeros(20), hp, "train", rng, epsilon=1.0)
+        field = spawn_clouds(hp.grid_length, hp.pollution_diameter, hp.num_clouds, rng)
+        traj = run_episode(zeros(20), hp, "train", rng, field=field, epsilon=1.0)
         assert traj.n_step <= hp.max_steps
         assert len(traj.cells) == traj.n_step + 1
         assert traj.cells[0] == 0  # START
@@ -292,15 +293,14 @@ def test_run_episode_epsilon_extremes(monkeypatch):
     assert {o for _, o in traj.transitions} == {UP, DOWN, LEFT, RIGHT}
 
 
-def test_eval_mode_spawns_exactly_one_cloud():
-    hp = Hyperparams(num_clouds=4)
+def test_eval_episode_on_a_handed_field_reads_no_tape_word():
+    hp = Hyperparams()
     rng = make_rng(5)
-    run_episode(zeros(20), hp, "eval", rng)
-    # Greedy evaluation must consume exactly the two spawn draws.
-    reference = make_rng(5)
-    reference.integers(20)
-    reference.integers(20)
-    assert rng.random() == reference.random()
+    rng.integers(7)  # leave a buffered half, which must survive too
+    before = (rng.used, rng.half)
+    field = CloudField([make_cloud((9, 9), 5, 20)], 20)
+    run_episode(zeros(20), hp, "eval", rng, field=field)
+    assert (rng.used, rng.half) == before
 
 
 def test_multi_cloud_training_counts_every_find():
@@ -312,7 +312,7 @@ def test_multi_cloud_training_counts_every_find():
 
 def test_run_episode_rejects_unknown_mode():
     with pytest.raises(ValueError):
-        run_episode(zeros(20), Hyperparams(), "test", make_rng(0))
+        run_episode(zeros(20), Hyperparams(), "test", make_rng(0), field=CloudField([], 20))
 
 
 def test_train_agent_is_deterministic():
