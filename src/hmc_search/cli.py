@@ -405,6 +405,8 @@ def _load_manifest(path, command: str) -> dict:
     if not (isinstance(manifest, dict) and isinstance(manifest.get("config"), dict)
             and isinstance(manifest.get("options", {}), dict)):
         raise UsageError(f"manifest {path} is not a JSON object with config and options objects")
+    if type(version := manifest.get("format", 1)) is not int or version > 1:
+        raise UsageError(f"manifest {path} has format {version!r}, not 1 or older")
     if manifest.get("command") != command:
         raise UsageError(
             f"manifest was written by {manifest.get('command')!r}, not {command!r}")
@@ -451,6 +453,7 @@ def dispatch(argv) -> int:
         started = _utc_now()
         outputs, metrics = command.run(opts)
         manifest = {
+            "format": 1,
             "command": opts["command"],
             "config": config_dict(opts["hp"]),
             "seed": opts["seed"],

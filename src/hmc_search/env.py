@@ -53,7 +53,8 @@ class WordTape:
 
     words[pos] is the next unused word and half the buffered high half
     (None when empty).  A hot loop may read words[pos] itself, after ensure(k)
-    or with ensure(1) on an IndexError, and must leave pos and half as draws would.
+    or with ensure(1) on an IndexError, and must leave pos and half as draws would;
+    it tests random() < p as the int compare words[pos] < random_bound(p).
     """
 
     __slots__ = ("words", "pos", "half", "_raw", "_consumed")
@@ -90,6 +91,12 @@ class WordTape:
             word = self.words[self.pos]
         self.pos += 1
         return (word >> 11) * 2**-53
+
+    @staticmethod
+    def random_bound(p: float) -> int:
+        """The int b with random() < p exactly when the raw word w < b: w >> 11 is an
+        int, so it is below p * 2**53 just when below its ceil.  p >= 1 passes every w."""
+        return math.ceil(min(p, 1.0) * 2**53) << 11
 
     def integers(self, n: int) -> int:
         """An int in [0, n), as Generator.integers(n) for 1 <= n <= 2**32."""

@@ -191,9 +191,9 @@ def run_episode(q: list[float], hp: Hyperparams, mode: str, rng: WordTape | None
     q is the flat list q[cell * 4 + d], and cells, the trajectory's too,
     are ints x * grid_length + y.  Every episode starts at START.  The
     caller spawns the field, so the episode draws no cloud.  mode "train"
-    is epsilon-soft with the given epsilon: each decision explores when a
-    random() draw from rng falls below epsilon, and epsilon 0 draws
-    nothing; mode "eval" is pure greedy and reads no rng word.
+    is epsilon-soft with the given epsilon: each decision explores when its
+    raw word from rng is below WordTape.random_bound(epsilon), as random() <
+    epsilon, and epsilon 0 draws nothing; mode "eval" is pure greedy and reads no rng word.
     The memory filter is active in both modes but starts from a fresh
     all-zero list mem[cell] each episode and never touches q.  The
     episode ends on the collection that empties the field or when the
@@ -206,7 +206,7 @@ def run_episode(q: list[float], hp: Hyperparams, mode: str, rng: WordTape | None
         raise ValueError(f"unknown mode {mode!r}")
     explore = mode == "train" and epsilon > 0.0
     if explore:
-        words, cut = rng.words, epsilon * 2**53  # random() < epsilon is (w >> 11) < cut
+        words, bound = rng.words, WordTape.random_bound(epsilon)
     max_steps = hp.max_steps
     stride = option_stride(hp.option_length)
     mem = [0] * hp.grid_length**2
@@ -232,7 +232,7 @@ def run_episode(q: list[float], hp: Hyperparams, mode: str, rng: WordTape | None
                 rng.ensure(1)
                 word = words[rng.pos]
             rng.pos += 1
-            if word >> 11 < cut:
+            if word < bound:
                 pick = "explore"
         direction = select_option(q, mem, pos, hp, pick, rng)
         outcome, alive = execute_option(field, alive, pos, direction, stride, max_steps - n_step)
@@ -316,7 +316,7 @@ def _demo_episode(q: list[float], hp: Hyperparams, levels: list[float], moves: t
     exactly on a cloud, and moves is option_terminals(grid_length, 1).  Its
     backup is q_update's on that layout, inline, and so are the tape's two
     draws: a step reads at most two words, random() < epsilon is
-    (w >> 11) < epsilon * 2**53, and integers(4) is a 32-bit draw's top two bits.
+    w < WordTape.random_bound(epsilon), and integers(4) is a 32-bit draw's top two bits.
 
     A step reads each row of four values at most once:
 
@@ -335,13 +335,13 @@ def _demo_episode(q: list[float], hp: Hyperparams, levels: list[float], moves: t
     explore = epsilon > 0.0
     if explore:
         tape.ensure(2 * hp.max_steps)
+        bound = WordTape.random_bound(epsilon)
     words, pos, half = tape.words, tape.pos, tape.half
-    cut = epsilon * 2**53
     cell = START[0] * length + START[1]
     greedy = -1  # the first-max key of cell's row when known, else -1
     found = False
     for _ in range(hp.max_steps):
-        if explore and words[pos] >> 11 < cut:
+        if explore and words[pos] < bound:
             key = cell * 4
             if half is None:
                 pos += 1

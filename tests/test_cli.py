@@ -520,6 +520,7 @@ def test_command_reruns_byte_identically_from_its_manifest(name, tiny, tmp_path)
     manifest = json.loads((out_a / f"manifest_{name}.json").read_text())
     assert set(manifest["options"]) == set(DECLARED[name])
     assert manifest["provenance"] == PROVENANCE
+    assert manifest["format"] == 1 and type(manifest["format"]) is int
     assert run(name, "--from-manifest", str(out_a / f"manifest_{name}.json"),
                "--out", str(out_b)) == 0
     assert manifest["outputs"]
@@ -563,6 +564,12 @@ EVAL_MANIFEST = {"command": "eval", "config": {}, "seed": 0}
     (json.dumps({**EVAL_MANIFEST, "options": []}), "with config and options objects"),
     (json.dumps({**EVAL_MANIFEST, "options": {"episodes": 0}}),
      "--episodes: expected an integer >= 1, got '0'"),
+    # A format newer than this version's, or not an int (a bool is none).
+    (json.dumps({**EVAL_MANIFEST, "format": 2}), "has format 2, not 1 or older"),
+    (json.dumps({**EVAL_MANIFEST, "format": "1"}), "has format '1', not 1 or older"),
+    (json.dumps({**EVAL_MANIFEST, "format": 1.0}), "has format 1.0, not 1 or older"),
+    (json.dumps({**EVAL_MANIFEST, "format": True}), "has format True, not 1 or older"),
+    (json.dumps({**EVAL_MANIFEST, "format": None}), "has format None, not 1 or older"),
 ])
 def test_malformed_manifests_are_usage_errors(content, message, tmp_path, capsys):
     path = tmp_path / "manifest_eval.json"
@@ -605,5 +612,6 @@ def test_manifest_with_null_and_undeclared_options_reruns(tiny, tmp_path):
         (tmp_path / "b" / "eval_steps.csv").read_bytes()
     manifest = json.loads((tmp_path / "a" / "manifest_eval.json").read_text())
     assert manifest["options"] == {"qtable": table, "episodes": 7}
-    # The old manifest has no provenance; the rerun's manifest records its own.
+    # The old manifest has no provenance or format; the rerun's manifest records its own.
     assert manifest["provenance"] == PROVENANCE
+    assert manifest["format"] == 1

@@ -242,3 +242,43 @@ def test_make_rng_reads_default_rng():
 def test_tape_integers_rejects_a_range_outside_1_to_2_pow_32(n):
     with pytest.raises(ValueError, match="integers needs 1 <= n <= 2\\*\\*32"):
         make_rng(0).integers(n)
+
+
+# random() < p on a raw word w is (w >> 11) * 2**-53 < p; the hot loops
+# test it as w < WordTape.random_bound(p).
+def reference_draw_below(w, p):
+    return (w >> 11) * 2**-53 < p
+
+
+@settings(max_examples=500, deadline=None)
+@given(p=st.floats(0.0, 1.0), w=st.integers(0, 2**64 - 1), near=st.integers(-2**12, 2**12))
+def test_a_word_is_below_the_random_bound_exactly_when_its_draw_is_below_p(p, w, near):
+    bound = WordTape.random_bound(p)
+    assert (w < bound) == reference_draw_below(w, p)
+    # Random words almost never land near the bound, so test words there too.
+    w = min(max(bound + near, 0), 2**64 - 1)
+    assert (w < bound) == reference_draw_below(w, p)
+
+
+@pytest.mark.parametrize("p, whole", [(0.5, True), (2**-53, True), (1 - 2**-53, True),
+                                      (0.1, False), (1 / 3, False)])
+def test_the_random_bound_splits_the_words_between_two_neighbours(p, whole):
+    assert (p * 2**53).is_integer() == whole
+    bound = math.ceil(p * 2**53) << 11
+    assert WordTape.random_bound(p) == bound
+    below, at = bound - 1, bound
+    assert below < WordTape.random_bound(p) and reference_draw_below(below, p)
+    assert not at < WordTape.random_bound(p) and not reference_draw_below(at, p)
+    # The tape's own random() decodes the two words the same way.
+    tape = WordTape(lambda n: np.array([below, at] * n, dtype=np.uint64)[:n])
+    assert (tape.random() < p, tape.random() < p) == (True, False)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, math.inf])
+def test_a_probability_of_one_or_more_lets_every_word_pass(p):
+    assert WordTape.random_bound(p) == 1 << 64
+    assert 2**64 - 1 < WordTape.random_bound(p)
+
+
+def test_a_probability_of_zero_lets_no_word_pass():
+    assert WordTape.random_bound(0.0) == 0

@@ -4,7 +4,8 @@ The benchmark's digests cover only the default settings.  These pin the
 sha256 of every result file (manifests carry timestamps and are left out)
 of train, eval, duel, both score maps, route and pattern on configs that
 reach the edges: a step budget shorter than the pattern paths, diameter 1,
-a cloud as wide as the grid, and several clouds with a discount.
+a cloud as wide as the grid, and several clouds with a discount; and of
+both plain Q-learning demos, without and with a discount.
 """
 import hashlib
 import json
@@ -144,3 +145,52 @@ def pipeline_digests(config: dict, out) -> dict[str, str]:
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_pipeline_outputs_match_the_recorded_digests(name, tmp_path):
     assert pipeline_digests(CONFIGS[name], tmp_path) == GOLDEN[name]
+
+
+# The plain Q-learning demos on two small configs, the second with a
+# discount so that the demo kernel's bootstrap path is pinned too.  Their
+# result files are the snapshot grids; the evaluation mean and the final
+# maximum, which only the manifests hold, are pinned beside them.
+DEMO_CONFIGS = {
+    "demo_small": {"grid_length": 6, "pollution_diameter": 2, "max_steps": 30},
+    "demo_discount": {"grid_length": 7, "pollution_diameter": 3, "max_steps": 40,
+                      "discount_rate": 0.5},
+}
+DEMO_STAGES = (["demo-static"], ["demo-dynamic", "--episodes", "200"])
+
+# Recorded on the code as it was before exploration compared raw words
+# with an int bound.
+DEMO_GOLDEN = {
+    "demo_discount": {
+        "demo_dynamic_snapshots.csv":
+            "03166f83d9db5c93c87414937b54fe20208bc0a344d01ca4574105a2a43952d6",
+        "demo_static_snapshots.csv":
+            "7521a2f00e8a7376ea48d8a62bb8aa3ead82b2c0824e042cf927047c3b4d1056",
+        "final_max_q": 4.143339737243358,
+        "mean_eval_steps": 26.65,
+    },
+    "demo_small": {
+        "demo_dynamic_snapshots.csv":
+            "6d15665cf7cd45ec0bca882db505504d637700398aa7accf59eb8714afd8676a",
+        "demo_static_snapshots.csv":
+            "a844b812b799c062eb9c4388ef4e145fb98573d20c851c56ebf298c9e70fcd6a",
+        "final_max_q": 99.75138130895033,
+        "mean_eval_steps": 13.625,
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEMO_CONFIGS))
+def test_demo_outputs_match_the_recorded_digests(name, tmp_path):
+    (tmp_path / "config.json").write_text(json.dumps(DEMO_CONFIGS[name]))
+    for stage in DEMO_STAGES:
+        argv = [*stage, "--config", str(tmp_path / "config.json"), "--seed", str(SEED),
+                "--out", str(tmp_path)]
+        assert dispatch(argv) == 0, argv
+    found = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+             for p in sorted(tmp_path.iterdir()) if p.suffix == ".csv"}
+    static = json.loads((tmp_path / "manifest_demo-static.json").read_text())["metrics"]
+    dynamic = json.loads((tmp_path / "manifest_demo-dynamic.json").read_text())["metrics"]
+    found["final_max_q"] = static["final_max_q"]
+    found["mean_eval_steps"] = dynamic["mean_eval_steps"]
+    assert found == DEMO_GOLDEN[name]

@@ -12,6 +12,8 @@ tables as flat lists; the reference keeps (x, y) cells and arrays.  The
 tests translate between the two where they compare them.
 """
 import functools
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -21,7 +23,8 @@ from hypothesis import strategies as st
 import oracle
 from hmc_search import training
 from hmc_search.baselines import PatternPath, center_hits
-from hmc_search.env import DELTAS, CloudField, make_cloud, make_rng, move, spawn_clouds
+from hmc_search.env import (DELTAS, CloudField, WordTape, make_cloud, make_rng, move,
+                            spawn_clouds)
 from hmc_search.evalharness import agent_route
 from hmc_search.policy import (
     OptionOutcome,
@@ -328,6 +331,46 @@ def test_training_episodes_read_the_tape_across_a_block_end(skip, buffered, epsi
     assert trajectory_key(traj, 8) == trajectory_key(expected)
     assert (tape.used, tape.half) == (reference.used, reference.half)
     assert tape.used > 1024
+
+
+def boundary_tape(p):
+    """A tape whose raw words alternate between the last word that draws
+    random() < p and the first that does not."""
+    bound = math.ceil(p * 2**53) << 11
+    words = itertools.cycle([bound - 1, bound])
+    return WordTape(lambda n: np.array([next(words) for _ in range(n)], dtype=np.uint64))
+
+
+@pytest.mark.parametrize("epsilon", [0.5, 0.1])
+def test_episodes_on_the_boundary_words_explore_as_the_reference(epsilon):
+    # Random words almost never land on the bound; here every epsilon word
+    # does, or lies just below it.  The reference calls the tape's random().
+    hp = Hyperparams(grid_length=8, pollution_diameter=1, max_steps=60, num_clouds=2,
+                     discount_rate=0.5)
+    field = CloudField([make_cloud((7, 7), 1, 8), make_cloud((3, 6), 1, 8)], 8)
+    q = np.zeros((8, 8, 4))
+    q[:] = np.random.default_rng((5, 0)).normal(size=q.shape)
+    tape, reference = boundary_tape(epsilon), boundary_tape(epsilon)
+    traj = run_episode(flat(q), hp, "train", tape, field=field, epsilon=epsilon)
+    expected = oracle.run_episode(q, hp, "train", reference, field=field, epsilon=epsilon)
+    assert trajectory_key(traj, 8) == trajectory_key(expected)
+    assert {o for _, o in traj.transitions} == {0, 1, 2, 3}
+    assert (tape.used, tape.half) == (reference.used, reference.half)
+    table, moves = flat(q), option_terminals(8, 1)
+    for _ in range(3):
+        training._demo_episode(table, hp, field.levels, moves, epsilon, tape)
+        oracle.demo_episode(q, hp, field, epsilon, reference, learn=True)
+        assert np.reshape(table, q.shape).tobytes() == q.tobytes()
+        assert (tape.used, tape.half) == (reference.used, reference.half)
+
+
+def test_a_demo_episode_at_epsilon_zero_reads_no_tape_word():
+    tape = make_rng(4)
+    tape.integers(7)  # leave a buffered half, which must survive too
+    before = (tape.used, tape.half)
+    hp = Hyperparams(grid_length=8, pollution_diameter=1, max_steps=60)
+    training._demo_episode([0.0] * 256, hp, [0.0] * 64, option_terminals(8, 1), 0.0, tape)
+    assert (tape.used, tape.half) == before
 
 
 def test_training_stamps_each_spawned_field_once(monkeypatch):
