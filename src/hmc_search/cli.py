@@ -23,8 +23,6 @@ import tempfile
 from dataclasses import asdict, astuple
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from . import __version__
 from .baselines import PatternPath, snake_path, spiral_path
 from .env import RNG_CONTRACT, make_rng
@@ -34,10 +32,6 @@ from .policy import read_qtable_csv, write_qtable_csv
 from .sweep import SweepValueError, load_plan, tuning_loop
 from .training import (CONFIG_TYPES, Hyperparams, dynamic_demo, reject_unknown_keys,
                        static_demo, train_agent)
-
-# What made a run, in every manifest: reruns ignore it.
-PROVENANCE = {"hmc_search": __version__, "python": sys.version.split()[0],
-              "numpy": np.__version__, "rng": RNG_CONTRACT}
 
 
 class UsageError(Exception):
@@ -237,10 +231,9 @@ def cmd_scoremap(opts):
     pattern = (snake_path if name == "snake" else spiral_path)(
         hp.grid_length, hp.pollution_diameter)
     result = score_map(route, hp, pattern)
-    labels = np.array(["loss", "tie", "win"])  # outcome -1, 0, +1
     out_name = f"scoremap_{name}.csv"
     write_csv(os.path.join(opts["out"], out_name), ("x", "y", "outcome"),
-              _grid_rows(labels[result.outcome + 1]))
+              ((x, y, ("loss", "tie", "win")[v + 1]) for x, y, v in _grid_rows(result.outcome)))
     metrics = {"opponent": name, **asdict(result.tally)}
     return [out_name], metrics
 
@@ -315,6 +308,7 @@ def cmd_sweep(opts):
 @_command("population", "train a population of agents and report distributions",
           runs=100, episodes=1000, jobs=1)
 def cmd_population(opts):
+    import numpy as np
     report = population_stats(opts["hp"], opts["runs"], opts["seed"],
                               n_episodes=opts["episodes"], jobs=opts["jobs"])
     write_csv(
@@ -452,6 +446,7 @@ def dispatch(argv) -> int:
         os.makedirs(opts["out"], exist_ok=True)
         started = _utc_now()
         outputs, metrics = command.run(opts)
+        import numpy as np  # loaded by then: every command draws or builds arrays
         manifest = {
             "format": 1,
             "command": opts["command"],
@@ -462,7 +457,8 @@ def dispatch(argv) -> int:
             "metrics": metrics,
             "started_at": started,
             "finished_at": _utc_now(),
-            "provenance": PROVENANCE,
+            "provenance": {"hmc_search": __version__, "python": sys.version.split()[0],
+                           "numpy": np.__version__, "rng": RNG_CONTRACT},  # reruns ignore it
         }
         _write_json_atomic(
             os.path.join(opts["out"], f"manifest_{opts['command']}.json"), manifest)

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-import numpy as np
-
 Cell = tuple[int, int]
 
 UP, DOWN, LEFT, RIGHT = 0, 1, 2, 3
@@ -30,7 +28,11 @@ _TAPE_BLOCK = 1024
 
 
 def make_rng(seed: int, stream: int = 0) -> WordTape:
-    """default_rng((seed, stream))'s draws as a WordTape, equal on any platform."""
+    """default_rng((seed, stream))'s draws as a WordTape, equal on any platform.
+
+    The one place a draw starts, and so where a drawing command imports numpy.
+    """
+    import numpy as np
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     return WordTape(np.random.default_rng((int(seed), int(stream))).bit_generator.random_raw)

@@ -17,13 +17,14 @@ draws it, and its score a read of the table.
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .baselines import PatternPath, budget_steps, center_hits, snake_path
 from .env import CloudField, draw_centers, make_rng
-from .policy import QTable
 from .training import Hyperparams, run_episode, train_agent
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass
@@ -57,12 +58,13 @@ class DuelOutcome:
     @classmethod
     def tally(cls, agent_steps, opponent_steps) -> "DuelOutcome":
         """Count, element by element: strictly fewer agent steps wins, equal steps tie."""
+        import numpy as np
         agent, opponent = np.asarray(agent_steps), np.asarray(opponent_steps)
         return cls(int((agent < opponent).sum()), int((agent == opponent).sum()),
                    int((agent > opponent).sum()))
 
 
-def agent_route(q: QTable, hp: Hyperparams) -> PatternPath:
+def agent_route(q: np.ndarray, hp: Hyperparams) -> PatternPath:
     """The greedy agent's route: one eval episode on a field with no cloud.
 
     It ends at the step budget or the decision cap, as a fruitless greedy
@@ -88,6 +90,7 @@ def evaluate_agent(route: PatternPath, hp: Hyperparams, n_episodes: int, rng) ->
 
 def center_steps(hp: Hyperparams, *paths: PatternPath) -> np.ndarray:
     """steps_to_find for a cloud centered on every cell, one (x, y) grid per path."""
+    import numpy as np
     length = hp.grid_length
     steps = [budget_steps(center_hits(path, length, hp.pollution_diameter, hp.max_steps),
                           hp.max_steps) for path in paths]
@@ -121,6 +124,7 @@ def score_map(route: PatternPath, hp: Hyperparams, opponent: PatternPath) -> Sco
 
     Both sides are deterministic, so the map needs no random source.
     """
+    import numpy as np
     agent_grid, opponent_grid = center_steps(hp, route, opponent)
     # +1 where the agent needs fewer steps (a win), 0 on a tie, -1 on a loss.
     outcome = np.sign(opponent_grid - agent_grid).astype(np.int8)
@@ -134,6 +138,7 @@ def route_heatmap(route: PatternPath, hp: Hyperparams, n_episodes: int, rng) -> 
     Each episode contributes its start cell plus every cell entered until
     its find or the budget, so the grand total is the sum of (steps + 1).
     """
+    import numpy as np
     if n_episodes < 1:
         raise ValueError("n_episodes must be at least 1")
     hits = center_hits(route, hp.grid_length, hp.pollution_diameter, hp.max_steps)
@@ -200,6 +205,7 @@ def population_stats(hp: Hyperparams, n_agents: int, base_seed: int,
     n_episodes evaluation episodes and as many snake duels.  Aggregation
     order is fixed by seed, so results do not depend on worker scheduling.
     """
+    import numpy as np
     if n_agents < 1:
         raise ValueError("n_agents must be at least 1")
     agents = score_agents(

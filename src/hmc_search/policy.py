@@ -10,8 +10,8 @@ by the filter.
 
 Inside the learners a cell is the int x * grid_length + y, the values a
 flat list q[cell * 4 + d] and the visit counts a flat list mem[cell], as
-list items are cheaper than numpy scalars; a QTable is a trained table's
-form at the API and in its CSV.
+list items are cheaper than numpy scalars; a trained table's form at the
+API and in its CSV is a (grid_length, grid_length, 4) float64 array.
 """
 from __future__ import annotations
 
@@ -20,14 +20,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .env import DELTAS, DIRECTION_NAMES, Cell, CloudField, WordTape, move
 
 if TYPE_CHECKING:
-    from .training import Hyperparams
+    import numpy as np
 
-QTable = np.ndarray  # shape (grid_length, grid_length, 4), float64
+    from .training import Hyperparams
 
 
 def option_stride(option_length: int) -> int:
@@ -217,7 +215,7 @@ def record_visits(mem: list[int], outcome: OptionOutcome) -> list[int]:
     return mem
 
 
-def write_qtable_csv(path, q: QTable) -> None:
+def write_qtable_csv(path, q: np.ndarray) -> None:
     with open(path, "w", newline="") as handle:
         handle.write("x,y,direction,value\n")
         for x, plane in enumerate(q.tolist()):
@@ -226,12 +224,13 @@ def write_qtable_csv(path, q: QTable) -> None:
                     handle.write(f"{x},{y},{name},{format(value, '.6g')}\n")
 
 
-def read_qtable_csv(path) -> QTable:
+def read_qtable_csv(path) -> np.ndarray:
     """Load a table written by write_qtable_csv.
 
     Raises ValueError unless every (x, y, direction) row of a square grid
     appears exactly once, with a known direction and a finite value.
     """
+    import numpy as np
     index = {name: i for i, name in enumerate(DIRECTION_NAMES)}
     with open(path, newline="") as handle:
         header = handle.readline().strip()

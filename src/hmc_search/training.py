@@ -12,14 +12,11 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
-from typing import get_type_hints
-
-import numpy as np
+from typing import TYPE_CHECKING, get_type_hints
 
 from .baselines import PatternPath, budget_steps, center_hits
 from .env import START, CloudField, WordTape, draw_centers, make_rng, spawn_clouds
 from .policy import (
-    QTable,
     execute_option,
     mc_update,
     option_stride,
@@ -28,6 +25,9 @@ from .policy import (
     record_visits,
     select_option,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # A zero-step clamped option consumes no budget; without the memory filter a
 # deterministic policy could repeat it forever, so episodes additionally stop
@@ -147,7 +147,7 @@ class EpisodeRecord:
 @dataclass
 class TrainReport:
     records: list[EpisodeRecord]
-    q: QTable
+    q: np.ndarray  # shape (grid_length, grid_length, 4), float64
     seed: int
     hyperparams: Hyperparams
     decision_cap_exits: int  # attempts the decision cap ended, over all episodes
@@ -272,8 +272,9 @@ def train_agent(hp: Hyperparams, seed: int) -> TrainReport:
     learns only from the attempt with the highest trajectory return.
     Failed episodes (nothing found) never update the table, and no
     episode at or past stop_learn_value * num_episodes does either.  The
-    table is kept flat, q[cell * 4 + d], and returned as a QTable.
+    table is kept flat, q[cell * 4 + d], and returned reshaped to (x, y, d).
     """
+    import numpy as np
     rng = make_rng(seed)
     length = hp.grid_length
     q = [0.0] * (length * length * 4)
@@ -417,6 +418,7 @@ def _plain_q(hp: Hyperparams, tape: WordTape, n_episodes: int,
     Returns (flat q, {episode: max-Q-per-cell grid}); key 0 is the
     untrained table.
     """
+    import numpy as np
     length = hp.grid_length
     q = [0.0] * (length * length * 4)
     moves = option_terminals(length, 1)

@@ -3,6 +3,9 @@ import dataclasses
 import json
 import os
 import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -526,6 +529,22 @@ def test_command_reruns_byte_identically_from_its_manifest(name, tiny, tmp_path)
     assert manifest["outputs"]
     for output in manifest["outputs"]:
         assert (out_a / output).read_bytes() == (out_b / output).read_bytes()
+
+
+def test_a_fresh_process_records_its_provenance(tmp_path):
+    # numpy is not loaded when the package is imported, so the manifest must
+    # read its version after the command ran, not at import.
+    config = tmp_path / "tiny.json"
+    config.write_text(json.dumps(TINY))
+    src = str(Path(__file__).parent.parent / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "hmc_search", "train", "--config", str(config),
+                           "--out", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    manifest = json.loads((tmp_path / "out" / "manifest_train.json").read_text())
+    assert manifest["provenance"] == PROVENANCE
 
 
 @pytest.mark.parametrize("name", DECLARED)

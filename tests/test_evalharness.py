@@ -1,4 +1,5 @@
 """Tests for evaluation statistics, duels, score maps, and populations."""
+import json
 import os
 import subprocess
 import sys
@@ -285,17 +286,44 @@ def test_population_histograms_conserve_agents():
         assert 0.0 <= agent.win_pct <= 100.0
 
 
-def test_importing_the_package_loads_no_process_pool():
+# Each stage's return code, if any, and which of numpy, concurrent and
+# multiprocessing are loaded after it, run in order in one fresh interpreter.
+_LOADED_BY_STAGE = """
+import contextlib, io, json, sys
+
+def loaded():
+    return sorted({name.split('.')[0] for name in sys.modules}
+                  & {'numpy', 'concurrent', 'multiprocessing'})
+
+seen = {}
+# perfbench/run.py's SETUP_CODE: what the benchmark's setup_s times.
+import hmc_search
+from hmc_search import Hyperparams, snake_path, spiral_path
+Hyperparams(); snake_path(20, 5); spiral_path(20, 5)
+seen['setup'] = loaded()
+from hmc_search import cli
+seen['import cli'] = loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    seen['--help'] = [cli.dispatch(['--help']), loaded()]
+seen['usage error'] = [cli.dispatch(['train', '--config', 'missing.json']), loaded()]
+hmc_search.make_rng(0)
+seen['make_rng'] = loaded()
+print(json.dumps(seen))
+"""
+
+
+def test_importing_the_package_loads_no_process_pool(tmp_path):
+    """Nor numpy, until something draws: not the import, --help or a usage error."""
     src = str(Path(__file__).parent.parent / "src")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = ("import sys, hmc_search, hmc_search.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
-    done = subprocess.run([sys.executable, "-c", code], env=env,
+    done = subprocess.run([sys.executable, "-c", _LOADED_BY_STAGE], env=env, cwd=tmp_path,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    assert json.loads(done.stdout.splitlines()[-1]) == {
+        "setup": [], "import cli": [], "--help": [0, []], "usage error": [1, []],
+        # The first draw loads numpy, so the empty lists above are not vacuous.
+        "make_rng": ["numpy"]}
 
 
 def test_pooled_scores_equal_the_in_process_scores():
