@@ -41,13 +41,12 @@ def main():
     if args.plan:
         # A plan that cannot be read or run ends in a usage message, as the CLI's does.
         try:
-            stages, options = load_plan(args.plan, base,
-                                        runs_per_value=args.runs,
-                                        n_eval_episodes=args.eval)
+            stages = load_plan(args.plan, base, runs_per_value=args.runs,
+                               n_eval_episodes=args.eval)
         except (OSError, ValueError) as err:
             parser.error(f"plan {args.plan}: {err}")
         try:
-            final, results = tuning_loop(stages, jobs=args.jobs, **options)
+            final, results = tuning_loop(stages, jobs=args.jobs)
         except SweepValueError as err:
             parser.error(f"plan {args.plan}: {err}")
         for result in results:

@@ -8,7 +8,6 @@ sweeps, `evalharness` scoring and duels, and `sweep` parameter tuning.
 from .baselines import (
     PatternPath,
     ring_insets,
-    ring_spacing,
     snake_path,
     spiral_path,
     steps_to_find,
@@ -16,15 +15,10 @@ from .baselines import (
 )
 from .env import (
     DIRECTION_NAMES,
-    DOWN,
-    LEFT,
-    RIGHT,
     START,
-    UP,
     Cloud,
     CloudField,
     WordTape,
-    disc_offsets,
     make_cloud,
     make_rng,
     move,
@@ -34,8 +28,6 @@ from .env import (
 from .evalharness import (
     DuelOutcome,
     EvalStats,
-    PopulationReport,
-    ScoreMap,
     agent_route,
     evaluate_agent,
     population_stats,
@@ -56,25 +48,19 @@ from .policy import (
     write_qtable_csv,
 )
 from .sweep import (
-    SweepResult,
     SweepSpec,
-    SweepValueResult,
-    confidence_interval,
     load_plan,
     run_sweep,
     tuning_loop,
 )
 from .training import (
-    EpisodeRecord,
     Hyperparams,
     TrainReport,
     Trajectory,
     dynamic_demo,
-    epsilon_at,
     run_episode,
     static_demo,
     train_agent,
-    trajectory_reward,
 )
 
 __version__ = "0.1.0"

@@ -275,7 +275,7 @@ def cmd_sweep(opts):
     if opts["plan"] is None:
         raise UsageError("sweep requires --plan")
     try:
-        stages, plan_opts = load_plan(
+        stages = load_plan(
             opts["plan"], opts["hp"],
             base_seed=opts["seed"],
             runs_per_value=opts["runs"],
@@ -284,7 +284,7 @@ def cmd_sweep(opts):
     except (OSError, ValueError) as err:
         raise UsageError(f"plan {opts['plan']}: {err}") from err
     try:
-        final_hp, results = tuning_loop(stages, jobs=opts["jobs"], **plan_opts)
+        final_hp, results = tuning_loop(stages, jobs=opts["jobs"])
     except SweepValueError as err:
         raise UsageError(f"plan {opts['plan']}: {err}") from err
     outputs = []
@@ -440,9 +440,14 @@ def _resolve(argv) -> dict:
 
 
 def dispatch(argv) -> int:
+    made = []  # directories this run creates, deepest first
     try:
         opts = _resolve(argv)
         command = COMMANDS[opts["command"]]
+        path = os.path.abspath(opts["out"])
+        while not os.path.exists(path):
+            made.append(path)
+            path = os.path.dirname(path)
         os.makedirs(opts["out"], exist_ok=True)
         started = _utc_now()
         outputs, metrics = command.run(opts)
@@ -467,10 +472,17 @@ def dispatch(argv) -> int:
         return int(err.code or 0)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
-        return 1
+        status = 1
     except Exception as err:
         print(f"error: {err}", file=sys.stderr)
-        return 2
+        status = 2
+    # A failed run takes back the directories it made, unless it wrote into them.
+    for path in made:
+        try:
+            os.rmdir(path)
+        except OSError:
+            break
+    return status
 
 
 def main() -> None:

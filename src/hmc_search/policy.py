@@ -151,8 +151,6 @@ def select_option(q: list[float], mem: list[int], s: int, hp: Hyperparams,
     key = s * 4
     up, down, left, right = (mem[ends[key]], mem[ends[key + 1]],
                              mem[ends[key + 2]], mem[ends[key + 3]])
-    if hp.binary_memory:
-        up, down, left, right = min(up, 1), min(down, 1), min(left, 1), min(right, 1)
     weight = hp.mof_value
     best, pick = -math.inf, 0
     if (score := q[key] - weight * up) > best:

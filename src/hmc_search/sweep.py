@@ -4,8 +4,7 @@ A sweep trains a batch of independently seeded agents per candidate
 value, scores each by mean evaluation steps, and picks the value its
 select_on rule names: the lowest mean steps, or the highest mean snake
 duel win rate.  A tuning loop chains sweeps, fixing each winner into
-the base settings before the next stage, optionally running the whole
-plan a second time for confirmation.
+the base settings before the next stage.
 """
 from __future__ import annotations
 
@@ -116,35 +115,30 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
     return SweepResult(spec.parameter, per_value, best.value)
 
 
-def tuning_loop(stages: list[SweepSpec], *, two_pass: bool = False, jobs: int = 1):
+def tuning_loop(stages: list[SweepSpec], *, jobs: int = 1):
     """Run sweeps in order, fixing each winner before the next stage.
 
-    With two_pass the whole plan repeats once more, starting from the
-    first pass's winners.  Returns (final Hyperparams, all SweepResults
-    in execution order).
+    Returns (final Hyperparams, one SweepResult per stage, in order).
     """
     if not stages:
         raise ValueError("stages must be nonempty")
     hp = stages[0].base
     results: list[SweepResult] = []
-    passes = 2 if two_pass else 1
-    for _ in range(passes):
-        for stage in stages:
-            result = run_sweep(dataclasses.replace(stage, base=hp), jobs=jobs)
-            hp = hp.with_value(stage.parameter, result.best_value)
-            results.append(result)
+    for stage in stages:
+        result = run_sweep(dataclasses.replace(stage, base=hp), jobs=jobs)
+        hp = hp.with_value(stage.parameter, result.best_value)
+        results.append(result)
     return hp, results
 
 
 def load_plan(source, base: Hyperparams, *, base_seed: int = 0,
               runs_per_value: int | None = None,
-              n_eval_episodes: int = 1000):
-    """Build (stages, options) from a JSON plan file's path or an equivalent dict.
+              n_eval_episodes: int = 1000) -> list[SweepSpec]:
+    """Build the list of stages from a JSON plan file's path or an equivalent dict.
 
-    Plan shape: {"stages": [{"parameter": ..., "values": [...],
-    "runs_per_value"?}, ...], "runs_per_value"?, "two_pass"?, "select_on"?}.
-    select_on goes on every stage and options holds two_pass.  A
-    runs_per_value argument overrides everything in the file.  Raises
+    Plan shape: {"stages": [{"parameter": ..., "values": [...]}, ...],
+    "runs_per_value"?, "select_on"?}.  runs_per_value and select_on go on
+    every stage; a runs_per_value argument overrides the file's.  Raises
     ValueError on a plan of another shape, with unknown keys or no stages,
     or with a field SweepSpec rejects, and OSError on an unreadable file.
     Whether a value is in range is checked by run_sweep, against the
@@ -157,28 +151,25 @@ def load_plan(source, base: Hyperparams, *, base_seed: int = 0,
         plan = source
     if not isinstance(plan, dict) or not isinstance(plan.get("stages"), list):
         raise ValueError("plan must be an object with a 'stages' list")
-    reject_unknown_keys(plan, ("stages", "runs_per_value", "two_pass", "select_on"), "plan")
+    reject_unknown_keys(plan, ("stages", "runs_per_value", "select_on"), "plan")
     if not plan["stages"]:
         raise ValueError("stages must be nonempty")
-    two_pass = plan.get("two_pass", False)
-    if not isinstance(two_pass, bool):
-        raise ValueError(f"two_pass must be true or false, not {two_pass!r}")
-    default_runs = plan.get("runs_per_value", 20)
+    if runs_per_value is None:
+        runs_per_value = plan.get("runs_per_value", 20)
     stages = []
     for i, entry in enumerate(plan["stages"]):
         if not (isinstance(entry, dict) and "parameter" in entry
                 and isinstance(entry.get("values"), list)):
             raise ValueError(f"stage {i} must be an object with a 'parameter' "
                              "and a 'values' list")
-        reject_unknown_keys(entry, ("parameter", "values", "runs_per_value"), f"stage {i}")
+        reject_unknown_keys(entry, ("parameter", "values"), f"stage {i}")
         stages.append(SweepSpec(
             parameter=entry["parameter"],
             values=entry["values"],
             base=base,
-            runs_per_value=(entry.get("runs_per_value", default_runs)
-                            if runs_per_value is None else runs_per_value),
+            runs_per_value=runs_per_value,
             base_seed=base_seed,
             n_eval_episodes=n_eval_episodes,
             select_on=plan.get("select_on", "steps"),
         ))
-    return stages, {"two_pass": two_pass}
+    return stages

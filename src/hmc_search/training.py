@@ -59,14 +59,12 @@ class Hyperparams:
     # decision walks option_length + 1 cells.
     option_length: int = 3
     reward_scaling: float = 30.0
-    # A variant switch, not part of the JSON config surface.
-    binary_memory: bool = False
 
     def __post_init__(self):
-        for name in _TYPES:
+        for name in CONFIG_TYPES:
             setattr(self, name, setting_value(name, getattr(self, name)))
         # Every integer setting counts something there must be at least one of.
-        for name, kind in _TYPES.items():
+        for name, kind in CONFIG_TYPES.items():
             if kind is int and getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
         for name in ("learning_rate", "stop_learn_value"):
@@ -89,24 +87,19 @@ class Hyperparams:
         return replace(self, **{name: value})
 
 
-# The settings a JSON config or a sweep may set, with their types; the bool
-# variant switches are left out by their type.
-_TYPES = get_type_hints(Hyperparams)
-CONFIG_TYPES = {name: kind for name, kind in _TYPES.items() if kind is not bool}
+# Every setting, with its type: what a JSON config or a sweep may set.
+CONFIG_TYPES = get_type_hints(Hyperparams)
 
 
 def setting_value(name: str, value):
     """What setting name stores for value, or a ValueError naming it.
 
     Integer settings take whole numbers (stored as int), real settings any
-    finite number (stored as float), switches a bool; a bool is no number.
+    finite number (stored as float); a bool is no number.
     """
-    kind = _TYPES[name]
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, (int, float)):
-        wanted = "true or false" if kind is bool else "a number"
-        raise ValueError(f"{name} must be {wanted}, not {value!r}")
-    if kind is bool:
-        return value
+    kind = CONFIG_TYPES[name]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, not {value!r}")
     if not abs(value) <= sys.float_info.max:  # NaN, infinities, ints past float
         raise ValueError(f"{name} must be finite, not {value!r}")
     if kind is float:

@@ -52,8 +52,6 @@ def select_option(q, mem, s, hp, mode, rng):
     best = -math.inf
     for d in range(4):
         visits = mem[option_terminal(s, d, span, length)]
-        if hp.binary_memory and visits > 1:
-            visits = 1
         score = row[d] - hp.mof_value * visits
         if score > best:
             best = score

@@ -78,9 +78,7 @@ def test_config_dict_roundtrip():
 
 
 def test_config_keys_are_the_numeric_hyperparams():
-    fields = [f.name for f in dataclasses.fields(Hyperparams)]
-    assert list(CONFIG_TYPES) == [
-        name for name in fields if name != "binary_memory"]
+    assert list(CONFIG_TYPES) == [f.name for f in dataclasses.fields(Hyperparams)]
 
 
 @pytest.mark.parametrize("config", [
@@ -188,6 +186,27 @@ def test_from_manifest_rejects_other_command(cfg_file, tmp_path):
 def test_eval_without_table_is_runtime_error(cfg_file, tmp_path):
     out = str(tmp_path / "empty")
     assert run("eval", "--config", cfg_file, "--out", out) == 2
+
+
+def test_a_failed_run_leaves_no_directory_it_made(cfg_file, tmp_path):
+    missing = str(tmp_path / "missing.csv")
+    assert run("eval", "--config", cfg_file, "--qtable", missing,
+               "--out", str(tmp_path / "x" / "y")) == 2
+    assert run("sweep", "--config", cfg_file, "--plan", str(tmp_path / "missing.json"),
+               "--out", str(tmp_path / "x" / "y")) == 1
+    assert not (tmp_path / "x").exists()
+
+
+def test_a_failed_run_keeps_an_out_that_existed(cfg_file, tmp_path):
+    missing = str(tmp_path / "missing.csv")
+    existing = tmp_path / "existing"
+    existing.mkdir()
+    assert run("eval", "--config", cfg_file, "--qtable", missing, "--out", str(existing)) == 2
+    assert existing.is_dir()
+    # Only the part of the path this run made goes.
+    assert run("eval", "--config", cfg_file, "--qtable", missing,
+               "--out", str(existing / "new")) == 2
+    assert existing.is_dir() and not any(existing.iterdir())
 
 
 def test_eval_pipeline(cfg_file, tmp_path):
@@ -335,8 +354,8 @@ def test_sweep_requires_plan(cfg_file, tmp_path):
     (None, "No such file or directory"),
     ({"stages": [{"parameter": "option_length", "values": [1]}], "select_on": "fast"},
      "select_on must be 'steps' or 'wins'"),
-    ({"stages": [{"parameter": "option_length", "values": [1]}], "two_pass": "false"},
-     "two_pass must be true or false, not 'false'"),
+    ({"stages": [{"parameter": "option_length", "values": [1]}], "two_pass": False},
+     "unknown plan keys: two_pass"),
     ({"stages": []}, "stages must be nonempty"),
     ({"stages": [{"parameter": "option_length", "values": [1]}], "selecton": "wins"},
      "unknown plan keys: selecton"),
@@ -344,6 +363,8 @@ def test_sweep_requires_plan(cfg_file, tmp_path):
      "unknown stage 0 keys: runs"),
     ({"stages": [{"parameter": ["mof_value"], "values": [1.0]}]},
      "unknown sweep parameter ['mof_value']"),
+    ({"stages": [{"parameter": "option_length", "values": [1]}], "runs_per_value": None},
+     "runs_per_value must be an integer >= 1, not None"),
 ])
 def test_malformed_plans_are_usage_errors(plan, message, cfg_file, tmp_path, capsys):
     path = tmp_path / "plan.json"
@@ -358,8 +379,8 @@ def test_malformed_plans_are_usage_errors(plan, message, cfg_file, tmp_path, cap
 @pytest.mark.parametrize("stages, message", [
     ([{"parameter": "option_length", "values": ["x"]}],
      "option_length must be a number, not 'x'"),
-    ([{"parameter": "option_length", "values": [1], "runs_per_value": None}],
-     "runs_per_value must be an integer >= 1, not None"),
+    ([{"parameter": "option_length", "values": [1], "runs_per_value": 2}],
+     "unknown stage 0 keys: runs_per_value"),
     ([{"parameter": "option_length", "values": [0]}],
      "option_length = 0: option_length must be at least 1"),
     ([{"parameter": "mof_value", "values": [float("nan")]}],

@@ -361,7 +361,6 @@ def test_route_lookup_equals_episode_replay(data):
         max_steps=data.draw(st.integers(1, 60), label="max_steps"),
         option_length=data.draw(st.integers(1, 5), label="option_length"),
         mof_value=data.draw(st.sampled_from([0.0, 0.5, 1.0, 10.0]), label="mof_value"),
-        binary_memory=data.draw(st.booleans(), label="binary_memory"),
     )
     # Small integer values make ties, and an all-zero table with no memory
     # weight walks into a wall until the decision cap ends the episode.

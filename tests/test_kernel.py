@@ -55,7 +55,6 @@ def draw_hp(data, max_length=10, **fixed) -> Hyperparams:
         option_length=data.draw(st.integers(1, 4), label="option_length"),
         num_clouds=data.draw(st.integers(1, 4), label="num_clouds"),
         best_learn_value=data.draw(st.integers(1, 3), label="best_learn_value"),
-        binary_memory=data.draw(st.booleans(), label="binary_memory"),
         mof_value=data.draw(st.sampled_from([0.0, 0.5, 10.0]), label="mof_value"),
         discount_rate=data.draw(st.sampled_from([0.0, 0.5, 1.0]), label="discount_rate"),
         stop_learn_value=data.draw(st.sampled_from([0.3, 0.5, 1.0]), label="stop_learn_value"),

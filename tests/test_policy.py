@@ -56,9 +56,8 @@ def new_memory(grid_length):
     return [0] * (grid_length * grid_length)
 
 
-def params(mof_value=10.0, option_length=3, binary=False, length=20):
-    return Hyperparams(grid_length=length, mof_value=mof_value,
-                       option_length=option_length, binary_memory=binary)
+def params(mof_value=10.0, option_length=3, length=20):
+    return Hyperparams(grid_length=length, mof_value=mof_value, option_length=option_length)
 
 
 # --- update rules
@@ -420,19 +419,6 @@ def test_strong_filter_prefers_any_unvisited_terminal():
         visited = [mem[t] > 0 for t in terminals]
         if not all(visited):
             assert not visited[chosen]
-
-
-def test_binary_memory_caps_repeat_penalty():
-    q = np.zeros((20, 20, 4))
-    q[10, 10] = [0.0, 5.0, 0.0, 0.0]
-    mem = new_memory(20)
-    mem[at(*option_terminal((10, 10), DOWN, option_stride(3), 20))] = 3
-    # Counting memory: penalty 30 sinks the 5.0 entry.
-    assert select_option(flat(q), mem, at(10, 10), params(), "exploit", None) == UP
-    # Binary memory: penalty capped at 10, 5.0 - 10 < 0 still loses.
-    assert select_option(flat(q), mem, at(10, 10), params(binary=True), "exploit", None) == UP
-    q[10, 10, DOWN] = 15.0
-    assert select_option(flat(q), mem, at(10, 10), params(binary=True), "exploit", None) == DOWN
 
 
 def test_select_option_rejects_unknown_mode():

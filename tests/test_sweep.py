@@ -145,12 +145,6 @@ def test_tuning_loop_fixes_winner_and_keeps_other_fields():
         [v.run_means for v in follow_up.per_value]
 
 
-def test_tuning_loop_two_pass_repeats_plan():
-    _, results = tuning_loop([quick_spec()], two_pass=True)
-    assert len(results) == 2
-    assert results[0].parameter == results[1].parameter == "option_length"
-
-
 def test_tuning_loop_select_on_wins():
     hp, results = tuning_loop([quick_spec(select_on="wins")])
     reference = run_sweep(quick_spec(select_on="wins"))
@@ -171,38 +165,33 @@ def test_tuning_loop_rejects_bad_arguments():
 
 def test_load_plan_from_dict():
     plan = {"stages": [{"parameter": "option_length", "values": [1, 2, 3]},
-                       {"parameter": "mof_value", "values": [5, 10],
-                        "runs_per_value": 4}],
-            "runs_per_value": 6, "two_pass": True, "select_on": "wins"}
-    stages, options = load_plan(plan, QUICK, base_seed=3, n_eval_episodes=50)
+                       {"parameter": "mof_value", "values": [5, 10]}],
+            "runs_per_value": 6, "select_on": "wins"}
+    stages = load_plan(plan, QUICK, base_seed=3, n_eval_episodes=50)
     assert [s.parameter for s in stages] == ["option_length", "mof_value"]
     assert stages[0].values == [1, 2, 3]
-    assert stages[0].runs_per_value == 6
-    assert stages[1].runs_per_value == 4
     for stage in stages:
         assert stage.base == QUICK
+        assert stage.runs_per_value == 6
         assert stage.base_seed == 3
         assert stage.n_eval_episodes == 50
         assert stage.select_on == "wins"
-    assert options == {"two_pass": True}
 
 
 def test_load_plan_from_file_with_override(tmp_path):
     plan_file = tmp_path / "plan.json"
     plan_file.write_text(json.dumps(
-        {"stages": [{"parameter": "reward_scaling", "values": [10, 30],
-                     "runs_per_value": 9}]}))
-    stages, options = load_plan(str(plan_file), QUICK, runs_per_value=2)
+        {"stages": [{"parameter": "reward_scaling", "values": [10, 30]}],
+         "runs_per_value": 9}))
+    stages = load_plan(str(plan_file), QUICK, runs_per_value=2)
     assert len(stages) == 1
     assert stages[0].parameter == "reward_scaling"
     assert stages[0].runs_per_value == 2
     assert stages[0].select_on == "steps"
-    assert options == {"two_pass": False}
 
 
 def test_load_plan_defaults_runs_to_twenty():
-    stages, _ = load_plan({"stages": [{"parameter": "reward_scaling", "values": [30]}]},
-                          QUICK)
+    stages = load_plan({"stages": [{"parameter": "reward_scaling", "values": [30]}]}, QUICK)
     assert stages[0].runs_per_value == 20
 
 
@@ -225,11 +214,11 @@ def test_load_plan_rejects_malformed():
         load_plan({"stages": []}, QUICK)
 
 
-@pytest.mark.parametrize("two_pass", ["false", 0, 1, None])
-def test_load_plan_rejects_a_two_pass_that_is_not_a_boolean(two_pass):
-    with pytest.raises(ValueError, match=f"^two_pass must be true or false, not {two_pass!r}$"):
+@pytest.mark.parametrize("runs", [None, 0, 1.5, True])
+def test_load_plan_rejects_runs_that_are_not_a_positive_integer(runs):
+    with pytest.raises(ValueError, match=f"^runs_per_value must be an integer >= 1, not {runs!r}$"):
         load_plan({"stages": [{"parameter": "option_length", "values": [1]}],
-                   "two_pass": two_pass}, QUICK)
+                   "runs_per_value": runs}, QUICK)
 
 
 @pytest.mark.parametrize("stage, message", [
@@ -237,12 +226,6 @@ def test_load_plan_rejects_a_two_pass_that_is_not_a_boolean(two_pass):
     ({"parameter": "option_length", "values": [True]}, "option_length must be a number, not True"),
     ({"parameter": "option_length", "values": [2.5]}, "option_length must be an integer, not 2.5"),
     ({"parameter": "learning_rate", "values": [None]}, "learning_rate must be a number, not None"),
-    ({"parameter": "option_length", "values": [1], "runs_per_value": None},
-     "runs_per_value must be an integer >= 1, not None"),
-    ({"parameter": "option_length", "values": [1], "runs_per_value": 0},
-     "runs_per_value must be an integer >= 1, not 0"),
-    ({"parameter": "option_length", "values": [1], "runs_per_value": 1.5},
-     "runs_per_value must be an integer >= 1, not 1.5"),
 ])
 def test_load_plan_rejects_values_of_the_wrong_type(stage, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -250,15 +233,13 @@ def test_load_plan_rejects_values_of_the_wrong_type(stage, message):
 
 
 def test_load_plan_accepts_integers_for_a_real_setting():
-    stages, _ = load_plan({"stages": [{"parameter": "discount_rate", "values": [0, 0.5]}]},
-                          QUICK)
+    stages = load_plan({"stages": [{"parameter": "discount_rate", "values": [0, 0.5]}]}, QUICK)
     assert stages[0].values == [0, 0.5]
     assert [type(v) for v in stages[0].values] == [float, float]
 
 
 def test_load_plan_accepts_whole_floats_for_an_integer_setting():
-    stages, _ = load_plan({"stages": [{"parameter": "option_length", "values": [3.0, 4]}]},
-                          QUICK)
+    stages = load_plan({"stages": [{"parameter": "option_length", "values": [3.0, 4]}]}, QUICK)
     assert stages[0].values == [3, 4]
     assert [type(v) for v in stages[0].values] == [int, int]
 
@@ -271,6 +252,11 @@ def test_load_plan_accepts_whole_floats_for_an_integer_setting():
     ({"stages": [{"parameter": "option_length", "values": [1]},
                  {"parameter": "mof_value", "values": [1], "runs": 1}]},
      "unknown stage 1 keys: runs"),
+    # A plan no longer repeats itself, and its runs_per_value holds for every stage.
+    ({"stages": [{"parameter": "option_length", "values": [1]}], "two_pass": True},
+     "unknown plan keys: two_pass"),
+    ({"stages": [{"parameter": "option_length", "values": [1], "runs_per_value": 4}]},
+     "unknown stage 0 keys: runs_per_value"),
 ])
 def test_load_plan_rejects_unknown_keys(plan, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -281,7 +267,7 @@ def test_every_shipped_plan_loads():
     plans = sorted((Path(__file__).parent.parent / "demos" / "plans").glob("*.json"))
     assert plans
     for path in plans:
-        stages, _ = load_plan(path, Hyperparams())
+        stages = load_plan(path, Hyperparams())
         assert stages, path
 
 

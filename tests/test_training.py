@@ -97,8 +97,8 @@ def test_non_finite_settings_are_rejected(name, value):
 
 
 @pytest.mark.parametrize("override, message", [
-    ({"binary_memory": "yes"}, "binary_memory must be true or false, not 'yes'"),
-    ({"binary_memory": 1}, "binary_memory must be true or false, not 1"),
+    ({"best_learn_value": False}, "best_learn_value must be a number, not False"),
+    ({"epsilon_final": None}, "epsilon_final must be a number, not None"),
     ({"num_episodes": True}, "num_episodes must be a number, not True"),
     ({"mof_value": False}, "mof_value must be a number, not False"),
     ({"option_length": 3.5}, "option_length must be an integer, not 3.5"),
@@ -111,6 +111,13 @@ def test_settings_of_the_wrong_type_are_rejected(override, message):
     name, value = next(iter(override.items()))
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         Hyperparams().with_value(name, value)
+
+
+def test_every_setting_is_a_number():
+    # No setting is a switch; the old bool variant switch is no keyword.
+    assert set(CONFIG_TYPES.values()) == {int, float}
+    with pytest.raises(TypeError):
+        Hyperparams(binary_memory=True)
 
 
 def test_settings_are_stored_with_their_types():
