@@ -32,6 +32,8 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args()
+    if args.seed < 0:
+        parser.error(f"argument --seed: expected an integer >= 0, got {args.seed}")
 
     hp = Hyperparams()
     print(f"grid {hp.grid_length}x{hp.grid_length}, "

@@ -34,6 +34,11 @@ def main():
     parser.add_argument("--csv", metavar="DIR",
                         help="also write both routes as CSV files")
     args = parser.parse_args()
+    # The settings check the grid and diameter, so bad flags end in a usage message.
+    try:
+        hp = Hyperparams(grid_length=args.grid, pollution_diameter=args.diameter)
+    except ValueError as err:
+        parser.error(str(err))
 
     snake = snake_path(args.grid, args.diameter)
     spiral = spiral_path(args.grid, args.diameter)
@@ -45,11 +50,10 @@ def main():
           f"{len(spiral.cells) - 1} moves:")
     print(render(spiral, args.grid))
 
-    hp = Hyperparams(grid_length=args.grid, pollution_diameter=args.diameter)
     print(f"\nmoves to reach a diameter-{args.diameter} cloud, over all "
           f"{args.grid * args.grid} centers:")
     for pattern, steps in zip((snake, spiral), center_steps(hp, snake, spiral)):
-        stats = EvalStats.from_steps(steps.ravel().tolist(), 0)
+        stats = EvalStats.from_steps(steps, 0)
         print(f"  {pattern.kind:7} mean {stats.mean:7.2f}   "
               f"median {stats.median:3.0f}   worst {max(stats.steps):3d}")
 

@@ -18,9 +18,9 @@ from hmc_search import (
 )
 
 
-def positive_component_from_start(grid):
-    length = grid.shape[0]
-    if grid[0, 0] <= 0:
+def positive_component_from_start(grid, length):
+    """Cells joined to the start by positive values; grid is flat, x * length + y."""
+    if grid[0] <= 0:
         return set()
     seen = {(0, 0)}
     frontier = [(0, 0)]
@@ -28,7 +28,7 @@ def positive_component_from_start(grid):
         x, y = frontier.pop()
         for nx, ny in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
             if 0 <= nx < length and 0 <= ny < length \
-                    and (nx, ny) not in seen and grid[nx, ny] > 0:
+                    and (nx, ny) not in seen and grid[nx * length + ny] > 0:
                 seen.add((nx, ny))
                 frontier.append((nx, ny))
     return seen
@@ -40,8 +40,12 @@ def main():
     parser.add_argument("--discount", type=float, default=0.9,
                         help="discount for the fixed-cloud part")
     args = parser.parse_args()
-
-    fixed_hp = Hyperparams(discount_rate=args.discount)
+    if args.seed < 0:
+        parser.error(f"argument --seed: expected an integer >= 0, got {args.seed}")
+    try:
+        fixed_hp = Hyperparams(discount_rate=args.discount)
+    except ValueError as err:
+        parser.error(f"argument --discount: {err}")
     print(f"fixed cloud, discount {args.discount}, seed {args.seed}:")
     snapshots = static_demo(fixed_hp, args.seed)
     field = spawn_clouds(fixed_hp.grid_length, fixed_hp.pollution_diameter, 1,
@@ -51,8 +55,8 @@ def main():
           f"{len(support)} cells")
     for episode in sorted(snapshots):
         grid = snapshots[episode]
-        positive = int((grid > 0).sum())
-        component = positive_component_from_start(grid)
+        positive = sum(value > 0 for value in grid)
+        component = positive_component_from_start(grid, fixed_hp.grid_length)
         reached = bool(component & support)
         print(f"  after {episode:4d} episodes: {positive:3d} cells positive, "
               f"start connects to {len(component):3d} of them, "

@@ -7,9 +7,8 @@ learned route actually goes.
 """
 import argparse
 
-import numpy as np
-
 from hmc_search import (
+    DuelOutcome,
     Hyperparams,
     agent_route,
     evaluate_agent,
@@ -23,12 +22,10 @@ from hmc_search import (
 )
 
 
-def outcome_rows(result):
+def outcome_rows(signs, length):
     symbols = {1: "+", 0: "=", -1: "-"}
-    length = result.outcome.shape[0]
     for y in range(length):
-        yield "".join(symbols[int(result.outcome[x, y])]
-                      for x in range(length))
+        yield "".join(symbols[signs[x * length + y]] for x in range(length))
 
 
 def main():
@@ -37,6 +34,10 @@ def main():
     parser.add_argument("--episodes", type=int, default=1000,
                         help="evaluation episode count")
     args = parser.parse_args()
+    if args.seed < 0:
+        parser.error(f"argument --seed: expected an integer >= 0, got {args.seed}")
+    if args.episodes < 1:
+        parser.error(f"argument --episodes: expected an integer >= 1, got {args.episodes}")
 
     hp = Hyperparams()
     report = train_agent(hp, args.seed)
@@ -63,18 +64,18 @@ def main():
         print(f"vs {name:7} wins {o.wins:4d}  ties {o.ties:3d}  "
               f"losses {o.losses:4d}  ({100.0 * o.wins / o.total:.1f}% won)")
 
-    result = score_map(route, hp, snake)
-    tally = result.tally
+    signs = score_map(route, hp, snake)
+    tally = DuelOutcome.tally(signs)
     print(f"\nper-center map vs snake: {tally.wins} wins, {tally.ties} "
           f"ties, {tally.losses} losses out of {tally.total}")
-    print("\n".join(outcome_rows(result)))
+    print("\n".join(outcome_rows(signs, hp.grid_length)))
 
+    # Per-cell results are flat lists indexed by the cell int x * grid_length + y.
     counts = route_heatmap(route, hp, 200, make_rng(args.seed, stream=1))
-    flat = [((x, y), int(counts[x, y]))
-            for x in range(hp.grid_length) for y in range(hp.grid_length)]
-    top = sorted(flat, key=lambda item: -item[1])[:5]
+    top = sorted(enumerate(counts), key=lambda item: -item[1])[:5]
+    top = [(divmod(cell, hp.grid_length), count) for cell, count in top]
     print(f"\nmost visited cells over 200 greedy episodes: {top}")
-    print(f"cells never visited: {int(np.count_nonzero(counts == 0))}/400")
+    print(f"cells never visited: {counts.count(0)}/{len(counts)}")
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 from . import __version__
 from .baselines import PatternPath, snake_path, spiral_path
 from .env import RNG_CONTRACT, make_rng
-from .evalharness import (EvalStats, agent_route, center_steps, evaluate_agent,
+from .evalharness import (DuelOutcome, EvalStats, agent_route, center_steps, evaluate_agent,
                           population_stats, route_heatmap, run_duels, score_map)
 from .policy import read_qtable_csv, write_qtable_csv
 from .sweep import SweepValueError, load_plan, tuning_loop
@@ -84,11 +84,10 @@ def write_csv(path, header, rows) -> None:
             handle.write(",".join(map(_fmt, row)) + "\n")
 
 
-def _grid_rows(grid, *lead):
-    """(*lead, x, y, grid[x, y]) for every cell, x major, as Python scalars."""
-    for x, column in enumerate(grid.tolist()):
-        for y, value in enumerate(column):
-            yield (*lead, x, y, value)
+def _grid_rows(grid, length, *lead):
+    """(*lead, x, y, grid[x * length + y]) for every cell of a flat list, x major."""
+    for cell, value in enumerate(grid):
+        yield (*lead, *divmod(cell, length), value)
 
 
 def _write_json_atomic(path, payload) -> None:
@@ -153,16 +152,21 @@ def _command(name: str, help_text: str, **flags):
     return register
 
 
-def _load_route(opts) -> PatternPath:
-    """The greedy route of the value table at --qtable."""
-    path = opts["qtable"]
+def _load_route(opts) -> tuple[PatternPath, dict]:
+    """The greedy route of the value table at --qtable, and its metrics.
+
+    route_capped is whether the decision cap cut the route: on
+    agent_route's empty field the only other end is the step budget.
+    """
+    path, hp = opts["qtable"], opts["hp"]
     if not os.path.exists(path):
         raise FileNotFoundError(
             f"no value table at {path}; train first or pass --qtable")
     try:
-        return agent_route(read_qtable_csv(path), opts["hp"])
+        route = agent_route(read_qtable_csv(path), hp)
     except ValueError as err:
         raise UsageError(f"bad value table {path}: {err}") from err
+    return route, {"route_capped": len(route.cells) - 1 < hp.max_steps}
 
 
 @_command("train", "train an agent and save its value table")
@@ -188,19 +192,15 @@ def cmd_train(opts):
 @_command("eval", "score a saved agent over random episodes", qtable=None, episodes=1000)
 def cmd_eval(opts):
     hp = opts["hp"]
-    route = _load_route(opts)
+    route, metrics = _load_route(opts)
     stats = evaluate_agent(route, hp, opts["episodes"], make_rng(opts["seed"], stream=1))
     write_csv(
         os.path.join(opts["out"], "eval_steps.csv"),
         ("episode", "steps"),
         ((i, s) for i, s in enumerate(stats.steps)),
     )
-    metrics = {
-        "episodes": opts["episodes"],
-        "mean_steps": stats.mean,
-        "median_steps": stats.median,
-        "failures": stats.failures,
-    }
+    metrics.update(episodes=opts["episodes"], mean_steps=stats.mean,
+                   median_steps=stats.median, failures=stats.failures)
     return ["eval_steps.csv"], metrics
 
 
@@ -208,7 +208,7 @@ def cmd_eval(opts):
           qtable=None, runs=1000)
 def cmd_duel(opts):
     hp = opts["hp"]
-    route = _load_route(opts)
+    route, metrics = _load_route(opts)
     length, diameter = hp.grid_length, hp.pollution_diameter
     outcomes = run_duels(route, hp, opts["runs"], make_rng(opts["seed"], stream=2),
                          snake_path(length, diameter), spiral_path(length, diameter))
@@ -217,8 +217,7 @@ def cmd_duel(opts):
         ("opponent", "wins", "ties", "losses"),
         ((name, *astuple(o)) for name, o in sorted(outcomes.items())),
     )
-    metrics = {name: asdict(o) for name, o in outcomes.items()}
-    metrics["iterations"] = opts["runs"]
+    metrics.update({name: asdict(o) for name, o in outcomes.items()}, iterations=opts["runs"])
     return ["duels.csv"], metrics
 
 
@@ -226,25 +225,28 @@ def cmd_duel(opts):
           qtable=None, opponent="snake")
 def cmd_scoremap(opts):
     hp = opts["hp"]
-    route = _load_route(opts)
+    route, metrics = _load_route(opts)
     name = opts["opponent"]
     pattern = (snake_path if name == "snake" else spiral_path)(
         hp.grid_length, hp.pollution_diameter)
-    result = score_map(route, hp, pattern)
+    signs = score_map(route, hp, pattern)
     out_name = f"scoremap_{name}.csv"
     write_csv(os.path.join(opts["out"], out_name), ("x", "y", "outcome"),
-              ((x, y, ("loss", "tie", "win")[v + 1]) for x, y, v in _grid_rows(result.outcome)))
-    metrics = {"opponent": name, **asdict(result.tally)}
+              ((x, y, ("loss", "tie", "win")[v + 1])
+               for x, y, v in _grid_rows(signs, hp.grid_length)))
+    metrics.update(opponent=name, **asdict(DuelOutcome.tally(signs)))
     return [out_name], metrics
 
 
 @_command("route", "visit-count heatmap of the greedy policy", qtable=None, episodes=1000)
 def cmd_route(opts):
     hp = opts["hp"]
-    route = _load_route(opts)
+    route, metrics = _load_route(opts)
     counts = route_heatmap(route, hp, opts["episodes"], make_rng(opts["seed"], stream=1))
-    write_csv(os.path.join(opts["out"], "route.csv"), ("x", "y", "count"), _grid_rows(counts))
-    return ["route.csv"], {"episodes": opts["episodes"], "total_visits": int(counts.sum())}
+    write_csv(os.path.join(opts["out"], "route.csv"), ("x", "y", "count"),
+              _grid_rows(counts, hp.grid_length))
+    metrics.update(episodes=opts["episodes"], total_visits=sum(counts))
+    return ["route.csv"], metrics
 
 
 @_command("pattern", "emit both pattern paths and their per-center step counts")
@@ -259,8 +261,8 @@ def cmd_pattern(opts):
         write_csv(os.path.join(opts["out"], f"{name}.csv"), ("step", "x", "y"),
                   ((i, x, y) for i, (x, y) in enumerate(pattern.cells)))
         write_csv(os.path.join(opts["out"], f"{name}_steps.csv"), ("x", "y", "steps"),
-                  _grid_rows(steps))
-        stats = EvalStats.from_steps(steps.ravel().tolist(), 0)
+                  _grid_rows(steps, length))
+        stats = EvalStats.from_steps(steps, 0)
         metrics[name] = {
             "path_moves": len(pattern.cells) - 1,
             "mean_steps": stats.mean,
@@ -338,18 +340,19 @@ def cmd_population(opts):
     return outputs, metrics
 
 
-def _write_snapshots(path, snapshots) -> None:
+def _write_snapshots(path, snapshots, length: int) -> None:
     write_csv(path, ("episode", "x", "y", "max_q"),
               (row for episode, grid in sorted(snapshots.items())
-               for row in _grid_rows(grid, episode)))
+               for row in _grid_rows(grid, length, episode)))
 
 
 @_command("demo-static", "plain Q-learning against one fixed cloud")
 def cmd_demo_static(opts):
     snapshots = static_demo(opts["hp"], opts["seed"])
-    _write_snapshots(os.path.join(opts["out"], "demo_static_snapshots.csv"), snapshots)
+    _write_snapshots(os.path.join(opts["out"], "demo_static_snapshots.csv"), snapshots,
+                     opts["hp"].grid_length)
     final = snapshots[max(snapshots)]
-    metrics = {"snapshots": sorted(snapshots), "final_max_q": float(final.max())}
+    metrics = {"snapshots": sorted(snapshots), "final_max_q": max(final)}
     return ["demo_static_snapshots.csv"], metrics
 
 
@@ -357,7 +360,8 @@ def cmd_demo_static(opts):
 def cmd_demo_dynamic(opts):
     snapshots, mean_steps = dynamic_demo(opts["hp"], opts["seed"],
                                          n_eval_episodes=opts["episodes"])
-    _write_snapshots(os.path.join(opts["out"], "demo_dynamic_snapshots.csv"), snapshots)
+    _write_snapshots(os.path.join(opts["out"], "demo_dynamic_snapshots.csv"), snapshots,
+                     opts["hp"].grid_length)
     metrics = {"snapshots": sorted(snapshots), "mean_eval_steps": mean_steps,
                "eval_episodes": opts["episodes"]}
     return ["demo_dynamic_snapshots.csv"], metrics
@@ -399,7 +403,7 @@ def _load_manifest(path, command: str) -> dict:
     if not (isinstance(manifest, dict) and isinstance(manifest.get("config"), dict)
             and isinstance(manifest.get("options", {}), dict)):
         raise UsageError(f"manifest {path} is not a JSON object with config and options objects")
-    if type(version := manifest.get("format", 1)) is not int or version > 1:
+    if type(version := manifest.get("format", 1)) is not int or version != 1:
         raise UsageError(f"manifest {path} has format {version!r}, not 1 or older")
     if manifest.get("command") != command:
         raise UsageError(
@@ -451,7 +455,8 @@ def dispatch(argv) -> int:
         os.makedirs(opts["out"], exist_ok=True)
         started = _utc_now()
         outputs, metrics = command.run(opts)
-        import numpy as np  # loaded by then: every command draws or builds arrays
+        # null when the command never loaded numpy, as pattern does not.
+        numpy_version = getattr(sys.modules.get("numpy"), "__version__", None)
         manifest = {
             "format": 1,
             "command": opts["command"],
@@ -463,7 +468,7 @@ def dispatch(argv) -> int:
             "started_at": started,
             "finished_at": _utc_now(),
             "provenance": {"hmc_search": __version__, "python": sys.version.split()[0],
-                           "numpy": np.__version__, "rng": RNG_CONTRACT},  # reruns ignore it
+                           "numpy": numpy_version, "rng": RNG_CONTRACT},  # reruns ignore it
         }
         _write_json_atomic(
             os.path.join(opts["out"], f"manifest_{opts['command']}.json"), manifest)

@@ -1,8 +1,8 @@
 """Evaluation: step statistics, duels against patterns, score maps.
 
 All comparisons score the agent and the pattern against the identical
-cloud, and DuelOutcome.tally decides every one: strictly fewer steps
-wins, equal steps tie.  Failed agent episodes count the full step
+cloud, and duel_signs decides every one: strictly fewer steps wins,
+equal steps tie.  Failed agent episodes count the full step
 budget, which makes them automatic losses against any finishing pattern.
 
 Every scoring function takes a route (a PatternPath), never a value
@@ -12,11 +12,13 @@ route: the greedy policy reads no random source and walks the same cells
 for every cloud until it enters one, where a single-cloud episode ends,
 so center_hits gives every center's first hit in one pass over the route.
 A random cloud is its center, drawn by draw_centers as spawn_clouds
-draws it, and its score a read of the table.
+draws it, and its score a read of the table.  Every per-center result
+is a flat list indexed by the cell int x * grid_length + y.
 """
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass
+from itertools import accumulate
 from typing import TYPE_CHECKING
 
 from .baselines import PatternPath, budget_steps, center_hits, snake_path
@@ -45,6 +47,12 @@ class EvalStats:
         return cls(list(steps), failures, mean, median)
 
 
+def duel_signs(agent_steps, opponent_steps) -> list[int]:
+    """+1 where the agent needs strictly fewer steps (a win), 0 on a tie,
+    -1 on a loss, element by element: the one duel rule."""
+    return [(a < o) - (a > o) for a, o in zip(agent_steps, opponent_steps)]
+
+
 @dataclass
 class DuelOutcome:
     wins: int = 0
@@ -56,12 +64,9 @@ class DuelOutcome:
         return self.wins + self.ties + self.losses
 
     @classmethod
-    def tally(cls, agent_steps, opponent_steps) -> "DuelOutcome":
-        """Count, element by element: strictly fewer agent steps wins, equal steps tie."""
-        import numpy as np
-        agent, opponent = np.asarray(agent_steps), np.asarray(opponent_steps)
-        return cls(int((agent < opponent).sum()), int((agent == opponent).sum()),
-                   int((agent > opponent).sum()))
+    def tally(cls, signs: list[int]) -> "DuelOutcome":
+        """Count the wins, ties and losses among duel_signs' signs."""
+        return cls(signs.count(1), signs.count(0), signs.count(-1))
 
 
 def agent_route(q: np.ndarray, hp: Hyperparams) -> PatternPath:
@@ -88,13 +93,10 @@ def evaluate_agent(route: PatternPath, hp: Hyperparams, n_episodes: int, rng) ->
     return EvalStats.from_steps(budget_steps(found, hp.max_steps), found.count(None))
 
 
-def center_steps(hp: Hyperparams, *paths: PatternPath) -> np.ndarray:
-    """steps_to_find for a cloud centered on every cell, one (x, y) grid per path."""
-    import numpy as np
-    length = hp.grid_length
-    steps = [budget_steps(center_hits(path, length, hp.pollution_diameter, hp.max_steps),
-                          hp.max_steps) for path in paths]
-    return np.array(steps, dtype=np.int64).reshape(len(paths), length, length)
+def center_steps(hp: Hyperparams, *paths: PatternPath) -> list[list[int]]:
+    """steps_to_find for a cloud centered on every cell, one flat list per path."""
+    return [budget_steps(center_hits(path, hp.grid_length, hp.pollution_diameter, hp.max_steps),
+                         hp.max_steps) for path in paths]
 
 
 def run_duels(route: PatternPath, hp: Hyperparams, n: int, rng,
@@ -103,52 +105,41 @@ def run_duels(route: PatternPath, hp: Hyperparams, n: int, rng,
     if n < 1:
         raise ValueError("n must be at least 1")
     centers = draw_centers(hp.grid_length, n, rng)
-    steps = center_steps(hp, route, *patterns).reshape(len(patterns) + 1, -1)[:, centers]
-    return {pattern.kind: DuelOutcome.tally(steps[0], opponent)
-            for pattern, opponent in zip(patterns, steps[1:])}
+    agent, *opponents = ([steps[c] for c in centers]
+                         for steps in center_steps(hp, route, *patterns))
+    return {pattern.kind: DuelOutcome.tally(duel_signs(agent, opponent))
+            for pattern, opponent in zip(patterns, opponents)}
 
 
-@dataclass
-class ScoreMap:
-    """Duel outcome for every possible cloud center."""
-
-    opponent: str
-    outcome: np.ndarray  # int8 grid, +1 win / 0 tie / -1 loss
-    agent_steps: np.ndarray
-    opponent_steps: np.ndarray
-    tally: DuelOutcome
-
-
-def score_map(route: PatternPath, hp: Hyperparams, opponent: PatternPath) -> ScoreMap:
-    """Exhaustive duel of the route over all grid_length ** 2 cloud centers.
+def score_map(route: PatternPath, hp: Hyperparams, opponent: PatternPath) -> list[int]:
+    """duel_signs of the route against opponent at every one of the
+    grid_length ** 2 cloud centers.
 
     Both sides are deterministic, so the map needs no random source.
     """
-    import numpy as np
-    agent_grid, opponent_grid = center_steps(hp, route, opponent)
-    # +1 where the agent needs fewer steps (a win), 0 on a tie, -1 on a loss.
-    outcome = np.sign(opponent_grid - agent_grid).astype(np.int8)
-    return ScoreMap(opponent.kind, outcome, agent_grid, opponent_grid,
-                    DuelOutcome.tally(agent_grid, opponent_grid))
+    return duel_signs(*center_steps(hp, route, opponent))
 
 
-def route_heatmap(route: PatternPath, hp: Hyperparams, n_episodes: int, rng) -> np.ndarray:
+def route_heatmap(route: PatternPath, hp: Hyperparams, n_episodes: int, rng) -> list[int]:
     """Visit counts per cell over the route's single-cloud episodes.
 
     Each episode contributes its start cell plus every cell entered until
     its find or the budget, so the grand total is the sum of (steps + 1).
     """
-    import numpy as np
     if n_episodes < 1:
         raise ValueError("n_episodes must be at least 1")
-    hits = center_hits(route, hp.grid_length, hp.pollution_diameter, hp.max_steps)
+    length = hp.grid_length
+    hits = center_hits(route, length, hp.pollution_diameter, hp.max_steps)
     last = min(len(route.cells) - 1, hp.max_steps)
-    ends = [last if hits[center] is None else hits[center]
-            for center in draw_centers(hp.grid_length, n_episodes, rng)]
+    ended = [0] * (last + 1)
+    for center in draw_centers(length, n_episodes, rng):
+        hit = hits[center]
+        ended[last if hit is None else hit] += 1
     # Episodes that walk route index i: those that end there or later.
-    walked = np.bincount(np.array(ends, dtype=np.int64), minlength=last + 1)[::-1].cumsum()[::-1]
-    counts = np.zeros((hp.grid_length, hp.grid_length), dtype=np.int64)
-    np.add.at(counts, tuple(np.array(route.cells[:last + 1]).T), walked)
+    walked = reversed(list(accumulate(reversed(ended))))
+    counts = [0] * (length * length)
+    for (x, y), episodes in zip(route.cells, walked):
+        counts[x * length + y] += episodes
     return counts
 
 

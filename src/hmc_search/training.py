@@ -408,18 +408,17 @@ def _plain_q(hp: Hyperparams, tape: WordTape, n_episodes: int,
     """The demos' training loop: per-step Q-learning on the fixed cloud, or
     on a cloud respawned every episode when fixed is None.
 
-    Returns (flat q, {episode: max-Q-per-cell grid}); key 0 is the
-    untrained table.
+    Returns (flat q, {episode: max Q per cell}); key 0 is the untrained
+    table, and each snapshot is a flat list indexed by the cell int.
     """
-    import numpy as np
     length = hp.grid_length
     q = [0.0] * (length * length * 4)
     moves = option_terminals(length, 1)
-    snapshots: dict[int, np.ndarray] = {}
+    snapshots: dict[int, list[float]] = {}
 
     def snapshot(episode):
         if episode in snapshot_episodes:
-            snapshots[episode] = np.array(q).reshape(length, length, 4).max(axis=2)
+            snapshots[episode] = [max(q[k:k + 4]) for k in range(0, len(q), 4)]
 
     snapshot(0)
     for episode in range(n_episodes):
@@ -434,11 +433,12 @@ def static_demo(hp: Hyperparams, seed: int, *, n_episodes: int = 2000,
                 snapshot_episodes: tuple[int, ...] = (0, 500, 1000, 2000)):
     """Plain tabular Q-learning against one fixed cloud.
 
-    Returns {episode: max-Q-per-cell grid} snapshots; key 0 is the
-    untrained table.  The cloud is placed once at random and stays put
-    across all episodes, with the find bonus rearmed each episode, so
-    with a positive discount the values propagate back toward the start
-    over training.
+    Returns {episode: max Q per cell} snapshots, each a flat list indexed
+    by the cell int x * grid_length + y; key 0 is the untrained table.
+    The cloud is placed once at random and stays put across all
+    episodes, with the find bonus rearmed each episode, so with a
+    positive discount the values propagate back toward the start over
+    training.
     """
     tape = make_rng(seed)
     fixed = spawn_clouds(hp.grid_length, hp.pollution_diameter, 1, tape)

@@ -100,10 +100,10 @@ def test_03_plain_q_learning_rarely_finds_respawning_cloud():
     assert elapsed < 60.0
 
 
-def positive_path_reaches_cloud(grid, support):
-    if grid[0, 0] <= 0.0:
+def positive_path_reaches_cloud(grid, length, support):
+    """grid is a flat max-Q list indexed by the cell int x * length + y."""
+    if grid[0] <= 0.0:
         return False
-    length = grid.shape[0]
     frontier = [(0, 0)]
     seen = {(0, 0)}
     while frontier:
@@ -112,7 +112,7 @@ def positive_path_reaches_cloud(grid, support):
             return True
         for nx, ny in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
             if 0 <= nx < length and 0 <= ny < length \
-                    and (nx, ny) not in seen and grid[nx, ny] > 0.0:
+                    and (nx, ny) not in seen and grid[nx * length + ny] > 0.0:
                 seen.add((nx, ny))
                 frontier.append((nx, ny))
     return False
@@ -128,7 +128,7 @@ def test_04_discounted_values_pave_a_path_to_the_fixed_cloud():
         support = set()
         for cloud in field.clouds:
             support.update(cloud.support)
-        if positive_path_reaches_cloud(snapshots[2000], support):
+        if positive_path_reaches_cloud(snapshots[2000], hp.grid_length, support):
             passes += 1
     elapsed = time.perf_counter() - start
     print(f"positive-value path to cloud for {passes}/3 seeds, {elapsed:.2f}s")
@@ -210,7 +210,7 @@ def test_07_trained_agents_compete_with_the_patterns():
         route = agent_route(train_agent(hp, seed).q, hp)
         stats = evaluate_agent(route, hp, 1000, make_rng(seed, stream=1))
         means.append(stats.mean)
-        wins = score_map(route, hp, snake).tally.wins
+        wins = score_map(route, hp, snake).count(1)
         best_wins = max(best_wins, wins)
     elapsed = time.perf_counter() - start
     median_mean = float(np.median(means))

@@ -19,7 +19,7 @@ from hmc_search.cli import (
     dispatch,
     parse_config,
 )
-from hmc_search.env import RNG_CONTRACT, make_rng
+from hmc_search.env import RIGHT, RNG_CONTRACT, UP, make_rng
 from hmc_search.evalharness import agent_route, evaluate_agent
 from hmc_search.policy import read_qtable_csv, write_qtable_csv
 from hmc_search.training import CONFIG_TYPES, Hyperparams, train_agent
@@ -408,6 +408,32 @@ def test_train_manifest_counts_decision_cap_exits(tmp_path):
         assert manifest["metrics"]["decision_cap_exits"] == exits
 
 
+def test_scoring_manifests_say_whether_the_decision_cap_cut_the_route(tmp_path):
+    # Every cell prefers up, a wall at the start, and no memory weight turns
+    # the agent: the route makes no move before the decision cap ends it.
+    # A table that walks right reaches the 4-step budget, uncapped.
+    for preferred, config, capped in (
+            (UP, {"grid_length": 5, "pollution_diameter": 1, "max_steps": 20,
+                  "mof_value": 0}, True),
+            (RIGHT, {"grid_length": 5, "pollution_diameter": 1, "max_steps": 4,
+                     "option_length": 1}, False)):
+        out = tmp_path / str(preferred)
+        out.mkdir()
+        (out / "config.json").write_text(json.dumps(config))
+        q = np.zeros((5, 5, 4))
+        q[:, :, preferred] = 1.0
+        write_qtable_csv(out / "qtable.csv", q)
+        for argv in (["eval", "--episodes", "50"], ["duel", "--runs", "5"],
+                     ["scoremap"], ["route", "--episodes", "5"]):
+            assert run(*argv, "--config", str(out / "config.json"), "--out", str(out)) == 0
+            metrics = json.loads((out / f"manifest_{argv[0]}.json").read_text())["metrics"]
+            assert metrics["route_capped"] is capped, argv
+        if capped:
+            assert json.loads((out / "manifest_eval.json").read_text())["metrics"][
+                "failures"] == 50
+            assert len(agent_route(q, Hyperparams(**config)).cells) == 1
+
+
 def test_population_command(cfg_file, tmp_path):
     out = tmp_path / "out"
     assert run("population", "--config", cfg_file, "--runs", "2",
@@ -554,18 +580,20 @@ def test_command_reruns_byte_identically_from_its_manifest(name, tiny, tmp_path)
 
 def test_a_fresh_process_records_its_provenance(tmp_path):
     # numpy is not loaded when the package is imported, so the manifest must
-    # read its version after the command ran, not at import.
+    # read its version after the command ran, not at import; pattern never
+    # loads it and records null.
     config = tmp_path / "tiny.json"
     config.write_text(json.dumps(TINY))
     src = str(Path(__file__).parent.parent / "src")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-m", "hmc_search", "train", "--config", str(config),
-                           "--out", str(tmp_path / "out")],
-                          env=env, capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
-    manifest = json.loads((tmp_path / "out" / "manifest_train.json").read_text())
-    assert manifest["provenance"] == PROVENANCE
+    for command, numpy_version in (("train", np.__version__), ("pattern", None)):
+        done = subprocess.run([sys.executable, "-m", "hmc_search", command,
+                               "--config", str(config), "--out", str(tmp_path / "out")],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        manifest = json.loads((tmp_path / "out" / f"manifest_{command}.json").read_text())
+        assert manifest["provenance"] == {**PROVENANCE, "numpy": numpy_version}
 
 
 @pytest.mark.parametrize("name", DECLARED)
@@ -604,8 +632,10 @@ EVAL_MANIFEST = {"command": "eval", "config": {}, "seed": 0}
     (json.dumps({**EVAL_MANIFEST, "options": []}), "with config and options objects"),
     (json.dumps({**EVAL_MANIFEST, "options": {"episodes": 0}}),
      "--episodes: expected an integer >= 1, got '0'"),
-    # A format newer than this version's, or not an int (a bool is none).
+    # Any format but 1, or not an int (a bool is none).
     (json.dumps({**EVAL_MANIFEST, "format": 2}), "has format 2, not 1 or older"),
+    (json.dumps({**EVAL_MANIFEST, "format": 0}), "has format 0, not 1 or older"),
+    (json.dumps({**EVAL_MANIFEST, "format": -3}), "has format -3, not 1 or older"),
     (json.dumps({**EVAL_MANIFEST, "format": "1"}), "has format '1', not 1 or older"),
     (json.dumps({**EVAL_MANIFEST, "format": 1.0}), "has format 1.0, not 1 or older"),
     (json.dumps({**EVAL_MANIFEST, "format": True}), "has format True, not 1 or older"),

@@ -18,6 +18,7 @@ from hmc_search.evalharness import (
     EvalStats,
     agent_route,
     center_steps,
+    duel_signs,
     evaluate_agent,
     population_stats,
     route_heatmap,
@@ -61,17 +62,22 @@ def verdict(agent, opponent):
     return (int(agent < opponent), int(agent == opponent), int(agent > opponent))
 
 
+def duel(agent_steps, opponent_steps):
+    return DuelOutcome.tally(duel_signs(agent_steps, opponent_steps))
+
+
 def test_duel_verdicts():
     # One cloud each: fewer steps wins, equal steps tie, more steps lose.
-    assert DuelOutcome.tally([3], [5]) == DuelOutcome(1, 0, 0)
-    assert DuelOutcome.tally([5], [5]) == DuelOutcome(0, 1, 0)
-    assert DuelOutcome.tally([7], [5]) == DuelOutcome(0, 0, 1)
+    assert duel_signs([3, 5, 7], [5, 5, 5]) == [1, 0, -1]
+    assert duel([3], [5]) == DuelOutcome(1, 0, 0)
+    assert duel([5], [5]) == DuelOutcome(0, 1, 0)
+    assert duel([7], [5]) == DuelOutcome(0, 0, 1)
 
 
 def test_duel_antisymmetry():
     for a in range(4):
         for b in range(4):
-            forward, backward = DuelOutcome.tally([a], [b]), DuelOutcome.tally([b], [a])
+            forward, backward = duel([a], [b]), duel([b], [a])
             assert (backward.wins, backward.ties, backward.losses) == (
                 forward.losses, forward.ties, forward.wins)
 
@@ -85,13 +91,14 @@ def test_duel_outcome_tally(data):
     n = data.draw(st.integers(0, 40), label="n")
     agent = data.draw(st.lists(values, min_size=n, max_size=n), label="agent")
     opponent = data.draw(st.lists(values, min_size=n, max_size=n), label="opponent")
-    outcome = DuelOutcome.tally(np.array(agent, dtype=np.int64),
-                                np.array(opponent, dtype=np.int64))
+    signs = duel_signs(agent, opponent)
+    outcome = DuelOutcome.tally(signs)
     assert outcome.wins + outcome.ties + outcome.losses == outcome.total == n
     verdicts = [verdict(a, o) for a, o in zip(agent, opponent)]
+    assert signs == [win - loss for win, _, loss in verdicts]
     assert [outcome.wins, outcome.ties, outcome.losses] == [
         sum(v[i] for v in verdicts) for i in range(3)]
-    swapped = DuelOutcome.tally(opponent, agent)
+    swapped = duel(opponent, agent)
     assert (swapped.wins, swapped.ties, swapped.losses) == (
         outcome.losses, outcome.ties, outcome.wins)
 
@@ -131,7 +138,7 @@ def test_sampled_evaluation_agrees_with_the_exact_mean_over_all_centers(kind):
     hp = Hyperparams()
     route = {"snake": snake_path(20, 5), "spiral": spiral_path(20, 5),
              "untrained agent": agent_route(np.zeros((20, 20, 4)), hp)}[kind]
-    exact = center_steps(hp, route).ravel()
+    exact = np.array(center_steps(hp, route)[0])
     n = 1000
     error = exact.std() / np.sqrt(n)
     assert error > 0
@@ -185,18 +192,18 @@ SMALL = Hyperparams(grid_length=6, pollution_diameter=3, max_steps=40,
 
 def test_score_map_covers_every_center():
     route = agent_route(train_agent(SMALL, 1).q, SMALL)
-    smap = score_map(route, SMALL, snake_path(6, 3))
-    assert smap.opponent == "snake"
-    assert smap.outcome.shape == (6, 6)
-    assert smap.tally.wins + smap.tally.ties + smap.tally.losses == 36
-    signs = [int((smap.outcome == sign).sum()) for sign in (1, 0, -1)]
-    assert [smap.tally.wins, smap.tally.ties, smap.tally.losses] == signs
+    signs = score_map(route, SMALL, snake_path(6, 3))
+    assert len(signs) == 36
+    assert set(signs) <= {1, 0, -1}
+    assert DuelOutcome.tally(signs).total == 36
 
 
 def test_score_map_matches_manual_duels():
     q = train_agent(SMALL, 1).q
     pattern = spiral_path(6, 3)
-    smap = score_map(agent_route(q, SMALL), SMALL, pattern)
+    route = agent_route(q, SMALL)
+    signs = score_map(route, SMALL, pattern)
+    agent_steps, opponent_steps = center_steps(SMALL, route, pattern)
     for x in range(6):
         for y in range(6):
             cloud = make_cloud((x, y), 3, 6)
@@ -204,19 +211,18 @@ def test_score_map_matches_manual_duels():
                                field=CloudField([cloud], 6))
             agent = traj.n_step if traj.n_poll > 0 else SMALL.max_steps
             opponent = steps_to_find(pattern, cloud, SMALL.max_steps)
-            assert smap.agent_steps[x, y] == agent
-            assert smap.opponent_steps[x, y] == opponent
+            cell = x * 6 + y
+            assert agent_steps[cell] == agent
+            assert opponent_steps[cell] == opponent
             win, _, loss = verdict(agent, opponent)
-            assert smap.outcome[x, y] == win - loss
+            assert signs[cell] == win - loss
 
 
 def test_score_map_is_deterministic():
     route = agent_route(train_agent(SMALL, 2).q, SMALL)
     pattern = snake_path(6, 3)
-    first = score_map(route, SMALL, pattern)
-    second = score_map(route, SMALL, pattern)
-    assert np.array_equal(first.outcome, second.outcome)
-    assert np.array_equal(first.agent_steps, second.agent_steps)
+    assert score_map(route, SMALL, pattern) == score_map(route, SMALL, pattern)
+    assert center_steps(SMALL, route) == center_steps(SMALL, route)
 
 
 def test_route_heatmap_accounting():
@@ -227,10 +233,11 @@ def test_route_heatmap_accounting():
     for _ in range(20):
         field = spawn_clouds(QUICK.grid_length, QUICK.pollution_diameter, 1, rng)
         total += run_episode(flat(q), QUICK, "eval", None, field=field).n_step + 1
-    assert int(counts.sum()) == total
-    # Every episode starts at the corner, so its count is at least the
-    # episode count.
-    assert counts[0, 0] >= 20
+    assert len(counts) == QUICK.grid_length ** 2
+    assert sum(counts) == total
+    # Every episode starts at the corner, cell 0, so its count is at least
+    # the episode count.
+    assert counts[0] >= 20
 
 
 def test_route_heatmap_rejects_an_empty_batch():
@@ -249,7 +256,7 @@ def test_a_route_longer_than_the_budget_is_scored_up_to_the_budget():
     assert stats.failures == 267
     assert stats.steps.count(37) == 268  # one find on the budget's last step
     counts = route_heatmap(snake, hp, 400, make_rng(0, stream=1))
-    assert int(counts.sum()) == sum(steps + 1 for steps in stats.steps) == 12_647
+    assert sum(counts) == sum(steps + 1 for steps in stats.steps) == 12_647
 
 
 def test_population_stats_rejects_empty():
@@ -306,6 +313,7 @@ seen['import cli'] = loaded()
 with contextlib.redirect_stdout(io.StringIO()):
     seen['--help'] = [cli.dispatch(['--help']), loaded()]
 seen['usage error'] = [cli.dispatch(['train', '--config', 'missing.json']), loaded()]
+seen['pattern'] = [cli.dispatch(['pattern', '--out', 'out']), loaded()]
 hmc_search.make_rng(0)
 seen['make_rng'] = loaded()
 print(json.dumps(seen))
@@ -313,7 +321,7 @@ print(json.dumps(seen))
 
 
 def test_importing_the_package_loads_no_process_pool(tmp_path):
-    """Nor numpy, until something draws: not the import, --help or a usage error."""
+    """Nor numpy, until something draws: not the import, --help, a usage error or pattern."""
     src = str(Path(__file__).parent.parent / "src")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -322,6 +330,7 @@ def test_importing_the_package_loads_no_process_pool(tmp_path):
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout.splitlines()[-1]) == {
         "setup": [], "import cli": [], "--help": [0, []], "usage error": [1, []],
+        "pattern": [0, []],
         # The first draw loads numpy, so the empty lists above are not vacuous.
         "make_rng": ["numpy"]}
 
@@ -388,11 +397,13 @@ def test_agent_loses_every_center_whose_cloud_covers_the_start():
     hp = Hyperparams()
     q = np.zeros((20, 20, 4))
     q[:] = np.random.default_rng((4, 0)).normal(size=q.shape)
-    smap = score_map(agent_route(q, hp), hp, snake_path(20, 5))
-    covering = smap.opponent_steps == 0
-    assert int(covering.sum()) == 8
-    assert (smap.agent_steps[covering] >= 1).all()
-    assert (smap.outcome[covering] == -1).all()
+    route, snake = agent_route(q, hp), snake_path(20, 5)
+    signs = score_map(route, hp, snake)
+    agent_steps, opponent_steps = center_steps(hp, route, snake)
+    covering = [cell for cell, steps in enumerate(opponent_steps) if steps == 0]
+    assert len(covering) == 8
+    assert all(agent_steps[cell] >= 1 for cell in covering)
+    assert all(signs[cell] == -1 for cell in covering)
     cloud = make_cloud((0, 0), 5, 20)
     traj = run_episode(flat(q), hp, "eval", None, field=CloudField([cloud], 20))
     assert traj.n_poll == 1 and traj.n_step >= 1
@@ -429,11 +440,23 @@ def test_patterns_are_held_to_the_step_budget():
     # budget every later find scores 37, so a center where the untrained
     # agent also fails is a tie, not a win.
     hp = Hyperparams(max_steps=37)
-    result = score_map(agent_route(np.zeros((20, 20, 4)), hp), hp, snake_path(20, 5))
-    assert result.opponent_steps.max() == 37
-    assert (result.opponent_steps == 37).sum() == 267
-    assert not (result.outcome[result.agent_steps == 37] > 0).any()
-    assert (result.tally.wins, result.tally.ties, result.tally.losses) == (111, 162, 127)
+    route, snake = agent_route(np.zeros((20, 20, 4)), hp), snake_path(20, 5)
+    signs = score_map(route, hp, snake)
+    agent_steps, opponent_steps = center_steps(hp, route, snake)
+    assert max(opponent_steps) == 37
+    assert opponent_steps.count(37) == 267
+    assert not any(sign > 0 for sign, steps in zip(signs, agent_steps) if steps == 37)
+    assert DuelOutcome.tally(signs) == DuelOutcome(111, 162, 127)
+
+
+def test_score_map_signs_tally_as_duels_over_every_center():
+    # Duels on clouds drawn at every center once count what the map shows.
+    route = agent_route(trained_table(), QUICK)
+    length = QUICK.grid_length
+    every_center = [v for x in range(length) for y in range(length) for v in (x, y)]
+    for pattern in (snake_path(20, 5), spiral_path(20, 5)):
+        duels = run_duels(route, QUICK, length ** 2, FixedDraws(*every_center), pattern)
+        assert DuelOutcome.tally(score_map(route, QUICK, pattern)) == duels[pattern.kind]
 
 
 def test_agent_and_patterns_start_on_the_same_cell():
@@ -453,11 +476,11 @@ def test_agent_and_patterns_start_on_the_same_cell():
 ], ids=["snake", "spiral", "agent"])
 def test_a_route_ties_itself_at_every_center(build):
     route = build(QUICK)
-    smap = score_map(route, QUICK, route)
-    assert smap.opponent == route.kind
-    assert (smap.outcome == 0).all()
-    assert np.array_equal(smap.agent_steps, smap.opponent_steps)
-    assert smap.tally == DuelOutcome(0, QUICK.grid_length ** 2, 0)
+    signs = score_map(route, QUICK, route)
+    assert signs == [0] * QUICK.grid_length ** 2
+    agent_steps, opponent_steps = center_steps(QUICK, route, route)
+    assert agent_steps == opponent_steps
+    assert DuelOutcome.tally(signs) == DuelOutcome(0, QUICK.grid_length ** 2, 0)
 
 
 def test_a_duel_verdict_does_not_depend_on_the_other_patterns():
@@ -476,4 +499,5 @@ def test_evaluating_a_pattern_reads_its_center_steps():
     stats = evaluate_agent(snake, hp, 300, make_rng(6, stream=1))
     centers = draw_centers(20, 300, make_rng(6, stream=1))
     assert stats.failures == 0
-    assert stats.steps == center_steps(hp, snake)[0].ravel()[centers].tolist()
+    steps, = center_steps(hp, snake)
+    assert stats.steps == [steps[center] for center in centers]

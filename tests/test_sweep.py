@@ -271,8 +271,8 @@ def test_every_shipped_plan_loads():
         assert stages, path
 
 
-def run_sweep_demo(*args):
-    demo = Path(__file__).parent.parent / "demos" / "sweep_tuning.py"
+def run_demo(name, *args):
+    demo = Path(__file__).parent.parent / "demos" / name
     src = str(Path(__file__).parent.parent / "src")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -289,28 +289,43 @@ def assert_usage_error(done, message):
 
 @pytest.mark.parametrize("flag", ["--runs", "--eval", "--jobs"])
 def test_the_sweep_demo_rejects_a_count_below_one_with_a_usage_message(flag):
-    assert_usage_error(run_sweep_demo(flag, "0"),
+    assert_usage_error(run_demo("sweep_tuning.py", flag, "0"),
                        f"argument {flag}: expected an integer >= 1, got '0'")
 
 
 def test_the_sweep_demo_rejects_a_missing_plan_with_a_usage_message(tmp_path):
     missing = tmp_path / "nope.json"
-    assert_usage_error(run_sweep_demo("--plan", str(missing)),
+    assert_usage_error(run_demo("sweep_tuning.py", "--plan", str(missing)),
                        f"error: plan {missing}: [Errno 2] No such file or directory")
 
 
 def test_the_sweep_demo_rejects_a_plan_value_the_settings_reject(tmp_path):
     plan = tmp_path / "zero.json"
     plan.write_text(json.dumps({"stages": [{"parameter": "option_length", "values": [0]}]}))
-    assert_usage_error(run_sweep_demo("--plan", str(plan)),
+    assert_usage_error(run_demo("sweep_tuning.py", "--plan", str(plan)),
                        f"error: plan {plan}: option_length = 0: option_length must be at least 1")
 
 
 def test_the_sweep_demo_rejects_a_parameter_that_is_not_a_name(tmp_path):
     plan = tmp_path / "list.json"
     plan.write_text(json.dumps({"stages": [{"parameter": ["mof_value"], "values": [1.0]}]}))
-    assert_usage_error(run_sweep_demo("--plan", str(plan)),
+    assert_usage_error(run_demo("sweep_tuning.py", "--plan", str(plan)),
                        f"error: plan {plan}: unknown sweep parameter ['mof_value']")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["train_eval_duel.py", "--episodes", "0"],
+     "argument --episodes: expected an integer >= 1, got 0"),
+    (["pattern_benchmarks.py", "--grid", "4"], "grid_length must be at least pollution_diameter"),
+    (["plain_q_learning_limits.py", "--discount", "2"],
+     "argument --discount: discount_rate must be in [0, 1]"),
+    (["environment_tour.py", "--seed", "-1"], "argument --seed: expected an integer >= 0, got -1"),
+    (["train_eval_duel.py", "--seed", "-1"], "argument --seed: expected an integer >= 0, got -1"),
+    (["plain_q_learning_limits.py", "--seed", "-1"],
+     "argument --seed: expected an integer >= 0, got -1"),
+])
+def test_the_other_demos_reject_a_bad_flag_with_a_usage_message(argv, message):
+    assert_usage_error(run_demo(*argv), message)
 
 
 def test_a_value_out_of_range_after_an_earlier_winner_names_its_parameter():

@@ -387,8 +387,8 @@ def test_static_demo_snapshot_zero_is_blank():
     snaps = static_demo(Hyperparams(), 0, n_episodes=50,
                         snapshot_episodes=(0, 50))
     assert set(snaps) == {0, 50}
-    assert not snaps[0].any()
-    assert snaps[0].shape == (20, 20)
+    assert not any(snaps[0])
+    assert len(snaps[0]) == 20 * 20
 
 
 def test_dynamic_demo_first_episode_marks_only_cloud_approaches():
@@ -397,7 +397,7 @@ def test_dynamic_demo_first_episode_marks_only_cloud_approaches():
     # one step away from it.
     snaps, _ = dynamic_demo(Hyperparams(), 1, n_episodes=5,
                             snapshot_episodes=(1,), n_eval_episodes=1)
-    touched = {(int(x), int(y)) for x, y in np.argwhere(snaps[1] != 0)}
+    touched = {divmod(cell, 20) for cell, value in enumerate(snaps[1]) if value != 0}
     assert touched
     rng = make_rng(1)
     first_cloud = spawn_clouds(20, 5, 1, rng)
@@ -424,8 +424,8 @@ def test_dynamic_demo_rejects_no_evaluation_episodes():
 def test_static_demo_values_grow_toward_cloud():
     hp = Hyperparams(discount_rate=0.9)
     snaps = static_demo(hp, 0, n_episodes=400, snapshot_episodes=(100, 400))
-    assert snaps[400].max() > snaps[100].max() * 0.5
-    assert snaps[400].max() > 0
+    assert max(snaps[400]) > max(snaps[100]) * 0.5
+    assert max(snaps[400]) > 0
 
 
 def test_a_demo_refill_serves_several_episodes(monkeypatch):
