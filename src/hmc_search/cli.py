@@ -18,6 +18,7 @@ import datetime
 import functools
 import json
 import os
+import statistics
 import sys
 import tempfile
 from dataclasses import asdict, astuple
@@ -310,7 +311,6 @@ def cmd_sweep(opts):
 @_command("population", "train a population of agents and report distributions",
           runs=100, episodes=1000, jobs=1)
 def cmd_population(opts):
-    import numpy as np
     report = population_stats(opts["hp"], opts["runs"], opts["seed"],
                               n_episodes=opts["episodes"], jobs=opts["jobs"])
     write_csv(
@@ -332,7 +332,7 @@ def cmd_population(opts):
     metrics = {
         "agents": opts["runs"],
         "best_mean_steps": min(means),
-        "median_of_means": float(np.median(means)),
+        "median_of_means": statistics.median(means),
         "best_win_pct": max(a.win_pct for a in report.agents),
     }
     outputs = ["population_agents.csv", "population_steps_hist.csv",
@@ -404,7 +404,8 @@ def _load_manifest(path, command: str) -> dict:
             and isinstance(manifest.get("options", {}), dict)):
         raise UsageError(f"manifest {path} is not a JSON object with config and options objects")
     if type(version := manifest.get("format", 1)) is not int or version != 1:
-        raise UsageError(f"manifest {path} has format {version!r}, not 1 or older")
+        raise UsageError(f"manifest {path} has format {version!r}; this version reads "
+                         "format 1, or a manifest with no format key")
     if manifest.get("command") != command:
         raise UsageError(
             f"manifest was written by {manifest.get('command')!r}, not {command!r}")

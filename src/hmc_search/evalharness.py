@@ -69,18 +69,18 @@ class DuelOutcome:
         return cls(signs.count(1), signs.count(0), signs.count(-1))
 
 
-def agent_route(q: np.ndarray, hp: Hyperparams) -> PatternPath:
+def agent_route(q, hp: Hyperparams) -> PatternPath:
     """The greedy agent's route: one eval episode on a field with no cloud.
 
     It ends at the step budget or the decision cap, as a fruitless greedy
     episode does; lookups start at index 1 (see PatternPath.first).  The
-    episode walks q as the learners' flat list, and its cell ints become
-    (x, y) here.  Raises ValueError unless q is a table of hp's grid.
+    episode walks the flat table q[cell * 4 + d] as a list, and its cell
+    ints become (x, y) here.  Raises ValueError unless len(q) is 4 * grid_length ** 2.
     """
     length = hp.grid_length
-    if q.shape != (length, length, 4):
-        raise ValueError(f"q has shape {q.shape}, not ({length}, {length}, 4)")
-    traj = run_episode(q.ravel().tolist(), hp, "eval", None, field=CloudField([], length))
+    if len(q) != 4 * length**2:
+        raise ValueError(f"q holds {len(q)} values, not {4 * length**2} for a {length}-cell grid")
+    traj = run_episode(list(q), hp, "eval", None, field=CloudField([], length))
     return PatternPath(tuple(divmod(cell, length) for cell in traj.cells), "agent", first=1)
 
 
@@ -179,11 +179,12 @@ def score_agent(hp: Hyperparams, seed: int, n_eval: int, n_duel: int) -> AgentSc
 
 
 def score_agents(work, jobs: int = 1) -> list[AgentScore]:
-    """score_agent for each (hp, seed, n_eval, n_duel), in order, on jobs processes."""
-    if jobs > 1:
+    """score_agent for each (hp, seed, n_eval, n_duel), in order, on up to jobs processes."""
+    workers = min(jobs, len(work))  # a pool forks all its workers up front
+    if workers > 1:
         # Imported here: the pool pulls in multiprocessing, which one process never needs.
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(score_agent, *zip(*work)))
     return [score_agent(*item) for item in work]
 

@@ -8,14 +8,15 @@ values (scaled by the filter strength) so already searched regions lose
 out against fresh ones; the stored values themselves are never touched
 by the filter.
 
-Inside the learners a cell is the int x * grid_length + y, the values a
-flat list q[cell * 4 + d] and the visit counts a flat list mem[cell], as
-list items are cheaper than numpy scalars; a trained table's form at the
-API and in its CSV is a (grid_length, grid_length, 4) float64 array.
+A cell is the int x * grid_length + y and the value table has one
+layout, from the learners to the CSV: the flat table q[cell * 4 + d], a
+list inside the learners and an array("d") of float64 at the API.  The
+visit counts are a flat list mem[cell].
 """
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
@@ -23,8 +24,6 @@ from typing import TYPE_CHECKING
 from .env import DELTAS, DIRECTION_NAMES, Cell, CloudField, WordTape, move
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .training import Hyperparams
 
 
@@ -213,22 +212,22 @@ def record_visits(mem: list[int], outcome: OptionOutcome) -> list[int]:
     return mem
 
 
-def write_qtable_csv(path, q: np.ndarray) -> None:
+def write_qtable_csv(path, q) -> None:
+    """Write the flat table q[cell * 4 + d] of a square grid, every value a row, in key order."""
+    length = math.isqrt(len(q) // 4)
     with open(path, "w", newline="") as handle:
         handle.write("x,y,direction,value\n")
-        for x, plane in enumerate(q.tolist()):
-            for y, row in enumerate(plane):
-                for name, value in zip(DIRECTION_NAMES, row):
-                    handle.write(f"{x},{y},{name},{format(value, '.6g')}\n")
+        for key, value in enumerate(q):
+            x, y = divmod(key >> 2, length)
+            handle.write(f"{x},{y},{DIRECTION_NAMES[key & 3]},{format(value, '.6g')}\n")
 
 
-def read_qtable_csv(path) -> np.ndarray:
-    """Load a table written by write_qtable_csv.
+def read_qtable_csv(path) -> array:
+    """Load a table written by write_qtable_csv as the flat array("d") q[cell * 4 + d].
 
     Raises ValueError unless every (x, y, direction) row of a square grid
     appears exactly once, with a known direction and a finite value.
     """
-    import numpy as np
     index = {name: i for i, name in enumerate(DIRECTION_NAMES)}
     with open(path, newline="") as handle:
         header = handle.readline().strip()
@@ -254,4 +253,4 @@ def read_qtable_csv(path) -> np.ndarray:
         if values[key] is not None:
             raise ValueError(f"row {line!r} repeats an (x, y, direction)")
         values[key] = value
-    return np.array(values, dtype=np.float64).reshape(length, length, 4)
+    return array("d", values)

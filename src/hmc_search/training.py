@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 import sys
+from array import array
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, get_type_hints
+from typing import get_type_hints
 
 from .baselines import PatternPath, budget_steps, center_hits
 from .env import START, CloudField, WordTape, draw_centers, make_rng, spawn_clouds
@@ -25,9 +26,6 @@ from .policy import (
     record_visits,
     select_option,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # A zero-step clamped option consumes no budget; without the memory filter a
 # deterministic policy could repeat it forever, so episodes additionally stop
@@ -140,7 +138,7 @@ class EpisodeRecord:
 @dataclass
 class TrainReport:
     records: list[EpisodeRecord]
-    q: np.ndarray  # shape (grid_length, grid_length, 4), float64
+    q: array  # the flat table q[cell * 4 + d] as float64, array("d")
     seed: int
     hyperparams: Hyperparams
     decision_cap_exits: int  # attempts the decision cap ended, over all episodes
@@ -265,12 +263,10 @@ def train_agent(hp: Hyperparams, seed: int) -> TrainReport:
     learns only from the attempt with the highest trajectory return.
     Failed episodes (nothing found) never update the table, and no
     episode at or past stop_learn_value * num_episodes does either.  The
-    table is kept flat, q[cell * 4 + d], and returned reshaped to (x, y, d).
+    table is kept flat, q[cell * 4 + d], and returned as an array("d").
     """
-    import numpy as np
     rng = make_rng(seed)
-    length = hp.grid_length
-    q = [0.0] * (length * length * 4)
+    q = [0.0] * (4 * hp.grid_length**2)
     records: list[EpisodeRecord] = []
     learn_until = update_window(hp)
     cap_exits = 0
@@ -286,7 +282,7 @@ def train_agent(hp: Hyperparams, seed: int) -> TrainReport:
         if episode < learn_until and best.n_poll > 0:
             _apply_trajectory(q, best, hp)
         records.append(EpisodeRecord(episode, epsilon, best.n_step, best.n_poll, best.r_t))
-    return TrainReport(records, np.reshape(q, (length, length, 4)), seed, hp, cap_exits)
+    return TrainReport(records, array("d", q), seed, hp, cap_exits)
 
 
 def _demo_epsilon(episode: int, n_episodes: int) -> float:

@@ -420,8 +420,8 @@ def test_scoring_manifests_say_whether_the_decision_cap_cut_the_route(tmp_path):
         out = tmp_path / str(preferred)
         out.mkdir()
         (out / "config.json").write_text(json.dumps(config))
-        q = np.zeros((5, 5, 4))
-        q[:, :, preferred] = 1.0
+        q = [0.0] * (4 * 5 * 5)
+        q[preferred::4] = [1.0] * (5 * 5)
         write_qtable_csv(out / "qtable.csv", q)
         for argv in (["eval", "--episodes", "50"], ["duel", "--runs", "5"],
                      ["scoremap"], ["route", "--episodes", "5"]):
@@ -451,7 +451,7 @@ def test_population_command(cfg_file, tmp_path):
 def table_lines(tmp_path):
     """Lines of a valid value table for a 20-cell grid, header first."""
     path = tmp_path / "qtable.csv"
-    write_qtable_csv(path, np.zeros((20, 20, 4)))
+    write_qtable_csv(path, [0.0] * (4 * 20 * 20))
     return path.read_text().splitlines()
 
 
@@ -472,7 +472,7 @@ def test_eval_rejects_a_table_for_another_grid(tmp_path, table_lines, capsys):
     assert eval_table(tmp_path, table_lines, "--config", str(config)) == 1
     err = capsys.readouterr().err
     assert "bad value table" in err
-    assert "shape (20, 20, 4), not (10, 10, 4)" in err
+    assert "q holds 1600 values, not 400 for a 10-cell grid" in err
 
 
 def test_eval_rejects_a_table_with_missing_rows(tmp_path, table_lines, capsys):
@@ -580,14 +580,16 @@ def test_command_reruns_byte_identically_from_its_manifest(name, tiny, tmp_path)
 
 def test_a_fresh_process_records_its_provenance(tmp_path):
     # numpy is not loaded when the package is imported, so the manifest must
-    # read its version after the command ran, not at import; pattern never
-    # loads it and records null.
+    # read its version after the command ran, not at import; scoremap (on the
+    # table train wrote) and pattern draw nothing, so they never load it and
+    # record null.
     config = tmp_path / "tiny.json"
     config.write_text(json.dumps(TINY))
     src = str(Path(__file__).parent.parent / "src")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    for command, numpy_version in (("train", np.__version__), ("pattern", None)):
+    for command, numpy_version in (("train", np.__version__), ("scoremap", None),
+                                   ("pattern", None)):
         done = subprocess.run([sys.executable, "-m", "hmc_search", command,
                                "--config", str(config), "--out", str(tmp_path / "out")],
                               env=env, capture_output=True, text=True, timeout=60)
@@ -617,6 +619,7 @@ def test_bad_flag_values_are_usage_errors(argv, message, tmp_path, capsys):
 
 
 EVAL_MANIFEST = {"command": "eval", "config": {}, "seed": 0}
+READS = "; this version reads format 1, or a manifest with no format key"
 
 
 @pytest.mark.parametrize("content, message", [
@@ -633,13 +636,13 @@ EVAL_MANIFEST = {"command": "eval", "config": {}, "seed": 0}
     (json.dumps({**EVAL_MANIFEST, "options": {"episodes": 0}}),
      "--episodes: expected an integer >= 1, got '0'"),
     # Any format but 1, or not an int (a bool is none).
-    (json.dumps({**EVAL_MANIFEST, "format": 2}), "has format 2, not 1 or older"),
-    (json.dumps({**EVAL_MANIFEST, "format": 0}), "has format 0, not 1 or older"),
-    (json.dumps({**EVAL_MANIFEST, "format": -3}), "has format -3, not 1 or older"),
-    (json.dumps({**EVAL_MANIFEST, "format": "1"}), "has format '1', not 1 or older"),
-    (json.dumps({**EVAL_MANIFEST, "format": 1.0}), "has format 1.0, not 1 or older"),
-    (json.dumps({**EVAL_MANIFEST, "format": True}), "has format True, not 1 or older"),
-    (json.dumps({**EVAL_MANIFEST, "format": None}), "has format None, not 1 or older"),
+    (json.dumps({**EVAL_MANIFEST, "format": 2}), "has format 2" + READS),
+    (json.dumps({**EVAL_MANIFEST, "format": 0}), "has format 0" + READS),
+    (json.dumps({**EVAL_MANIFEST, "format": -3}), "has format -3" + READS),
+    (json.dumps({**EVAL_MANIFEST, "format": "1"}), "has format '1'" + READS),
+    (json.dumps({**EVAL_MANIFEST, "format": 1.0}), "has format 1.0" + READS),
+    (json.dumps({**EVAL_MANIFEST, "format": True}), "has format True" + READS),
+    (json.dumps({**EVAL_MANIFEST, "format": None}), "has format None" + READS),
 ])
 def test_malformed_manifests_are_usage_errors(content, message, tmp_path, capsys):
     path = tmp_path / "manifest_eval.json"

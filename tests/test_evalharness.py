@@ -27,6 +27,7 @@ from hmc_search.evalharness import (
     score_agents,
     score_map,
 )
+from hmc_search.policy import write_qtable_csv
 from hmc_search.training import Hyperparams, run_episode, train_agent
 from oracle import first_hit
 
@@ -37,10 +38,14 @@ def trained_table(seed=3):
     return train_agent(QUICK, seed).q
 
 
-def flat(q):
-    """A (grid_length, grid_length, 4) table as the flat list q[cell * 4 + d] the episode
-    loop reads."""
-    return q.ravel().tolist()
+def zeros(length):
+    """An untrained flat table q[cell * 4 + d] of a length-cell grid."""
+    return [0.0] * (4 * length * length)
+
+
+def normal_table(length):
+    """A flat table of standard normal values, with no pull toward a wall."""
+    return np.random.default_rng((4, 0)).normal(size=4 * length * length).tolist()
 
 
 def test_eval_stats_lower_median_even():
@@ -105,7 +110,7 @@ def test_duel_outcome_tally(data):
 
 def test_evaluate_agent_rejects_empty_batch():
     with pytest.raises(ValueError):
-        evaluate_agent(agent_route(np.zeros((20, 20, 4)), QUICK), QUICK, 0,
+        evaluate_agent(agent_route(zeros(20), QUICK), QUICK, 0,
                        make_rng(0, stream=1))
 
 
@@ -117,7 +122,7 @@ def test_evaluate_agent_matches_manual_episodes():
     failures = 0
     for _ in range(30):
         field = spawn_clouds(QUICK.grid_length, QUICK.pollution_diameter, 1, rng)
-        traj = run_episode(flat(q), QUICK, "eval", None, field=field)
+        traj = run_episode(list(q), QUICK, "eval", None, field=field)
         if traj.n_poll > 0:
             expected.append(traj.n_step)
         else:
@@ -137,7 +142,7 @@ def test_sampled_evaluation_agrees_with_the_exact_mean_over_all_centers(kind):
     # and the budget rule together.
     hp = Hyperparams()
     route = {"snake": snake_path(20, 5), "spiral": spiral_path(20, 5),
-             "untrained agent": agent_route(np.zeros((20, 20, 4)), hp)}[kind]
+             "untrained agent": agent_route(zeros(20), hp)}[kind]
     exact = np.array(center_steps(hp, route)[0])
     n = 1000
     error = exact.std() / np.sqrt(n)
@@ -170,7 +175,7 @@ def test_run_duels_matches_manual_replay():
     verdicts = {name: [] for name in patterns}
     for _ in range(40):
         field = spawn_clouds(QUICK.grid_length, QUICK.pollution_diameter, 1, rng)
-        traj = run_episode(flat(q), QUICK, "eval", None, field=field)
+        traj = run_episode(list(q), QUICK, "eval", None, field=field)
         agent = traj.n_step if traj.n_poll > 0 else QUICK.max_steps
         for name, pattern in patterns.items():
             opponent = steps_to_find(pattern, field.clouds[0], QUICK.max_steps)
@@ -182,7 +187,7 @@ def test_run_duels_matches_manual_replay():
 
 def test_run_duels_rejects_empty_batch():
     with pytest.raises(ValueError):
-        run_duels(agent_route(np.zeros((20, 20, 4)), QUICK), QUICK, 0,
+        run_duels(agent_route(zeros(20), QUICK), QUICK, 0,
                   make_rng(0, stream=2), snake_path(20, 5))
 
 
@@ -207,7 +212,7 @@ def test_score_map_matches_manual_duels():
     for x in range(6):
         for y in range(6):
             cloud = make_cloud((x, y), 3, 6)
-            traj = run_episode(flat(q), SMALL, "eval", None,
+            traj = run_episode(list(q), SMALL, "eval", None,
                                field=CloudField([cloud], 6))
             agent = traj.n_step if traj.n_poll > 0 else SMALL.max_steps
             opponent = steps_to_find(pattern, cloud, SMALL.max_steps)
@@ -232,7 +237,7 @@ def test_route_heatmap_accounting():
     total = 0
     for _ in range(20):
         field = spawn_clouds(QUICK.grid_length, QUICK.pollution_diameter, 1, rng)
-        total += run_episode(flat(q), QUICK, "eval", None, field=field).n_step + 1
+        total += run_episode(list(q), QUICK, "eval", None, field=field).n_step + 1
     assert len(counts) == QUICK.grid_length ** 2
     assert sum(counts) == total
     # Every episode starts at the corner, cell 0, so its count is at least
@@ -241,7 +246,7 @@ def test_route_heatmap_accounting():
 
 
 def test_route_heatmap_rejects_an_empty_batch():
-    route = agent_route(np.zeros((20, 20, 4)), QUICK)
+    route = agent_route(zeros(20), QUICK)
     for n in (0, -1):
         with pytest.raises(ValueError, match="n_episodes must be at least 1"):
             route_heatmap(route, QUICK, n, make_rng(0, stream=1))
@@ -314,6 +319,8 @@ with contextlib.redirect_stdout(io.StringIO()):
     seen['--help'] = [cli.dispatch(['--help']), loaded()]
 seen['usage error'] = [cli.dispatch(['train', '--config', 'missing.json']), loaded()]
 seen['pattern'] = [cli.dispatch(['pattern', '--out', 'out']), loaded()]
+seen['scoremap'] = [cli.dispatch(['scoremap', '--qtable', 'qtable.csv', '--out', 'out']),
+                    loaded()]
 hmc_search.make_rng(0)
 seen['make_rng'] = loaded()
 print(json.dumps(seen))
@@ -321,7 +328,9 @@ print(json.dumps(seen))
 
 
 def test_importing_the_package_loads_no_process_pool(tmp_path):
-    """Nor numpy, until something draws: not the import, --help, a usage error or pattern."""
+    """Nor numpy, until something draws: not the import, --help, a usage error, pattern
+    or scoremap, which reads a table and scores its route against every center."""
+    write_qtable_csv(tmp_path / "qtable.csv", normal_table(20))
     src = str(Path(__file__).parent.parent / "src")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -330,7 +339,7 @@ def test_importing_the_package_loads_no_process_pool(tmp_path):
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout.splitlines()[-1]) == {
         "setup": [], "import cli": [], "--help": [0, []], "usage error": [1, []],
-        "pattern": [0, []],
+        "pattern": [0, []], "scoremap": [0, []],
         # The first draw loads numpy, so the empty lists above are not vacuous.
         "make_rng": ["numpy"]}
 
@@ -340,12 +349,47 @@ def test_pooled_scores_equal_the_in_process_scores():
     assert score_agents(work, jobs=2) == score_agents(work, jobs=1)
 
 
+def test_score_agents_asks_for_no_more_workers_than_work_items(monkeypatch):
+    # A pool forks all its workers on the first submit, so the pool is sized
+    # by the work; a stand-in records the size and scores in this process.
+    import concurrent.futures
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    work = [(SMALL, seed, 10, 10) for seed in (1, 2, 3)]
+    expected = [score_agent(*item) for item in work]
+    assert score_agents(work[:2], jobs=4) == expected[:2]
+    assert score_agents(work, jobs=2) == expected
+    assert sizes == [2, 2]
+    # One work item, or one job, is scored in this process with no pool.
+    assert score_agents(work[:1], jobs=4) == expected[:1]
+    assert score_agents(work, jobs=1) == expected
+    assert sizes == [2, 2]
+
+
 def test_agent_route_rejects_a_table_of_another_grid():
+    # The flat tables of a 20-grid, of three directions, of a 10 x 20 grid and
+    # one value short; a nested (10, 10, 4) table, as an array and as lists.
     small = Hyperparams(grid_length=10, pollution_diameter=3)
-    for shape in ((20, 20, 4), (10, 10, 3), (10, 20, 4), (400, 4)):
-        with pytest.raises(ValueError, match=r"not \(10, 10, 4\)"):
-            agent_route(np.zeros(shape), small)
-    assert len(agent_route(np.zeros((10, 10, 4)), small).cells) > 1
+    for q in (zeros(20), [0.0] * 300, [0.0] * 800, zeros(10)[1:], np.zeros((10, 10, 4)),
+              [[[0.0] * 4] * 10] * 10):
+        message = f"q holds {len(q)} values, not 400 for a 10-cell grid"
+        with pytest.raises(ValueError, match=message):
+            agent_route(q, small)
+    assert len(agent_route(zeros(10), small).cells) > 1
 
 
 def test_score_agent_without_duel_matches_evaluation():
@@ -375,17 +419,17 @@ def test_route_lookup_equals_episode_replay(data):
     # weight walks into a wall until the decision cap ends the episode.
     table_seed = data.draw(st.integers(0, 2**32 - 1), label="table seed")
     table_rng = np.random.default_rng((table_seed, 0))
-    q = np.zeros((length, length, 4))
+    q = zeros(length)
     kind = data.draw(st.sampled_from(["normal", "ties", "zeros"]), label="table")
     if kind == "normal":
-        q[:] = table_rng.normal(size=q.shape)
+        q = table_rng.normal(size=len(q)).tolist()
     elif kind == "ties":
-        q[:] = table_rng.integers(0, 2, size=q.shape)
+        q = table_rng.integers(0, 2, size=len(q)).astype(float).tolist()
     route = agent_route(q, hp)
     for x in range(length):
         for y in range(length):
             cloud = make_cloud((x, y), hp.pollution_diameter, length)
-            traj = run_episode(flat(q), hp, "eval", None, field=CloudField([cloud], length))
+            traj = run_episode(q, hp, "eval", None, field=CloudField([cloud], length))
             assert first_hit(route, cloud) == (traj.n_step if traj.n_poll else None)
             assert list(route.cells[:len(traj.cells)]) == \
                 [divmod(cell, length) for cell in traj.cells]
@@ -395,8 +439,7 @@ def test_agent_loses_every_center_whose_cloud_covers_the_start():
     # A pattern senses its start cell and scores 0 there; the agent collects
     # only on entering a cell, so it needs at least one step and loses.
     hp = Hyperparams()
-    q = np.zeros((20, 20, 4))
-    q[:] = np.random.default_rng((4, 0)).normal(size=q.shape)
+    q = normal_table(20)
     route, snake = agent_route(q, hp), snake_path(20, 5)
     signs = score_map(route, hp, snake)
     agent_steps, opponent_steps = center_steps(hp, route, snake)
@@ -405,7 +448,7 @@ def test_agent_loses_every_center_whose_cloud_covers_the_start():
     assert all(agent_steps[cell] >= 1 for cell in covering)
     assert all(signs[cell] == -1 for cell in covering)
     cloud = make_cloud((0, 0), 5, 20)
-    traj = run_episode(flat(q), hp, "eval", None, field=CloudField([cloud], 20))
+    traj = run_episode(q, hp, "eval", None, field=CloudField([cloud], 20))
     assert traj.n_poll == 1 and traj.n_step >= 1
 
 
@@ -422,15 +465,15 @@ class FixedDraws:
 def test_find_on_the_last_budget_step_is_a_success():
     # The agent walks the top row to the right and reaches (4, 0) on step 4.
     hp = Hyperparams(grid_length=5, pollution_diameter=1, max_steps=4, option_length=1)
-    q = np.zeros((5, 5, 4))
-    q[:, :, RIGHT] = 1.0
+    q = zeros(5)
+    q[RIGHT::4] = [1.0] * (5 * 5)
     route = agent_route(q, hp)
     assert route.cells == ((0, 0), (1, 0), (2, 0), (3, 0), (4, 0))
     found = evaluate_agent(route, hp, 1, FixedDraws(4, 0))
     assert (found.steps, found.failures) == ([4], 0)
     missed = evaluate_agent(route, hp, 1, FixedDraws(4, 1))
     assert (missed.steps, missed.failures) == ([4], 1)
-    traj = run_episode(flat(q), hp, "eval", None,
+    traj = run_episode(q, hp, "eval", None,
                        field=CloudField([make_cloud((4, 0), 1, 5)], 5))
     assert (traj.n_step, traj.n_poll) == (4, 1)
 
@@ -440,7 +483,7 @@ def test_patterns_are_held_to_the_step_budget():
     # budget every later find scores 37, so a center where the untrained
     # agent also fails is a tie, not a win.
     hp = Hyperparams(max_steps=37)
-    route, snake = agent_route(np.zeros((20, 20, 4)), hp), snake_path(20, 5)
+    route, snake = agent_route(zeros(20), hp), snake_path(20, 5)
     signs = score_map(route, hp, snake)
     agent_steps, opponent_steps = center_steps(hp, route, snake)
     assert max(opponent_steps) == 37
@@ -461,8 +504,7 @@ def test_score_map_signs_tally_as_duels_over_every_center():
 
 def test_agent_and_patterns_start_on_the_same_cell():
     hp = Hyperparams(grid_length=7, pollution_diameter=3)
-    q = np.random.default_rng((4, 0)).normal(size=(7, 7, 4))
-    routes = (agent_route(q, hp), snake_path(7, 3), spiral_path(7, 3))
+    routes = (agent_route(normal_table(7), hp), snake_path(7, 3), spiral_path(7, 3))
     assert {route.cells[0] for route in routes} == {START}
 
 

@@ -304,7 +304,7 @@ def test_eval_episodes_and_routes_match_the_reference(data):
     reference = spawn_clouds(length, hp.pollution_diameter, 1, np.random.default_rng((seed, 0)))
     assert trajectory_key(run_episode(flat(q), hp, "eval", None, field=spawned), length) == \
         trajectory_key(oracle.run_episode(q, hp, "eval", None, field=reference))
-    assert agent_route(q, hp) == oracle.agent_route(q, hp)
+    assert agent_route(flat(q), hp) == oracle.agent_route(q, hp)
 
 
 @pytest.mark.parametrize("skip", [1020, 1021, 1022, 1023, 1024])

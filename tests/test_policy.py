@@ -1,6 +1,7 @@
 """Value updates, option execution, memory-filtered selection, table I/O."""
 import dataclasses
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -430,29 +431,38 @@ def test_select_option_rejects_unknown_mode():
 # --- persistence
 
 
-def test_qtable_csv_roundtrip_six_digit_fidelity(tmp_path):
-    rng = np.random.default_rng((8, 0))
-    q = np.zeros((6, 6, 4))
-    q[:] = rng.normal(scale=30.0, size=q.shape)
-    path = tmp_path / "qtable.csv"
-    write_qtable_csv(path, q)
-    back = read_qtable_csv(path)
-    assert back.shape == q.shape
-    assert np.allclose(back, q, rtol=1e-5, atol=1e-7)
-
-
-def test_qtable_csv_write_is_byte_stable(tmp_path):
-    rng = np.random.default_rng((8, 0))
-    q = np.zeros((6, 6, 4))
-    q[:] = rng.normal(scale=30.0, size=q.shape)
-    first = tmp_path / "a.csv"
-    second = tmp_path / "b.csv"
+@settings(max_examples=60, deadline=None)
+@given(length=st.integers(1, 12),
+       values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                       max_size=64))
+# The 6-cell table of normal values at scale 30 that the example round trips used.
+@example(length=6, values=np.random.default_rng((8, 0)).normal(scale=30.0, size=144).tolist())
+def test_qtable_csv_roundtrip_keeps_six_digits_and_its_bytes(tmp_path_factory, length, values):
+    # Any finite values, repeated to fill the flat table of a length-cell grid.
+    q = [values[key % len(values)] for key in range(4 * length * length)]
+    first = tmp_path_factory.mktemp("qtable") / "a.csv"
     write_qtable_csv(first, q)
-    write_qtable_csv(second, read_qtable_csv(first))
+    back = read_qtable_csv(first)
+    assert back.typecode == "d"
+    assert back.tobytes() == array("d", [float(format(v, ".6g")) for v in q]).tobytes()
+    second = first.with_name("b.csv")
+    write_qtable_csv(second, back)
     assert first.read_bytes() == second.read_bytes()
-    text = first.read_text()
-    assert text.startswith("x,y,direction,value\n")
-    assert "\r" not in text
+    lines = first.read_text().split("\n")
+    # One row per key, in key order; "\n" line ends, no "\r".
+    assert lines[0] == "x,y,direction,value" and lines[-1] == ""
+    assert [line.rsplit(",", 1)[0] for line in lines[1:-1]] == [
+        f"{x},{y},{name}" for x in range(length) for y in range(length)
+        for name in ("up", "down", "left", "right")]
+    assert b"\r" not in first.read_bytes()
+
+
+def test_a_table_of_no_square_grid_is_written_whole_and_rejected_on_read(tmp_path):
+    path = tmp_path / "qtable.csv"
+    write_qtable_csv(path, [1.0] * 12)
+    assert len(path.read_text().splitlines()) == 1 + 12
+    with pytest.raises(ValueError, match="12 rows are not 4 per cell of a square grid"):
+        read_qtable_csv(path)
 
 
 def test_qtable_csv_rejects_foreign_header(tmp_path):
