@@ -19,12 +19,8 @@ import math
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
-from .env import DELTAS, DIRECTION_NAMES, Cell, CloudField, WordTape, move
-
-if TYPE_CHECKING:
-    from .training import Hyperparams
+from .env import DELTAS, DIRECTION_NAMES, Cell, WordTape, move
 
 
 def option_stride(option_length: int) -> int:
@@ -119,13 +115,15 @@ def option_terminals(grid_length: int, stride: int) -> tuple[int, ...]:
     return tuple(walk.terminal for walk in option_walks(grid_length, stride))
 
 
-def select_option(q: list[float], mem: list[int], s: int, hp: Hyperparams,
-                  mode: str, rng: WordTape | None) -> int:
+def select_option(q: list[float], mem: list[int], s: int, ends: tuple[int, ...],
+                  mode: str, rng: WordTape | None, weight: float) -> int:
     """Pick a direction.
 
+    ends is option_terminals(grid_length, stride) and weight the filter
+    strength mof_value, both looked up once per episode by run_episode.
     explore: uniform over the four directions, memory ignored; the tape's
     integers(4), read inline, as Lemire's method never redraws for 4.
-    exploit: argmax over q(s, o) - mof_value * mem(terminal(o)), where the
+    exploit: argmax over q(s, o) - weight * mem(terminal(o)), where the
     terminal is a dry run of the full option stride with no cloud
     interaction.  Ties keep the first direction in up, down, left, right
     order, and a NaN score never wins.
@@ -145,12 +143,9 @@ def select_option(q: list[float], mem: list[int], s: int, hp: Hyperparams,
         return half >> 30
     if mode != "exploit":
         raise ValueError(f"unknown mode {mode!r}")
-    # option_stride's count; Hyperparams holds option_length >= 1.
-    ends = option_terminals(hp.grid_length, hp.option_length + 1)
     key = s * 4
     up, down, left, right = (mem[ends[key]], mem[ends[key + 1]],
                              mem[ends[key + 2]], mem[ends[key + 3]])
-    weight = hp.mof_value
     best, pick = -math.inf, 0
     if (score := q[key] - weight * up) > best:
         best = score
@@ -163,35 +158,34 @@ def select_option(q: list[float], mem: list[int], s: int, hp: Hyperparams,
     return pick
 
 
-def execute_option(field: CloudField, alive: int, pos: int, direction: int,
-                   stride: int, steps_remaining: int) -> tuple[OptionOutcome, int]:
-    """Walk up to stride primitive steps in one direction.
+def execute_option(masks: list[int], alive: int, pos: int, walk: OptionOutcome,
+                   steps_remaining: int) -> tuple[OptionOutcome, int]:
+    """Walk the option walk from pos as far as the field and budget allow.
 
-    Callers executing a full option pass option_stride(option_length).
-    Bit i of alive is set while field.clouds[i] is still to be found.
-    Stops early when the budget runs out, when a move clamps at the
+    walk is the walk table's entry option_walks(grid_length, stride)[pos *
+    4 + direction], and masks the field's CloudField.masks: bit i of masks[cell]
+    is set where cloud i lies, and bit i of alive while it is still to be
+    found.  Stops early when the budget runs out, when a move clamps at the
     border, or when a collection clears the last bit.  Collection happens
     on entering a cell; only successful moves count as primitive steps.
     Returns (OptionOutcome, alive after the collections).  A full walk that
-    enters no live cloud returns the walk table's shared outcome.
+    enters no live cloud returns walk itself.
     """
-    free = option_walks(field.grid_length, stride)[pos * 4 + direction]
-    walk = free.path
-    n = len(walk)
-    masks = field.masks
+    path = walk.path
+    n = walk.primitive_steps
     if steps_remaining > n:
         # Most options enter no live cloud; only a walk that does is counted cell by cell.
-        for cell in walk:
+        for cell in path:
             if masks[cell] & alive:
                 break
         else:
-            return free, alive
-        clamped = free.clamped
+            return walk, alive
+        clamped = walk.clamped
     else:
         n, clamped = max(0, steps_remaining), False
-        walk = walk[:n]
+        path = path[:n]
     found = 0
-    for entered, cell in enumerate(walk, 1):
+    for entered, cell in enumerate(path, 1):
         hit = masks[cell] & alive
         if hit:
             found += hit.bit_count()
@@ -199,7 +193,7 @@ def execute_option(field: CloudField, alive: int, pos: int, direction: int,
             if not alive:
                 n, clamped = entered, False
                 break
-    path = walk[:n]
+    path = path[:n]
     return OptionOutcome(path, n, found, path[-1] if path else pos, clamped), alive
 
 

@@ -22,6 +22,7 @@ from .policy import (
     mc_update,
     option_stride,
     option_terminals,
+    option_walks,
     q_update,
     record_visits,
     select_option,
@@ -192,6 +193,11 @@ def run_episode(q: list[float], hp: Hyperparams, mode: str, rng: WordTape | None
     (or the decision cap, which sets the trajectory's capped flag).  The
     clouds still to be found are one bitmask over field.clouds, which
     execute_option narrows, so a caller's field is left as it was.
+
+    What stays fixed for the episode is looked up once, before the loop:
+    the option terminals and walks of its grid and stride, the field's
+    masks and the filter weight.  Each decision then calls select_option,
+    execute_option and record_visits once, on those and on flat state.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -199,22 +205,19 @@ def run_episode(q: list[float], hp: Hyperparams, mode: str, rng: WordTape | None
     if explore:
         words, bound = rng.words, WordTape.random_bound(epsilon)
     max_steps = hp.max_steps
+    length = hp.grid_length
     stride = option_stride(hp.option_length)
-    mem = [0] * hp.grid_length**2
-    pos = START[0] * hp.grid_length + START[1]
+    ends, walks = option_terminals(length, stride), option_walks(length, stride)
+    masks, weight = field.masks, hp.mof_value
+    mem = [0] * length**2
+    pos = START[0] * length + START[1]
     transitions: list[tuple[int, int]] = []
     cells = [pos]
     n_step = 0
     n_poll = 0
-    decisions = 0
-    decision_cap = _DECISION_CAP_FACTOR * max_steps + 32
     capped = False
     alive = (1 << len(field.clouds)) - 1
-    while n_step < max_steps:
-        if decisions == decision_cap:
-            capped = True
-            break
-        decisions += 1
+    for _ in range(_DECISION_CAP_FACTOR * max_steps + 32):
         pick = "exploit"
         if explore:
             try:
@@ -225,16 +228,22 @@ def run_episode(q: list[float], hp: Hyperparams, mode: str, rng: WordTape | None
             rng.pos += 1
             if word < bound:
                 pick = "explore"
-        direction = select_option(q, mem, pos, hp, pick, rng)
-        outcome, alive = execute_option(field, alive, pos, direction, stride, max_steps - n_step)
+        direction = select_option(q, mem, pos, ends, pick, rng, weight)
+        outcome, alive = execute_option(masks, alive, pos, walks[pos * 4 + direction],
+                                        max_steps - n_step)
         transitions.append((pos, direction))
         record_visits(mem, outcome)
         cells.extend(outcome.path)
         n_step += outcome.primitive_steps
-        n_poll += outcome.found_count
         pos = outcome.terminal
-        if outcome.found_count and not alive:
+        if outcome.found_count:
+            n_poll += outcome.found_count
+            if not alive:
+                break
+        if n_step >= max_steps:
             break
+    else:  # no break: the decision cap ran out with budget left
+        capped = True
     if n_poll > 0:
         r_t = trajectory_reward(hp.reward_scaling, n_step, n_poll)
     else:

@@ -16,6 +16,7 @@ from hmc_search.evalharness import agent_route, evaluate_agent, score_map
 from hmc_search.policy import (
     mc_update,
     option_terminal,
+    option_terminals,
     q_update,
     select_option,
 )
@@ -186,15 +187,17 @@ def test_06_memory_filter_shuns_visited_cells_and_ignores_shifts():
         # The learners' layout: cell x * length + y, q[cell * 4 + d] and mem[cell].
         flat_q, cell = q.ravel().tolist(), s[0] * length + s[1]
 
-        chosen = select_option(flat_q, mem.ravel().tolist(), cell, params, "exploit", None)
         span = params.option_length + 1
+        ends = option_terminals(length, span)
+        chosen = select_option(flat_q, mem.ravel().tolist(), cell, ends, "exploit", None,
+                               params.mof_value)
         terminals = [option_terminal(s, d, span, length) for d in range(4)]
         if any(mem[t] == 0 for t in terminals):
             assert mem[terminals[chosen]] == 0
 
         shifted = mem + int(rng.integers(1, 10))
-        assert select_option(flat_q, shifted.ravel().tolist(), cell, params, "exploit",
-                             None) == chosen
+        assert select_option(flat_q, shifted.ravel().tolist(), cell, ends, "exploit",
+                             None, params.mof_value) == chosen
     elapsed = time.perf_counter() - start
     print(f"2000 randomized selections verified, {elapsed:.2f}s")
     assert elapsed < 1.0

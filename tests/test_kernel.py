@@ -30,6 +30,7 @@ from hmc_search.policy import (
     OptionOutcome,
     execute_option,
     mc_update,
+    option_stride,
     option_terminal,
     option_terminals,
     option_walks,
@@ -205,8 +206,8 @@ def test_per_decision_steps_match_the_reference(data):
     stride = data.draw(st.integers(1, 6), label="stride")
     budget = data.draw(st.integers(-1, 8), label="steps_remaining")
     cell = pos[0] * length + pos[1]
-    outcome, alive = execute_option(field, (1 << len(field.clouds)) - 1, cell, direction,
-                                    stride, budget)
+    outcome, alive = execute_option(field.masks, (1 << len(field.clouds)) - 1, cell,
+                                    option_walks(length, stride)[cell * 4 + direction], budget)
     expected, expected_after = oracle.execute_option(field, pos, direction, stride, budget)
     assert as_points(outcome, length) == expected
     assert surviving(field, alive) == expected_after.clouds
@@ -220,7 +221,8 @@ def test_per_decision_steps_match_the_reference(data):
     assert mem == reference.ravel().tolist()
 
     q = draw_table(data, length)
-    assert select_option(flat(q), mem, cell, hp, "exploit", None) == \
+    ends = option_terminals(length, option_stride(hp.option_length))
+    assert select_option(flat(q), mem, cell, ends, "exploit", None, hp.mof_value) == \
         oracle.select_option(q, reference, pos, hp, "exploit", None)
 
 
@@ -243,8 +245,9 @@ def test_execute_option_narrows_alive_as_the_reference_drops_clouds(data):
     direction = data.draw(st.integers(0, 3), label="direction")
     stride = data.draw(st.integers(1, 6), label="stride")
     budget = stride + data.draw(st.integers(-2, 2), label="budget - stride")
-    outcome, left = execute_option(field, alive, pos[0] * length + pos[1], direction,
-                                   stride, budget)
+    cell = pos[0] * length + pos[1]
+    outcome, left = execute_option(field.masks, alive, cell,
+                                   option_walks(length, stride)[cell * 4 + direction], budget)
     expected, expected_after = oracle.execute_option(
         CloudField(surviving(field, alive), length), pos, direction, stride, budget)
     assert as_points(outcome, length) == expected

@@ -22,6 +22,7 @@ from hmc_search.policy import (
     mc_update,
     option_stride,
     option_terminal,
+    option_terminals,
     option_walks,
     q_update,
     read_qtable_csv,
@@ -59,6 +60,23 @@ def new_memory(grid_length):
 
 def params(mof_value=10.0, option_length=3, length=20):
     return Hyperparams(grid_length=length, mof_value=mof_value, option_length=option_length)
+
+
+def episode_terminals(p):
+    """The option terminals of p's grid and stride, as run_episode looks them up."""
+    return option_terminals(p.grid_length, option_stride(p.option_length))
+
+
+# What run_episode looks up once per episode for params(): the option
+# terminals and the filter weight.
+ENDS, WEIGHT = episode_terminals(params()), params().mof_value
+# The masks of a 20-grid with no cloud.
+NO_CLOUDS = CloudField([], 20).masks
+
+
+def walk(pos, direction, stride):
+    """The 20-grid walk table entry execute_option takes for pos and direction."""
+    return option_walks(20, stride)[pos * 4 + direction]
 
 
 # --- update rules
@@ -171,7 +189,7 @@ def test_option_terminal_clamps_at_borders():
 
 def test_execute_option_walks_full_stride():
     field = CloudField([], 20)
-    outcome, alive = execute_option(field, 0, at(5, 5), RIGHT, 3, 400)
+    outcome, alive = execute_option(field.masks, 0, at(5, 5), walk(at(5, 5), RIGHT, 3), 400)
     assert outcome.terminal == at(8, 5)
     assert outcome.primitive_steps == 3
     assert points(outcome.path) == ((6, 5), (7, 5), (8, 5))
@@ -182,22 +200,22 @@ def test_execute_option_walks_full_stride():
 def test_a_free_walk_returns_the_walk_tables_outcome_and_the_callers_mask():
     field = CloudField([make_cloud((15, 15), 1, 20)], 20)
     shared = option_walks(20, 4)[at(5, 5) * 4 + RIGHT]
-    outcome, alive = execute_option(field, 1, at(5, 5), RIGHT, 4, 400)
+    outcome, alive = execute_option(field.masks, 1, at(5, 5), walk(at(5, 5), RIGHT, 4), 400)
     assert outcome is shared and alive == 1
-    assert execute_option(CloudField([], 20), 0, at(5, 5), RIGHT, 4, 400)[0] is shared
+    assert execute_option(NO_CLOUDS, 0, at(5, 5), walk(at(5, 5), RIGHT, 4), 400)[0] is shared
     # A cloud already found is no hit, so a walk across it is free too.
     found = CloudField([make_cloud((7, 5), 1, 20), make_cloud((15, 15), 1, 20)], 20)
-    outcome, alive = execute_option(found, 0b10, at(5, 5), RIGHT, 4, 400)
+    outcome, alive = execute_option(found.masks, 0b10, at(5, 5), walk(at(5, 5), RIGHT, 4), 400)
     assert outcome is shared and alive == 0b10
     # A budget that only just covers the walk builds its own, equal outcome.
-    cut, _ = execute_option(field, 1, at(5, 5), RIGHT, 4, 4)
+    cut, _ = execute_option(field.masks, 1, at(5, 5), walk(at(5, 5), RIGHT, 4), 4)
     assert cut == shared and cut is not shared
     with pytest.raises(dataclasses.FrozenInstanceError):
         outcome.found_count = 1
 
 
 def test_execute_option_stops_at_border():
-    outcome, _ = execute_option(CloudField([], 20), 0, at(18, 5), RIGHT, 3, 400)
+    outcome, _ = execute_option(NO_CLOUDS, 0, at(18, 5), walk(at(18, 5), RIGHT, 3), 400)
     assert outcome.terminal == at(19, 5)
     assert outcome.primitive_steps == 1
     assert outcome.clamped
@@ -206,7 +224,7 @@ def test_execute_option_stops_at_border():
 def test_execute_option_stops_on_final_collection():
     cloud = make_cloud((9, 5), 1, 20)
     field = CloudField([cloud], 20)
-    outcome, alive = execute_option(field, 1, at(7, 5), RIGHT, 3, 400)
+    outcome, alive = execute_option(field.masks, 1, at(7, 5), walk(at(7, 5), RIGHT, 3), 400)
     assert outcome.terminal == at(9, 5)
     assert outcome.primitive_steps == 2
     assert outcome.found_count == 1
@@ -217,7 +235,7 @@ def test_execute_option_collects_every_cloud_on_a_shared_cell():
     # (5, 5) lies in both supports, so entering it takes both clouds at once;
     # the caller's field keeps them.
     field = CloudField([make_cloud((5, 5), 3, 20), make_cloud((6, 5), 3, 20)], 20)
-    outcome, alive = execute_option(field, 0b11, at(5, 4), DOWN, 3, 400)
+    outcome, alive = execute_option(field.masks, 0b11, at(5, 4), walk(at(5, 4), DOWN, 3), 400)
     assert outcome.found_count == 2
     assert points(outcome.path) == ((5, 5),)
     assert alive == 0
@@ -228,20 +246,20 @@ def test_execute_option_continues_while_clouds_remain():
     near = make_cloud((6, 5), 1, 20)
     far = make_cloud((15, 15), 1, 20)
     field = CloudField([near, far], 20)
-    outcome, alive = execute_option(field, 0b11, at(5, 5), RIGHT, 3, 400)
+    outcome, alive = execute_option(field.masks, 0b11, at(5, 5), walk(at(5, 5), RIGHT, 3), 400)
     assert outcome.found_count == 1
     assert outcome.primitive_steps == 3
     assert [c.center for i, c in enumerate(field.clouds) if alive >> i & 1] == [(15, 15)]
 
 
 def test_execute_option_respects_step_budget():
-    outcome, _ = execute_option(CloudField([], 20), 0, at(5, 5), RIGHT, 4, 2)
+    outcome, _ = execute_option(NO_CLOUDS, 0, at(5, 5), walk(at(5, 5), RIGHT, 4), 2)
     assert outcome.primitive_steps == 2
     assert outcome.terminal == at(7, 5)
 
 
 def test_execute_option_zero_step_when_pinned_to_wall():
-    outcome, _ = execute_option(CloudField([], 20), 0, at(0, 3), LEFT, 4, 400)
+    outcome, _ = execute_option(NO_CLOUDS, 0, at(0, 3), walk(at(0, 3), LEFT, 4), 400)
     assert outcome.primitive_steps == 0
     assert outcome.path == ()
     assert outcome.terminal == at(0, 3)
@@ -255,7 +273,7 @@ def test_execute_option_path_is_a_straight_run():
         y = int(rng.integers(20))
         d = int(rng.integers(4))
         stride = int(rng.integers(1, 7))
-        outcome, _ = execute_option(CloudField([], 20), 0, at(x, y), d, stride, 400)
+        outcome, _ = execute_option(NO_CLOUDS, 0, at(x, y), walk(at(x, y), d, stride), 400)
         assert outcome.primitive_steps <= stride
         prev = (x, y)
         for cell in points(outcome.path):
@@ -270,7 +288,7 @@ def test_execute_option_path_is_a_straight_run():
 
 def test_record_visits_counts_path_cells():
     mem = new_memory(20)
-    outcome, _ = execute_option(CloudField([], 20), 0, at(5, 5), RIGHT, 3, 400)
+    outcome, _ = execute_option(NO_CLOUDS, 0, at(5, 5), walk(at(5, 5), RIGHT, 3), 400)
     record_visits(mem, outcome)
     assert mem[at(6, 5)] == 1 and mem[at(7, 5)] == 1 and mem[at(8, 5)] == 1
     assert sum(mem) == 3
@@ -278,7 +296,7 @@ def test_record_visits_counts_path_cells():
 
 def test_record_visits_empty_path_no_change():
     mem = new_memory(20)
-    outcome, _ = execute_option(CloudField([], 20), 0, at(0, 3), LEFT, 4, 400)
+    outcome, _ = execute_option(NO_CLOUDS, 0, at(0, 3), walk(at(0, 3), LEFT, 4), 400)
     record_visits(mem, outcome)
     # The zero-step clamp still marks its terminal once.
     assert mem[at(0, 3)] == 1
@@ -287,7 +305,7 @@ def test_record_visits_empty_path_no_change():
 
 def test_record_visits_clamped_terminal_counts_twice():
     mem = new_memory(20)
-    outcome, _ = execute_option(CloudField([], 20), 0, at(17, 5), RIGHT, 4, 400)
+    outcome, _ = execute_option(NO_CLOUDS, 0, at(17, 5), walk(at(17, 5), RIGHT, 4), 400)
     assert outcome.clamped and outcome.terminal == at(19, 5)
     record_visits(mem, outcome)
     assert mem[at(18, 5)] == 1
@@ -300,8 +318,8 @@ def test_record_visits_never_decrements():
     for _ in range(100):
         x = int(rng.integers(20))
         y = int(rng.integers(20))
-        outcome, _ = execute_option(
-            CloudField([], 20), 0, at(x, y), int(rng.integers(4)), 4, 400)
+        d = int(rng.integers(4))
+        outcome, _ = execute_option(NO_CLOUDS, 0, at(x, y), walk(at(x, y), d, 4), 400)
         before = list(mem)
         record_visits(mem, outcome)
         assert all(now >= then for now, then in zip(mem, before))
@@ -319,7 +337,7 @@ def test_explore_mode_is_uniform():
     counts = [0, 0, 0, 0]
     n = 10_000
     for _ in range(n):
-        counts[select_option(q, mem, at(5, 5), params(), "explore", rng)] += 1
+        counts[select_option(q, mem, at(5, 5), ENDS, "explore", rng, WEIGHT)] += 1
     # Each direction is Binomial(n, 1/4); allow 3 sigma around the mean.
     sigma = (n * 0.25 * 0.75) ** 0.5
     for c in counts:
@@ -340,7 +358,7 @@ def test_explore_mode_reads_the_tapes_integers_four(skip, buffered):
         if buffered:
             t.integers(7)
     for _ in range(2100):
-        assert select_option(q, mem, at(5, 5), params(), "explore", tape) == \
+        assert select_option(q, mem, at(5, 5), ENDS, "explore", tape, WEIGHT) == \
             reference.integers(4)
         assert (tape.used, tape.half) == (reference.used, reference.half)
 
@@ -357,7 +375,7 @@ def test_exploit_scores_compare_as_a_loop_from_minus_infinity(row, expected):
     # no score above -inf keeps up.
     q = flat(np.zeros((20, 20, 4)))
     q[at(10, 10) * 4:at(10, 10) * 4 + 4] = row
-    assert select_option(q, new_memory(20), at(10, 10), params(), "exploit", None) == expected
+    assert select_option(q, new_memory(20), at(10, 10), ENDS, "exploit", None, WEIGHT) == expected
 
 
 def test_exploit_filter_redirects_from_visited_terminal():
@@ -366,7 +384,7 @@ def test_exploit_filter_redirects_from_visited_terminal():
     mem = new_memory(20)
     up_terminal = option_terminal((10, 10), UP, option_stride(3), 20)
     mem[at(*up_terminal)] = 1
-    assert select_option(flat(q), mem, at(10, 10), params(), "exploit", None) == DOWN
+    assert select_option(flat(q), mem, at(10, 10), ENDS, "exploit", None, WEIGHT) == DOWN
 
 
 def test_exploit_uniform_memory_shift_keeps_argmax():
@@ -377,17 +395,17 @@ def test_exploit_uniform_memory_shift_keeps_argmax():
     shifted = new_memory(20)
     for d in range(4):
         shifted[at(*option_terminal((10, 10), d, option_stride(3), 20))] = 1
-    assert (select_option(q, clean, at(10, 10), params(), "exploit", None)
-            == select_option(q, shifted, at(10, 10), params(), "exploit", None)
+    assert (select_option(q, clean, at(10, 10), ENDS, "exploit", None, WEIGHT)
+            == select_option(q, shifted, at(10, 10), ENDS, "exploit", None, WEIGHT)
             == UP)
 
 
 def test_exploit_tie_break_order():
     q = np.zeros((20, 20, 4))
     mem = new_memory(20)
-    assert select_option(flat(q), mem, at(10, 10), params(), "exploit", None) == UP
+    assert select_option(flat(q), mem, at(10, 10), ENDS, "exploit", None, WEIGHT) == UP
     q[10, 10] = [0.0, 1.0, 1.0, 0.0]
-    assert select_option(flat(q), mem, at(10, 10), params(), "exploit", None) == DOWN
+    assert select_option(flat(q), mem, at(10, 10), ENDS, "exploit", None, WEIGHT) == DOWN
 
 
 def test_exploit_terminal_uses_full_stride():
@@ -398,10 +416,10 @@ def test_exploit_terminal_uses_full_stride():
     q = flat(q)
     mem = new_memory(20)
     mem[at(14, 10)] = 1  # stride-4 terminal of moving right
-    assert select_option(q, mem, at(10, 10), params(), "exploit", None) == UP
+    assert select_option(q, mem, at(10, 10), ENDS, "exploit", None, WEIGHT) == UP
     mem[at(14, 10)] = 0
     mem[at(13, 10)] = 1  # three cells out: not the terminal, no penalty
-    assert select_option(q, mem, at(10, 10), params(), "exploit", None) == RIGHT
+    assert select_option(q, mem, at(10, 10), ENDS, "exploit", None, WEIGHT) == RIGHT
 
 
 def test_strong_filter_prefers_any_unvisited_terminal():
@@ -414,7 +432,8 @@ def test_strong_filter_prefers_any_unvisited_terminal():
         y = int(rng.integers(9))
         q_range = float(q.max() - q.min())
         p = params(mof_value=q_range + 1.0, option_length=2, length=9)
-        chosen = select_option(flat(q), mem.ravel().tolist(), at(x, y, 9), p, "exploit", None)
+        chosen = select_option(flat(q), mem.ravel().tolist(), at(x, y, 9),
+                               episode_terminals(p), "exploit", None, p.mof_value)
         terminals = [option_terminal((x, y), d, option_stride(2), 9)
                      for d in range(4)]
         visited = [mem[t] > 0 for t in terminals]
@@ -424,8 +443,8 @@ def test_strong_filter_prefers_any_unvisited_terminal():
 
 def test_select_option_rejects_unknown_mode():
     with pytest.raises(ValueError):
-        select_option(flat(np.zeros((4, 4, 4))), new_memory(4), 0, params(), "greedy",
-                      None)
+        select_option(flat(np.zeros((4, 4, 4))), new_memory(4), 0,
+                      episode_terminals(params(length=4)), "greedy", None, WEIGHT)
 
 
 # --- persistence

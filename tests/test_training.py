@@ -1,4 +1,5 @@
 """Episode orchestration, trajectory returns, schedules, demo trainers."""
+import collections
 import math
 import re
 from array import array
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hmc_search import training
+from hmc_search import evalharness, training
 from hmc_search.cli import UsageError, parse_config
 from hmc_search.env import (
     DOWN,
@@ -21,7 +22,15 @@ from hmc_search.env import (
     make_rng,
     spawn_clouds,
 )
-from hmc_search.policy import mc_update, select_option
+from hmc_search.evalharness import agent_route
+from hmc_search.policy import (
+    OptionOutcome,
+    mc_update,
+    option_stride,
+    option_terminals,
+    option_walks,
+    select_option,
+)
 from hmc_search.sweep import SweepSpec
 from hmc_search.training import (
     CONFIG_TYPES,
@@ -291,9 +300,9 @@ def test_run_episode_epsilon_extremes(monkeypatch):
     # Epsilon 1 explores at every decision.
     modes = []
 
-    def spy(q, mem, s, hp, mode, rng):
+    def spy(q, mem, s, ends, mode, rng, weight):
         modes.append(mode)
-        return select_option(q, mem, s, hp, mode, rng)
+        return select_option(q, mem, s, ends, mode, rng, weight)
 
     monkeypatch.setattr(training, "select_option", spy)
     traj = run_episode(q, hp, "train", make_rng(1), field=CloudField([], 10), epsilon=1.0)
@@ -309,6 +318,66 @@ def test_eval_episode_on_a_handed_field_reads_no_tape_word():
     field = CloudField([make_cloud((9, 9), 5, 20)], 20)
     run_episode(zeros(20), hp, "eval", rng, field=field)
     assert (rng.used, rng.half) == before
+
+
+def test_each_decision_calls_the_three_per_decision_functions_once(monkeypatch):
+    # Wrappers that replace training's bindings see every decision: one call
+    # each of select_option, execute_option and record_visits, with mode the
+    # fifth positional argument and an OptionOutcome first in execute_option's
+    # result.  Tracing from outside the package relies on this contract.
+    hp = Hyperparams(grid_length=8, pollution_diameter=3, max_steps=60, num_episodes=40,
+                     num_clouds=3, best_learn_value=2)
+    plain = train_agent(hp, 3).q
+    plain_route = agent_route(plain, hp)
+    calls = collections.Counter()
+
+    def spy(name, check):
+        original = getattr(training, name)
+
+        def wrapper(*args, **kwargs):
+            result = original(*args, **kwargs)
+            calls[name] += 1
+            check(args, kwargs, result)
+            return result
+        monkeypatch.setattr(training, name, wrapper)
+        return wrapper
+
+    def selected(args, kwargs, direction):
+        assert not kwargs and args[4] in ("explore", "exploit")
+        calls[args[4]] += 1
+
+    def executed(args, kwargs, result):
+        assert isinstance(result[0], OptionOutcome)
+
+    def episode(args, kwargs, traj):
+        calls["transitions"] += len(traj.transitions)
+
+    spy("select_option", selected)
+    spy("execute_option", executed)
+    spy("record_visits", lambda *_: None)
+    # agent_route runs the episode through evalharness's binding.
+    monkeypatch.setattr(evalharness, "run_episode", spy("run_episode", episode))
+    report = train_agent(hp, 3)
+    trained = calls["transitions"]
+    route = agent_route(report.q, hp)
+    routed = calls["transitions"] - trained
+    assert trained > 0 and routed > 0 and calls["run_episode"] == 2 * 40 + 1
+    assert calls["select_option"] == calls["execute_option"] == calls["record_visits"] \
+        == calls["transitions"] == calls["explore"] + calls["exploit"]
+    assert calls["explore"] > 0 and calls["exploit"] > routed
+    assert report.q.tobytes() == plain.tobytes()
+    assert route == plain_route
+
+
+def test_run_episode_looks_up_the_option_geometry_once():
+    hp = Hyperparams(grid_length=10, pollution_diameter=3, max_steps=200)
+    option_terminals(10, option_stride(hp.option_length))  # both tables built beforehand
+    before = option_walks.cache_info(), option_terminals.cache_info()
+    traj = run_episode(zeros(10), hp, "eval", None, field=CloudField([], 10))
+    after = option_walks.cache_info(), option_terminals.cache_info()
+    assert len(traj.transitions) >= 30
+    for then, now in zip(before, after):
+        assert now.hits + now.misses - (then.hits + then.misses) <= 1
 
 
 def test_multi_cloud_training_counts_every_find():
