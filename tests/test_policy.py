@@ -442,9 +442,9 @@ def test_strong_filter_prefers_any_unvisited_terminal():
 
 
 def test_select_option_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        select_option(flat(np.zeros((4, 4, 4))), new_memory(4), 0,
-                      episode_terminals(params(length=4)), "greedy", None, WEIGHT)
+    with pytest.raises(ValueError, match="unknown mode"):
+        select_option(flat(np.zeros((20, 20, 4))), new_memory(20), 0, ENDS, "greedy",
+                      None, WEIGHT)
 
 
 # --- persistence
