@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 Cell = tuple[int, int]
 
@@ -152,6 +152,17 @@ def disc_offsets(diameter: int) -> tuple[tuple[int, int, float], ...]:
     return tuple(cells)
 
 
+class _stamped:
+    """A lazy attribute: func's value, kept in the instance's __dict__ from the
+    first read on; functools.cached_property without the lock Python 3.11 takes."""
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, obj, owner=None):
+        return self if obj is None else obj.__dict__.setdefault(self.name, self.func(obj))
+
+
 @dataclass(frozen=True)
 class Cloud:
     """One pollution cloud: center cell and diameter on a grid.
@@ -164,7 +175,7 @@ class Cloud:
     diameter: int
     grid_length: int
 
-    @cached_property
+    @_stamped
     def support(self) -> dict[Cell, float]:
         (cx, cy), length = self.center, self.grid_length
         support = {}
@@ -219,12 +230,13 @@ def cloud_table(grid_length: int, diameter: int) -> _CloudRows:
 
 @dataclass
 class CloudField:
-    """The active clouds of one episode; a field is not changed once made."""
+    """The active clouds of one episode; a field is not changed once made.
+    Its masks (training's) and levels (the demos') are stamped apart, on first read."""
 
     clouds: list[Cloud]
     grid_length: int
 
-    @cached_property
+    @_stamped
     def masks(self) -> list[int]:
         """Per cell x * grid_length + y: bit i is set when clouds[i] covers it.
 
@@ -238,7 +250,7 @@ class CloudField:
                 masks[cell] |= 1 << i
         return masks
 
-    @cached_property
+    @_stamped
     def levels(self) -> list[float]:
         """Per cell x * grid_length + y: sense() there, stamped once."""
         length = self.grid_length

@@ -44,32 +44,35 @@ class OptionOutcome:
     clamped: bool
 
 
-def q_update(q: list[float], s: int, o: int, r: float, s_next: int,
+def q_update(q: list[float], transitions: list[tuple[int, int]], r: float, final: int,
              alpha: float, gamma: float) -> list[float]:
-    """One temporal-difference backup on entry (s, o).  Mutates q in place.
+    """TD backups of a trajectory's (state, direction) transitions, in order, in place.
 
-    A zero discount reads no bootstrap row: for a finite row,
-    old + alpha * (r + 0.0 * max - old) equals old + alpha * (r - old) bit
-    for bit, -0.0 included, which is mc_update's backup toward r.
+    Entry i bootstraps from the state of transition i + 1, the last from
+    final; r is checked once, before the first write.  A zero discount reads
+    no bootstrap row: for a finite row, old + alpha * (r + 0.0 * max - old)
+    equals old + alpha * (r - old) bit for bit, -0.0 included: mc_update's rule.
     """
     if not math.isfinite(r):
         raise ValueError("reward must be finite")
-    key = s * 4 + o
-    old = q[key]
-    if gamma:
-        row = s_next * 4
-        r += gamma * max(q[row:row + 4])
-    q[key] = old + alpha * (r - old)
+    for (s, o), after in zip(transitions, [s for s, _ in transitions[1:]] + [final]):
+        key = s * 4 + o
+        old = q[key]
+        target = r + gamma * max(q[after * 4:after * 4 + 4]) if gamma else r
+        q[key] = old + alpha * (target - old)
     return q
 
 
-def mc_update(q: list[float], s: int, o: int, r_t: float, alpha: float) -> list[float]:
-    """Monte Carlo backup toward the trajectory return.  Mutates q in place."""
+def mc_update(q: list[float], transitions: list[tuple[int, int]], r_t: float,
+              alpha: float) -> list[float]:
+    """Monte Carlo backups of a trajectory's transitions toward its return r_t,
+    in order, in place; r_t is checked once, before the first write."""
     if not math.isfinite(r_t):
         raise ValueError("reward must be finite")
-    key = s * 4 + o
-    old = q[key]
-    q[key] = old + alpha * (r_t - old)
+    for s, o in transitions:
+        key = s * 4 + o
+        old = q[key]
+        q[key] = old + alpha * (r_t - old)
     return q
 
 

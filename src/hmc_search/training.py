@@ -117,10 +117,12 @@ def reject_unknown_keys(given, known, what: str) -> None:
 
 @dataclass
 class Trajectory:
-    """One episode as seen by the learner; a cell is the int x * grid_length + y."""
+    """One episode as seen by the learner; a cell is the int x * grid_length + y.
+    A train episode keeps no route (cells is None): its backup reads final."""
 
     transitions: list[tuple[int, int]]  # (state, option direction) per decision
-    cells: list[int]  # start cell plus every cell entered, in order
+    cells: list[int] | None  # eval: start cell plus every cell entered, in order
+    final: int  # the cell the episode ended on
     n_step: int
     n_poll: int
     r_t: float
@@ -181,7 +183,8 @@ def run_episode(q: list[float], hp: Hyperparams, mode: str, rng: WordTape | None
     """Run one option-level episode on field and return its trajectory.
 
     q is the flat list q[cell * 4 + d], and cells, the trajectory's too,
-    are ints x * grid_length + y.  Every episode starts at START.  The
+    are ints x * grid_length + y.  Every episode starts at START; only an
+    eval episode keeps its route, a train one its final cell.  The
     caller spawns the field, so the episode draws no cloud.  mode "train"
     is epsilon-soft with the given epsilon: each decision explores when its
     raw word from rng is below WordTape.random_bound(epsilon), as random() <
@@ -212,7 +215,7 @@ def run_episode(q: list[float], hp: Hyperparams, mode: str, rng: WordTape | None
     mem = [0] * length**2
     pos = START[0] * length + START[1]
     transitions: list[tuple[int, int]] = []
-    cells = [pos]
+    route = [pos] if mode == "eval" else None
     n_step = 0
     n_poll = 0
     capped = False
@@ -233,7 +236,8 @@ def run_episode(q: list[float], hp: Hyperparams, mode: str, rng: WordTape | None
                                         max_steps - n_step)
         transitions.append((pos, direction))
         record_visits(mem, outcome)
-        cells.extend(outcome.path)
+        if route is not None:
+            route.extend(outcome.path)
         n_step += outcome.primitive_steps
         pos = outcome.terminal
         if outcome.found_count:
@@ -248,20 +252,16 @@ def run_episode(q: list[float], hp: Hyperparams, mode: str, rng: WordTape | None
         r_t = trajectory_reward(hp.reward_scaling, n_step, n_poll)
     else:
         r_t = 0.0
-    return Trajectory(transitions, cells, n_step, n_poll, r_t, capped)
+    return Trajectory(transitions, route, pos, n_step, n_poll, r_t, capped)
 
 
 def _apply_trajectory(q: list[float], traj: Trajectory, hp: Hyperparams) -> None:
-    # Every-visit backup in trajectory order.  With a positive discount the
-    # bootstrap target uses the state where the next decision was made.
+    # Every-visit backup in trajectory order, one call per trajectory; a TD
+    # target bootstraps from the next decision's state, or the final cell.
     if hp.discount_rate == 0.0:
-        for s, o in traj.transitions:
-            mc_update(q, s, o, traj.r_t, hp.learning_rate)
-        return
-    states = [s for s, _ in traj.transitions]
-    states.append(traj.cells[-1])
-    for i, (s, o) in enumerate(traj.transitions):
-        q_update(q, s, o, traj.r_t, states[i + 1], hp.learning_rate, hp.discount_rate)
+        mc_update(q, traj.transitions, traj.r_t, hp.learning_rate)
+    else:
+        q_update(q, traj.transitions, traj.r_t, traj.final, hp.learning_rate, hp.discount_rate)
 
 
 def train_agent(hp: Hyperparams, seed: int) -> TrainReport:

@@ -177,7 +177,7 @@ def run_episode(q, hp, mode, rng, *, field, epsilon=0.0):
     # Neither the last find nor the budget ended it: the decision cap did.
     capped = not emptied and n_step < max_steps
     r_t = trajectory_reward(hp.reward_scaling, n_step, n_poll) if n_poll else 0.0
-    return Trajectory(transitions, cells, n_step, n_poll, r_t, capped)
+    return Trajectory(transitions, cells, cells[-1], n_step, n_poll, r_t, capped)
 
 
 def train_agent(hp, seed):

@@ -11,7 +11,6 @@ The package's learners keep cells as ints x * grid_length + y and their
 tables as flat lists; the reference keeps (x, y) cells and arrays.  The
 tests translate between the two where they compare them.
 """
-import functools
 import itertools
 import math
 
@@ -108,12 +107,18 @@ def surviving(field, alive):
 
 
 def trajectory_key(traj, length=None):
-    """The trajectory as text; with a length, its cell ints are read as (x, y)."""
-    transitions, cells = traj.transitions, traj.cells
+    """The trajectory as text, all but its route; with a length, its cell
+    ints are read as (x, y).  The reference's final cell is its cells[-1]."""
+    transitions, final = traj.transitions, traj.final
     if length is not None:
         transitions = [(divmod(s, length), o) for s, o in transitions]
-        cells = [divmod(cell, length) for cell in cells]
-    return repr((transitions, cells, traj.n_step, traj.n_poll, traj.r_t, traj.capped))
+        final = divmod(final, length)
+    return repr((transitions, final, traj.n_step, traj.n_poll, traj.r_t, traj.capped))
+
+
+def route_points(traj, length):
+    """An eval trajectory's route, its cell ints read as (x, y)."""
+    return [divmod(cell, length) for cell in traj.cells]
 
 
 # --- the per-center tables
@@ -270,11 +275,47 @@ def test_table_updates_match_the_reference(data):
     cell, cell_next = s[0] * length + s[1], s_next[0] * length + s_next[1]
     for update, reference, args, flat_args in (
             (q_update, oracle.td_update, (s, o, r, s_next, alpha, gamma),
-             (cell, o, r, cell_next, alpha, gamma)),
-            (mc_update, oracle.mc_update, (s, o, r, alpha), (cell, o, r, alpha))):
+             ([(cell, o)], r, cell_next, alpha, gamma)),
+            (mc_update, oracle.mc_update, (s, o, r, alpha), ([(cell, o)], r, alpha))):
         reference(q, *args)
         update(rows, *flat_args)
         assert np.array(rows, dtype=np.float64).tobytes() == q.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_trajectory_backups_match_the_reference_one_transition_at_a_time(data):
+    # Keys drawn from a few cells repeat, and a state's own row may be the
+    # bootstrap row of another transition.
+    length = data.draw(st.integers(1, 4), label="grid_length")
+    q = draw_table(data, length)
+    cell = st.integers(0, min(length * length, 3) - 1)
+    transitions = data.draw(st.lists(st.tuples(cell, st.integers(0, 3)), max_size=12),
+                            label="transitions")
+    final = data.draw(cell, label="final")
+    r = data.draw(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-100, 100)), label="r")
+    alpha = data.draw(st.floats(0.01, 1.0), label="alpha")
+    gamma = data.draw(st.sampled_from([0.0, 0.3, 1.0]), label="gamma")
+    points = [(divmod(s, length), o) for s, o in transitions]
+    states = [s for s, _ in points] + [divmod(final, length)]
+    td, mc = q.copy(), q.copy()
+    for i, (s, o) in enumerate(points):
+        oracle.td_update(td, s, o, r, states[i + 1], alpha, gamma)
+        oracle.mc_update(mc, s, o, r, alpha)
+    rows = flat(q)
+    assert q_update(rows, transitions, r, final, alpha, gamma) is rows
+    assert np.array(rows, dtype=np.float64).tobytes() == td.tobytes()
+    rows = flat(q)
+    assert mc_update(rows, transitions, r, alpha) is rows
+    assert np.array(rows, dtype=np.float64).tobytes() == mc.tobytes()
+    # A non-finite return raises before the first write.
+    bad = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]), label="bad return")
+    rows = flat(q)
+    with pytest.raises(ValueError):
+        q_update(rows, transitions, bad, final, alpha, gamma)
+    with pytest.raises(ValueError):
+        mc_update(rows, transitions, bad, alpha)
+    assert np.array(rows, dtype=np.float64).tobytes() == q.tobytes()
 
 
 # --- whole episodes, training and the demos
@@ -299,14 +340,18 @@ def test_eval_episodes_and_routes_match_the_reference(data):
     q = draw_table(data, hp.grid_length)
     field = draw_field(data, hp)
     length = hp.grid_length
-    assert trajectory_key(run_episode(flat(q), hp, "eval", None, field=field), length) == \
-        trajectory_key(oracle.run_episode(q, hp, "eval", None, field=field))
+    traj = run_episode(flat(q), hp, "eval", None, field=field)
+    expected = oracle.run_episode(q, hp, "eval", None, field=field)
+    assert trajectory_key(traj, length) == trajectory_key(expected)
+    assert route_points(traj, length) == expected.cells
     seed = data.draw(st.integers(0, 2**31), label="seed")
     # The tape and numpy's Generator spawn the same cloud for a seed.
     spawned = spawn_clouds(length, hp.pollution_diameter, 1, make_rng(seed))
     reference = spawn_clouds(length, hp.pollution_diameter, 1, np.random.default_rng((seed, 0)))
-    assert trajectory_key(run_episode(flat(q), hp, "eval", None, field=spawned), length) == \
-        trajectory_key(oracle.run_episode(q, hp, "eval", None, field=reference))
+    traj = run_episode(flat(q), hp, "eval", None, field=spawned)
+    expected = oracle.run_episode(q, hp, "eval", None, field=reference)
+    assert trajectory_key(traj, length) == trajectory_key(expected)
+    assert route_points(traj, length) == expected.cells
     assert agent_route(flat(q), hp) == oracle.agent_route(q, hp)
 
 
@@ -385,9 +430,7 @@ def test_training_stamps_each_spawned_field_once(monkeypatch):
         stamps.append(len(field.clouds))
         return stamp(field)
 
-    masks = functools.cached_property(counted)
-    masks.__set_name__(CloudField, "masks")
-    monkeypatch.setattr(CloudField, "masks", masks)
+    monkeypatch.setattr(CloudField.masks, "func", counted)
     hp = Hyperparams(num_clouds=3, best_learn_value=3)
     train_agent(hp, 0)
     assert stamps == [3] * hp.num_episodes
@@ -473,6 +516,25 @@ def test_train_report_counts_every_capped_attempt():
     assert all(r.n_step == 0 and r.n_poll == 0 for r in report.records)
     assert train_agent(Hyperparams(grid_length=6, pollution_diameter=1, max_steps=10,
                                    num_episodes=4), 0).decision_cap_exits == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_field_tables_are_stamped_apart_on_first_read(data):
+    length = data.draw(st.integers(1, 12), label="grid_length")
+    centers = data.draw(st.lists(st.tuples(st.integers(0, length - 1),
+                                           st.integers(0, length - 1),
+                                           st.integers(1, length)), max_size=5),
+                        label="centers and diameters")
+    clouds = [make_cloud((x, y), d, length) for x, y, d in centers]
+    expected_masks, expected_levels = oracle.stamp(CloudField(clouds, length))
+    for first, second in (("masks", "levels"), ("levels", "masks")):
+        field = CloudField(list(clouds), length)
+        table = getattr(field, first)
+        assert second not in vars(field)  # reading one table stamps no other
+        assert getattr(field, first) is table
+        assert getattr(field, second) is getattr(field, second)
+    assert (field.masks, field.levels) == (expected_masks, expected_levels)
 
 
 def test_fields_stamp_masks_and_levels_once():

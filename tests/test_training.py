@@ -3,6 +3,7 @@ import collections
 import math
 import re
 from array import array
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -276,16 +277,30 @@ def test_eval_episode_is_deterministic():
 def test_trajectory_accounting():
     hp = Hyperparams()
     rng = make_rng(6)
+    q = np.random.default_rng((6, 0)).normal(size=20 * 20 * 4).tolist()
     for _ in range(20):
         field = spawn_clouds(hp.grid_length, hp.pollution_diameter, hp.num_clouds, rng)
-        traj = run_episode(zeros(20), hp, "train", rng, field=field, epsilon=1.0)
-        assert traj.n_step <= hp.max_steps
-        assert len(traj.cells) == traj.n_step + 1
-        assert traj.cells[0] == 0  # START
-        if traj.n_poll > 0:
-            assert traj.r_t == trajectory_reward(30.0, traj.n_step, traj.n_poll)
-        else:
-            assert traj.r_t == 0.0
+        trained = run_episode(zeros(20), hp, "train", rng, field=field, epsilon=1.0)
+        greedy = run_episode(q, hp, "eval", None, field=field)
+        for traj in (trained, greedy):
+            assert traj.n_step <= hp.max_steps
+            if traj.n_poll > 0:
+                assert traj.r_t == trajectory_reward(30.0, traj.n_step, traj.n_poll)
+            else:
+                assert traj.r_t == 0.0
+        # Only an eval episode keeps its route: one cell per primitive step.
+        assert len(greedy.cells) == greedy.n_step + 1
+        assert greedy.cells[0] == 0  # START
+        assert greedy.cells[-1] == greedy.final
+
+
+def test_a_train_episode_builds_no_cell_list():
+    # Training reads only the final cell; the route is eval's alone.
+    hp = Hyperparams(grid_length=10, pollution_diameter=3, max_steps=200)
+    field = CloudField([make_cloud((7, 7), 3, 10)], 10)
+    for epsilon in (0.0, 0.5, 1.0):
+        traj = run_episode(zeros(10), hp, "train", make_rng(2), field=field, epsilon=epsilon)
+        assert traj.cells is None and traj.n_step > 0
 
 
 def test_run_episode_epsilon_extremes(monkeypatch):
@@ -296,7 +311,9 @@ def test_run_episode_epsilon_extremes(monkeypatch):
     tape = make_rng(1)
     soft = run_episode(q, hp, "train", tape, field=field, epsilon=0.0)
     assert (tape.used, tape.half) == (0, None)
-    assert soft == run_episode(q, hp, "eval", None, field=field)
+    greedy = run_episode(q, hp, "eval", None, field=field)
+    assert soft.cells is None and greedy.cells[-1] == greedy.final
+    assert replace(soft, cells=greedy.cells) == greedy
     # Epsilon 1 explores at every decision.
     modes = []
 
@@ -421,10 +438,31 @@ def test_single_episode_updates_match_manual_replay():
     field = spawn_clouds(hp.grid_length, hp.pollution_diameter, 1, rng)
     traj = run_episode(zeros(20), hp, "train", rng, field=field, epsilon=1.0)
     expected = zeros(20)
-    for s, o in traj.transitions:
-        mc_update(expected, s, o, traj.r_t, hp.learning_rate)
+    mc_update(expected, traj.transitions, traj.r_t, hp.learning_rate)
     assert report.q == array("d", expected)
     assert any(expected)
+
+
+@pytest.mark.parametrize("discount", [0.0, 0.5])
+def test_each_learned_episode_makes_one_backup_call(monkeypatch, discount):
+    # One call of mc_update (zero discount) or q_update per kept trajectory
+    # that learns: an episode inside the update window that found a cloud.
+    hp = Hyperparams(grid_length=8, pollution_diameter=3, max_steps=60, num_episodes=60,
+                     num_clouds=2, best_learn_value=2, stop_learn_value=0.5,
+                     discount_rate=discount)
+    plain = train_agent(hp, 4).q
+    calls = collections.Counter()
+    for name in ("mc_update", "q_update"):
+        def wrapper(*args, _name=name, _original=getattr(training, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(training, name, wrapper)
+    report = train_agent(hp, 4)
+    learned = sum(1 for r in report.records if r.episode < update_window(hp) and r.n_poll > 0)
+    assert 0 < learned < hp.num_episodes
+    used = "q_update" if discount else "mc_update"
+    assert calls == {used: learned}
+    assert report.q.tobytes() == plain.tobytes()
 
 
 def test_stop_learn_freezes_the_table():
