@@ -10,6 +10,7 @@ from hmc_search import (
     DIRECTION_NAMES,
     START,
     Hyperparams,
+    make_cloud,
     make_rng,
     option_stride,
     run_episode,
@@ -42,15 +43,15 @@ def main():
 
     rng = make_rng(args.seed)
     field = spawn_clouds(hp.grid_length, hp.pollution_diameter, 3, rng)
+    length = hp.grid_length
     print(f"\nspawned {len(field.clouds)} clouds at "
-          f"{[c.center for c in field.clouds]}")
+          f"{[divmod(c, length) for c in field.clouds]}")
     print("sensed intensity per cell (tenths, . = zero):")
     print(show_field(field, hp.grid_length))
 
-    # A cell is the int x * grid_length + y; levels holds what the agent
-    # senses on each.
-    length = hp.grid_length
-    cloud = field.clouds[0]
+    # A field holds its clouds as center cells, and a cell is the int
+    # x * grid_length + y; levels holds what the agent senses on each.
+    cloud = make_cloud(divmod(field.clouds[0], length), hp.pollution_diameter, length)
     cx, cy = cloud.center
     profile = [round(field.levels[x * length + cy], 3)
                for x in range(max(0, cx - 3), min(length, cx + 4))]

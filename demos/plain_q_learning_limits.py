@@ -12,6 +12,7 @@ import argparse
 from hmc_search import (
     Hyperparams,
     dynamic_demo,
+    make_cloud,
     make_rng,
     spawn_clouds,
     static_demo,
@@ -48,15 +49,16 @@ def main():
         parser.error(f"argument --discount: {err}")
     print(f"fixed cloud, discount {args.discount}, seed {args.seed}:")
     snapshots = static_demo(fixed_hp, args.seed)
-    field = spawn_clouds(fixed_hp.grid_length, fixed_hp.pollution_diameter, 1,
-                         make_rng(args.seed))
-    support = set(field.clouds[0].support)
-    print(f"  cloud center {field.clouds[0].center}, "
+    length, diameter = fixed_hp.grid_length, fixed_hp.pollution_diameter
+    field = spawn_clouds(length, diameter, 1, make_rng(args.seed))
+    cloud = make_cloud(divmod(field.clouds[0], length), diameter, length)
+    support = set(cloud.support)
+    print(f"  cloud center {cloud.center}, "
           f"{len(support)} cells")
     for episode in sorted(snapshots):
         grid = snapshots[episode]
         positive = sum(value > 0 for value in grid)
-        component = positive_component_from_start(grid, fixed_hp.grid_length)
+        component = positive_component_from_start(grid, length)
         reached = bool(component & support)
         print(f"  after {episode:4d} episodes: {positive:3d} cells positive, "
               f"start connects to {len(component):3d} of them, "

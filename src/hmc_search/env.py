@@ -167,8 +167,8 @@ class _stamped:
 class Cloud:
     """One pollution cloud: center cell and diameter on a grid.
 
-    support maps each in-grid cell of the disc to its intensity.  It is
-    built on first use: fields and scoring read cloud_table instead.
+    support maps each in-grid cell of the disc to its intensity, built on
+    first use: the rule cloud_table's rows, which fields and scoring read, come from.
     """
 
     center: Cell
@@ -230,11 +230,12 @@ def cloud_table(grid_length: int, diameter: int) -> _CloudRows:
 
 @dataclass
 class CloudField:
-    """The active clouds of one episode; a field is not changed once made.
+    """An episode's clouds as center cells x * grid_length + y of one diameter; never changed.
     Its masks (training's) and levels (the demos') are stamped apart, on first read."""
 
-    clouds: list[Cloud]
+    clouds: list[int]
     grid_length: int
+    diameter: int
 
     @_stamped
     def masks(self) -> list[int]:
@@ -244,20 +245,18 @@ class CloudField:
         """
         length = self.grid_length
         masks = [0] * (length * length)
-        for i, cloud in enumerate(self.clouds):
-            x, y = cloud.center
-            for cell in cloud_table(length, cloud.diameter)[x * length + y][0]:
+        for i, center in enumerate(self.clouds):
+            for cell in cloud_table(length, self.diameter)[center][0]:
                 masks[cell] |= 1 << i
         return masks
 
     @_stamped
     def levels(self) -> list[float]:
-        """Per cell x * grid_length + y: sense() there, stamped once."""
+        """Per cell x * grid_length + y: the highest level of a cloud there, 0.0 if none."""
         length = self.grid_length
         levels = [0.0] * (length * length)
-        for cloud in self.clouds:
-            x, y = cloud.center
-            for cell, level in zip(*cloud_table(length, cloud.diameter)[x * length + y]):
+        for center in self.clouds:
+            for cell, level in zip(*cloud_table(length, self.diameter)[center]):
                 if level > levels[cell]:
                     levels[cell] = level
         return levels
@@ -283,18 +282,13 @@ def spawn_clouds(grid_length: int, diameter: int, count: int,
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    return CloudField([Cloud(divmod(center, grid_length), diameter, grid_length)
-                       for center in draw_centers(grid_length, count, rng)], grid_length)
+    return CloudField(draw_centers(grid_length, count, rng), grid_length, diameter)
 
 
 def sense(field: CloudField, pos: Cell) -> float:
-    """Pollution level at pos: max over clouds, 0.0 outside every support."""
-    best = 0.0
-    for cloud in field.clouds:
-        level = cloud.support.get(pos, 0.0)
-        if level > best:
-            best = level
-    return best
+    """Pollution level at the in-grid cell pos: max over clouds, 0.0 outside every support."""
+    x, y = pos
+    return field.levels[x * field.grid_length + y]
 
 
 def move(pos: Cell, direction: int, grid_length: int) -> tuple[Cell, bool]:

@@ -80,7 +80,8 @@ def agent_route(q, hp: Hyperparams) -> PatternPath:
     length = hp.grid_length
     if len(q) != 4 * length**2:
         raise ValueError(f"q holds {len(q)} values, not {4 * length**2} for a {length}-cell grid")
-    traj = run_episode(list(q), hp, "eval", None, field=CloudField([], length))
+    field = CloudField([], length, hp.pollution_diameter)
+    traj = run_episode(list(q), hp, "eval", None, field=field)
     return PatternPath(tuple(divmod(cell, length) for cell in traj.cells), "agent", first=1)
 
 

@@ -5,9 +5,11 @@ before the walk table, the cloud masks and the flat lists: (x, y) cells,
 (grid_length, grid_length, 4) value tables and visit-count arrays,
 terminals by option_terminal arithmetic, collections by a scan of every
 cloud's support, numpy scalar reads and writes, and the demos' per-step
-calls of the public move and sense with a backup of their own.  Scoring
-and stamping are here as they were before the per-center tables: a
-first_hit per center, and masks and levels stamped from every cloud's
+calls of the public move with a reward and a backup of their own.
+Where the package keeps a field as center cells, the reference builds
+the field's Cloud objects once (clouds_of) and reads their supports.
+Scoring and stamping are here as they were before the per-center tables:
+a first_hit per center, and masks and levels stamped from every cloud's
 support.  They draw from numpy's own Generator, where the package reads
 the same streams through a word tape.  The package must reproduce them
 byte for byte.
@@ -22,10 +24,8 @@ import numpy as np
 from hmc_search.env import (
     DELTAS,
     START,
-    CloudField,
     make_cloud,
     move,
-    sense,
     spawn_clouds,
 )
 from hmc_search.baselines import PatternPath
@@ -75,10 +75,17 @@ class Outcome(NamedTuple):
     clamped: bool
 
 
-def execute_option(field, pos, direction, stride, steps_remaining):
+def clouds_of(field):
+    """A package field's clouds as Cloud objects, in field order."""
+    length = field.grid_length
+    return [make_cloud(divmod(center, length), field.diameter, length)
+            for center in field.clouds]
+
+
+def execute_option(clouds, grid_length, pos, direction, stride, steps_remaining):
+    """(outcome, the clouds not found) of one option among clouds."""
     dx, dy = DELTAS[direction]
-    limit = field.grid_length - 1
-    clouds = list(field.clouds)
+    limit = grid_length - 1
     x, y = pos
     path = []
     found = 0
@@ -97,7 +104,7 @@ def execute_option(field, pos, direction, stride, steps_remaining):
             if not clouds:
                 break
     outcome = Outcome(tuple(path), len(path), found, path[-1] if path else pos, clamped)
-    return outcome, CloudField(clouds, field.grid_length)
+    return outcome, clouds
 
 
 def first_hit(path, cloud):
@@ -122,7 +129,7 @@ def stamp(field):
     length = field.grid_length
     masks = [0] * (length * length)
     levels = [0.0] * (length * length)
-    for i, cloud in enumerate(field.clouds):
+    for i, cloud in enumerate(clouds_of(field)):
         for (x, y), level in cloud.support.items():
             masks[x * length + y] |= 1 << i
             levels[x * length + y] = max(levels[x * length + y], level)
@@ -149,7 +156,7 @@ def td_update(q, s, o, r, s_next, alpha, gamma):
     q[x, y, o] += alpha * (target - q[x, y, o])
 
 
-def run_episode(q, hp, mode, rng, *, field, epsilon=0.0):
+def run_episode(q, hp, mode, rng, *, clouds, epsilon=0.0):
     max_steps = hp.max_steps
     stride = option_stride(hp.option_length)
     mem = np.zeros((hp.grid_length, hp.grid_length), dtype=np.int64)
@@ -164,14 +171,15 @@ def run_episode(q, hp, mode, rng, *, field, epsilon=0.0):
             direction = choose_option(q, mem, pos, hp, epsilon, rng)
         else:
             direction = select_option(q, mem, pos, hp, "exploit", rng)
-        outcome, field = execute_option(field, pos, direction, stride, max_steps - n_step)
+        outcome, clouds = execute_option(clouds, hp.grid_length, pos, direction, stride,
+                                         max_steps - n_step)
         transitions.append((pos, direction))
         record_visits(mem, outcome)
         cells.extend(outcome.path)
         n_step += outcome.primitive_steps
         n_poll += outcome.found_count
         pos = outcome.terminal
-        if outcome.found_count and not field.clouds:
+        if outcome.found_count and not clouds:
             emptied = True
             break
     # Neither the last find nor the budget ended it: the decision cap did.
@@ -188,10 +196,11 @@ def train_agent(hp, seed):
     capped = 0
     for episode in range(hp.num_episodes):
         epsilon = epsilon_at(episode, hp)
-        spawned = spawn_clouds(hp.grid_length, hp.pollution_diameter, hp.num_clouds, rng)
+        spawned = clouds_of(spawn_clouds(hp.grid_length, hp.pollution_diameter,
+                                         hp.num_clouds, rng))
         best = None
         for _ in range(hp.best_learn_value):
-            traj = run_episode(q, hp, "train", rng, field=spawned, epsilon=epsilon)
+            traj = run_episode(q, hp, "train", rng, clouds=spawned, epsilon=epsilon)
             capped += traj.capped
             if best is None or traj.r_t > best.r_t:
                 best = traj
@@ -209,7 +218,7 @@ def train_agent(hp, seed):
 
 
 def agent_route(q, hp):
-    traj = run_episode(q, hp, "eval", None, field=CloudField([], hp.grid_length))
+    traj = run_episode(q, hp, "eval", None, clouds=[])
     return PatternPath(tuple(traj.cells), "agent", first=1)
 
 
@@ -222,9 +231,9 @@ def _greedy_action(q, pos):
     return best
 
 
-def demo_episode(q, hp, field, epsilon, rng, learn):
+def demo_episode(q, hp, clouds, epsilon, rng, learn):
     support = set()
-    for cloud in field.clouds:
+    for cloud in clouds:
         support.update(cloud.support)
     pos = START
     found_at = None
@@ -234,7 +243,7 @@ def demo_episode(q, hp, field, epsilon, rng, learn):
         else:
             action = _greedy_action(q, pos)
         new_pos, _ = move(pos, action, hp.grid_length)
-        reward = sense(field, new_pos)
+        reward = max([cloud.support.get(new_pos, 0.0) for cloud in clouds], default=0.0)
         if found_at is None and new_pos in support:
             reward += 100.0
             found_at = step + 1
@@ -252,9 +261,9 @@ def plain_q(hp, rng, n_episodes, snapshot_episodes, fixed):
     if 0 in snapshot_episodes:
         snapshots[0] = q.max(axis=2).copy()
     for episode in range(n_episodes):
-        field = fixed if fixed is not None else spawn_clouds(
-            hp.grid_length, hp.pollution_diameter, 1, rng)
-        demo_episode(q, hp, field, max(0.0, 1.0 - episode / n_episodes), rng, learn=True)
+        clouds = fixed if fixed is not None else clouds_of(spawn_clouds(
+            hp.grid_length, hp.pollution_diameter, 1, rng))
+        demo_episode(q, hp, clouds, max(0.0, 1.0 - episode / n_episodes), rng, learn=True)
         if episode + 1 in snapshot_episodes:
             snapshots[episode + 1] = q.max(axis=2).copy()
     return q, snapshots
@@ -262,7 +271,7 @@ def plain_q(hp, rng, n_episodes, snapshot_episodes, fixed):
 
 def static_demo(hp, seed, n_episodes, snapshot_episodes):
     rng = np.random.default_rng((seed, 0))
-    fixed = spawn_clouds(hp.grid_length, hp.pollution_diameter, 1, rng)
+    fixed = clouds_of(spawn_clouds(hp.grid_length, hp.pollution_diameter, 1, rng))
     return plain_q(hp, rng, n_episodes, snapshot_episodes, fixed)[1]
 
 
@@ -272,7 +281,7 @@ def dynamic_demo(hp, seed, n_episodes, snapshot_episodes, n_eval_episodes):
     eval_rng = np.random.default_rng((seed, 1))
     total = 0
     for _ in range(n_eval_episodes):
-        spawned = spawn_clouds(hp.grid_length, hp.pollution_diameter, 1, eval_rng)
+        spawned = clouds_of(spawn_clouds(hp.grid_length, hp.pollution_diameter, 1, eval_rng))
         steps = demo_episode(q, hp, spawned, 0.0, eval_rng, learn=False)
         total += steps if steps is not None else hp.max_steps
     return snapshots, total / n_eval_episodes

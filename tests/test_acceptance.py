@@ -127,8 +127,9 @@ def test_04_discounted_values_pave_a_path_to_the_fixed_cloud():
         snapshots = static_demo(hp, seed, snapshot_episodes=(2000,))
         field = spawn_clouds(hp.grid_length, hp.pollution_diameter, 1, make_rng(seed))
         support = set()
-        for cloud in field.clouds:
-            support.update(cloud.support)
+        for center in field.clouds:
+            support.update(make_cloud(divmod(center, hp.grid_length), hp.pollution_diameter,
+                                      hp.grid_length).support)
         if positive_path_reaches_cloud(snapshots[2000], hp.grid_length, support):
             passes += 1
     elapsed = time.perf_counter() - start

@@ -100,7 +100,7 @@ def test_clipping_monotonicity():
 
 
 def test_sense_zero_outside_max_over_clouds_inside():
-    field = CloudField([make_cloud((5, 5), 5, 20), make_cloud((7, 5), 5, 20)], 20)
+    field = CloudField([5 * 20 + 5, 7 * 20 + 5], 20, 5)
     assert sense(field, (15, 15)) == 0.0
     assert sense(field, (5, 5)) == 1.0
     # (6, 5) is one cell from each center; overlapping clouds do not add up.
@@ -111,11 +111,29 @@ def test_sense_zero_outside_max_over_clouds_inside():
 def test_sense_positive_iff_in_some_support():
     field = spawn_clouds(20, 5, 3, make_rng(11))
     covered = set()
-    for cloud in field.clouds:
-        covered.update(cloud.support)
+    for center in field.clouds:
+        covered.update(make_cloud(divmod(center, 20), 5, 20).support)
     for x in range(20):
         for y in range(20):
             assert (sense(field, (x, y)) > 0.0) == ((x, y) in covered)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_sense_is_the_max_over_the_clouds_supports(data):
+    # Fields of one diameter: empty, overlapping, centered on the border,
+    # and discs as wide as the grid.
+    length = data.draw(st.integers(1, 12), label="grid_length")
+    diameter = data.draw(st.integers(1, length), label="diameter")
+    centers = data.draw(st.lists(st.integers(0, length * length - 1), max_size=5),
+                        label="centers")
+    field = CloudField(centers, length, diameter)
+    supports = [make_cloud(divmod(center, length), diameter, length).support
+                for center in centers]
+    for cell in range(length * length):
+        pos = divmod(cell, length)
+        expected = max([support[pos] for support in supports if pos in support], default=0.0)
+        assert sense(field, pos) == expected
 
 
 def test_move_examples():
@@ -139,22 +157,22 @@ def test_move_stays_in_bounds_and_identity_iff_clamped():
 def test_spawn_determinism_and_draw_layout():
     first = spawn_clouds(20, 5, 4, make_rng(123))
     second = spawn_clouds(20, 5, 4, make_rng(123))
-    assert [c.center for c in first.clouds] == [c.center for c in second.clouds]
+    assert first == second
     # Each cloud consumes exactly an x draw then a y draw.
     rng = make_rng(123)
     expected = []
     for _ in range(4):
         x = int(rng.integers(20))
         y = int(rng.integers(20))
-        expected.append((x, y))
-    assert [c.center for c in first.clouds] == expected
+        expected.append(x * 20 + y)
+    assert first.clouds == expected
 
 
 def test_spawn_centers_cover_whole_grid():
     rng = make_rng(7)
     seen = set()
     for _ in range(500):
-        seen.update(c.center for c in spawn_clouds(20, 5, 4, rng).clouds)
+        seen.update(divmod(c, 20) for c in spawn_clouds(20, 5, 4, rng).clouds)
     xs = {x for x, _ in seen}
     ys = {y for _, y in seen}
     assert xs == set(range(20)) and ys == set(range(20))
@@ -231,9 +249,9 @@ def test_make_rng_reads_default_rng():
         [rng.integers(20), rng.random(), rng.integers(1), rng.integers(49)]
     assert tape.used == 2  # integers(1) draws nothing; two 32-bit draws share a word
     rng = np.random.default_rng((123, 0))
-    centers = [c.center for c in spawn_clouds(20, 5, 4, make_rng(123)).clouds]
-    assert centers == [(rng.integers(20), rng.integers(20)) for _ in range(4)]
-    assert all(type(v) is int for center in centers for v in center)
+    centers = spawn_clouds(20, 5, 4, make_rng(123)).clouds
+    assert centers == [rng.integers(20) * 20 + rng.integers(20) for _ in range(4)]
+    assert all(type(center) is int for center in centers)
     with pytest.raises(ValueError):
         make_rng(-1)
 

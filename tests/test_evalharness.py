@@ -178,7 +178,9 @@ def test_run_duels_matches_manual_replay():
         traj = run_episode(list(q), QUICK, "eval", None, field=field)
         agent = traj.n_step if traj.n_poll > 0 else QUICK.max_steps
         for name, pattern in patterns.items():
-            opponent = steps_to_find(pattern, field.clouds[0], QUICK.max_steps)
+            cloud = make_cloud(divmod(field.clouds[0], QUICK.grid_length),
+                               QUICK.pollution_diameter, QUICK.grid_length)
+            opponent = steps_to_find(pattern, cloud, QUICK.max_steps)
             verdicts[name].append(verdict(agent, opponent))
     for name in patterns:
         assert outcomes[name] == DuelOutcome(*map(sum, zip(*verdicts[name])))
@@ -213,7 +215,7 @@ def test_score_map_matches_manual_duels():
         for y in range(6):
             cloud = make_cloud((x, y), 3, 6)
             traj = run_episode(list(q), SMALL, "eval", None,
-                               field=CloudField([cloud], 6))
+                               field=CloudField([x * 6 + y], 6, 3))
             agent = traj.n_step if traj.n_poll > 0 else SMALL.max_steps
             opponent = steps_to_find(pattern, cloud, SMALL.max_steps)
             cell = x * 6 + y
@@ -429,7 +431,8 @@ def test_route_lookup_equals_episode_replay(data):
     for x in range(length):
         for y in range(length):
             cloud = make_cloud((x, y), hp.pollution_diameter, length)
-            traj = run_episode(q, hp, "eval", None, field=CloudField([cloud], length))
+            traj = run_episode(q, hp, "eval", None,
+                               field=CloudField([x * length + y], length, hp.pollution_diameter))
             assert first_hit(route, cloud) == (traj.n_step if traj.n_poll else None)
             assert list(route.cells[:len(traj.cells)]) == \
                 [divmod(cell, length) for cell in traj.cells]
@@ -447,8 +450,7 @@ def test_agent_loses_every_center_whose_cloud_covers_the_start():
     assert len(covering) == 8
     assert all(agent_steps[cell] >= 1 for cell in covering)
     assert all(signs[cell] == -1 for cell in covering)
-    cloud = make_cloud((0, 0), 5, 20)
-    traj = run_episode(q, hp, "eval", None, field=CloudField([cloud], 20))
+    traj = run_episode(q, hp, "eval", None, field=CloudField([0], 20, 5))
     assert traj.n_poll == 1 and traj.n_step >= 1
 
 
@@ -474,7 +476,7 @@ def test_find_on_the_last_budget_step_is_a_success():
     missed = evaluate_agent(route, hp, 1, FixedDraws(4, 1))
     assert (missed.steps, missed.failures) == ([4], 1)
     traj = run_episode(q, hp, "eval", None,
-                       field=CloudField([make_cloud((4, 0), 1, 5)], 5))
+                       field=CloudField([4 * 5 + 0], 5, 1))
     assert (traj.n_step, traj.n_poll) == (4, 1)
 
 

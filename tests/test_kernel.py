@@ -85,8 +85,8 @@ def draw_field(data, hp):
     centers = data.draw(st.lists(st.tuples(st.integers(0, hp.grid_length - 1),
                                            st.integers(0, hp.grid_length - 1)),
                                  min_size=count, max_size=count), label="centers")
-    return CloudField([make_cloud(c, hp.pollution_diameter, hp.grid_length)
-                       for c in centers], hp.grid_length)
+    return CloudField([x * hp.grid_length + y for x, y in centers], hp.grid_length,
+                      hp.pollution_diameter)
 
 
 def flat(q):
@@ -101,9 +101,9 @@ def as_points(outcome, length):
                           divmod(outcome.terminal, length), outcome.clamped)
 
 
-def surviving(field, alive):
-    """The clouds of field whose bit is set in alive, in order."""
-    return [cloud for i, cloud in enumerate(field.clouds) if alive >> i & 1]
+def surviving(clouds, alive):
+    """The clouds whose bit is set in alive, in order."""
+    return [cloud for i, cloud in enumerate(clouds) if alive >> i & 1]
 
 
 def trajectory_key(traj, length=None):
@@ -160,9 +160,10 @@ def test_spawned_clouds_are_two_draws_and_make_cloud_each(data):
     for _ in range(count):
         x = reference.integers(length)
         y = reference.integers(length)
-        expected.append(make_cloud((x, y), diameter, length))
-    assert field.clouds == expected
-    assert [c.support for c in field.clouds] == [c.support for c in expected]
+        expected.append(x * length + y)
+    assert (field.clouds, field.grid_length, field.diameter) == (expected, length, diameter)
+    # The field's tables are those of make_cloud at each center.
+    assert (field.masks, field.levels) == oracle.stamp(field)
     assert (tape.used, tape.half) == (reference.used, reference.half)
 
 
@@ -170,11 +171,10 @@ def test_spawned_clouds_are_two_draws_and_make_cloud_each(data):
 @given(st.data())
 def test_table_stamps_equal_support_stamps(data):
     length = data.draw(st.integers(1, 16), label="grid_length")
-    centers = data.draw(st.lists(st.tuples(st.integers(0, length - 1),
-                                           st.integers(0, length - 1),
-                                           st.integers(1, length)), max_size=6),
-                        label="centers and diameters")
-    field = CloudField([make_cloud((x, y), d, length) for x, y, d in centers], length)
+    diameter = data.draw(st.integers(1, length), label="diameter")
+    centers = data.draw(st.lists(st.integers(0, length * length - 1), max_size=6),
+                        label="centers")
+    field = CloudField(centers, length, diameter)
     assert (field.masks, field.levels) == oracle.stamp(field)
 
 
@@ -213,9 +213,11 @@ def test_per_decision_steps_match_the_reference(data):
     cell = pos[0] * length + pos[1]
     outcome, alive = execute_option(field.masks, (1 << len(field.clouds)) - 1, cell,
                                     option_walks(length, stride)[cell * 4 + direction], budget)
-    expected, expected_after = oracle.execute_option(field, pos, direction, stride, budget)
+    clouds = oracle.clouds_of(field)
+    expected, expected_after = oracle.execute_option(clouds, length, pos, direction, stride,
+                                                     budget)
     assert as_points(outcome, length) == expected
-    assert surviving(field, alive) == expected_after.clouds
+    assert surviving(clouds, alive) == expected_after
 
     reference = np.zeros((length, length), dtype=np.int64)
     mem_rng = np.random.default_rng((data.draw(st.integers(0, 2**32 - 1)), 0))
@@ -243,7 +245,8 @@ def test_execute_option_narrows_alive_as_the_reference_drops_clouds(data):
     span = data.draw(st.integers(1, length), label="center span")
     centers = data.draw(st.lists(st.tuples(st.integers(0, span - 1), st.integers(0, span - 1)),
                                  min_size=count, max_size=count), label="centers")
-    field = CloudField([make_cloud(c, diameter, length) for c in centers], length)
+    field = CloudField([x * length + y for x, y in centers], length, diameter)
+    clouds = oracle.clouds_of(field)
     alive = data.draw(st.integers(0, (1 << count) - 1), label="alive")
     pos = data.draw(st.tuples(st.integers(0, length - 1), st.integers(0, length - 1)),
                     label="pos")
@@ -254,10 +257,10 @@ def test_execute_option_narrows_alive_as_the_reference_drops_clouds(data):
     outcome, left = execute_option(field.masks, alive, cell,
                                    option_walks(length, stride)[cell * 4 + direction], budget)
     expected, expected_after = oracle.execute_option(
-        CloudField(surviving(field, alive), length), pos, direction, stride, budget)
+        surviving(clouds, alive), length, pos, direction, stride, budget)
     assert as_points(outcome, length) == expected
     assert left & ~alive == 0
-    assert surviving(field, left) == expected_after.clouds
+    assert surviving(clouds, left) == expected_after
 
 
 @settings(max_examples=100, deadline=None)
@@ -341,7 +344,7 @@ def test_eval_episodes_and_routes_match_the_reference(data):
     field = draw_field(data, hp)
     length = hp.grid_length
     traj = run_episode(flat(q), hp, "eval", None, field=field)
-    expected = oracle.run_episode(q, hp, "eval", None, field=field)
+    expected = oracle.run_episode(q, hp, "eval", None, clouds=oracle.clouds_of(field))
     assert trajectory_key(traj, length) == trajectory_key(expected)
     assert route_points(traj, length) == expected.cells
     seed = data.draw(st.integers(0, 2**31), label="seed")
@@ -349,7 +352,7 @@ def test_eval_episodes_and_routes_match_the_reference(data):
     spawned = spawn_clouds(length, hp.pollution_diameter, 1, make_rng(seed))
     reference = spawn_clouds(length, hp.pollution_diameter, 1, np.random.default_rng((seed, 0)))
     traj = run_episode(flat(q), hp, "eval", None, field=spawned)
-    expected = oracle.run_episode(q, hp, "eval", None, field=reference)
+    expected = oracle.run_episode(q, hp, "eval", None, clouds=oracle.clouds_of(reference))
     assert trajectory_key(traj, length) == trajectory_key(expected)
     assert route_points(traj, length) == expected.cells
     assert agent_route(flat(q), hp) == oracle.agent_route(q, hp)
@@ -364,7 +367,7 @@ def test_training_episodes_read_the_tape_across_a_block_end(skip, buffered, epsi
     # without a buffered half; the reference calls the tape's random() and
     # integers(4) where the episode reads the words itself.
     hp = Hyperparams(grid_length=8, pollution_diameter=1, max_steps=60, num_clouds=2)
-    field = CloudField([make_cloud((7, 7), 1, 8), make_cloud((3, 6), 1, 8)], 8)
+    field = CloudField([7 * 8 + 7, 3 * 8 + 6], 8, 1)
     q = np.zeros((8, 8, 4))
     q[:] = np.random.default_rng((5, 0)).normal(size=q.shape)  # no wall pull: many decisions
     tape, reference = make_rng(2), make_rng(2)
@@ -374,7 +377,8 @@ def test_training_episodes_read_the_tape_across_a_block_end(skip, buffered, epsi
         if buffered:
             t.integers(7)
     traj = run_episode(flat(q), hp, "train", tape, field=field, epsilon=epsilon)
-    expected = oracle.run_episode(q, hp, "train", reference, field=field, epsilon=epsilon)
+    expected = oracle.run_episode(q, hp, "train", reference, clouds=oracle.clouds_of(field),
+                                  epsilon=epsilon)
     assert trajectory_key(traj, 8) == trajectory_key(expected)
     assert (tape.used, tape.half) == (reference.used, reference.half)
     assert tape.used > 1024
@@ -394,19 +398,20 @@ def test_episodes_on_the_boundary_words_explore_as_the_reference(epsilon):
     # does, or lies just below it.  The reference calls the tape's random().
     hp = Hyperparams(grid_length=8, pollution_diameter=1, max_steps=60, num_clouds=2,
                      discount_rate=0.5)
-    field = CloudField([make_cloud((7, 7), 1, 8), make_cloud((3, 6), 1, 8)], 8)
+    field = CloudField([7 * 8 + 7, 3 * 8 + 6], 8, 1)
+    clouds = oracle.clouds_of(field)
     q = np.zeros((8, 8, 4))
     q[:] = np.random.default_rng((5, 0)).normal(size=q.shape)
     tape, reference = boundary_tape(epsilon), boundary_tape(epsilon)
     traj = run_episode(flat(q), hp, "train", tape, field=field, epsilon=epsilon)
-    expected = oracle.run_episode(q, hp, "train", reference, field=field, epsilon=epsilon)
+    expected = oracle.run_episode(q, hp, "train", reference, clouds=clouds, epsilon=epsilon)
     assert trajectory_key(traj, 8) == trajectory_key(expected)
     assert {o for _, o in traj.transitions} == {0, 1, 2, 3}
     assert (tape.used, tape.half) == (reference.used, reference.half)
     table, moves = flat(q), option_terminals(8, 1)
     for _ in range(3):
         training._demo_episode(table, hp, field.levels, moves, epsilon, tape)
-        oracle.demo_episode(q, hp, field, epsilon, reference, learn=True)
+        oracle.demo_episode(q, hp, clouds, epsilon, reference, learn=True)
         assert np.reshape(table, q.shape).tobytes() == q.tobytes()
         assert (tape.used, tape.half) == (reference.used, reference.half)
 
@@ -491,7 +496,7 @@ def test_a_wall_bound_greedy_episode_is_capped():
     # memory weight nothing turns the agent away until the cap.
     hp = Hyperparams(grid_length=6, pollution_diameter=1, max_steps=10, mof_value=0.0)
     traj = run_episode([0.0] * (6 * 6 * 4), hp, "eval", None,
-                       field=CloudField([make_cloud((5, 5), 1, 6)], 6))
+                       field=CloudField([5 * 6 + 5], 6, 1))
     assert traj.capped
     assert traj.n_step == 0 and len(traj.transitions) == 8 * 10 + 32
     assert traj.cells == [0]  # START
@@ -502,9 +507,9 @@ def test_episodes_ended_by_a_find_or_the_budget_are_not_capped():
     q = np.zeros((6, 6, 4))
     q[:, :, 1] = 1.0  # straight down from the start
     q = flat(q)
-    found = run_episode(q, hp, "eval", None, field=CloudField([make_cloud((0, 3), 1, 6)], 6))
+    found = run_episode(q, hp, "eval", None, field=CloudField([0 * 6 + 3], 6, 1))
     assert (found.n_poll, found.n_step, found.capped) == (1, 3, False)
-    spent = run_episode(q, hp, "eval", None, field=CloudField([], 6))
+    spent = run_episode(q, hp, "eval", None, field=CloudField([], 6, 1))
     assert spent.n_step == hp.max_steps and not spent.capped
 
 
@@ -522,14 +527,12 @@ def test_train_report_counts_every_capped_attempt():
 @given(st.data())
 def test_field_tables_are_stamped_apart_on_first_read(data):
     length = data.draw(st.integers(1, 12), label="grid_length")
-    centers = data.draw(st.lists(st.tuples(st.integers(0, length - 1),
-                                           st.integers(0, length - 1),
-                                           st.integers(1, length)), max_size=5),
-                        label="centers and diameters")
-    clouds = [make_cloud((x, y), d, length) for x, y, d in centers]
-    expected_masks, expected_levels = oracle.stamp(CloudField(clouds, length))
+    diameter = data.draw(st.integers(1, length), label="diameter")
+    centers = data.draw(st.lists(st.integers(0, length * length - 1), max_size=5),
+                        label="centers")
+    expected_masks, expected_levels = oracle.stamp(CloudField(centers, length, diameter))
     for first, second in (("masks", "levels"), ("levels", "masks")):
-        field = CloudField(list(clouds), length)
+        field = CloudField(list(centers), length, diameter)
         table = getattr(field, first)
         assert second not in vars(field)  # reading one table stamps no other
         assert getattr(field, first) is table
@@ -540,9 +543,10 @@ def test_field_tables_are_stamped_apart_on_first_read(data):
 def test_fields_stamp_masks_and_levels_once():
     field = spawn_clouds(8, 3, 3, make_rng(5))
     assert field.masks is field.masks and field.levels is field.levels
+    clouds = [make_cloud(divmod(center, 8), 3, 8) for center in field.clouds]
     for cell, (mask, level) in enumerate(zip(field.masks, field.levels)):
         pos = divmod(cell, 8)
-        covering = [i for i, c in enumerate(field.clouds) if pos in c.support]
+        covering = [i for i, c in enumerate(clouds) if pos in c.support]
         assert mask == sum(1 << i for i in covering)
-        assert level == max([field.clouds[i].support[pos] for i in covering], default=0.0)
+        assert level == max([clouds[i].support[pos] for i in covering], default=0.0)
         assert (level > 0.0) == bool(covering)

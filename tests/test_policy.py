@@ -14,7 +14,6 @@ from hmc_search.env import (
     RIGHT,
     UP,
     CloudField,
-    make_cloud,
     make_rng,
 )
 from hmc_search.policy import (
@@ -71,7 +70,7 @@ def episode_terminals(p):
 # terminals and the filter weight.
 ENDS, WEIGHT = episode_terminals(params()), params().mof_value
 # The masks of a 20-grid with no cloud.
-NO_CLOUDS = CloudField([], 20).masks
+NO_CLOUDS = CloudField([], 20, 5).masks
 
 
 def walk(pos, direction, stride):
@@ -188,7 +187,7 @@ def test_option_terminal_clamps_at_borders():
 
 
 def test_execute_option_walks_full_stride():
-    field = CloudField([], 20)
+    field = CloudField([], 20, 5)
     outcome, alive = execute_option(field.masks, 0, at(5, 5), walk(at(5, 5), RIGHT, 3), 400)
     assert outcome.terminal == at(8, 5)
     assert outcome.primitive_steps == 3
@@ -198,13 +197,13 @@ def test_execute_option_walks_full_stride():
 
 
 def test_a_free_walk_returns_the_walk_tables_outcome_and_the_callers_mask():
-    field = CloudField([make_cloud((15, 15), 1, 20)], 20)
+    field = CloudField([at(15, 15)], 20, 1)
     shared = option_walks(20, 4)[at(5, 5) * 4 + RIGHT]
     outcome, alive = execute_option(field.masks, 1, at(5, 5), walk(at(5, 5), RIGHT, 4), 400)
     assert outcome is shared and alive == 1
     assert execute_option(NO_CLOUDS, 0, at(5, 5), walk(at(5, 5), RIGHT, 4), 400)[0] is shared
     # A cloud already found is no hit, so a walk across it is free too.
-    found = CloudField([make_cloud((7, 5), 1, 20), make_cloud((15, 15), 1, 20)], 20)
+    found = CloudField([at(7, 5), at(15, 15)], 20, 1)
     outcome, alive = execute_option(found.masks, 0b10, at(5, 5), walk(at(5, 5), RIGHT, 4), 400)
     assert outcome is shared and alive == 0b10
     # A budget that only just covers the walk builds its own, equal outcome.
@@ -222,8 +221,7 @@ def test_execute_option_stops_at_border():
 
 
 def test_execute_option_stops_on_final_collection():
-    cloud = make_cloud((9, 5), 1, 20)
-    field = CloudField([cloud], 20)
+    field = CloudField([at(9, 5)], 20, 1)
     outcome, alive = execute_option(field.masks, 1, at(7, 5), walk(at(7, 5), RIGHT, 3), 400)
     assert outcome.terminal == at(9, 5)
     assert outcome.primitive_steps == 2
@@ -234,7 +232,7 @@ def test_execute_option_stops_on_final_collection():
 def test_execute_option_collects_every_cloud_on_a_shared_cell():
     # (5, 5) lies in both supports, so entering it takes both clouds at once;
     # the caller's field keeps them.
-    field = CloudField([make_cloud((5, 5), 3, 20), make_cloud((6, 5), 3, 20)], 20)
+    field = CloudField([at(5, 5), at(6, 5)], 20, 3)
     outcome, alive = execute_option(field.masks, 0b11, at(5, 4), walk(at(5, 4), DOWN, 3), 400)
     assert outcome.found_count == 2
     assert points(outcome.path) == ((5, 5),)
@@ -243,13 +241,11 @@ def test_execute_option_collects_every_cloud_on_a_shared_cell():
 
 
 def test_execute_option_continues_while_clouds_remain():
-    near = make_cloud((6, 5), 1, 20)
-    far = make_cloud((15, 15), 1, 20)
-    field = CloudField([near, far], 20)
+    field = CloudField([at(6, 5), at(15, 15)], 20, 1)
     outcome, alive = execute_option(field.masks, 0b11, at(5, 5), walk(at(5, 5), RIGHT, 3), 400)
     assert outcome.found_count == 1
     assert outcome.primitive_steps == 3
-    assert [c.center for i, c in enumerate(field.clouds) if alive >> i & 1] == [(15, 15)]
+    assert [c for i, c in enumerate(field.clouds) if alive >> i & 1] == [at(15, 15)]
 
 
 def test_execute_option_respects_step_budget():

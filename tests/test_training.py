@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hmc_search import evalharness, training
+from hmc_search import env, evalharness, training
 from hmc_search.cli import UsageError, parse_config
 from hmc_search.env import (
     DOWN,
@@ -19,6 +19,7 @@ from hmc_search.env import (
     START,
     UP,
     CloudField,
+    cloud_table,
     make_cloud,
     make_rng,
     spawn_clouds,
@@ -230,7 +231,7 @@ def test_update_window():
 def test_adjacent_cloud_found_in_one_step():
     # Detection happens on entry, so the fastest possible find is one step.
     hp = Hyperparams(pollution_diameter=1)
-    field = CloudField([make_cloud((0, 1), 1, 20)], 20)
+    field = CloudField([0 * 20 + 1], 20, 1)
     traj = run_episode(zeros(20), hp, "eval", None, field=field)
     assert traj.n_step == 1
     assert traj.n_poll == 1
@@ -239,8 +240,8 @@ def test_adjacent_cloud_found_in_one_step():
 
 def test_run_episode_leaves_the_callers_field_unchanged():
     hp = Hyperparams(pollution_diameter=1)
-    clouds = [make_cloud((0, 1), 1, 20), make_cloud((19, 19), 1, 20)]
-    field = CloudField(list(clouds), 20)
+    clouds = [0 * 20 + 1, 19 * 20 + 19]
+    field = CloudField(list(clouds), 20, 1)
     traj = run_episode(zeros(20), hp, "eval", None, field=field)
     assert traj.n_poll >= 1
     assert field.clouds == clouds
@@ -249,14 +250,14 @@ def test_run_episode_leaves_the_callers_field_unchanged():
 def test_empty_field_runs_to_the_budget():
     # Nothing to collect, so only the budget ends the walk.
     hp = Hyperparams(max_steps=50)
-    traj = run_episode(zeros(20), hp, "eval", None, field=CloudField([], 20))
+    traj = run_episode(zeros(20), hp, "eval", None, field=CloudField([], 20, 5))
     assert (traj.n_step, traj.n_poll, traj.r_t) == (50, 0, 0.0)
     assert len(traj.cells) == 51
 
 
 def test_budget_exhaustion_gives_zero_reward():
     hp = Hyperparams(pollution_diameter=1, max_steps=3)
-    field = CloudField([make_cloud((19, 19), 1, 20)], 20)
+    field = CloudField([19 * 20 + 19], 20, 1)
     traj = run_episode(zeros(20), hp, "eval", None, field=field)
     assert traj.n_step == 3
     assert traj.n_poll == 0
@@ -297,7 +298,7 @@ def test_trajectory_accounting():
 def test_a_train_episode_builds_no_cell_list():
     # Training reads only the final cell; the route is eval's alone.
     hp = Hyperparams(grid_length=10, pollution_diameter=3, max_steps=200)
-    field = CloudField([make_cloud((7, 7), 3, 10)], 10)
+    field = CloudField([7 * 10 + 7], 10, 3)
     for epsilon in (0.0, 0.5, 1.0):
         traj = run_episode(zeros(10), hp, "train", make_rng(2), field=field, epsilon=epsilon)
         assert traj.cells is None and traj.n_step > 0
@@ -306,7 +307,7 @@ def test_a_train_episode_builds_no_cell_list():
 def test_run_episode_epsilon_extremes(monkeypatch):
     hp = Hyperparams(grid_length=10, pollution_diameter=3, max_steps=200)
     q = [2.0 if d == DOWN else 0.0 for _ in range(10 * 10) for d in range(4)]
-    field = CloudField([make_cloud((7, 7), 3, 10)], 10)
+    field = CloudField([7 * 10 + 7], 10, 3)
     # Epsilon 0 draws nothing and walks the greedy episode.
     tape = make_rng(1)
     soft = run_episode(q, hp, "train", tape, field=field, epsilon=0.0)
@@ -322,7 +323,7 @@ def test_run_episode_epsilon_extremes(monkeypatch):
         return select_option(q, mem, s, ends, mode, rng, weight)
 
     monkeypatch.setattr(training, "select_option", spy)
-    traj = run_episode(q, hp, "train", make_rng(1), field=CloudField([], 10), epsilon=1.0)
+    traj = run_episode(q, hp, "train", make_rng(1), field=CloudField([], 10, 3), epsilon=1.0)
     assert modes == ["explore"] * len(traj.transitions)
     assert {o for _, o in traj.transitions} == {UP, DOWN, LEFT, RIGHT}
 
@@ -332,7 +333,7 @@ def test_eval_episode_on_a_handed_field_reads_no_tape_word():
     rng = make_rng(5)
     rng.integers(7)  # leave a buffered half, which must survive too
     before = (rng.used, rng.half)
-    field = CloudField([make_cloud((9, 9), 5, 20)], 20)
+    field = CloudField([9 * 20 + 9], 20, 5)
     run_episode(zeros(20), hp, "eval", rng, field=field)
     assert (rng.used, rng.half) == before
 
@@ -390,7 +391,7 @@ def test_run_episode_looks_up_the_option_geometry_once():
     hp = Hyperparams(grid_length=10, pollution_diameter=3, max_steps=200)
     option_terminals(10, option_stride(hp.option_length))  # both tables built beforehand
     before = option_walks.cache_info(), option_terminals.cache_info()
-    traj = run_episode(zeros(10), hp, "eval", None, field=CloudField([], 10))
+    traj = run_episode(zeros(10), hp, "eval", None, field=CloudField([], 10, 3))
     after = option_walks.cache_info(), option_terminals.cache_info()
     assert len(traj.transitions) >= 30
     for then, now in zip(before, after):
@@ -404,9 +405,34 @@ def test_multi_cloud_training_counts_every_find():
     assert all(r.n_poll <= 4 for r in report.records)
 
 
+def test_spawning_training_routes_and_demos_build_no_cloud(monkeypatch):
+    # A field holds its clouds as center cells, so once the cloud_table rows
+    # are built no product path makes a Cloud; make_cloud is the reference.
+    hp = Hyperparams(grid_length=8, pollution_diameter=3, max_steps=40, num_episodes=20,
+                     num_clouds=3, best_learn_value=3)
+    rows = cloud_table(8, 3)
+    for center in range(8 * 8):
+        rows[center]
+    built = []
+
+    class Counted(env.Cloud):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(env, "Cloud", Counted)
+    assert spawn_clouds(8, 3, 3, make_rng(0)).masks
+    report = train_agent(hp, 0)
+    agent_route(report.q, hp)
+    dynamic_demo(hp, 0, n_episodes=20, snapshot_episodes=(0, 20), n_eval_episodes=20)
+    assert built == []
+    make_cloud((0, 0), 3, 8)  # the reference is counted
+    assert built == [((0, 0), 3, 8)]
+
+
 def test_run_episode_rejects_unknown_mode():
     with pytest.raises(ValueError):
-        run_episode(zeros(20), Hyperparams(), "test", make_rng(0), field=CloudField([], 20))
+        run_episode(zeros(20), Hyperparams(), "test", make_rng(0), field=CloudField([], 20, 5))
 
 
 def test_train_agent_is_deterministic():
@@ -510,8 +536,8 @@ def test_dynamic_demo_first_episode_marks_only_cloud_approaches():
     rng = make_rng(1)
     first_cloud = spawn_clouds(20, 5, 1, rng)
     allowed = set()
-    for cloud in first_cloud.clouds:
-        for (x, y) in cloud.support:
+    for center in first_cloud.clouds:
+        for (x, y) in make_cloud(divmod(center, 20), 5, 20).support:
             allowed.add((x, y))
             allowed.update(((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)))
     assert touched <= allowed
