@@ -209,44 +209,60 @@ def record_visits(mem: list[int], outcome: OptionOutcome) -> list[int]:
     return mem
 
 
+@lru_cache(maxsize=8)
+def row_heads(grid_length: int) -> tuple[tuple[str, ...], dict[str, int]]:
+    """The CSV head "x,y,direction" of every key cell * 4 + d, in key order, and the dict
+    back to the key; built from the grid's cell texts on first use, never at import."""
+    cells = [f"{x},{y}," for x in range(grid_length) for y in range(grid_length)]
+    heads = tuple(cell + name for cell in cells for name in DIRECTION_NAMES)
+    return heads, {head: key for key, head in enumerate(heads)}
+
+
 def write_qtable_csv(path, q) -> None:
-    """Write the flat table q[cell * 4 + d] of a square grid, every value a row, in key order."""
+    """Write the flat table q[cell * 4 + d] of a square grid, every value a row, in key
+    order; a table of another length is written whole, its keys by the same arithmetic."""
     length = math.isqrt(len(q) // 4)
+    heads = row_heads(length)[0]
+    heads += tuple(f"{x},{y},{DIRECTION_NAMES[key & 3]}" for key in range(len(heads), len(q))
+                   for x, y in [divmod(key >> 2, length)])
+    rows = [f"{head},{value:.6g}\n" for head, value in zip(heads, q)]
     with open(path, "w", newline="") as handle:
-        handle.write("x,y,direction,value\n")
-        for key, value in enumerate(q):
-            x, y = divmod(key >> 2, length)
-            handle.write(f"{x},{y},{DIRECTION_NAMES[key & 3]},{format(value, '.6g')}\n")
+        handle.write("".join(["x,y,direction,value\n", *rows]))
 
 
 def read_qtable_csv(path) -> array:
     """Load a table written by write_qtable_csv as the flat array("d") q[cell * 4 + d].
 
     Raises ValueError unless every (x, y, direction) row of a square grid
-    appears exactly once, with a known direction and a finite value.
+    appears exactly once, with a known direction and a finite value.  Each row's head
+    is looked up in row_heads; a head the writer never writes is parsed field by field.
     """
     index = {name: i for i, name in enumerate(DIRECTION_NAMES)}
     with open(path, newline="") as handle:
         header = handle.readline().strip()
         if header != "x,y,direction,value":
             raise ValueError(f"unexpected qtable header {header!r}")
-        rows = [line.strip() for line in handle if line.strip()]
+        rows = [line for line in map(str.strip, handle) if line]
     length = math.isqrt(len(rows) // 4)
     if length < 1 or 4 * length * length != len(rows):
         raise ValueError(f"{len(rows)} rows are not 4 per cell of a square grid")
+    keys = row_heads(length)[1]
     values: list[float | None] = [None] * (4 * length * length)
     for line in rows:
+        head, _, value = line.rpartition(",")
+        key = keys.get(head)
         try:
-            x, y, name, value = line.split(",")
-            x, y, d = int(x), int(y), index[name]
+            if key is None:  # parse every field, the value too, before the range check
+                x, y, name, value = line.split(",")
+                x, y, d = int(x), int(y), index[name]
+                key = (x * length + y) * 4 + d if 0 <= x < length and 0 <= y < length else -1
             value = float(value)
         except (ValueError, KeyError):
             raise ValueError(f"malformed row {line!r}") from None
-        if not (0 <= x < length and 0 <= y < length):
+        if key < 0:
             raise ValueError(f"row {line!r} lies outside a {length}-cell grid")
         if not math.isfinite(value):
             raise ValueError(f"row {line!r} has a non-finite value")
-        key = (x * length + y) * 4 + d
         if values[key] is not None:
             raise ValueError(f"row {line!r} repeats an (x, y, direction)")
         values[key] = value

@@ -13,16 +13,24 @@ a first_hit per center, and masks and levels stamped from every cloud's
 support.  They draw from numpy's own Generator, where the package reads
 the same streams through a word tape.  The package must reproduce them
 byte for byte.
+
+The value table's CSV writer and reader and the result CSV writer are
+here as they were before the row-head table: a key's x and y by divmod
+and a write per row, every row's four fields parsed, and a format call
+per cell.  The package must write the same bytes, and read every file
+to the same array or the same ValueError message.
 """
 from __future__ import annotations
 
 import math
+from array import array
 from typing import NamedTuple
 
 import numpy as np
 
 from hmc_search.env import (
     DELTAS,
+    DIRECTION_NAMES,
     START,
     make_cloud,
     move,
@@ -290,3 +298,54 @@ def dynamic_demo(hp, seed, n_episodes, snapshot_episodes, n_eval_episodes):
 def snapshot_bytes(snapshots: dict) -> bytes:
     return repr(sorted(snapshots)).encode() + b"".join(
         np.ascontiguousarray(snapshots[k]).tobytes() for k in sorted(snapshots))
+
+
+def write_qtable_csv(path, q) -> None:
+    length = math.isqrt(len(q) // 4)
+    with open(path, "w", newline="") as handle:
+        handle.write("x,y,direction,value\n")
+        for key, value in enumerate(q):
+            x, y = divmod(key >> 2, length)
+            handle.write(f"{x},{y},{DIRECTION_NAMES[key & 3]},{format(value, '.6g')}\n")
+
+
+def read_qtable_csv(path) -> array:
+    index = {name: i for i, name in enumerate(DIRECTION_NAMES)}
+    with open(path, newline="") as handle:
+        header = handle.readline().strip()
+        if header != "x,y,direction,value":
+            raise ValueError(f"unexpected qtable header {header!r}")
+        rows = [line.strip() for line in handle if line.strip()]
+    length = math.isqrt(len(rows) // 4)
+    if length < 1 or 4 * length * length != len(rows):
+        raise ValueError(f"{len(rows)} rows are not 4 per cell of a square grid")
+    values = [None] * (4 * length * length)
+    for line in rows:
+        try:
+            x, y, name, value = line.split(",")
+            x, y, d = int(x), int(y), index[name]
+            value = float(value)
+        except (ValueError, KeyError):
+            raise ValueError(f"malformed row {line!r}") from None
+        if not (0 <= x < length and 0 <= y < length):
+            raise ValueError(f"row {line!r} lies outside a {length}-cell grid")
+        if not math.isfinite(value):
+            raise ValueError(f"row {line!r} has a non-finite value")
+        key = (x * length + y) * 4 + d
+        if values[key] is not None:
+            raise ValueError(f"row {line!r} repeats an (x, y, direction)")
+        values[key] = value
+    return array("d", values)
+
+
+def fmt(value) -> str:
+    if isinstance(value, float):
+        return format(value, ".6g")
+    return str(value)
+
+
+def write_csv(path, header, rows) -> None:
+    with open(path, "w", newline="") as handle:
+        handle.write(",".join(header) + "\n")
+        for row in rows:
+            handle.write(",".join(map(fmt, row)) + "\n")

@@ -1,6 +1,7 @@
 """Tests for the command line front end."""
 import dataclasses
 import json
+import math
 import os
 import platform
 import subprocess
@@ -9,15 +10,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hmc_search
+import oracle
 from hmc_search.cli import (
     COMMANDS,
     UsageError,
+    _fmt_exact,
     build_parser,
     config_dict,
     dispatch,
     parse_config,
+    write_csv,
 )
 from hmc_search.env import RIGHT, RNG_CONTRACT, UP, make_rng
 from hmc_search.evalharness import agent_route, evaluate_agent
@@ -598,6 +604,32 @@ def test_a_fresh_process_records_its_provenance(tmp_path):
         assert manifest["provenance"] == {**PROVENANCE, "numpy": numpy_version}
 
 
+# Every cached function of the loaded package modules, by module and name,
+# with its hits, misses and size, after nothing but the import.
+_CACHES_AFTER_IMPORT = """
+import json, sys
+import hmc_search.cli
+print(json.dumps({f"{module}.{name}": [*value.cache_info()[:2], value.cache_info().currsize]
+                  for module in sorted(sys.modules) if module.startswith("hmc_search")
+                  for name, value in vars(sys.modules[module]).items()
+                  if hasattr(value, "cache_info")}))
+"""
+
+
+def test_importing_the_cli_builds_no_table():
+    """Tables are built on first use, never at import, which setup_s times."""
+    src = str(Path(__file__).parent.parent / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", _CACHES_AFTER_IMPORT], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    caches = json.loads(done.stdout)
+    assert {"hmc_search.policy.option_walks", "hmc_search.policy.option_terminals",
+            "hmc_search.env.cloud_table", "hmc_search.policy.row_heads"} <= set(caches)
+    assert {name: counts for name, counts in caches.items() if counts != [0, 0, 0]} == {}
+
+
 @pytest.mark.parametrize("name", DECLARED)
 def test_command_rejects_an_undeclared_flag(name, tmp_path, capsys):
     flag = ["--runs", "3"] if name == "scoremap" else ["--opponent", "snake"]
@@ -688,3 +720,34 @@ def test_manifest_with_null_and_undeclared_options_reruns(tiny, tmp_path):
     # The old manifest has no provenance or format; the rerun's manifest records its own.
     assert manifest["provenance"] == PROVENANCE
     assert manifest["format"] == 1
+
+
+# --- result CSVs
+
+
+CSV_CELLS = st.one_of(
+    st.integers(-10**12, 10**12), st.floats(),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e-7, 123456789.0]),
+    st.floats().map(np.float64), st.integers(-10**6, 10**6).map(np.int64),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=6), st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(header=st.lists(st.text("abcxyz_", min_size=1, max_size=6), min_size=1, max_size=5),
+       rows=st.lists(st.lists(CSV_CELLS, max_size=6).map(tuple), max_size=30))
+def test_write_csv_writes_the_bytes_of_a_format_call_per_cell(tmp_path_factory, header, rows):
+    directory = tmp_path_factory.mktemp("csv")
+    write_csv(directory / "new.csv", header, iter(rows))
+    oracle.write_csv(directory / "old.csv", header, iter(rows))
+    assert (directory / "new.csv").read_bytes() == (directory / "old.csv").read_bytes()
+
+
+@pytest.mark.parametrize("value, text", [
+    (3, "3"), (True, "True"), ("snake", "snake"), (0.5, "0.5"), (0.1, "0.1"), (-0.0, "-0"),
+    (1e-7, "1e-07"), (2.5e-300, "2.5e-300"), (math.inf, "inf"), (-math.inf, "-inf"),
+    (math.nan, "nan"),
+    # Six digits would not read back: repr keeps the values apart.
+    (123456789.0, "123456789.0"), (1 / 3, "0.3333333333333333"),
+])
+def test_fmt_exact_texts(value, text):
+    assert _fmt_exact(value) == text

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracle
 from hmc_search.env import (
     DOWN,
     LEFT,
@@ -485,3 +486,142 @@ def test_qtable_csv_rejects_foreign_header(tmp_path):
     path.write_text("a,b,c\n")
     with pytest.raises(ValueError):
         read_qtable_csv(path)
+
+
+# Values whose text is a corner of the .6g format: signed zeros, a small
+# exponent, a large one, and more digits than the format keeps.
+CORNER_VALUES = st.sampled_from([0.0, -0.0, 1e-7, -1e-7, 3e300, -3e300, 123456789.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(size=st.one_of(st.integers(1, 12).map(lambda length: 4 * length * length),
+                      st.integers(0, 4 * 12 * 12 + 7)),
+       values=st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                 CORNER_VALUES), min_size=1, max_size=64),
+       kind=st.sampled_from(["list", "array", "ndarray"]))
+def test_the_table_writer_writes_the_reference_bytes(tmp_path_factory, size, values, kind):
+    """Square or not, as a list, an array("d") or an ndarray: the bytes of the
+    reference writer, or the same exception (tables of 1 to 3 values have no grid)."""
+    q = [values[key % len(values)] for key in range(size)]
+    q = {"list": q, "array": array("d", q), "ndarray": np.array(q, dtype=float)}[kind]
+    results = []
+    for write in (write_qtable_csv, oracle.write_qtable_csv):
+        path = tmp_path_factory.mktemp("qtable") / "q.csv"
+        try:
+            write(path, q)
+            results.append(path.read_bytes())
+        except ArithmeticError as err:
+            results.append(type(err))
+    assert results[0] == results[1]
+
+
+def _edit_field(row, field, edit):
+    """row with one comma-separated field edited; a row too short to have it, as it is."""
+    fields = row.split(",")
+    if field < len(fields):
+        fields[field] = edit(fields[field])
+    return ",".join(fields)
+
+
+@st.composite
+def mutated_tables(draw):
+    """A written table of a 1- to 12-cell grid, then one to four mutations of its rows
+    and line ends, as the text of a file."""
+    length = draw(st.integers(1, 12))
+    values = draw(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                     CORNER_VALUES), min_size=1, max_size=16))
+    heads = [f"{x},{y},{name}" for x in range(length) for y in range(length)
+             for name in ("up", "down", "left", "right")]
+    rows = [f"{head},{format(values[key % len(values)], '.6g')}"
+            for key, head in enumerate(heads)]
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"]))] * (len(rows) + 1)
+    for _ in range(draw(st.integers(1, 4))):
+        if not rows:
+            break
+        # Half the mutations hit one of the first two rows, so that they stack.
+        i = draw(st.one_of(st.integers(0, min(1, len(rows) - 1)),
+                           st.integers(0, len(rows) - 1)))
+        kind = draw(st.sampled_from([
+            "shuffle", "line end", "blank", "x or y text", "repeat", "copy over", "drop",
+            "off grid", "direction", "3 fields", "5 fields", "non-finite", "inner space",
+            "padded", "off grid and non-numeric"]))
+        if kind == "shuffle":
+            rows = draw(st.permutations(rows))
+        elif kind == "line end":
+            ends[i] = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+        elif kind == "blank":
+            rows.insert(i, draw(st.sampled_from(["", " ", "\t", " \x0c"])))
+        elif kind == "x or y text":
+            edit = draw(st.sampled_from(["{} ", " {}", "+{}", "0{}", "00{}"]))
+            rows[i] = _edit_field(rows[i], draw(st.integers(0, 1)), edit.format)
+        elif kind == "repeat":
+            rows.insert(draw(st.integers(0, len(rows))), rows[i])
+        elif kind == "copy over":
+            rows[draw(st.integers(0, len(rows) - 1))] = rows[i]
+        elif kind == "drop":
+            del rows[i]
+        elif kind == "off grid":
+            off = str(draw(st.sampled_from([length, length + 3, -1])))
+            rows[i] = _edit_field(rows[i], draw(st.integers(0, 1)), lambda _: off)
+        elif kind == "direction":
+            name = draw(st.sampled_from(["north", "Up", "upp", "", "up ", "4"]))
+            rows[i] = _edit_field(rows[i], 2, lambda _: name)
+        elif kind == "3 fields":
+            rows[i] = rows[i].rpartition(",")[0]
+        elif kind == "5 fields":
+            rows[i] += ",1"
+        elif kind == "non-finite":
+            text = draw(st.sampled_from(["nan", "-inf", "inf", "NaN"]))
+            rows[i] = _edit_field(rows[i], 3, lambda _: text)
+        elif kind == "padded":
+            pad = draw(st.sampled_from([" ", "\t", "\x0c", "\x85"]))
+            rows[i] = draw(st.sampled_from([pad + rows[i], rows[i] + pad]))
+        elif kind == "inner space":
+            at = draw(st.integers(0, len(rows[i])))
+            rows[i] = rows[i][:at] + draw(st.sampled_from(["\x0c", "\x85"])) + rows[i][at:]
+        else:
+            rows[i] = _edit_field(_edit_field(rows[i], 0, lambda _: str(length + 87)),
+                                  3, lambda _: "abc")
+    lines = ["x,y,direction,value", *rows]
+    return "".join(line + end for line, end in zip(lines, ends + ["\n"] * len(lines)))
+
+
+def _read_outcome(read, path):
+    try:
+        return read(path).tobytes()
+    except ValueError as err:
+        return f"ValueError: {err}"
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=mutated_tables())
+@example(text="x,y,direction,value\n" + "".join(
+    f"{x},{y},{name},0\n" for x in range(2) for y in range(2)
+    for name in ("up", "down", "left", "right")).replace("1,1,up,0", "99,1,up,abc"))
+def test_the_table_reader_agrees_with_the_reference_on_mutated_files(tmp_path_factory, text):
+    """Shuffled rows, CR and CRLF line ends, blank and padded lines, x and y texts the
+    writer never writes, repeated, dropped and off-grid rows, unknown directions, 3 or 5
+    fields, non-finite values, \\x0c and \\x85 inside a line: the reference's array, or
+    its ValueError message for the first bad row."""
+    path = tmp_path_factory.mktemp("qtable") / "q.csv"
+    path.write_bytes(text.encode())
+    assert _read_outcome(read_qtable_csv, path) == _read_outcome(oracle.read_qtable_csv, path)
+
+
+@pytest.mark.parametrize("row, message", [
+    # Every field is parsed before the range check, so a row that is both
+    # off the grid and non-numeric is malformed.
+    ("99,0,up,abc", "malformed row '99,0,up,abc'"),
+    ("99,0,up,1", "row '99,0,up,1' lies outside a 20-cell grid"),
+    ("00,0,up,inf", "row '00,0,up,inf' has a non-finite value"),
+    ("0,+0,up,1", "row '0,+0,up,1' repeats an (x, y, direction)"),
+    ("0,0\x0c,up,1", "row '0,0\\x0c,up,1' repeats an (x, y, direction)"),
+])
+def test_a_bad_row_of_a_20_grid_table_keeps_its_message(tmp_path, row, message):
+    path = tmp_path / "q.csv"
+    write_qtable_csv(path, [0.0] * 1600)
+    lines = path.read_text().split("\n")
+    lines[5] = row
+    path.write_text("\n".join(lines))
+    assert (_read_outcome(read_qtable_csv, path) == _read_outcome(oracle.read_qtable_csv, path)
+            == f"ValueError: {message}")
