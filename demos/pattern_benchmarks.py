@@ -2,9 +2,9 @@
 
 Builds the serpentine and inward-spiral routes, draws them, and scores
 how many moves each needs to reach a cloud at every possible center.
+`hmc-search pattern --out DIR` writes both routes and their step counts as CSV files.
 """
 import argparse
-import os
 
 from hmc_search import (
     EvalStats,
@@ -14,7 +14,6 @@ from hmc_search import (
     spiral_path,
     sweep_rows,
 )
-from hmc_search.cli import write_csv
 from hmc_search.evalharness import center_steps
 
 
@@ -31,8 +30,6 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--grid", type=int, default=20)
     parser.add_argument("--diameter", type=int, default=5)
-    parser.add_argument("--csv", metavar="DIR",
-                        help="also write both routes as CSV files")
     args = parser.parse_args()
     # The settings check the grid and diameter, so bad flags end in a usage message.
     try:
@@ -56,14 +53,6 @@ def main():
         stats = EvalStats.from_steps(steps, 0)
         print(f"  {pattern.kind:7} mean {stats.mean:7.2f}   "
               f"median {stats.median:3.0f}   worst {max(stats.steps):3d}")
-
-    if args.csv:
-        os.makedirs(args.csv, exist_ok=True)
-        for pattern in (snake, spiral):
-            target = os.path.join(args.csv, f"{pattern.kind}.csv")
-            write_csv(target, ("step", "x", "y"),
-                      ((i, x, y) for i, (x, y) in enumerate(pattern.cells)))
-            print(f"wrote {target}")
 
 
 if __name__ == "__main__":

@@ -7,7 +7,8 @@ precedence: the table defaults, --from-manifest, explicit flags.  A run
 writes its result files plus a manifest into the output directory (--out,
 else HMC_SEARCH_OUT, else ./out).  Re-running a subcommand with
 --from-manifest pointing at an earlier manifest reproduces the result
-files byte for byte.
+files byte for byte.  A handler names each result file once, where it writes it,
+through _output, and the manifest lists those names in write order.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 runtime error.
 """
@@ -64,24 +65,19 @@ def config_dict(hp: Hyperparams) -> dict:
     return {key: getattr(hp, key) for key in CONFIG_TYPES}
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".6g")
-    return str(value)
-
-
 def _fmt_exact(value) -> str:
-    """_fmt's text if it reads back as value, else repr: distinct values stay apart."""
-    text = _fmt(value)
-    if isinstance(value, float) and float(text) != value:
-        return repr(value)
-    return text
+    """A float's .6g text if it reads back as value, else its repr, so that distinct
+    values stay apart; str of anything else."""
+    if not isinstance(value, float):
+        return str(value)
+    text = format(value, ".6g")
+    return text if float(text) == value else repr(value)
 
 
 def write_csv(path, header, rows) -> None:
     lines = [",".join(header)]
     for row in rows:
-        # _fmt's rule, inlined: a call per cell cost more than the formatting.
+        # A float cell's .6g text, inline: a call per cell cost more than the formatting.
         lines.append(",".join([f"{v:.6g}" if isinstance(v, float) else str(v) for v in row]))
     lines.append("")
     with open(path, "w", newline="") as handle:
@@ -140,7 +136,7 @@ _FLAGS = {
 
 
 class Command(NamedTuple):
-    run: Callable[[dict], tuple[list, dict]]
+    run: Callable[[dict], dict]  # opts -> metrics
     help: str
     flags: dict  # extra flag name -> default
 
@@ -154,6 +150,12 @@ def _command(name: str, help_text: str, **flags):
         COMMANDS[name] = Command(run, help_text, flags)
         return run
     return register
+
+
+def _output(opts, name: str) -> str:
+    """The path of result file name in the output directory; the manifest lists name."""
+    opts["outputs"].append(name)
+    return os.path.join(opts["out"], name)
 
 
 def _load_route(opts) -> tuple[PatternPath, dict]:
@@ -177,20 +179,16 @@ def _load_route(opts) -> tuple[PatternPath, dict]:
 def cmd_train(opts):
     hp = opts["hp"]
     report = train_agent(hp, opts["seed"])
-    write_qtable_csv(os.path.join(opts["out"], "qtable.csv"), report.q)
-    write_csv(
-        os.path.join(opts["out"], "train_report.csv"),
-        ("episode", "epsilon", "n_step", "n_poll", "r_t"),
-        ((r.episode, r.epsilon, r.n_step, r.n_poll, r.r_t) for r in report.records),
-    )
+    write_qtable_csv(_output(opts, "qtable.csv"), report.q)
+    write_csv(_output(opts, "train_report.csv"), ("episode", "epsilon", "n_step", "n_poll", "r_t"),
+              ((r.episode, r.epsilon, r.n_step, r.n_poll, r.r_t) for r in report.records))
     tail = report.records[-min(100, len(report.records)):]
-    metrics = {
+    return {
         "episodes": hp.num_episodes,
         "tail_mean_steps": sum(r.n_step for r in tail) / len(tail),
         "tail_success_rate": sum(1 for r in tail if r.n_poll > 0) / len(tail),
         "decision_cap_exits": report.decision_cap_exits,
     }
-    return ["qtable.csv", "train_report.csv"], metrics
 
 
 @_command("eval", "score a saved agent over random episodes", qtable=None, episodes=1000)
@@ -198,14 +196,9 @@ def cmd_eval(opts):
     hp = opts["hp"]
     route, metrics = _load_route(opts)
     stats = evaluate_agent(route, hp, opts["episodes"], make_rng(opts["seed"], stream=1))
-    write_csv(
-        os.path.join(opts["out"], "eval_steps.csv"),
-        ("episode", "steps"),
-        ((i, s) for i, s in enumerate(stats.steps)),
-    )
-    metrics.update(episodes=opts["episodes"], mean_steps=stats.mean,
-                   median_steps=stats.median, failures=stats.failures)
-    return ["eval_steps.csv"], metrics
+    write_csv(_output(opts, "eval_steps.csv"), ("episode", "steps"), enumerate(stats.steps))
+    return dict(metrics, episodes=opts["episodes"], mean_steps=stats.mean,
+                median_steps=stats.median, failures=stats.failures)
 
 
 @_command("duel", "duel a saved agent against both patterns on shared clouds",
@@ -216,13 +209,10 @@ def cmd_duel(opts):
     length, diameter = hp.grid_length, hp.pollution_diameter
     outcomes = run_duels(route, hp, opts["runs"], make_rng(opts["seed"], stream=2),
                          snake_path(length, diameter), spiral_path(length, diameter))
-    write_csv(
-        os.path.join(opts["out"], "duels.csv"),
-        ("opponent", "wins", "ties", "losses"),
-        ((name, *astuple(o)) for name, o in sorted(outcomes.items())),
-    )
+    write_csv(_output(opts, "duels.csv"), ("opponent", "wins", "ties", "losses"),
+              ((name, *astuple(o)) for name, o in sorted(outcomes.items())))
     metrics.update({name: asdict(o) for name, o in outcomes.items()}, iterations=opts["runs"])
-    return ["duels.csv"], metrics
+    return metrics
 
 
 @_command("scoremap", "exhaustive per-center duel against one pattern",
@@ -234,12 +224,10 @@ def cmd_scoremap(opts):
     pattern = (snake_path if name == "snake" else spiral_path)(
         hp.grid_length, hp.pollution_diameter)
     signs = score_map(route, hp, pattern)
-    out_name = f"scoremap_{name}.csv"
-    write_csv(os.path.join(opts["out"], out_name), ("x", "y", "outcome"),
+    write_csv(_output(opts, f"scoremap_{name}.csv"), ("x", "y", "outcome"),
               ((x, y, ("loss", "tie", "win")[v + 1])
                for x, y, v in _grid_rows(signs, hp.grid_length)))
-    metrics.update(opponent=name, **asdict(DuelOutcome.tally(signs)))
-    return [out_name], metrics
+    return dict(metrics, opponent=name, **asdict(DuelOutcome.tally(signs)))
 
 
 @_command("route", "visit-count heatmap of the greedy policy", qtable=None, episodes=1000)
@@ -247,10 +235,8 @@ def cmd_route(opts):
     hp = opts["hp"]
     route, metrics = _load_route(opts)
     counts = route_heatmap(route, hp, opts["episodes"], make_rng(opts["seed"], stream=1))
-    write_csv(os.path.join(opts["out"], "route.csv"), ("x", "y", "count"),
-              _grid_rows(counts, hp.grid_length))
-    metrics.update(episodes=opts["episodes"], total_visits=sum(counts))
-    return ["route.csv"], metrics
+    write_csv(_output(opts, "route.csv"), ("x", "y", "count"), _grid_rows(counts, hp.grid_length))
+    return dict(metrics, episodes=opts["episodes"], total_visits=sum(counts))
 
 
 @_command("pattern", "emit both pattern paths and their per-center step counts")
@@ -258,13 +244,12 @@ def cmd_pattern(opts):
     hp = opts["hp"]
     length, diameter = hp.grid_length, hp.pollution_diameter
     patterns = [snake_path(length, diameter), spiral_path(length, diameter)]
-    outputs = []
     metrics = {}
     for pattern, steps in zip(patterns, center_steps(hp, *patterns)):
         name = pattern.kind
-        write_csv(os.path.join(opts["out"], f"{name}.csv"), ("step", "x", "y"),
+        write_csv(_output(opts, f"{name}.csv"), ("step", "x", "y"),
                   ((i, x, y) for i, (x, y) in enumerate(pattern.cells)))
-        write_csv(os.path.join(opts["out"], f"{name}_steps.csv"), ("x", "y", "steps"),
+        write_csv(_output(opts, f"{name}_steps.csv"), ("x", "y", "steps"),
                   _grid_rows(steps, length))
         stats = EvalStats.from_steps(steps, 0)
         metrics[name] = {
@@ -272,8 +257,7 @@ def cmd_pattern(opts):
             "mean_steps": stats.mean,
             "median_steps": stats.median,
         }
-        outputs += [f"{name}.csv", f"{name}_steps.csv"]
-    return outputs, metrics
+    return metrics
 
 
 @_command("sweep", "run a staged tuning plan", plan=None, runs=None, episodes=1000, jobs=1)
@@ -293,22 +277,16 @@ def cmd_sweep(opts):
         final_hp, results = tuning_loop(stages, jobs=opts["jobs"])
     except SweepValueError as err:
         raise UsageError(f"plan {opts['plan']}: {err}") from err
-    outputs = []
     winners = []
     for i, result in enumerate(results):
-        name = f"sweep_{i:02d}_{result.parameter}.csv"
-        write_csv(
-            os.path.join(opts["out"], name),
-            ("value", "mean_steps", "ci_half_width"),
-            ((_fmt_exact(v.value), v.mean, v.ci_half) for v in result.per_value),
-        )
-        outputs.append(name)
+        write_csv(_output(opts, f"sweep_{i:02d}_{result.parameter}.csv"),
+                  ("value", "mean_steps", "ci_half_width"),
+                  ((_fmt_exact(v.value), v.mean, v.ci_half) for v in result.per_value))
         winners.append({"parameter": result.parameter, "best_value": result.best_value})
     final_config = config_dict(final_hp)
-    _write_json_atomic(os.path.join(opts["out"], "sweep_summary.json"),
+    _write_json_atomic(_output(opts, "sweep_summary.json"),
                        {"winners": winners, "final_config": final_config})
-    outputs.append("sweep_summary.json")
-    return outputs, {"stages": len(results), "final_config": final_config}
+    return {"stages": len(results), "final_config": final_config}
 
 
 @_command("population", "train a population of agents and report distributions",
@@ -316,58 +294,45 @@ def cmd_sweep(opts):
 def cmd_population(opts):
     report = population_stats(opts["hp"], opts["runs"], opts["seed"],
                               n_episodes=opts["episodes"], jobs=opts["jobs"])
-    write_csv(
-        os.path.join(opts["out"], "population_agents.csv"),
-        ("seed", "mean_steps", "median_steps", "failures",
-         "wins", "ties", "losses", "win_pct"),
-        (astuple(a) for a in report.agents),
-    )
+    write_csv(_output(opts, "population_agents.csv"),
+              ("seed", "mean_steps", "median_steps", "failures",
+               "wins", "ties", "losses", "win_pct"),
+              (astuple(a) for a in report.agents))
     for name, (edges, counts) in (
         ("population_steps_hist.csv", report.steps_hist),
         ("population_wins_hist.csv", report.win_hist),
     ):
-        write_csv(
-            os.path.join(opts["out"], name),
-            ("bin", "count"),
-            ((float(edges[i]), int(counts[i])) for i in range(len(counts))),
-        )
+        write_csv(_output(opts, name), ("bin", "count"),
+                  ((float(edges[i]), int(counts[i])) for i in range(len(counts))))
     means = [a.mean_steps for a in report.agents]
-    metrics = {
+    return {
         "agents": opts["runs"],
         "best_mean_steps": min(means),
         "median_of_means": statistics.median(means),
         "best_win_pct": max(a.win_pct for a in report.agents),
     }
-    outputs = ["population_agents.csv", "population_steps_hist.csv",
-               "population_wins_hist.csv"]
-    return outputs, metrics
 
 
-def _write_snapshots(path, snapshots, length: int) -> None:
-    write_csv(path, ("episode", "x", "y", "max_q"),
+def _write_snapshots(opts, name: str, snapshots) -> None:
+    write_csv(_output(opts, name), ("episode", "x", "y", "max_q"),
               (row for episode, grid in sorted(snapshots.items())
-               for row in _grid_rows(grid, length, episode)))
+               for row in _grid_rows(grid, opts["hp"].grid_length, episode)))
 
 
 @_command("demo-static", "plain Q-learning against one fixed cloud")
 def cmd_demo_static(opts):
     snapshots = static_demo(opts["hp"], opts["seed"])
-    _write_snapshots(os.path.join(opts["out"], "demo_static_snapshots.csv"), snapshots,
-                     opts["hp"].grid_length)
-    final = snapshots[max(snapshots)]
-    metrics = {"snapshots": sorted(snapshots), "final_max_q": max(final)}
-    return ["demo_static_snapshots.csv"], metrics
+    _write_snapshots(opts, "demo_static_snapshots.csv", snapshots)
+    return {"snapshots": sorted(snapshots), "final_max_q": max(snapshots[max(snapshots)])}
 
 
 @_command("demo-dynamic", "plain Q-learning against a respawning cloud", episodes=1000)
 def cmd_demo_dynamic(opts):
     snapshots, mean_steps = dynamic_demo(opts["hp"], opts["seed"],
                                          n_eval_episodes=opts["episodes"])
-    _write_snapshots(os.path.join(opts["out"], "demo_dynamic_snapshots.csv"), snapshots,
-                     opts["hp"].grid_length)
-    metrics = {"snapshots": sorted(snapshots), "mean_eval_steps": mean_steps,
-               "eval_episodes": opts["episodes"]}
-    return ["demo_dynamic_snapshots.csv"], metrics
+    _write_snapshots(opts, "demo_dynamic_snapshots.csv", snapshots)
+    return {"snapshots": sorted(snapshots), "mean_eval_steps": mean_steps,
+            "eval_episodes": opts["episodes"]}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -458,7 +423,8 @@ def dispatch(argv) -> int:
             path = os.path.dirname(path)
         os.makedirs(opts["out"], exist_ok=True)
         started = _utc_now()
-        outputs, metrics = command.run(opts)
+        outputs = opts["outputs"] = []  # result file names, in write order
+        metrics = command.run(opts)
         # null when the command never loaded numpy, as pattern does not.
         numpy_version = getattr(sys.modules.get("numpy"), "__version__", None)
         manifest = {

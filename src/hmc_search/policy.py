@@ -218,13 +218,18 @@ def row_heads(grid_length: int) -> tuple[tuple[str, ...], dict[str, int]]:
     return heads, {head: key for key, head in enumerate(heads)}
 
 
+def _grid_length(count: int, what: str) -> int:
+    """The side of the square grid that has 4 of count entries per cell; else ValueError."""
+    length = math.isqrt(count // 4)
+    if length < 1 or 4 * length * length != count:
+        raise ValueError(f"{count} {what} are not 4 per cell of a square grid")
+    return length
+
+
 def write_qtable_csv(path, q) -> None:
     """Write the flat table q[cell * 4 + d] of a square grid, every value a row, in key
-    order; a table of another length is written whole, its keys by the same arithmetic."""
-    length = math.isqrt(len(q) // 4)
-    heads = row_heads(length)[0]
-    heads += tuple(f"{x},{y},{DIRECTION_NAMES[key & 3]}" for key in range(len(heads), len(q))
-                   for x, y in [divmod(key >> 2, length)])
+    order.  A table of another length raises read_qtable_csv's ValueError, writing no file."""
+    heads = row_heads(_grid_length(len(q), "values"))[0]
     rows = [f"{head},{value:.6g}\n" for head, value in zip(heads, q)]
     with open(path, "w", newline="") as handle:
         handle.write("".join(["x,y,direction,value\n", *rows]))
@@ -243,9 +248,7 @@ def read_qtable_csv(path) -> array:
         if header != "x,y,direction,value":
             raise ValueError(f"unexpected qtable header {header!r}")
         rows = [line for line in map(str.strip, handle) if line]
-    length = math.isqrt(len(rows) // 4)
-    if length < 1 or 4 * length * length != len(rows):
-        raise ValueError(f"{len(rows)} rows are not 4 per cell of a square grid")
+    length = _grid_length(len(rows), "rows")
     keys = row_heads(length)[1]
     values: list[float | None] = [None] * (4 * length * length)
     for line in rows:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import hmc_search
 import oracle
+from hmc_search import cli
 from hmc_search.cli import (
     COMMANDS,
     UsageError,
@@ -582,6 +583,28 @@ def test_command_reruns_byte_identically_from_its_manifest(name, tiny, tmp_path)
     assert manifest["outputs"]
     for output in manifest["outputs"]:
         assert (out_a / output).read_bytes() == (out_b / output).read_bytes()
+
+
+@pytest.mark.parametrize("name", DECLARED)
+def test_a_run_directory_holds_exactly_what_its_manifest_lists(name, tiny, tmp_path,
+                                                                monkeypatch):
+    """A run and its --from-manifest rerun, each into a fresh --out: the directory holds
+    the manifest and the outputs it lists, and nothing else; outputs are in write order."""
+    written = []
+    for writer in ("write_csv", "write_qtable_csv", "_write_json_atomic"):
+        def record(path, *args, _write=getattr(cli, writer)):
+            written.append(os.path.basename(path))
+            _write(path, *args)
+        monkeypatch.setattr(cli, writer, record)
+    config, _, extra = tiny
+    first, rerun = tmp_path / "first", tmp_path / "rerun"
+    for out, argv in ((first, ["--config", config, "--seed", "3", *extra[name]]),
+                      (rerun, ["--from-manifest", str(first / f"manifest_{name}.json")])):
+        written.clear()
+        assert run(name, *argv, "--out", str(out)) == 0
+        manifest = json.loads((out / f"manifest_{name}.json").read_text())
+        assert manifest["outputs"] and written == [*manifest["outputs"], f"manifest_{name}.json"]
+        assert sorted(os.listdir(out)) == sorted(written)
 
 
 def test_a_fresh_process_records_its_provenance(tmp_path):

@@ -473,11 +473,14 @@ def test_qtable_csv_roundtrip_keeps_six_digits_and_its_bytes(tmp_path_factory, l
     assert b"\r" not in first.read_bytes()
 
 
-def test_a_table_of_no_square_grid_is_written_whole_and_rejected_on_read(tmp_path):
+def test_a_table_of_no_square_grid_is_refused_on_write_and_rejected_on_read(tmp_path):
     path = tmp_path / "qtable.csv"
-    write_qtable_csv(path, [1.0] * 12)
-    assert len(path.read_text().splitlines()) == 1 + 12
-    with pytest.raises(ValueError, match="12 rows are not 4 per cell of a square grid"):
+    with pytest.raises(ValueError, match="^12 values are not 4 per cell of a square grid$"):
+        write_qtable_csv(path, [1.0] * 12)
+    assert not path.exists()
+    # The 12 rows the writer refuses, written by the reference writer.
+    oracle.write_qtable_csv(path, [1.0] * 12)
+    with pytest.raises(ValueError, match="^12 rows are not 4 per cell of a square grid$"):
         read_qtable_csv(path)
 
 
@@ -499,20 +502,26 @@ CORNER_VALUES = st.sampled_from([0.0, -0.0, 1e-7, -1e-7, 3e300, -3e300, 12345678
        values=st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                                  CORNER_VALUES), min_size=1, max_size=64),
        kind=st.sampled_from(["list", "array", "ndarray"]))
+@example(size=0, values=[1.0], kind="list")
+@example(size=3, values=[1.0], kind="array")
+@example(size=12, values=[1.0], kind="ndarray")
 def test_the_table_writer_writes_the_reference_bytes(tmp_path_factory, size, values, kind):
-    """Square or not, as a list, an array("d") or an ndarray: the bytes of the
-    reference writer, or the same exception (tables of 1 to 3 values have no grid)."""
+    """A square table, as a list, an array("d") or an ndarray: the bytes of the
+    reference writer.  Any other size, 0 included: the reader's ValueError and no file."""
     q = [values[key % len(values)] for key in range(size)]
     q = {"list": q, "array": array("d", q), "ndarray": np.array(q, dtype=float)}[kind]
-    results = []
-    for write in (write_qtable_csv, oracle.write_qtable_csv):
-        path = tmp_path_factory.mktemp("qtable") / "q.csv"
-        try:
-            write(path, q)
-            results.append(path.read_bytes())
-        except ArithmeticError as err:
-            results.append(type(err))
-    assert results[0] == results[1]
+    directory = tmp_path_factory.mktemp("qtable")
+    path, reference = directory / "q.csv", directory / "reference.csv"
+    length = math.isqrt(size // 4)
+    if size and 4 * length * length == size:
+        write_qtable_csv(path, q)
+        oracle.write_qtable_csv(reference, q)
+        assert path.read_bytes() == reference.read_bytes()
+    else:
+        with pytest.raises(ValueError,
+                           match=f"^{size} values are not 4 per cell of a square grid$"):
+            write_qtable_csv(path, q)
+        assert not path.exists()
 
 
 def _edit_field(row, field, edit):
