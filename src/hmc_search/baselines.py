@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .env import START, Cell, Cloud, cloud_table
+from .env import START, Cell, Cloud, cloud_row
 
 
 @dataclass(frozen=True)
@@ -130,17 +130,16 @@ def center_hits(path: PatternPath, grid_length: int, diameter: int,
     the cloud centered on each cell c = x * grid_length + y; None on a miss.
 
     The disc is symmetric, so the clouds that cover a cell are centered on
-    its env.cloud_table cells.  One pass finds each distinct cell's first
+    its env.cloud_row cells.  One pass finds each distinct cell's first
     index; their rows are then written latest first, so each center keeps
     the last index written, its first hit, and each row is read once.
     """
-    covering = cloud_table(grid_length, diameter)
     first: dict[Cell, int] = {}
     for index in range(path.first, min(len(path.cells), max_steps + 1)):
         first.setdefault(path.cells[index], index)
     hits: list[int | None] = [None] * (grid_length * grid_length)
     for (x, y), index in reversed(first.items()):
-        for center in covering[x * grid_length + y][0]:
+        for center in cloud_row(grid_length, diameter, x * grid_length + y)[0]:
             hits[center] = index
     return hits
 

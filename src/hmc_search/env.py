@@ -168,7 +168,7 @@ class Cloud:
     """One pollution cloud: center cell and diameter on a grid.
 
     support maps each in-grid cell of the disc to its intensity, built on
-    first use: the rule cloud_table's rows, which fields and scoring read, come from.
+    first use: the rule cloud_row's rows, which fields and scoring read, come from.
     """
 
     center: Cell
@@ -194,38 +194,21 @@ def make_cloud(center: Cell, diameter: int, grid_length: int) -> Cloud:
     return Cloud((cx, cy), diameter, grid_length)
 
 
-class _CloudRows(dict):
-    """cloud_table's rows: per center cell c = x * grid_length + y, the
-    (cells, levels) of its cloud, built the first time c is read."""
+# At most 2**15 rows, least recently read dropped first: every row of 8 grids
+# of side 64, or of 81 grids of the default side 20.
+@lru_cache(maxsize=1 << 15)
+def cloud_row(grid_length: int, diameter: int, center: int) -> tuple[tuple, tuple]:
+    """The cloud centered on cell center = x * grid_length + y: (cells, levels).
 
-    def __init__(self, grid_length: int, diameter: int):
-        super().__init__()
-        self.grid_length = grid_length
-        self.diameter = diameter
-        self.ints = list(range(grid_length * grid_length))  # one int object per cell, for all rows
-
-    def __missing__(self, center: int) -> tuple[tuple, tuple]:
-        length = self.grid_length
-        if not 0 <= center < length * length:
-            raise KeyError(center)
-        support = Cloud(divmod(center, length), self.diameter, length).support
-        row = self[center] = (tuple(self.ints[x * length + y] for x, y in support),
-                              tuple(support.values()))
-        return row
-
-
-@lru_cache(maxsize=8)
-def cloud_table(grid_length: int, diameter: int) -> _CloudRows:
-    """Per center cell c = x * grid_length + y: (cells, levels) of its cloud.
-
-    cells are the ints of the cloud's support cells and levels their
-    intensities, in support order.  The disc is symmetric, so cells are
-    also the centers of the clouds that cover c.  A row is built the first
-    time its center is read, so the table grows with the centers a process
-    draws or scores, each up to pi / 4 * diameter**2 entries of two 8-byte
-    references, not with the whole grid.
+    cells are the ints x * grid_length + y of the cloud's support cells and
+    levels their intensities, in support order.  The disc is symmetric, so
+    cells are also the centers of the clouds that cover center.  A row is
+    built the first time its center is read, so the cache grows with the
+    centers a process draws or scores, each up to pi / 4 * diameter**2
+    cells, not with the whole grid.  make_cloud refuses a center off the grid.
     """
-    return _CloudRows(grid_length, diameter)
+    support = make_cloud(divmod(center, grid_length), diameter, grid_length).support
+    return tuple(x * grid_length + y for x, y in support), tuple(support.values())
 
 
 @dataclass
@@ -246,7 +229,7 @@ class CloudField:
         length = self.grid_length
         masks = [0] * (length * length)
         for i, center in enumerate(self.clouds):
-            for cell in cloud_table(length, self.diameter)[center][0]:
+            for cell in cloud_row(length, self.diameter, center)[0]:
                 masks[cell] |= 1 << i
         return masks
 
@@ -256,7 +239,7 @@ class CloudField:
         length = self.grid_length
         levels = [0.0] * (length * length)
         for center in self.clouds:
-            for cell, level in zip(*cloud_table(length, self.diameter)[center]):
+            for cell, level in zip(*cloud_row(length, self.diameter, center)):
                 if level > levels[cell]:
                     levels[cell] = level
         return levels

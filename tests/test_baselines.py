@@ -20,7 +20,7 @@ from hmc_search.baselines import (
     sweep_rows,
 )
 from hmc_search.cli import dispatch
-from hmc_search.env import START, cloud_table, make_cloud, move
+from hmc_search.env import START, cloud_row, make_cloud, move
 from hmc_search.training import Hyperparams
 from oracle import first_hit
 
@@ -220,22 +220,21 @@ def test_write_path_csv(tmp_path):
 
 
 def test_center_hits_builds_only_the_rows_of_the_route_cells():
-    # A large disc on a large grid: the whole table would hold over ten
-    # million cells; one short route builds one row per distinct cell.
+    # A large disc on a large grid: the rows of every center would hold over
+    # ten million cells; one short route builds one row per distinct cell.
     length, diameter = 100, 50
-    cloud_table.cache_clear()
+    cloud_row.cache_clear()
     cells = [(7, 9)]
     for direction in [3] * 20 + [1] * 15 + [2] * 5 + [0] * 3:
         cells.append(move(cells[-1], direction, length)[0])
     path = PatternPath(tuple(cells), "route", first=1)
     hits = center_hits(path, length, diameter, BUDGET)
-    table = cloud_table(length, diameter)
-    assert len(table) == len(set(cells[1:])) <= 44
+    assert cloud_row.cache_info().currsize == len(set(cells[1:])) <= 44
     for x, y in [(0, 0), (7, 9), (50, 50), (99, 99)]:
         assert hits[x * length + y] == first_hit(path, make_cloud((x, y), diameter, length))
     for center in (-1, length * length):
-        with pytest.raises(KeyError):
-            table[center]
+        with pytest.raises(ValueError, match="outside the grid"):
+            cloud_row(length, diameter, center)
 
 
 @settings(max_examples=80, deadline=None)
@@ -259,15 +258,13 @@ def test_center_hits_reads_each_distinct_cell_row_once(monkeypatch):
     # A trained plain Q-learning route can bump the wall at START for all
     # of its 400 steps: 401 cells, one of them distinct.
     length, diameter = 100, 50
-    table = cloud_table(length, diameter)
     reads = collections.Counter()
 
-    class CountedTable:
-        def __getitem__(self, center):
-            reads[center] += 1
-            return table[center]
+    def counted(*key):
+        reads[key[2]] += 1
+        return cloud_row(*key)
 
-    monkeypatch.setattr(baselines, "cloud_table", lambda *args: CountedTable())
+    monkeypatch.setattr(baselines, "cloud_row", counted)
     path = PatternPath((START,) * 401, "demo", first=1)
     hits = center_hits(path, length, diameter, BUDGET)
     assert reads == {0: 1}

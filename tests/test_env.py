@@ -15,6 +15,7 @@ from hmc_search.env import (
     UP,
     CloudField,
     WordTape,
+    cloud_row,
     disc_offsets,
     make_cloud,
     make_rng,
@@ -134,6 +135,11 @@ def test_sense_is_the_max_over_the_clouds_supports(data):
         pos = divmod(cell, length)
         expected = max([support[pos] for support in supports if pos in support], default=0.0)
         assert sense(field, pos) == expected
+
+
+def test_cloud_row_keeps_at_most_2_15_rows():
+    # Every row of 8 grids of side 64, as many as 8 whole tables of that side held.
+    assert cloud_row.cache_info().maxsize == 1 << 15
 
 
 def test_move_examples():

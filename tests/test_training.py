@@ -19,7 +19,7 @@ from hmc_search.env import (
     START,
     UP,
     CloudField,
-    cloud_table,
+    cloud_row,
     make_cloud,
     make_rng,
     spawn_clouds,
@@ -406,13 +406,12 @@ def test_multi_cloud_training_counts_every_find():
 
 
 def test_spawning_training_routes_and_demos_build_no_cloud(monkeypatch):
-    # A field holds its clouds as center cells, so once the cloud_table rows
+    # A field holds its clouds as center cells, so once the cloud_row rows
     # are built no product path makes a Cloud; make_cloud is the reference.
     hp = Hyperparams(grid_length=8, pollution_diameter=3, max_steps=40, num_episodes=20,
                      num_clouds=3, best_learn_value=3)
-    rows = cloud_table(8, 3)
     for center in range(8 * 8):
-        rows[center]
+        cloud_row(8, 3, center)
     built = []
 
     class Counted(env.Cloud):
