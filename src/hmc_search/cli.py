@@ -8,7 +8,8 @@ writes its result files plus a manifest into the output directory (--out,
 else HMC_SEARCH_OUT, else ./out).  Re-running a subcommand with
 --from-manifest pointing at an earlier manifest reproduces the result
 files byte for byte.  A handler names each result file once, where it writes it,
-through _output, and the manifest lists those names in write order.
+through _output, and the manifest lists those names in write order.  Results are
+written to hidden partial files, renamed over their names only once the run succeeded.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 runtime error.
 """
@@ -142,6 +143,7 @@ class Command(NamedTuple):
 
 
 COMMANDS: dict[str, Command] = {}
+_PARTIAL = ".{}.partial"  # a result file's name until its run succeeds
 
 
 def _command(name: str, help_text: str, **flags):
@@ -153,9 +155,11 @@ def _command(name: str, help_text: str, **flags):
 
 
 def _output(opts, name: str) -> str:
-    """The path of result file name in the output directory; the manifest lists name."""
+    """The partial path to write result file name to; the manifest lists name."""
     opts["outputs"].append(name)
-    return os.path.join(opts["out"], name)
+    if os.path.isdir(path := os.path.join(opts["out"], name)):  # no rename could replace it
+        raise IsADirectoryError(f"result path {path} is a directory")
+    return os.path.join(opts["out"], _PARTIAL.format(name))
 
 
 def _load_route(opts) -> tuple[PatternPath, dict]:
@@ -424,24 +428,35 @@ def dispatch(argv) -> int:
         os.makedirs(opts["out"], exist_ok=True)
         started = _utc_now()
         outputs = opts["outputs"] = []  # result file names, in write order
-        metrics = command.run(opts)
-        # null when the command never loaded numpy, as pattern does not.
-        numpy_version = getattr(sys.modules.get("numpy"), "__version__", None)
-        manifest = {
-            "format": 1,
-            "command": opts["command"],
-            "config": config_dict(opts["hp"]),
-            "seed": opts["seed"],
-            "options": {flag: opts[flag] for flag in command.flags},
-            "outputs": outputs,
-            "metrics": metrics,
-            "started_at": started,
-            "finished_at": _utc_now(),
-            "provenance": {"hmc_search": __version__, "python": sys.version.split()[0],
-                           "numpy": numpy_version, "rng": RNG_CONTRACT},  # reruns ignore it
-        }
-        _write_json_atomic(
-            os.path.join(opts["out"], f"manifest_{opts['command']}.json"), manifest)
+        try:
+            metrics = command.run(opts)
+            # null when the command never loaded numpy, as pattern does not.
+            numpy_version = getattr(sys.modules.get("numpy"), "__version__", None)
+            manifest = {
+                "format": 1,
+                "command": opts["command"],
+                "config": config_dict(opts["hp"]),
+                "seed": opts["seed"],
+                "options": {flag: opts[flag] for flag in command.flags},
+                "outputs": outputs,
+                "metrics": metrics,
+                "started_at": started,
+                "finished_at": _utc_now(),
+                "provenance": {"hmc_search": __version__, "python": sys.version.split()[0],
+                               "numpy": numpy_version, "rng": RNG_CONTRACT},  # reruns ignore it
+            }
+            # The old manifest goes first: no manifest may describe files a failed rename left.
+            manifest_path = os.path.join(opts["out"], f"manifest_{opts['command']}.json")
+            if os.path.exists(manifest_path):
+                os.remove(manifest_path)
+            for name in outputs:
+                os.replace(os.path.join(opts["out"], _PARTIAL.format(name)),
+                           os.path.join(opts["out"], name))
+            _write_json_atomic(manifest_path, manifest)
+        finally:  # on a failure, KeyboardInterrupt included, no partial stays
+            for name in outputs:
+                if os.path.isfile(partial := os.path.join(opts["out"], _PARTIAL.format(name))):
+                    os.remove(partial)
         return 0
     except SystemExit as err:  # argparse --help
         return int(err.code or 0)

@@ -46,7 +46,7 @@ class WordTape:
     generator's own, in the same order, at a fraction of a scalar numpy
     call's cost:
 
-    - random() is (w >> 11) * 2**-53;
+    - random() is (w >> 11) * 2**-53, which the hot loops test inline;
     - a 32-bit draw takes the buffered high half of an earlier word if
       there is one, else a new word's low half, buffering its high half;
     - integers(n) is Lemire's method: m = (32-bit draw) * n, redrawn
@@ -59,40 +59,23 @@ class WordTape:
     it tests random() < p as the int compare words[pos] < random_bound(p).
     """
 
-    __slots__ = ("words", "pos", "half", "_raw", "_consumed")
+    __slots__ = ("words", "pos", "half", "_raw")
 
     def __init__(self, random_raw):
         self._raw = random_raw
         self.words: list[int] = []
         self.pos = 0
         self.half: int | None = None
-        self._consumed = 0  # words used before words[0]
-
-    @property
-    def used(self) -> int:
-        """Words used since the tape began."""
-        return self._consumed + self.pos
 
     def ensure(self, k: int) -> None:
         """Make words hold at least k unused words from pos on, in place; pos may move."""
         if len(self.words) - self.pos < k:
-            self._consumed += self.pos
             del self.words[:self.pos]
             # 8 reservations of k words, so that one refill serves several.
             self.words += self._raw(max(8 * k, _TAPE_BLOCK)).tolist()
             self.pos = 0
 
     # The draws read words[pos] inline: spawning and scoring draw two integers per cloud.
-
-    def random(self) -> float:
-        """A float in [0, 1), as Generator.random()."""
-        try:
-            word = self.words[self.pos]
-        except IndexError:
-            self.ensure(1)
-            word = self.words[self.pos]
-        self.pos += 1
-        return (word >> 11) * 2**-53
 
     @staticmethod
     def random_bound(p: float) -> int:

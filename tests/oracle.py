@@ -14,6 +14,11 @@ support.  They draw from numpy's own Generator, where the package reads
 the same streams through a word tape.  The package must reproduce them
 byte for byte.
 
+The package reads a tape's words inline and by integers(n).  random(tape)
+and Tape hold what only tests read of a tape: Generator.random()'s decode
+of a word, for the reference loops that draw from a tape, and the count
+of words used.
+
 The value table's CSV writer and reader and the result CSV writer are
 here as they were before the row-head table: a key's x and y by divmod
 and a write per row, every row's four fields parsed, and a format call
@@ -32,6 +37,7 @@ from hmc_search.env import (
     DELTAS,
     DIRECTION_NAMES,
     START,
+    WordTape,
     make_cloud,
     move,
     spawn_clouds,
@@ -46,6 +52,47 @@ from hmc_search.training import (
     trajectory_reward,
     update_window,
 )
+
+
+def random(tape: WordTape) -> float:
+    """The tape's next word as a float in [0, 1), as Generator.random() decodes it."""
+    tape.ensure(1)
+    tape.pos += 1
+    return (tape.words[tape.pos - 1] >> 11) * 2**-53
+
+
+class Tape:
+    """A word tape read as the reference reads a Generator, counting the words it uses.
+
+    tape is the WordTape, to hand to the package.  The count wraps the
+    tape's random_raw: used is the words read from it less those still
+    unused, so it counts from when Tape took the tape over.
+    """
+
+    def __init__(self, tape: WordTape):
+        self.tape = tape
+        self.drawn = len(tape.words) - tape.pos
+        random_raw = tape._raw
+
+        def counted(n):
+            self.drawn += n
+            return random_raw(n)
+
+        tape._raw = counted
+
+    def random(self) -> float:
+        return random(self.tape)
+
+    def integers(self, n: int) -> int:
+        return self.tape.integers(n)
+
+    @property
+    def used(self) -> int:
+        return self.drawn - (len(self.tape.words) - self.tape.pos)
+
+    @property
+    def half(self) -> int | None:
+        return self.tape.half
 
 
 def select_option(q, mem, s, hp, mode, rng):

@@ -31,6 +31,11 @@ CONFIGS = {
                "best_learn_value": 3},
     "discounted": {"grid_length": 11, "pollution_diameter": 4, "discount_rate": 0.9,
                    "option_length": 2},
+    # perfbench's train_heavy: three clouds, three attempts per episode.
+    "train_heavy": {"num_clouds": 3, "best_learn_value": 3},
+    # A budget below both pattern paths (114 and 143 moves), so that they run out.
+    "short_budget": {"max_steps": 80},
+    "option_length_1": {"option_length": 1},
 }
 SEEDS = (0, 1, 7)
 PLAN = {"stages": [{"parameter": "option_length", "values": [1, 3]}]}

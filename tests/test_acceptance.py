@@ -139,7 +139,10 @@ def test_04_discounted_values_pave_a_path_to_the_fixed_cloud():
 
 
 def test_05_zero_discount_update_equals_monte_carlo_update():
-    start = time.perf_counter()
+    # Process CPU time, not wall time: on a shared host the wall clock also
+    # counts the time the host gives other tenants, which once read 1.79 s
+    # for a loop that takes about 0.4 s.
+    start = time.process_time()
     rng = np.random.default_rng(20260822)
     n = 100_000
     xs = rng.integers(20, size=n).tolist()
@@ -168,7 +171,7 @@ def test_05_zero_discount_update_equals_monte_carlo_update():
         diff = abs(qa[key] - qb[key])
         if diff > worst:
             worst = diff
-    elapsed = time.perf_counter() - start
+    elapsed = time.process_time() - start
     print(f"worst deviation {worst:.2e} over {n} inputs, {elapsed:.2f}s")
     assert worst <= 1e-12
     assert elapsed < 1.0

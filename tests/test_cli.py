@@ -589,22 +589,97 @@ def test_command_reruns_byte_identically_from_its_manifest(name, tiny, tmp_path)
 def test_a_run_directory_holds_exactly_what_its_manifest_lists(name, tiny, tmp_path,
                                                                 monkeypatch):
     """A run and its --from-manifest rerun, each into a fresh --out: the directory holds
-    the manifest and the outputs it lists, and nothing else; outputs are in write order."""
-    written = []
-    for writer in ("write_csv", "write_qtable_csv", "_write_json_atomic"):
-        def record(path, *args, _write=getattr(cli, writer)):
-            written.append(os.path.basename(path))
-            _write(path, *args)
-        monkeypatch.setattr(cli, writer, record)
+    the manifest and the outputs it lists, and nothing else; outputs are renamed into
+    place in write order, and the manifest after them."""
+    renamed = []  # the names os.replace puts in place, partial files aside
+
+    def record(src, dst, _replace=os.replace):
+        if not dst.endswith(".partial"):  # sweep_summary.json's partial is written atomically
+            renamed.append(os.path.basename(dst))
+        _replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", record)
     config, _, extra = tiny
     first, rerun = tmp_path / "first", tmp_path / "rerun"
     for out, argv in ((first, ["--config", config, "--seed", "3", *extra[name]]),
                       (rerun, ["--from-manifest", str(first / f"manifest_{name}.json")])):
-        written.clear()
+        renamed.clear()
         assert run(name, *argv, "--out", str(out)) == 0
         manifest = json.loads((out / f"manifest_{name}.json").read_text())
-        assert manifest["outputs"] and written == [*manifest["outputs"], f"manifest_{name}.json"]
-        assert sorted(os.listdir(out)) == sorted(written)
+        assert manifest["outputs"] and renamed == [*manifest["outputs"], f"manifest_{name}.json"]
+        assert sorted(os.listdir(out)) == sorted(renamed)
+
+
+def snapshot(directory):
+    """Every file under directory, by relative path, with its bytes."""
+    return {str(p.relative_to(directory)): p.read_bytes()
+            for p in sorted(directory.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("interrupt", [OSError("disk full"), KeyboardInterrupt()],
+                         ids=["error", "interrupt"])
+@pytest.mark.parametrize("name", DECLARED)
+def test_a_run_that_fails_at_any_write_leaves_the_directory_as_it_was(name, interrupt, tiny,
+                                                                      tmp_path, monkeypatch):
+    """A run over an earlier one fails after each of its writes in turn: the earlier
+    results and manifest stay byte for byte, and no partial file is left."""
+    config, _, extra = tiny
+    out = tmp_path / "out"
+    assert run(name, "--config", config, "--seed", "3", *extra[name], "--out", str(out)) == 0
+    before = snapshot(out)
+    outputs = json.loads((out / f"manifest_{name}.json").read_text())["outputs"]
+    for failing in range(len(outputs)):
+        writes = []
+        for writer in ("write_csv", "write_qtable_csv", "_write_json_atomic"):
+            def fail(path, *args, _write=getattr(cli, writer)):
+                _write(path, *args)  # the partial file is whole; the run fails after it
+                writes.append(path)
+                if len(writes) > failing:
+                    raise interrupt
+            monkeypatch.setattr(cli, writer, fail)
+        argv = [name, "--config", config, "--seed", "4", *extra[name], "--out", str(out)]
+        if isinstance(interrupt, KeyboardInterrupt):
+            with pytest.raises(KeyboardInterrupt):
+                run(*argv)
+        else:
+            assert run(*argv) == 2
+        assert writes[-1].endswith(f".{outputs[failing]}.partial")
+        assert snapshot(out) == before
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("name", DECLARED)
+def test_a_run_whose_commit_fails_leaves_no_manifest_of_its_command(name, tiny, tmp_path,
+                                                                    monkeypatch):
+    config, _, extra = tiny
+    out = tmp_path / "out"
+    argv = [name, "--config", config, "--seed", "3", *extra[name], "--out", str(out)]
+    assert run(*argv) == 0
+
+    def fail(src, dst, _replace=os.replace):
+        if src.endswith(".partial"):  # a result's rename, not an atomic write
+            raise OSError("rename failed")
+        _replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", fail)
+    assert run(*argv) == 2
+    assert not (out / f"manifest_{name}.json").exists()
+    assert not [p for p in os.listdir(out) if p.endswith(".partial")]
+
+
+def test_a_run_that_cannot_replace_a_result_keeps_the_earlier_run(cfg_file, tmp_path, capsys):
+    # A result name taken by a directory fails the run before anything is
+    # renamed, so the table and the manifest of the earlier seed stay.
+    out = tmp_path / "out"
+    assert run("train", "--config", cfg_file, "--seed", "1", "--out", str(out)) == 0
+    before = snapshot(out)
+    (out / "train_report.csv").unlink()
+    (out / "train_report.csv").mkdir()
+    del before["train_report.csv"]
+    assert run("train", "--config", cfg_file, "--seed", "2", "--out", str(out)) == 2
+    assert "train_report.csv is a directory" in capsys.readouterr().err
+    assert snapshot(out) == before
+    assert sorted(os.listdir(out)) == ["manifest_train.json", "qtable.csv", "train_report.csv"]
 
 
 def test_a_fresh_process_records_its_provenance(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from hmc_search.env import (
     DELTAS,
     DOWN,
@@ -190,8 +191,8 @@ def test_spawn_rejects_zero_count():
 
 
 def test_make_rng_streams():
-    assert make_rng(5).random() == make_rng(5).random()
-    assert make_rng(5, 1).random() != make_rng(5, 2).random()
+    assert oracle.random(make_rng(5)) == oracle.random(make_rng(5))
+    assert oracle.random(make_rng(5, 1)) != oracle.random(make_rng(5, 2))
     with pytest.raises(ValueError):
         make_rng(-1)
 
@@ -211,7 +212,7 @@ TAPE_OPS = st.one_of(
 
 
 def draw(source, op, n):
-    """One draw from a Generator or a WordTape."""
+    """One draw from a Generator or an oracle.Tape."""
     return source.random() if op == "random" else int(source.integers(n))
 
 
@@ -222,11 +223,11 @@ def test_a_tape_draws_what_numpy_draws_and_ends_in_its_state(seed, ops):
     # changes its streams fails here, and the package's outputs would move.
     reference = np.random.default_rng(seed)
     start = reference.bit_generator.state
-    tape = WordTape(np.random.default_rng(seed).bit_generator.random_raw)
+    tape = oracle.Tape(WordTape(np.random.default_rng(seed).bit_generator.random_raw))
     for op, n in ops:
         if op == "ensure":
-            tape.ensure(n)
-            assert len(tape.words) - tape.pos >= n
+            tape.tape.ensure(n)
+            assert len(tape.tape.words) - tape.tape.pos >= n
         else:
             assert draw(tape, op, n) == draw(reference, op, n)
     # Rebuilt from the words the tape used plus its buffered half.
@@ -250,7 +251,7 @@ def test_a_tape_draws_what_numpy_draws_and_ends_in_its_state(seed, ops):
 
 
 def test_make_rng_reads_default_rng():
-    tape, rng = make_rng(9, 2), np.random.default_rng((9, 2))
+    tape, rng = oracle.Tape(make_rng(9, 2)), np.random.default_rng((9, 2))
     assert [tape.integers(20), tape.random(), tape.integers(1), tape.integers(49)] == \
         [rng.integers(20), rng.random(), rng.integers(1), rng.integers(49)]
     assert tape.used == 2  # integers(1) draws nothing; two 32-bit draws share a word
@@ -293,9 +294,9 @@ def test_the_random_bound_splits_the_words_between_two_neighbours(p, whole):
     below, at = bound - 1, bound
     assert below < WordTape.random_bound(p) and reference_draw_below(below, p)
     assert not at < WordTape.random_bound(p) and not reference_draw_below(at, p)
-    # The tape's own random() decodes the two words the same way.
+    # The reference random() decodes the two words of a tape the same way.
     tape = WordTape(lambda n: np.array([below, at] * n, dtype=np.uint64)[:n])
-    assert (tape.random() < p, tape.random() < p) == (True, False)
+    assert (oracle.random(tape) < p, oracle.random(tape) < p) == (True, False)
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, math.inf])

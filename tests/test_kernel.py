@@ -150,12 +150,12 @@ def test_spawned_clouds_are_two_draws_and_make_cloud_each(data):
     diameter = data.draw(st.integers(1, length), label="diameter")
     count = data.draw(st.integers(1, 5), label="count")
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
-    tape, reference = make_rng(seed), make_rng(seed)
+    tape, reference = oracle.Tape(make_rng(seed)), oracle.Tape(make_rng(seed))
     # Odd numbers of earlier 32-bit draws leave a buffered half word.
     for _ in range(data.draw(st.integers(0, 3), label="earlier draws")):
         tape.integers(7)
         reference.integers(7)
-    field = spawn_clouds(length, diameter, count, tape)
+    field = spawn_clouds(length, diameter, count, tape.tape)
     expected = []
     for _ in range(count):
         x = reference.integers(length)
@@ -364,19 +364,19 @@ def test_eval_episodes_and_routes_match_the_reference(data):
 def test_training_episodes_read_the_tape_across_a_block_end(skip, buffered, epsilon):
     # The tape reads 1024-word blocks.  Skipping up to its end puts an
     # epsilon word or an explore draw on a block's last word, with and
-    # without a buffered half; the reference calls the tape's random() and
-    # integers(4) where the episode reads the words itself.
+    # without a buffered half; the reference calls the oracle's random() and
+    # the tape's integers(4) where the episode reads the words itself.
     hp = Hyperparams(grid_length=8, pollution_diameter=1, max_steps=60, num_clouds=2)
     field = CloudField([7 * 8 + 7, 3 * 8 + 6], 8, 1)
     q = np.zeros((8, 8, 4))
     q[:] = np.random.default_rng((5, 0)).normal(size=q.shape)  # no wall pull: many decisions
-    tape, reference = make_rng(2), make_rng(2)
+    tape, reference = oracle.Tape(make_rng(2)), oracle.Tape(make_rng(2))
     for t in (tape, reference):
         for _ in range(skip - buffered):
             t.random()
         if buffered:
             t.integers(7)
-    traj = run_episode(flat(q), hp, "train", tape, field=field, epsilon=epsilon)
+    traj = run_episode(flat(q), hp, "train", tape.tape, field=field, epsilon=epsilon)
     expected = oracle.run_episode(q, hp, "train", reference, clouds=oracle.clouds_of(field),
                                   epsilon=epsilon)
     assert trajectory_key(traj, 8) == trajectory_key(expected)
@@ -386,16 +386,17 @@ def test_training_episodes_read_the_tape_across_a_block_end(skip, buffered, epsi
 
 def boundary_tape(p):
     """A tape whose raw words alternate between the last word that draws
-    random() < p and the first that does not."""
+    random() < p and the first that does not, as an oracle.Tape."""
     bound = math.ceil(p * 2**53) << 11
     words = itertools.cycle([bound - 1, bound])
-    return WordTape(lambda n: np.array([next(words) for _ in range(n)], dtype=np.uint64))
+    return oracle.Tape(
+        WordTape(lambda n: np.array([next(words) for _ in range(n)], dtype=np.uint64)))
 
 
 @pytest.mark.parametrize("epsilon", [0.5, 0.1])
 def test_episodes_on_the_boundary_words_explore_as_the_reference(epsilon):
     # Random words almost never land on the bound; here every epsilon word
-    # does, or lies just below it.  The reference calls the tape's random().
+    # does, or lies just below it.  The reference calls the oracle's random().
     hp = Hyperparams(grid_length=8, pollution_diameter=1, max_steps=60, num_clouds=2,
                      discount_rate=0.5)
     field = CloudField([7 * 8 + 7, 3 * 8 + 6], 8, 1)
@@ -403,25 +404,26 @@ def test_episodes_on_the_boundary_words_explore_as_the_reference(epsilon):
     q = np.zeros((8, 8, 4))
     q[:] = np.random.default_rng((5, 0)).normal(size=q.shape)
     tape, reference = boundary_tape(epsilon), boundary_tape(epsilon)
-    traj = run_episode(flat(q), hp, "train", tape, field=field, epsilon=epsilon)
+    traj = run_episode(flat(q), hp, "train", tape.tape, field=field, epsilon=epsilon)
     expected = oracle.run_episode(q, hp, "train", reference, clouds=clouds, epsilon=epsilon)
     assert trajectory_key(traj, 8) == trajectory_key(expected)
     assert {o for _, o in traj.transitions} == {0, 1, 2, 3}
     assert (tape.used, tape.half) == (reference.used, reference.half)
     table, moves = flat(q), option_terminals(8, 1)
     for _ in range(3):
-        training._demo_episode(table, hp, field.levels, moves, epsilon, tape)
+        training._demo_episode(table, hp, field.levels, moves, epsilon, tape.tape)
         oracle.demo_episode(q, hp, clouds, epsilon, reference, learn=True)
         assert np.reshape(table, q.shape).tobytes() == q.tobytes()
         assert (tape.used, tape.half) == (reference.used, reference.half)
 
 
 def test_a_demo_episode_at_epsilon_zero_reads_no_tape_word():
-    tape = make_rng(4)
+    tape = oracle.Tape(make_rng(4))
     tape.integers(7)  # leave a buffered half, which must survive too
     before = (tape.used, tape.half)
     hp = Hyperparams(grid_length=8, pollution_diameter=1, max_steps=60)
-    training._demo_episode([0.0] * 256, hp, [0.0] * 64, option_terminals(8, 1), 0.0, tape)
+    training._demo_episode([0.0] * 256, hp, [0.0] * 64, option_terminals(8, 1), 0.0,
+                           tape.tape)
     assert (tape.used, tape.half) == before
 
 

@@ -348,14 +348,14 @@ def test_explore_mode_reads_the_tapes_integers_four(skip, buffered):
     # a block's last word, with and without a buffered half word.
     mem = new_memory(20)
     q = flat(np.zeros((20, 20, 4)))
-    tape, reference = make_rng(11), make_rng(11)
+    tape, reference = oracle.Tape(make_rng(11)), oracle.Tape(make_rng(11))
     for t in (tape, reference):
         for _ in range(skip - buffered):
             t.random()
         if buffered:
             t.integers(7)
     for _ in range(2100):
-        assert select_option(q, mem, at(5, 5), ENDS, "explore", tape, WEIGHT) == \
+        assert select_option(q, mem, at(5, 5), ENDS, "explore", tape.tape, WEIGHT) == \
             reference.integers(4)
         assert (tape.used, tape.half) == (reference.used, reference.half)
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from hmc_search import env, evalharness, training
 from hmc_search.cli import UsageError, parse_config
 from hmc_search.env import (
@@ -309,8 +310,8 @@ def test_run_episode_epsilon_extremes(monkeypatch):
     q = [2.0 if d == DOWN else 0.0 for _ in range(10 * 10) for d in range(4)]
     field = CloudField([7 * 10 + 7], 10, 3)
     # Epsilon 0 draws nothing and walks the greedy episode.
-    tape = make_rng(1)
-    soft = run_episode(q, hp, "train", tape, field=field, epsilon=0.0)
+    tape = oracle.Tape(make_rng(1))
+    soft = run_episode(q, hp, "train", tape.tape, field=field, epsilon=0.0)
     assert (tape.used, tape.half) == (0, None)
     greedy = run_episode(q, hp, "eval", None, field=field)
     assert soft.cells is None and greedy.cells[-1] == greedy.final
@@ -330,11 +331,11 @@ def test_run_episode_epsilon_extremes(monkeypatch):
 
 def test_eval_episode_on_a_handed_field_reads_no_tape_word():
     hp = Hyperparams()
-    rng = make_rng(5)
+    rng = oracle.Tape(make_rng(5))
     rng.integers(7)  # leave a buffered half, which must survive too
     before = (rng.used, rng.half)
     field = CloudField([9 * 20 + 9], 20, 5)
-    run_episode(zeros(20), hp, "eval", rng, field=field)
+    run_episode(zeros(20), hp, "eval", rng.tape, field=field)
     assert (rng.used, rng.half) == before
 
 
