@@ -8,8 +8,10 @@ writes its result files plus a manifest into the output directory (--out,
 else HMC_SEARCH_OUT, else ./out).  Re-running a subcommand with
 --from-manifest pointing at an earlier manifest reproduces the result
 files byte for byte.  A handler names each result file once, where it writes it,
-through _output, and the manifest lists those names in write order.  Results are
-written to hidden partial files, renamed over their names only once the run succeeded.
+through _output, and the manifest lists those names in write order.  Every file,
+the manifest last, is written whole to a hidden partial; then the old manifest goes
+and the partials are renamed over their names in write order.  A failure, Ctrl-C
+included, removes the partials and the directories the run made.  Files follow the umask.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 runtime error.
 """
@@ -22,7 +24,6 @@ import json
 import os
 import statistics
 import sys
-import tempfile
 from dataclasses import asdict, astuple
 from typing import Callable, NamedTuple
 
@@ -91,18 +92,10 @@ def _grid_rows(grid, length, *lead):
         yield (*lead, *divmod(cell, length), value)
 
 
-def _write_json_atomic(path, payload) -> None:
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+def _write_json(path, payload) -> None:
+    with open(path, "w") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
 
 
 def _utc_now() -> str:
@@ -143,7 +136,7 @@ class Command(NamedTuple):
 
 
 COMMANDS: dict[str, Command] = {}
-_PARTIAL = ".{}.partial"  # a result file's name until its run succeeds
+_PARTIAL = ".{}.partial"  # a file's name until its run succeeds
 
 
 def _command(name: str, help_text: str, **flags):
@@ -155,7 +148,7 @@ def _command(name: str, help_text: str, **flags):
 
 
 def _output(opts, name: str) -> str:
-    """The partial path to write result file name to; the manifest lists name."""
+    """The partial path to write file name to; a run that succeeds renames it to name."""
     opts["outputs"].append(name)
     if os.path.isdir(path := os.path.join(opts["out"], name)):  # no rename could replace it
         raise IsADirectoryError(f"result path {path} is a directory")
@@ -288,8 +281,8 @@ def cmd_sweep(opts):
                   ((_fmt_exact(v.value), v.mean, v.ci_half) for v in result.per_value))
         winners.append({"parameter": result.parameter, "best_value": result.best_value})
     final_config = config_dict(final_hp)
-    _write_json_atomic(_output(opts, "sweep_summary.json"),
-                       {"winners": winners, "final_config": final_config})
+    _write_json(_output(opts, "sweep_summary.json"),
+                {"winners": winners, "final_config": final_config})
     return {"stages": len(results), "final_config": final_config}
 
 
@@ -418,6 +411,7 @@ def _resolve(argv) -> dict:
 
 def dispatch(argv) -> int:
     made = []  # directories this run creates, deepest first
+    outputs = []  # the files this run writes, in write order; the manifest comes last
     try:
         opts = _resolve(argv)
         command = COMMANDS[opts["command"]]
@@ -427,52 +421,48 @@ def dispatch(argv) -> int:
             path = os.path.dirname(path)
         os.makedirs(opts["out"], exist_ok=True)
         started = _utc_now()
-        outputs = opts["outputs"] = []  # result file names, in write order
-        try:
-            metrics = command.run(opts)
-            # null when the command never loaded numpy, as pattern does not.
-            numpy_version = getattr(sys.modules.get("numpy"), "__version__", None)
-            manifest = {
-                "format": 1,
-                "command": opts["command"],
-                "config": config_dict(opts["hp"]),
-                "seed": opts["seed"],
-                "options": {flag: opts[flag] for flag in command.flags},
-                "outputs": outputs,
-                "metrics": metrics,
-                "started_at": started,
-                "finished_at": _utc_now(),
-                "provenance": {"hmc_search": __version__, "python": sys.version.split()[0],
-                               "numpy": numpy_version, "rng": RNG_CONTRACT},  # reruns ignore it
-            }
-            # The old manifest goes first: no manifest may describe files a failed rename left.
-            manifest_path = os.path.join(opts["out"], f"manifest_{opts['command']}.json")
-            if os.path.exists(manifest_path):
-                os.remove(manifest_path)
-            for name in outputs:
-                os.replace(os.path.join(opts["out"], _PARTIAL.format(name)),
-                           os.path.join(opts["out"], name))
-            _write_json_atomic(manifest_path, manifest)
-        finally:  # on a failure, KeyboardInterrupt included, no partial stays
-            for name in outputs:
-                if os.path.isfile(partial := os.path.join(opts["out"], _PARTIAL.format(name))):
-                    os.remove(partial)
+        opts["outputs"] = outputs
+        metrics = command.run(opts)
+        # null when the command never loaded numpy, as pattern does not.
+        numpy_version = getattr(sys.modules.get("numpy"), "__version__", None)
+        manifest = {
+            "format": 1,
+            "command": opts["command"],
+            "config": config_dict(opts["hp"]),
+            "seed": opts["seed"],
+            "options": {flag: opts[flag] for flag in command.flags},
+            "outputs": list(outputs),  # the results, without the manifest itself
+            "metrics": metrics,
+            "started_at": started,
+            "finished_at": _utc_now(),
+            "provenance": {"hmc_search": __version__, "python": sys.version.split()[0],
+                           "numpy": numpy_version, "rng": RNG_CONTRACT},  # reruns ignore it
+        }
+        _write_json(_output(opts, f"manifest_{opts['command']}.json"), manifest)
+        # The old manifest goes first: no manifest may describe files a failed rename left.
+        if os.path.exists(manifest_path := os.path.join(opts["out"], outputs[-1])):
+            os.remove(manifest_path)
+        for name in outputs:
+            os.replace(os.path.join(opts["out"], _PARTIAL.format(name)),
+                       os.path.join(opts["out"], name))
         return 0
     except SystemExit as err:  # argparse --help
         return int(err.code or 0)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
-        status = 1
+        return 1
     except Exception as err:
         print(f"error: {err}", file=sys.stderr)
-        status = 2
-    # A failed run takes back the directories it made, unless it wrote into them.
-    for path in made:
-        try:
-            os.rmdir(path)
-        except OSError:
-            break
-    return status
+        return 2
+    finally:  # on a failure, KeyboardInterrupt included, no partial and no new directory stays
+        for name in outputs:
+            if os.path.isfile(partial := os.path.join(opts["out"], _PARTIAL.format(name))):
+                os.remove(partial)
+        for path in made:  # unless the run wrote into it, as one that succeeded did
+            try:
+                os.rmdir(path)
+            except OSError:
+                break
 
 
 def main() -> None:

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import platform
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -195,12 +196,20 @@ def test_eval_without_table_is_runtime_error(cfg_file, tmp_path):
     assert run("eval", "--config", cfg_file, "--out", out) == 2
 
 
-def test_a_failed_run_leaves_no_directory_it_made(cfg_file, tmp_path):
+def test_a_failed_run_leaves_no_directory_it_made(cfg_file, tmp_path, monkeypatch):
     missing = str(tmp_path / "missing.csv")
     assert run("eval", "--config", cfg_file, "--qtable", missing,
                "--out", str(tmp_path / "x" / "y")) == 2
     assert run("sweep", "--config", cfg_file, "--plan", str(tmp_path / "missing.json"),
                "--out", str(tmp_path / "x" / "y")) == 1
+    assert not (tmp_path / "x").exists()
+
+    def interrupt(path, *args):  # Ctrl-C during the first write
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "write_csv", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        run("pattern", "--out", str(tmp_path / "x" / "y"))
     assert not (tmp_path / "x").exists()
 
 
@@ -591,11 +600,10 @@ def test_a_run_directory_holds_exactly_what_its_manifest_lists(name, tiny, tmp_p
     """A run and its --from-manifest rerun, each into a fresh --out: the directory holds
     the manifest and the outputs it lists, and nothing else; outputs are renamed into
     place in write order, and the manifest after them."""
-    renamed = []  # the names os.replace puts in place, partial files aside
+    renamed = []  # the names os.replace puts in place
 
     def record(src, dst, _replace=os.replace):
-        if not dst.endswith(".partial"):  # sweep_summary.json's partial is written atomically
-            renamed.append(os.path.basename(dst))
+        renamed.append(os.path.basename(dst))
         _replace(src, dst)
 
     monkeypatch.setattr(os, "replace", record)
@@ -621,16 +629,18 @@ def snapshot(directory):
 @pytest.mark.parametrize("name", DECLARED)
 def test_a_run_that_fails_at_any_write_leaves_the_directory_as_it_was(name, interrupt, tiny,
                                                                       tmp_path, monkeypatch):
-    """A run over an earlier one fails after each of its writes in turn: the earlier
-    results and manifest stay byte for byte, and no partial file is left."""
+    """A run over an earlier one fails after each of its writes in turn, the manifest's
+    included: the earlier results and manifest stay byte for byte, and no partial file
+    is left."""
     config, _, extra = tiny
     out = tmp_path / "out"
     assert run(name, "--config", config, "--seed", "3", *extra[name], "--out", str(out)) == 0
     before = snapshot(out)
-    outputs = json.loads((out / f"manifest_{name}.json").read_text())["outputs"]
-    for failing in range(len(outputs)):
+    written = [*json.loads((out / f"manifest_{name}.json").read_text())["outputs"],
+               f"manifest_{name}.json"]
+    for failing in range(len(written)):
         writes = []
-        for writer in ("write_csv", "write_qtable_csv", "_write_json_atomic"):
+        for writer in ("write_csv", "write_qtable_csv", "_write_json"):
             def fail(path, *args, _write=getattr(cli, writer)):
                 _write(path, *args)  # the partial file is whole; the run fails after it
                 writes.append(path)
@@ -643,7 +653,7 @@ def test_a_run_that_fails_at_any_write_leaves_the_directory_as_it_was(name, inte
                 run(*argv)
         else:
             assert run(*argv) == 2
-        assert writes[-1].endswith(f".{outputs[failing]}.partial")
+        assert writes[-1].endswith(f".{written[failing]}.partial")
         assert snapshot(out) == before
         monkeypatch.undo()
 
@@ -656,10 +666,8 @@ def test_a_run_whose_commit_fails_leaves_no_manifest_of_its_command(name, tiny, 
     argv = [name, "--config", config, "--seed", "3", *extra[name], "--out", str(out)]
     assert run(*argv) == 0
 
-    def fail(src, dst, _replace=os.replace):
-        if src.endswith(".partial"):  # a result's rename, not an atomic write
-            raise OSError("rename failed")
-        _replace(src, dst)
+    def fail(src, dst):
+        raise OSError("rename failed")
 
     monkeypatch.setattr(os, "replace", fail)
     assert run(*argv) == 2
@@ -680,6 +688,24 @@ def test_a_run_that_cannot_replace_a_result_keeps_the_earlier_run(cfg_file, tmp_
     assert "train_report.csv is a directory" in capsys.readouterr().err
     assert snapshot(out) == before
     assert sorted(os.listdir(out)) == ["manifest_train.json", "qtable.csv", "train_report.csv"]
+
+
+def test_every_file_a_run_writes_takes_its_mode_from_the_umask(tiny, tmp_path):
+    config, _, extra = tiny
+    umask = os.umask(0o022)
+    try:
+        assert run("pattern", "--out", str(tmp_path / "pattern")) == 0
+        assert run("sweep", "--config", config, *extra["sweep"],
+                   "--out", str(tmp_path / "sweep")) == 0
+    finally:
+        os.umask(umask)
+
+    def mode(*parts):
+        return stat.S_IMODE(tmp_path.joinpath(*parts).stat().st_mode)
+
+    assert mode("pattern", "manifest_pattern.json") == mode("pattern", "snake.csv") == 0o644
+    assert (mode("sweep", "sweep_summary.json") == mode("sweep", "sweep_00_option_length.csv")
+            == 0o644)
 
 
 def test_a_fresh_process_records_its_provenance(tmp_path):
