@@ -194,22 +194,37 @@ def cloud_row(grid_length: int, diameter: int, center: int) -> tuple[tuple, tupl
     return tuple(x * grid_length + y for x, y in support), tuple(support.values())
 
 
+# At most 1024 masks, least recently read dropped first: every center of a grid
+# of side 32 (8.4 MB), or 1.3 MB at the default side 20.
+@lru_cache(maxsize=1 << 10)
+def cloud_mask(grid_length: int, diameter: int, center: int) -> tuple[int, ...]:
+    """A one-cloud field's masks, one tuple shared by every field of that center:
+    1 on the cells of cloud_row(grid_length, diameter, center) and 0 elsewhere."""
+    mask = [0] * (grid_length * grid_length)
+    for cell in cloud_row(grid_length, diameter, center)[0]:
+        mask[cell] = 1
+    return tuple(mask)
+
+
 @dataclass
 class CloudField:
     """An episode's clouds as center cells x * grid_length + y of one diameter; never changed.
-    Its masks (training's) and levels (the demos') are stamped apart, on first read."""
+    Its masks (training's) and levels (the demos') are built apart, on first read."""
 
     clouds: list[int]
     grid_length: int
     diameter: int
 
     @_stamped
-    def masks(self) -> list[int]:
+    def masks(self) -> tuple[int, ...] | list[int]:
         """Per cell x * grid_length + y: bit i is set when clouds[i] covers it.
 
-        Stamped once, on first use, so that a hit count is a popcount.
+        A one-cloud field of at most 1024 cells reads its center's shared cloud_mask;
+        any other is stamped once, on first use, into a list of its own.
         """
         length = self.grid_length
+        if len(self.clouds) == 1 and length * length <= 1 << 10:
+            return cloud_mask(length, self.diameter, self.clouds[0])
         masks = [0] * (length * length)
         for i, center in enumerate(self.clouds):
             for cell in cloud_row(length, self.diameter, center)[0]:

@@ -750,7 +750,8 @@ def test_importing_the_cli_builds_no_table():
     assert done.returncode == 0, done.stderr
     caches = json.loads(done.stdout)
     assert {"hmc_search.policy.option_walks", "hmc_search.policy.option_terminals",
-            "hmc_search.env.cloud_row", "hmc_search.policy.row_heads"} <= set(caches)
+            "hmc_search.env.cloud_row", "hmc_search.env.cloud_mask",
+            "hmc_search.policy.row_heads"} <= set(caches)
     assert {name: counts for name, counts in caches.items() if counts != [0, 0, 0]} == {}
 
 

@@ -16,6 +16,7 @@ from hmc_search.env import (
     UP,
     CloudField,
     WordTape,
+    cloud_mask,
     cloud_row,
     disc_offsets,
     make_cloud,
@@ -141,6 +142,35 @@ def test_sense_is_the_max_over_the_clouds_supports(data):
 def test_cloud_row_keeps_at_most_2_15_rows():
     # Every row of 8 grids of side 64, as many as 8 whole tables of that side held.
     assert cloud_row.cache_info().maxsize == 1 << 15
+
+
+def test_cloud_mask_keeps_at_most_1024_masks():
+    # Every center of a grid of side 32, the largest whose one-cloud masks are shared.
+    assert cloud_mask.cache_info().maxsize == 1 << 10
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_a_one_cloud_fields_masks_are_its_stamped_masks(data):
+    length = data.draw(st.integers(1, 40), label="grid_length")
+    diameter = data.draw(st.integers(1, length), label="diameter")
+    center = data.draw(st.integers(0, length * length - 1), label="center")
+    field = CloudField([center], length, diameter)
+    assert list(field.masks) == oracle.stamp(field)[0]
+
+
+def test_one_cloud_fields_share_a_mask_only_on_grids_up_to_side_32():
+    cloud_mask.cache_clear()
+    for length in (1, 20, 32):
+        center = length * length - 1
+        first, second = (CloudField([center], length, min(3, length)) for _ in range(2))
+        assert first.masks is second.masks and isinstance(first.masks, tuple)
+    assert cloud_mask.cache_info()[1:] == (3, 1 << 10, 3)  # misses, maxsize, currsize
+    # Larger grids, and fields of several clouds or none, stamp masks of their own.
+    for clouds, length in (([5], 33), ([5], 64), ([5, 5], 20), ([], 20)):
+        first, second = (CloudField(list(clouds), length, 3) for _ in range(2))
+        assert first.masks == second.masks and first.masks is not second.masks
+    assert cloud_mask.cache_info()[1:] == (3, 1 << 10, 3)
 
 
 def test_move_examples():

@@ -388,6 +388,22 @@ def test_each_decision_calls_the_three_per_decision_functions_once(monkeypatch):
     assert route == plain_route
 
 
+def test_default_training_builds_each_drawn_centers_mask_at_most_once(monkeypatch):
+    drawn = []
+
+    def recorded(*args):
+        field = spawn_clouds(*args)
+        drawn.extend(field.clouds)
+        return field
+
+    monkeypatch.setattr(training, "spawn_clouds", recorded)
+    env.cloud_mask.cache_clear()
+    train_agent(Hyperparams(), 0)
+    # One read per episode's field, and one build per distinct center.
+    assert len(drawn) == Hyperparams().num_episodes > len(set(drawn))
+    assert env.cloud_mask.cache_info()[:2] == (len(drawn) - len(set(drawn)), len(set(drawn)))
+
+
 def test_run_episode_looks_up_the_option_geometry_once():
     hp = Hyperparams(grid_length=10, pollution_diameter=3, max_steps=200)
     option_terminals(10, option_stride(hp.option_length))  # both tables built beforehand
