@@ -8,10 +8,11 @@ values (scaled by the filter strength) so already searched regions lose
 out against fresh ones; the stored values themselves are never touched
 by the filter.
 
-A cell is the int x * grid_length + y and the value table has one
-layout, from the learners to the CSV: the flat table q[cell * 4 + d], a
-list inside the learners and an array("d") of float64 at the API.  The
-visit counts are a flat list mem[cell].
+A cell is the int x * grid_length + y.  The option learner's value
+table is the flat q[cell * 4 + d], a list inside its loop and an
+array("d") of float64 at the API and in the CSV; the visit counts are a
+flat list mem[cell].  The plain Q-learning demos keep their own table,
+one list of four values per cell, which never leaves training.py.
 """
 from __future__ import annotations
 

@@ -299,8 +299,8 @@ def _demo_epsilon(episode: int, n_episodes: int) -> float:
     return max(0.0, 1.0 - episode / n_episodes)
 
 
-def _demo_episode(q: list[float], hp: Hyperparams, levels: list[float], moves: tuple[int, ...],
-                  epsilon: float, tape: WordTape) -> None:
+def _demo_episode(rows: list[list[float]], hp: Hyperparams, levels: list[float],
+                  moves: list[tuple[int, ...]], epsilon: float, tape: WordTape) -> None:
     """One primitive-action learning episode for the plain Q-learning demos.
 
     The cloud field is a sensing landscape that stays in place for the
@@ -310,89 +310,89 @@ def _demo_episode(q: list[float], hp: Hyperparams, levels: list[float], moves: t
     budget, and every attempted action consumes a step, wall bumps
     included, so greedy policies cannot stall the clock.
 
-    Runs on the learners' layout: q is indexed cell * 4 + action, levels
-    is the field's per-cell intensity (CloudField.levels), positive
-    exactly on a cloud, and moves is option_terminals(grid_length, 1).  Its
-    backup is q_update's on that layout, inline, and so are the tape's two
-    draws: a step reads at most two words, random() < epsilon is
-    w < WordTape.random_bound(epsilon), and integers(4) is a 32-bit draw's top two bits.
+    The demos' own table: rows[cell] is a list of the cell's four action
+    values, moves[cell] its four stride-1 destination cells (a wall bump
+    stays put), and levels the field's per-cell intensity
+    (CloudField.levels), positive exactly on a cloud.  Its backup is
+    q_update's, inline, and so are the tape's two draws: a step reads at
+    most two words, random() < epsilon is w < WordTape.random_bound(epsilon),
+    and integers(4) is a 32-bit draw's top two bits.
 
     A step reads each row of four values at most once:
 
     - a greedy step takes its row's first maximum by strict > compares,
-      so ties go up, down, left, right, as max over the row's keys does;
+      so ties go up, down, left, right, as row.index(max(row)) does;
     - with a positive discount, the scan of the entered cell's row that
-      gives the bootstrap max also gives the next greedy key.  The update
-      writes only the row of the cell the step started from, so that key
-      still holds on the next step unless a wall bump kept the agent on
-      that cell; then the next greedy step scans the row again, with the
-      value just written;
+      gives the bootstrap max also gives the next greedy direction.  The
+      update writes only the row of the cell the step started from, so
+      that direction still holds on the next step unless a wall bump kept
+      the agent on that cell; then the next greedy step scans the row
+      again, with the value just written;
     - with a zero discount the bootstrap is skipped, as q_update skips it.
     """
-    length = hp.grid_length
     alpha, gamma = hp.learning_rate, hp.discount_rate
     explore = epsilon > 0.0
     if explore:
         tape.ensure(2 * hp.max_steps)
         bound = WordTape.random_bound(epsilon)
     words, pos, half = tape.words, tape.pos, tape.half
-    cell = START[0] * length + START[1]
-    greedy = -1  # the first-max key of cell's row when known, else -1
+    cell = START[0] * hp.grid_length + START[1]
+    greedy = -1  # the first-max direction of cell's row when known, else -1
     found = False
     for _ in range(hp.max_steps):
+        row = rows[cell]
         if explore and words[pos] < bound:
-            key = cell * 4
             if half is None:
                 pos += 1
-                key += words[pos] >> 30 & 3
+                d = words[pos] >> 30 & 3
                 half = words[pos] >> 32
             else:
-                key += half >> 30
+                d = half >> 30
                 half = None
         elif greedy >= 0:
-            key = greedy
+            d = greedy
         else:
-            row = key = cell * 4
-            a, b, c, d = q[row:row + 4]
+            a, b, c, e = row
+            d = 0
             if b > a:
                 a = b
-                key = row + 1
+                d = 1
             if c > a:
                 a = c
-                key = row + 2
-            if d > a:
-                key = row + 3
+                d = 2
+            if e > a:
+                d = 3
         pos += 1  # the epsilon test's word; pos means nothing when not exploring
-        after = moves[key]
+        after = moves[cell][d]
         reward = levels[after]
         if not found and reward > 0.0:
             reward += 100.0
             found = True
-        old = q[key]
+        old = row[d]
         if gamma:
-            row = greedy = after * 4
-            a, b, c, d = q[row:row + 4]
+            a, b, c, e = rows[after]
+            greedy = 0
             if b > a:
                 a = b
-                greedy = row + 1
+                greedy = 1
             if c > a:
                 a = c
-                greedy = row + 2
-            if d > a:
-                a = d
-                greedy = row + 3
-            q[key] = old + alpha * (reward + gamma * a - old)
+                greedy = 2
+            if e > a:
+                a = e
+                greedy = 3
+            row[d] = old + alpha * (reward + gamma * a - old)
             if after == cell:
                 greedy = -1
         else:
-            q[key] = old + alpha * (reward - old)
+            row[d] = old + alpha * (reward - old)
         cell = after
     if explore:
         tape.pos, tape.half = pos, half
 
 
-def _demo_route(q: list[float], hp: Hyperparams) -> PatternPath:
-    """The demos' greedy route on the flat q: max_steps moves from START.
+def _demo_route(rows: list[list[float]], hp: Hyperparams) -> PatternPath:
+    """The demos' greedy route on their rows: max_steps moves from START.
 
     Each move takes the first of the cell's largest values, as
     _demo_episode's greedy step does, and a wall bump stays in place, so
@@ -403,7 +403,8 @@ def _demo_route(q: list[float], hp: Hyperparams) -> PatternPath:
     cell = START[0] * length + START[1]
     cells = [START]
     for _ in range(hp.max_steps):
-        cell = moves[max(range(cell * 4, cell * 4 + 4), key=q.__getitem__)]
+        row = rows[cell]
+        cell = moves[cell * 4 + row.index(max(row))]
         cells.append(divmod(cell, length))
     return PatternPath(tuple(cells), "demo", first=1)
 
@@ -413,25 +414,27 @@ def _plain_q(hp: Hyperparams, tape: WordTape, n_episodes: int,
     """The demos' training loop: per-step Q-learning on the fixed cloud, or
     on a cloud respawned every episode when fixed is None.
 
-    Returns (flat q, {episode: max Q per cell}); key 0 is the untrained
-    table, and each snapshot is a flat list indexed by the cell int.
+    Returns (rows, {episode: max Q per cell}): rows[cell] holds the cell's
+    four action values; key 0 is the untrained table, and each snapshot is
+    a flat list indexed by the cell int.
     """
     length = hp.grid_length
-    q = [0.0] * (length * length * 4)
-    moves = option_terminals(length, 1)
+    rows = [[0.0] * 4 for _ in range(length * length)]
+    ends = option_terminals(length, 1)
+    moves = [ends[k:k + 4] for k in range(0, len(ends), 4)]
     snapshots: dict[int, list[float]] = {}
 
     def snapshot(episode):
         if episode in snapshot_episodes:
-            snapshots[episode] = [max(q[k:k + 4]) for k in range(0, len(q), 4)]
+            snapshots[episode] = [max(row) for row in rows]
 
     snapshot(0)
     for episode in range(n_episodes):
         field = fixed if fixed is not None else spawn_clouds(
             length, hp.pollution_diameter, 1, tape)
-        _demo_episode(q, hp, field.levels, moves, _demo_epsilon(episode, n_episodes), tape)
+        _demo_episode(rows, hp, field.levels, moves, _demo_epsilon(episode, n_episodes), tape)
         snapshot(episode + 1)
-    return q, snapshots
+    return rows, snapshots
 
 
 def static_demo(hp: Hyperparams, seed: int, *, n_episodes: int = 2000,
@@ -465,8 +468,8 @@ def dynamic_demo(hp: Hyperparams, seed: int, *, n_episodes: int = 2000,
     """
     if n_eval_episodes < 1:
         raise ValueError("n_eval_episodes must be at least 1")
-    q, snapshots = _plain_q(hp, make_rng(seed), n_episodes, snapshot_episodes, None)
-    hits = center_hits(_demo_route(q, hp), hp.grid_length, hp.pollution_diameter,
+    rows, snapshots = _plain_q(hp, make_rng(seed), n_episodes, snapshot_episodes, None)
+    hits = center_hits(_demo_route(rows, hp), hp.grid_length, hp.pollution_diameter,
                        hp.max_steps)
     centers = draw_centers(hp.grid_length, n_eval_episodes, make_rng(seed, stream=1))
     steps = budget_steps([hits[c] for c in centers], hp.max_steps)

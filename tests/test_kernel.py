@@ -7,9 +7,10 @@ kind, discount (0 and positive) and learning window.  Tables with ties,
 zeros and walls make episodes that clamp at the border and episodes
 that the decision cap ends.
 
-The package's learners keep cells as ints x * grid_length + y and their
-tables as flat lists; the reference keeps (x, y) cells and arrays.  The
-tests translate between the two where they compare them.
+The package's learners keep cells as ints x * grid_length + y; the option
+learner keeps its table as a flat list and the demos as one list of four
+values per cell.  The reference keeps (x, y) cells and arrays.  The tests
+translate between the two where they compare them.
 """
 import itertools
 import math
@@ -92,6 +93,12 @@ def draw_field(data, hp):
 def flat(q):
     """A (grid_length, grid_length, 4) table as the learners' flat list q[cell * 4 + d]."""
     return q.ravel().tolist()
+
+
+def demo_moves(length):
+    """The demos' stride-1 moves: the four destination cells of each cell."""
+    ends = option_terminals(length, 1)
+    return [ends[k:k + 4] for k in range(0, len(ends), 4)]
 
 
 def as_points(outcome, length):
@@ -409,11 +416,11 @@ def test_episodes_on_the_boundary_words_explore_as_the_reference(epsilon):
     assert trajectory_key(traj, 8) == trajectory_key(expected)
     assert {o for _, o in traj.transitions} == {0, 1, 2, 3}
     assert (tape.used, tape.half) == (reference.used, reference.half)
-    table, moves = flat(q), option_terminals(8, 1)
+    rows, moves = q.reshape(-1, 4).tolist(), demo_moves(8)
     for _ in range(3):
-        training._demo_episode(table, hp, field.levels, moves, epsilon, tape.tape)
+        training._demo_episode(rows, hp, field.levels, moves, epsilon, tape.tape)
         oracle.demo_episode(q, hp, clouds, epsilon, reference, learn=True)
-        assert np.reshape(table, q.shape).tobytes() == q.tobytes()
+        assert np.array(rows).tobytes() == q.tobytes()
         assert (tape.used, tape.half) == (reference.used, reference.half)
 
 
@@ -422,9 +429,40 @@ def test_a_demo_episode_at_epsilon_zero_reads_no_tape_word():
     tape.integers(7)  # leave a buffered half, which must survive too
     before = (tape.used, tape.half)
     hp = Hyperparams(grid_length=8, pollution_diameter=1, max_steps=60)
-    training._demo_episode([0.0] * 256, hp, [0.0] * 64, option_terminals(8, 1), 0.0,
-                           tape.tape)
+    training._demo_episode([[0.0] * 4 for _ in range(64)], hp, [0.0] * 64, demo_moves(8),
+                           0.0, tape.tape)
     assert (tape.used, tape.half) == before
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_demo_episodes_on_tied_tables_match_the_reference(data):
+    # Every value is one of four, so most rows hold ties, many of them not
+    # at zero: the greedy step must take the first maximum, and after a wall
+    # bump (every move on a one-cell grid) rescan the row it just wrote.
+    length = data.draw(st.integers(1, 6), label="grid_length")
+    hp = Hyperparams(
+        grid_length=length,
+        pollution_diameter=data.draw(st.integers(1, length), label="diameter"),
+        max_steps=data.draw(st.integers(1, 40), label="max_steps"),
+        learning_rate=data.draw(st.sampled_from([0.5, 1.0]), label="learning_rate"),
+        discount_rate=data.draw(st.sampled_from([0.0, 0.5, 1.0]), label="discount_rate"))
+    values = data.draw(st.lists(st.sampled_from([-0.0, 0.0, 0.5, 1.0]),
+                                min_size=length * length * 4, max_size=length * length * 4),
+                       label="values")
+    center = data.draw(st.integers(0, length * length - 1), label="center")
+    epsilons = data.draw(st.lists(st.sampled_from([0.0, 0.3, 1.0]), min_size=1, max_size=4),
+                         label="epsilons")
+    seed = data.draw(st.integers(0, 2**31), label="seed")
+    field = CloudField([center], length, hp.pollution_diameter)
+    q = np.reshape(values, (length, length, 4))
+    rows, moves = q.reshape(-1, 4).tolist(), demo_moves(length)
+    tape, reference = oracle.Tape(make_rng(seed)), oracle.Tape(make_rng(seed))
+    for epsilon in epsilons:
+        training._demo_episode(rows, hp, field.levels, moves, epsilon, tape.tape)
+        oracle.demo_episode(q, hp, oracle.clouds_of(field), epsilon, reference, learn=True)
+        assert np.array(rows).tobytes() == q.tobytes()
+        assert (tape.used, tape.half) == (reference.used, reference.half)
 
 
 def test_training_stamps_each_spawned_field_once(monkeypatch):
@@ -482,12 +520,12 @@ def test_a_demo_step_after_a_wall_bump_sees_the_value_just_written(gamma):
     # second greedy step must go down, not up again.
     hp = Hyperparams(grid_length=3, pollution_diameter=1, max_steps=2,
                      learning_rate=1.0, discount_rate=gamma)
-    q = [0.0] * 36
-    q[0:2] = [1.0, 0.5]
-    training._demo_episode(q, hp, [0.0] * 9, option_terminals(3, 1), 0.0, make_rng(0))
-    expected = [0.0] * 36
-    expected[0] = 1.0 + 1.0 * (0.0 + gamma * 1.0 - 1.0)  # q_update's backup of the bump
-    assert q == expected  # and down, taken second, earned 0 from an all-zero row
+    rows = [[0.0] * 4 for _ in range(9)]
+    rows[0][0:2] = [1.0, 0.5]
+    training._demo_episode(rows, hp, [0.0] * 9, demo_moves(3), 0.0, make_rng(0))
+    expected = [[0.0] * 4 for _ in range(9)]
+    expected[0][0] = 1.0 + 1.0 * (0.0 + gamma * 1.0 - 1.0)  # q_update's backup of the bump
+    assert rows == expected  # and down, taken second, earned 0 from an all-zero row
 
 
 # --- decision-cap exits are recorded
