@@ -25,7 +25,7 @@ commits.  The run goes in as one session, keyed WORKLOAD@SECONDSs/seedSEED:
             "better": "lower", "bound": 0.25,
             "parent": {"median", "q1", "q3", "runs"},
             "change" and "parent_copy": {"median", "q1", "q3", "runs", "ratio",
-                "better_pairs", "beyond_parent_iqr", "within_bound"}}}}}}
+                "better_pairs", "beyond_parent_iqr", "within_bound", "claim_met"}}}}}}
 
 A value's median and quartiles are over the runs (inclusive quartiles); a
 ratio is that side's median over the parent's; better_pairs counts the
@@ -33,7 +33,9 @@ rounds in which that side read better than the parent, ties counting for
 neither; beyond_parent_iqr says whether the medians differ by more than the
 distance between the parent runs' quartiles; within_bound whether the side's
 median is worse than the parent's by no more than the metric's bound in
-BENCHMARK.json.  Standard library only.
+BENCHMARK.json; claim_met whether a gain claimed for the side would hold: it
+read better in at least 9 of 10 rounds, and its median differs from the
+parent's beyond that spread in the better direction.  Standard library only.
 """
 from __future__ import annotations
 
@@ -76,11 +78,12 @@ def summarize(runs: dict[str, list[dict[str, float]]], spec: dict) -> dict:
             values = [run[key] for run in runs[side]]
             row[side] = side_row = stats(values)
             median = side_row["median"]
+            better_pairs = sum(sign * (value - old) > 0 for value, old in zip(values, parent))
+            beyond, gain = abs(median - base) > iqr, sign * (median - base)
             side_row.update(
-                ratio=median / base,
-                better_pairs=sum(sign * (value - old) > 0 for value, old in zip(values, parent)),
-                beyond_parent_iqr=abs(median - base) > iqr,
-                within_bound=sign * (median - base) >= -bound * base)
+                ratio=median / base, better_pairs=better_pairs, beyond_parent_iqr=beyond,
+                within_bound=gain >= -bound * base,
+                claim_met=10 * better_pairs >= 9 * len(values) and beyond and gain > 0)
         summary[key] = row
     return summary
 

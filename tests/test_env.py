@@ -62,6 +62,15 @@ def test_corner_cloud_is_clipped_to_8_cells():
     assert all(x >= 0 and y >= 0 for x, y in cloud.support)
 
 
+def test_a_clouds_support_is_built_once_on_first_read():
+    # The reference's per-step loops read supports, so each cloud keeps its own.
+    cloud = make_cloud((3, 4), 5, 20)
+    assert "support" not in vars(cloud)
+    support = cloud.support
+    assert vars(cloud)["support"] is support
+    assert cloud.support is support
+
+
 def test_cloud_center_outside_grid_rejected():
     with pytest.raises(ValueError):
         make_cloud((20, 3), 5, 20)

@@ -39,6 +39,22 @@ def test_summary_counts_better_pairs_against_the_parent():
     assert pairs.summarize(far, SPEC)["w.wall_s"]["change"]["beyond_parent_iqr"] is True
 
 
+@pytest.mark.parametrize("change, met", [
+    ([4, 5, 6, 7, 8, 9, 10, 11, 12, 20], True),  # 9 of 10 rounds lower, beyond the spread
+    ([4, 5, 6, 7, 8, 9, 10, 11, 19, 20], False),  # 8 of 10 rounds lower
+    ([9, 10, 11, 12, 13, 14, 15, 16, 17, 18], False),  # 10 of 10 lower, within the spread
+    ([16, 17, 18, 19, 20, 21, 22, 23, 24, 25], False),  # beyond the spread, but higher
+])
+def test_a_claim_is_met_by_9_of_10_better_rounds_beyond_the_parents_spread(change, met):
+    parent = list(range(10, 20))  # median 14.5, quartiles 12.25 and 16.75
+    runs = {side: [{"w.wall_s": float(value)} for value in values]
+            for side, values in (("parent", parent), ("change", change),
+                                 ("parent_copy", parent))}
+    summary = pairs.summarize(runs, SPEC)["w.wall_s"]
+    assert summary["change"]["claim_met"] is met
+    assert summary["parent_copy"]["claim_met"] is False
+
+
 def checkout(path: Path) -> Path:
     (path / "src" / "hmc_search").mkdir(parents=True)
     shutil.copytree(ROOT / "perfbench", path / "perfbench",
