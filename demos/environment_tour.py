@@ -66,10 +66,11 @@ def main():
     # decision time, and the next option turns elsewhere.
     q = [0.0] * (length * length * 4)
     traj = run_episode(q, hp, "eval", None, field=field)
-    starts = [cell for cell, _ in traj.transitions]
-    ends = starts[1:] + [traj.cells[-1]]
+    # Each decision is recorded as its table key, cell * 4 + direction.
+    decisions = [divmod(key, 4) for key in traj.transitions]
+    ends = [cell for cell, _ in decisions[1:]] + [traj.cells[-1]]
     print("the greedy episode's first decisions on that field:")
-    for (cell, direction), end in list(zip(traj.transitions, ends))[:6]:
+    for (cell, direction), end in list(zip(decisions, ends))[:6]:
         print(f"  at {divmod(cell, length)} walk {DIRECTION_NAMES[direction]}, "
               f"ending at {divmod(end, length)}")
     print(f"it made {len(traj.transitions)} decisions in {traj.n_step} steps "

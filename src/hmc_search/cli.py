@@ -451,8 +451,8 @@ def dispatch(argv) -> int:
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except Exception as err:
-        print(f"error: {err}", file=sys.stderr)
+    except Exception as err:  # one with no text, as MemoryError() has, is named by its type
+        print(f"error: {str(err) or type(err).__name__}", file=sys.stderr)
         return 2
     finally:  # on a failure, KeyboardInterrupt included, no partial and no new directory stays
         for name in outputs:

@@ -17,6 +17,7 @@ is a flat list indexed by the cell int x * grid_length + y.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import astuple, dataclass
 from itertools import accumulate
 from typing import TYPE_CHECKING
@@ -181,7 +182,9 @@ def score_agent(hp: Hyperparams, seed: int, n_eval: int, n_duel: int) -> AgentSc
 
 def score_agents(work, jobs: int = 1) -> list[AgentScore]:
     """score_agent for each (hp, seed, n_eval, n_duel), in order, on up to jobs processes."""
-    workers = min(jobs, len(work))  # a pool forks all its workers up front
+    # A pool forks all its workers up front: no more than the work items or the usable CPUs.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(jobs, len(work), cpus or 1)
     if workers > 1:
         # Imported here: the pool pulls in multiprocessing, which one process never needs.
         from concurrent.futures import ProcessPoolExecutor

@@ -10,8 +10,9 @@ by the filter.
 
 A cell is the int x * grid_length + y.  The option learner's value
 table is the flat q[cell * 4 + d], a list inside its loop and an
-array("d") of float64 at the API and in the CSV; the visit counts are a
-flat list mem[cell].  The plain Q-learning demos keep their own table,
+array("d") of float64 at the API and in the CSV; a trajectory records
+each decision as that key, which the backups read.  The visit counts are
+a flat list mem[cell].  The plain Q-learning demos keep their own table,
 one list of four values per cell, which never leaves training.py.
 """
 from __future__ import annotations
@@ -45,33 +46,31 @@ class OptionOutcome:
     clamped: bool
 
 
-def q_update(q: list[float], transitions: list[tuple[int, int]], r: float, final: int,
+def q_update(q: list[float], transitions: list[int], r: float, final: int,
              alpha: float, gamma: float) -> list[float]:
-    """TD backups of a trajectory's (state, direction) transitions, in order, in place.
+    """TD backups of a trajectory's table keys cell * 4 + direction, in order, in place.
 
-    Entry i bootstraps from the state of transition i + 1, the last from
-    final; r is checked once, before the first write.  A zero discount reads
-    no bootstrap row: for a finite row, old + alpha * (r + 0.0 * max - old)
+    Entry i bootstraps from the row that holds key i + 1 (key & -4 starts it), the
+    last from final's; r is checked once, before the first write.  A zero discount
+    reads no bootstrap row: for a finite row, old + alpha * (r + 0.0 * max - old)
     equals old + alpha * (r - old) bit for bit, -0.0 included: mc_update's rule.
     """
     if not math.isfinite(r):
         raise ValueError("reward must be finite")
-    for (s, o), after in zip(transitions, [s for s, _ in transitions[1:]] + [final]):
-        key = s * 4 + o
+    for key, after in zip(transitions, [k & -4 for k in transitions[1:]] + [final * 4]):
         old = q[key]
-        target = r + gamma * max(q[after * 4:after * 4 + 4]) if gamma else r
+        target = r + gamma * max(q[after:after + 4]) if gamma else r
         q[key] = old + alpha * (target - old)
     return q
 
 
-def mc_update(q: list[float], transitions: list[tuple[int, int]], r_t: float,
+def mc_update(q: list[float], transitions: list[int], r_t: float,
               alpha: float) -> list[float]:
-    """Monte Carlo backups of a trajectory's transitions toward its return r_t,
+    """Monte Carlo backups of a trajectory's table keys toward its return r_t,
     in order, in place; r_t is checked once, before the first write."""
     if not math.isfinite(r_t):
         raise ValueError("reward must be finite")
-    for s, o in transitions:
-        key = s * 4 + o
+    for key in transitions:
         old = q[key]
         q[key] = old + alpha * (r_t - old)
     return q

@@ -118,9 +118,9 @@ def reject_unknown_keys(given, known, what: str) -> None:
 @dataclass
 class Trajectory:
     """One episode as seen by the learner; a cell is the int x * grid_length + y.
-    A train episode keeps no route (cells is None): its backup reads final."""
+    A train episode keeps no route (cells is None): its backup reads its keys and final."""
 
-    transitions: list[tuple[int, int]]  # (state, option direction) per decision
+    transitions: list[int]  # the table key cell * 4 + direction of each decision, in order
     cells: list[int] | None  # eval: start cell plus every cell entered, in order
     final: int  # the cell the episode ended on
     n_step: int
@@ -199,8 +199,8 @@ def run_episode(q: list[float], hp: Hyperparams, mode: str, rng: WordTape | None
 
     What stays fixed for the episode is looked up once, before the loop:
     the option terminals and walks of its grid and stride, the field's
-    masks and the filter weight.  Each decision then calls select_option,
-    execute_option and record_visits once, on those and on flat state.
+    masks and the filter weight.  Each decision, kept as its table key pos * 4 + direction,
+    calls select_option, execute_option and record_visits once, on those and on flat state.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -214,7 +214,7 @@ def run_episode(q: list[float], hp: Hyperparams, mode: str, rng: WordTape | None
     masks, weight = field.masks, hp.mof_value
     mem = [0] * length**2
     pos = START[0] * length + START[1]
-    transitions: list[tuple[int, int]] = []
+    transitions: list[int] = []
     route = [pos] if mode == "eval" else None
     n_step = 0
     n_poll = 0
@@ -231,10 +231,9 @@ def run_episode(q: list[float], hp: Hyperparams, mode: str, rng: WordTape | None
             rng.pos += 1
             if word < bound:
                 pick = "explore"
-        direction = select_option(q, mem, pos, ends, pick, rng, weight)
-        outcome, alive = execute_option(masks, alive, pos, walks[pos * 4 + direction],
-                                        max_steps - n_step)
-        transitions.append((pos, direction))
+        key = pos * 4 + select_option(q, mem, pos, ends, pick, rng, weight)
+        outcome, alive = execute_option(masks, alive, pos, walks[key], max_steps - n_step)
+        transitions.append(key)
         record_visits(mem, outcome)
         if route is not None:
             route.extend(outcome.path)

@@ -35,7 +35,11 @@ distance between the parent runs' quartiles; within_bound whether the side's
 median is worse than the parent's by no more than the metric's bound in
 BENCHMARK.json; claim_met whether a gain claimed for the side would hold: it
 read better in at least 9 of 10 rounds, and its median differs from the
-parent's beyond that spread in the better direction.  Standard library only.
+parent's beyond that spread in the better direction.
+
+After writing --out the script prints one line per metric of the session
+to stderr: the parent's and the change's medians, the change's ratio,
+better rounds and claim_met, and the A/A copy's ratio.  Standard library only.
 """
 from __future__ import annotations
 
@@ -86,6 +90,15 @@ def summarize(runs: dict[str, list[dict[str, float]]], spec: dict) -> dict:
                 claim_met=10 * better_pairs >= 9 * len(values) and beyond and gain > 0)
         summary[key] = row
     return summary
+
+
+def summary_line(session: str, key: str, row: dict) -> str:
+    """One metric of a summarized session, as the line the script prints."""
+    change = row["change"]
+    return (f"{session} {key}: parent {row['parent']['median']:.6g}, change "
+            f"{change['median']:.6g}, ratio {change['ratio']:.3f}, better "
+            f"{change['better_pairs']}/{len(change['runs'])}, claim_met {change['claim_met']}, "
+            f"A/A {row['parent_copy']['ratio']:.3f}")
 
 
 def run_once(tree: Path, argv: list[str]) -> dict:
@@ -165,11 +178,13 @@ def main(argv=None) -> int:
                         metric["value"] for name, metric in result["metrics"].items()})
             print(f"round {i + 1}/{args.pairs} done: {' '.join(sides)}", file=sys.stderr)
     session = f"{args.workload}@{args.seconds:g}s/seed{args.seed}"
+    metrics = summarize(runs, spec)
     record.setdefault("sessions", {})[session] = {
         "command": "python3 perfbench/run.py " + " ".join(command), "pairs": args.pairs,
-        "order": order, "failed": failed, "correct": correct,
-        "metrics": summarize(runs, spec)}
+        "order": order, "failed": failed, "correct": correct, "metrics": metrics}
     args.out.write_text(json.dumps(record, indent=1) + "\n")
+    for key, row in metrics.items():
+        print(summary_line(session, key, row), file=sys.stderr)
     return 0
 
 

@@ -165,7 +165,7 @@ def test_05_zero_discount_update_equals_monte_carlo_update():
         key = s * 4 + a
         qa[key] = v
         qb[key] = v
-        step = [(s, a)]
+        step = [key]
         q_update(qa, step, r, s_next, al, 0.0)
         mc_update(qb, step, r, al)
         diff = abs(qa[key] - qb[key])

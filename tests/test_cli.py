@@ -213,6 +213,18 @@ def test_a_failed_run_leaves_no_directory_it_made(cfg_file, tmp_path, monkeypatc
     assert not (tmp_path / "x").exists()
 
 
+def test_an_error_with_no_text_is_named_by_its_type(tmp_path, monkeypatch, capsys):
+    # A config too large for memory made training raise a bare MemoryError,
+    # which printed "error: " and nothing after it.
+    def exhausted(hp, seed):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "train_agent", exhausted)
+    assert run("train", "--out", str(tmp_path / "x" / "y")) == 2
+    assert capsys.readouterr().err == "error: MemoryError\n"
+    assert not (tmp_path / "x").exists()
+
+
 def test_a_failed_run_keeps_an_out_that_existed(cfg_file, tmp_path):
     missing = str(tmp_path / "missing.csv")
     existing = tmp_path / "existing"

@@ -371,6 +371,8 @@ def test_score_agents_asks_for_no_more_workers_than_work_items(monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    # Eight usable CPUs, so that only the work and the jobs bound the pool.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     work = [(SMALL, seed, 10, 10) for seed in (1, 2, 3)]
     expected = [score_agent(*item) for item in work]
     assert score_agents(work[:2], jobs=4) == expected[:2]
@@ -380,6 +382,17 @@ def test_score_agents_asks_for_no_more_workers_than_work_items(monkeypatch):
     assert score_agents(work[:1], jobs=4) == expected[:1]
     assert score_agents(work, jobs=1) == expected
     assert sizes == [2, 2]
+    # Nor does the pool outnumber the CPUs this process may run on.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert score_agents(work, jobs=500) == expected
+    assert sizes == [2, 2, 2]
+    # Where the affinity call does not exist, the CPU count bounds it; one CPU,
+    # or an unknown count, scores in this process.
+    monkeypatch.delattr(os, "sched_getaffinity")
+    for count in (2, 1, None):
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert score_agents(work, jobs=500) == expected
+    assert sizes == [2, 2, 2, 2]
 
 
 def test_agent_route_rejects_a_table_of_another_grid():

@@ -113,12 +113,19 @@ def surviving(clouds, alive):
     return [cloud for i, cloud in enumerate(clouds) if alive >> i & 1]
 
 
+def decode(key, length):
+    """A table key cell * 4 + direction as the reference's ((x, y), direction)."""
+    cell, direction = divmod(key, 4)
+    return divmod(cell, length), direction
+
+
 def trajectory_key(traj, length=None):
-    """The trajectory as text, all but its route; with a length, its cell
-    ints are read as (x, y).  The reference's final cell is its cells[-1]."""
+    """The trajectory as text, all but its route; with a length, its table
+    keys are decoded as the reference's ((x, y), direction) pairs and its
+    final cell read as (x, y).  The reference's final cell is its cells[-1]."""
     transitions, final = traj.transitions, traj.final
     if length is not None:
-        transitions = [(divmod(s, length), o) for s, o in transitions]
+        transitions = [decode(key, length) for key in transitions]
         final = divmod(final, length)
     return repr((transitions, final, traj.n_step, traj.n_poll, traj.r_t, traj.capped))
 
@@ -285,8 +292,8 @@ def test_table_updates_match_the_reference(data):
     cell, cell_next = s[0] * length + s[1], s_next[0] * length + s_next[1]
     for update, reference, args, flat_args in (
             (q_update, oracle.td_update, (s, o, r, s_next, alpha, gamma),
-             ([(cell, o)], r, cell_next, alpha, gamma)),
-            (mc_update, oracle.mc_update, (s, o, r, alpha), ([(cell, o)], r, alpha))):
+             ([cell * 4 + o], r, cell_next, alpha, gamma)),
+            (mc_update, oracle.mc_update, (s, o, r, alpha), ([cell * 4 + o], r, alpha))):
         reference(q, *args)
         update(rows, *flat_args)
         assert np.array(rows, dtype=np.float64).tobytes() == q.tobytes()
@@ -306,6 +313,7 @@ def test_trajectory_backups_match_the_reference_one_transition_at_a_time(data):
     r = data.draw(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-100, 100)), label="r")
     alpha = data.draw(st.floats(0.01, 1.0), label="alpha")
     gamma = data.draw(st.sampled_from([0.0, 0.3, 1.0]), label="gamma")
+    keys = [s * 4 + o for s, o in transitions]  # what a trajectory records
     points = [(divmod(s, length), o) for s, o in transitions]
     states = [s for s, _ in points] + [divmod(final, length)]
     td, mc = q.copy(), q.copy()
@@ -313,18 +321,18 @@ def test_trajectory_backups_match_the_reference_one_transition_at_a_time(data):
         oracle.td_update(td, s, o, r, states[i + 1], alpha, gamma)
         oracle.mc_update(mc, s, o, r, alpha)
     rows = flat(q)
-    assert q_update(rows, transitions, r, final, alpha, gamma) is rows
+    assert q_update(rows, keys, r, final, alpha, gamma) is rows
     assert np.array(rows, dtype=np.float64).tobytes() == td.tobytes()
     rows = flat(q)
-    assert mc_update(rows, transitions, r, alpha) is rows
+    assert mc_update(rows, keys, r, alpha) is rows
     assert np.array(rows, dtype=np.float64).tobytes() == mc.tobytes()
     # A non-finite return raises before the first write.
     bad = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]), label="bad return")
     rows = flat(q)
     with pytest.raises(ValueError):
-        q_update(rows, transitions, bad, final, alpha, gamma)
+        q_update(rows, keys, bad, final, alpha, gamma)
     with pytest.raises(ValueError):
-        mc_update(rows, transitions, bad, alpha)
+        mc_update(rows, keys, bad, alpha)
     assert np.array(rows, dtype=np.float64).tobytes() == q.tobytes()
 
 
@@ -352,6 +360,9 @@ def test_eval_episodes_and_routes_match_the_reference(data):
     length = hp.grid_length
     traj = run_episode(flat(q), hp, "eval", None, field=field)
     expected = oracle.run_episode(q, hp, "eval", None, clouds=oracle.clouds_of(field))
+    # Each decision is recorded as its table key, an int, not as a pair.
+    assert all(type(key) is int and decode(key, length) == pair
+               for key, pair in zip(traj.transitions, expected.transitions, strict=True))
     assert trajectory_key(traj, length) == trajectory_key(expected)
     assert route_points(traj, length) == expected.cells
     seed = data.draw(st.integers(0, 2**31), label="seed")
@@ -414,7 +425,7 @@ def test_episodes_on_the_boundary_words_explore_as_the_reference(epsilon):
     traj = run_episode(flat(q), hp, "train", tape.tape, field=field, epsilon=epsilon)
     expected = oracle.run_episode(q, hp, "train", reference, clouds=clouds, epsilon=epsilon)
     assert trajectory_key(traj, 8) == trajectory_key(expected)
-    assert {o for _, o in traj.transitions} == {0, 1, 2, 3}
+    assert {key & 3 for key in traj.transitions} == {0, 1, 2, 3}
     assert (tape.used, tape.half) == (reference.used, reference.half)
     rows, moves = q.reshape(-1, 4).tolist(), demo_moves(8)
     for _ in range(3):

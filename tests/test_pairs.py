@@ -63,7 +63,7 @@ def checkout(path: Path) -> Path:
     return path
 
 
-def test_a_session_rotates_the_order_and_records_each_side(tmp_path, monkeypatch):
+def test_a_session_rotates_the_order_and_records_each_side(tmp_path, monkeypatch, capsys):
     parent, change = checkout(tmp_path / "parent"), checkout(tmp_path / "change")
     seen = []
 
@@ -89,6 +89,12 @@ def test_a_session_rotates_the_order_and_records_each_side(tmp_path, monkeypatch
         3, {"parent": 0, "change": 0, "parent_copy": 0}, True)
     row = session["metrics"]["agent_pipeline.wall_s"]
     assert row["change"]["better_pairs"] == 3 and row["parent_copy"]["better_pairs"] < 3
+    # After the file, one summary line per metric: the parent ran 2.01, 2.04 and
+    # 2.08 s, the change 1.02, 1.06 and 1.07, the copy 2.03, 2.05 and 2.09.
+    *rounds, summary = capsys.readouterr().err.splitlines()
+    assert rounds == [f"round {i + 1}/3 done: {' '.join(pairs.ORDERS[i])}" for i in range(3)]
+    assert summary == ("agent_pipeline@2.5s/seed0 agent_pipeline.wall_s: parent 2.04, "
+                       "change 1.06, ratio 0.520, better 3/3, claim_met True, A/A 1.005")
     # A second session joins the file; a __pycache__ in either checkout stops the script.
     assert pairs.main([*argv[:-3], "1", "--out", str(out)]) == 0
     assert set(json.loads(out.read_text())["sessions"]) == {"agent_pipeline@2.5s/seed0",

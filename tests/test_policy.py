@@ -38,6 +38,11 @@ def at(x, y, length=20):
     return x * length + y
 
 
+def key(x, y, d, length=20):
+    """The table key of a decision at (x, y) in direction d, as trajectories record it."""
+    return at(x, y, length) * 4 + d
+
+
 def points(cells, length=20):
     """Cell ints as (x, y)."""
     return tuple(divmod(cell, length) for cell in cells)
@@ -84,13 +89,13 @@ def walk(pos, direction, stride):
 
 def test_q_update_zero_fixed_point():
     q = flat(np.zeros((4, 4, 4)))
-    q_update(q, [(at(1, 1, 4), UP)], 0.0, at(1, 0, 4), 0.1, 0.9)
+    q_update(q, [key(1, 1, UP, 4)], 0.0, at(1, 0, 4), 0.1, 0.9)
     assert grid(q, 4)[1, 1, UP] == 0.0
 
 
 def test_q_update_direct_substitution():
     q = flat(np.zeros((4, 4, 4)))
-    q_update(q, [(at(1, 1, 4), RIGHT)], 100.0, at(2, 1, 4), 0.1, 0.9)
+    q_update(q, [key(1, 1, RIGHT, 4)], 100.0, at(2, 1, 4), 0.1, 0.9)
     assert grid(q, 4)[1, 1, RIGHT] == pytest.approx(10.0)
 
 
@@ -99,23 +104,23 @@ def test_q_update_decay_toward_bootstrap():
     table[1, 1, LEFT] = 10.0
     table[0, 1, :] = 10.0
     q = flat(table)
-    q_update(q, [(at(1, 1, 4), LEFT)], 0.0, at(0, 1, 4), 0.1, 0.9)
+    q_update(q, [key(1, 1, LEFT, 4)], 0.0, at(0, 1, 4), 0.1, 0.9)
     assert grid(q, 4)[1, 1, LEFT] == pytest.approx(9.9)
 
 
 def test_q_update_touches_one_entry():
     q = flat(np.zeros((4, 4, 4)))
-    q_update(q, [(at(2, 3, 4), DOWN)], 5.0, at(2, 3, 4), 0.5, 0.0)
+    q_update(q, [key(2, 3, DOWN, 4)], 5.0, at(2, 3, 4), 0.5, 0.0)
     touched = np.nonzero(grid(q, 4))
     assert list(zip(*touched)) == [(2, 3, DOWN)]
 
 
 def test_mc_update_examples():
     q = flat(np.zeros((4, 4, 4)))
-    mc_update(q, [(at(0, 0, 4), UP)], 0.5, 0.1)
+    mc_update(q, [key(0, 0, UP, 4)], 0.5, 0.1)
     assert q[UP] == pytest.approx(0.05)
     q[UP] = 0.5
-    mc_update(q, [(at(0, 0, 4), UP)], 0.5, 0.1)
+    mc_update(q, [key(0, 0, UP, 4)], 0.5, 0.1)
     assert q[UP] == 0.5
 
 
@@ -123,9 +128,9 @@ def test_updates_reject_non_finite_reward():
     q = flat(np.zeros((4, 4, 4)))
     for bad in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValueError):
-            q_update(q, [(0, UP)], bad, at(0, 1, 4), 0.1, 0.0)
+            q_update(q, [key(0, 0, UP, 4)], bad, at(0, 1, 4), 0.1, 0.0)
         with pytest.raises(ValueError):
-            mc_update(q, [(0, UP)], bad, 0.1)
+            mc_update(q, [key(0, 0, UP, 4)], bad, 0.1)
 
 
 # Finite values small enough that no backup overflows, both zeros included.
@@ -143,8 +148,8 @@ def test_mc_equals_q_update_at_zero_discount(old, r, alpha, row, o):
     q[0, 0, o] = old
     q[1, 1] = row  # the bootstrap row, which a zero discount ignores
     a, b = flat(q), flat(q)
-    q_update(a, [(at(0, 0, 2), o)], r, at(1, 1, 2), alpha, 0.0)
-    mc_update(b, [(at(0, 0, 2), o)], r, alpha)
+    q_update(a, [key(0, 0, o, 2)], r, at(1, 1, 2), alpha, 0.0)
+    mc_update(b, [key(0, 0, o, 2)], r, alpha)
     assert np.array(a).tobytes() == np.array(b).tobytes()
 
 
@@ -153,11 +158,11 @@ def test_zero_discount_q_update_reads_no_bootstrap_row():
     q[1, 1, DOWN] = 2.0
     q[2, 2] = math.nan
     table = flat(q)
-    q_update(table, [(at(1, 1, 3), DOWN)], 5.0, at(2, 2, 3), 0.5, 0.0)
+    q_update(table, [key(1, 1, DOWN, 3)], 5.0, at(2, 2, 3), 0.5, 0.0)
     assert grid(table, 3)[1, 1, DOWN] == 2.0 + 0.5 * (5.0 - 2.0)
     # A positive discount reads it.
     table = flat(q)
-    q_update(table, [(at(1, 1, 3), DOWN)], 5.0, at(2, 2, 3), 0.5, 0.9)
+    q_update(table, [key(1, 1, DOWN, 3)], 5.0, at(2, 2, 3), 0.5, 0.9)
     assert math.isnan(grid(table, 3)[1, 1, DOWN])
 
 
@@ -166,7 +171,7 @@ def test_mc_update_converges_geometrically():
     q[UP] = 8.0
     target = 2.0
     for k in range(1, 30):
-        mc_update(q, [(at(0, 0, 3), UP)], target, 0.1)
+        mc_update(q, [key(0, 0, UP, 3)], target, 0.1)
         assert abs(q[UP] - target) == pytest.approx(0.9 ** k * 6.0)
 
 
