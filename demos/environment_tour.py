@@ -51,12 +51,12 @@ def main():
 
     # A field holds its clouds as center cells, and a cell is the int
     # x * grid_length + y; levels holds what the agent senses on each.
-    cloud = make_cloud(divmod(field.clouds[0], length), hp.pollution_diameter, length)
-    cx, cy = cloud.center
+    cx, cy = center = divmod(field.clouds[0], length)
+    support = make_cloud(center, hp.pollution_diameter, length)
     profile = [round(field.levels[x * length + cy], 3)
                for x in range(max(0, cx - 3), min(length, cx + 4))]
-    print(f"\nintensity along the row through {cloud.center}: {profile}")
-    print(f"cells in that cloud: {len(cloud.support)}")
+    print(f"\nintensity along the row through {center}: {profile}")
+    print(f"cells in that cloud: {len(support)}")
 
     stride = option_stride(hp.option_length)
     print(f"\none decision commits to a direction for {stride} cells "

@@ -51,9 +51,9 @@ def main():
     snapshots = static_demo(fixed_hp, args.seed)
     length, diameter = fixed_hp.grid_length, fixed_hp.pollution_diameter
     field = spawn_clouds(length, diameter, 1, make_rng(args.seed))
-    cloud = make_cloud(divmod(field.clouds[0], length), diameter, length)
-    support = set(cloud.support)
-    print(f"  cloud center {cloud.center}, "
+    center = divmod(field.clouds[0], length)
+    support = set(make_cloud(center, diameter, length))
+    print(f"  cloud center {center}, "
           f"{len(support)} cells")
     for episode in sorted(snapshots):
         grid = snapshots[episode]

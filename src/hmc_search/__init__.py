@@ -16,7 +16,6 @@ from .baselines import (
 from .env import (
     DIRECTION_NAMES,
     START,
-    Cloud,
     CloudField,
     WordTape,
     make_cloud,

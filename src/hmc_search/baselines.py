@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .env import START, Cell, Cloud, cloud_row
+from .env import START, Cell, cloud_row
 
 
 @dataclass(frozen=True)
@@ -149,15 +149,14 @@ def budget_steps(hits, max_steps: int) -> list[int]:
     return [max_steps if hit is None else hit for hit in hits]
 
 
-def steps_to_find(path: PatternPath, cloud: Cloud, max_steps: int) -> int:
-    """Moves from the start until the path, from path.first on, first
-    touches the cloud support: the per-cloud reference for center_hits.
+def steps_to_find(path: PatternPath, support: dict[Cell, float], max_steps: int) -> int:
+    """Moves from the start until the path, from path.first on, first enters
+    support, make_cloud's dict: the per-cloud reference for center_hits.
 
     A pattern's start cell is index 0, so a cloud covering it costs zero
     moves.  The count is capped at max_steps, the budget every searcher is
     held to, so a miss and a hit past the budget both score max_steps.
     """
-    support = cloud.support
     for index, cell in enumerate(path.cells[path.first:], path.first):
         if cell in support:
             return min(index, max_steps)

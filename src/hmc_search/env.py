@@ -136,8 +136,9 @@ def disc_offsets(diameter: int) -> tuple[tuple[int, int, float], ...]:
 
 
 class _stamped:
-    """A lazy attribute: func's value, kept in the instance's __dict__ from the
-    first read on; functools.cached_property without the lock Python 3.11 takes."""
+    """A lazy attribute, CloudField's masks and levels: func's value, kept in the
+    instance's __dict__ from the first read on; functools.cached_property without
+    the lock Python 3.11 takes."""
 
     def __init__(self, func):
         self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
@@ -146,35 +147,18 @@ class _stamped:
         return self if obj is None else obj.__dict__.setdefault(self.name, self.func(obj))
 
 
-@dataclass(frozen=True)
-class Cloud:
-    """One pollution cloud: center cell and diameter on a grid.
-
-    support maps each in-grid cell of the disc to its intensity, built on
-    first use: the rule cloud_row's rows, which fields and scoring read, come from.
-    """
-
-    center: Cell
-    diameter: int
-    grid_length: int
-
-    @_stamped
-    def support(self) -> dict[Cell, float]:
-        (cx, cy), length = self.center, self.grid_length
-        support = {}
-        for dx, dy, level in disc_offsets(self.diameter):
-            x, y = cx + dx, cy + dy
-            if 0 <= x < length and 0 <= y < length:
-                support[(x, y)] = level
-        return support
-
-
-def make_cloud(center: Cell, diameter: int, grid_length: int) -> Cloud:
+def make_cloud(center: Cell, diameter: int, grid_length: int) -> dict[Cell, float]:
+    """A cloud as its support: each in-grid cell of the disc around center, in
+    disc_offsets order, mapped to its intensity; the rule of cloud_row's rows."""
     cx, cy = center
     if not (0 <= cx < grid_length and 0 <= cy < grid_length):
         raise ValueError("cloud center lies outside the grid")
-    disc_offsets(diameter)  # rejects a diameter below 1
-    return Cloud((cx, cy), diameter, grid_length)
+    support = {}
+    for dx, dy, level in disc_offsets(diameter):  # rejects a diameter below 1
+        x, y = cx + dx, cy + dy
+        if 0 <= x < grid_length and 0 <= y < grid_length:
+            support[(x, y)] = level
+    return support
 
 
 # At most 2**15 rows, least recently read dropped first: every row of 8 grids
@@ -188,9 +172,10 @@ def cloud_row(grid_length: int, diameter: int, center: int) -> tuple[tuple, tupl
     cells are also the centers of the clouds that cover center.  A row is
     built the first time its center is read, so the cache grows with the
     centers a process draws or scores, each up to pi / 4 * diameter**2
-    cells, not with the whole grid.  make_cloud refuses a center off the grid.
+    cells, not with the whole grid.  make_cloud builds the support and refuses
+    a center off the grid.
     """
-    support = make_cloud(divmod(center, grid_length), diameter, grid_length).support
+    support = make_cloud(divmod(center, grid_length), diameter, grid_length)
     return tuple(x * grid_length + y for x, y in support), tuple(support.values())
 
 

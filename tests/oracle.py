@@ -7,7 +7,7 @@ terminals by option_terminal arithmetic, collections by a scan of every
 cloud's support, numpy scalar reads and writes, and the demos' per-step
 calls of the public move with a reward and a backup of their own.
 Where the package keeps a field as center cells, the reference builds
-the field's Cloud objects once (clouds_of) and reads their supports.
+each cloud's support dict once (clouds_of, by make_cloud) and reads it.
 Scoring and stamping are here as they were before the per-center tables:
 a first_hit per center, and masks and levels stamped from every cloud's
 support.  They draw from numpy's own Generator, where the package reads
@@ -131,7 +131,7 @@ class Outcome(NamedTuple):
 
 
 def clouds_of(field):
-    """A package field's clouds as Cloud objects, in field order."""
+    """A package field's clouds as their support dicts, in field order."""
     length = field.grid_length
     return [make_cloud(divmod(center, length), field.diameter, length)
             for center in field.clouds]
@@ -152,22 +152,21 @@ def execute_option(clouds, grid_length, pos, direction, stride, steps_remaining)
             break
         x, y = nx, ny
         path.append((x, y))
-        hits = sum(1 for cloud in clouds if (x, y) in cloud.support)
+        hits = sum(1 for support in clouds if (x, y) in support)
         if hits:
             found += hits
-            clouds = [c for c in clouds if (x, y) not in c.support]
+            clouds = [c for c in clouds if (x, y) not in c]
             if not clouds:
                 break
     outcome = Outcome(tuple(path), len(path), found, path[-1] if path else pos, clamped)
     return outcome, clouds
 
 
-def first_hit(path, cloud):
-    """Index of the first path cell, from path.first on, in the cloud support.
+def first_hit(path, support):
+    """Index of the first path cell, from path.first on, in a cloud's support.
 
     None on a miss, so that a miss stays distinct from a hit at any index.
     """
-    support = cloud.support
     for index, cell in enumerate(path.cells[path.first:], path.first):
         if cell in support:
             return index
@@ -184,8 +183,8 @@ def stamp(field):
     length = field.grid_length
     masks = [0] * (length * length)
     levels = [0.0] * (length * length)
-    for i, cloud in enumerate(clouds_of(field)):
-        for (x, y), level in cloud.support.items():
+    for i, support in enumerate(clouds_of(field)):
+        for (x, y), level in support.items():
             masks[x * length + y] |= 1 << i
             levels[x * length + y] = max(levels[x * length + y], level)
     return masks, levels
@@ -289,7 +288,7 @@ def _greedy_action(q, pos):
 def demo_episode(q, hp, clouds, epsilon, rng, learn):
     support = set()
     for cloud in clouds:
-        support.update(cloud.support)
+        support.update(cloud)
     pos = START
     found_at = None
     for step in range(hp.max_steps):
@@ -298,7 +297,7 @@ def demo_episode(q, hp, clouds, epsilon, rng, learn):
         else:
             action = _greedy_action(q, pos)
         new_pos, _ = move(pos, action, hp.grid_length)
-        reward = max([cloud.support.get(new_pos, 0.0) for cloud in clouds], default=0.0)
+        reward = max([cloud.get(new_pos, 0.0) for cloud in clouds], default=0.0)
         if found_at is None and new_pos in support:
             reward += 100.0
             found_at = step + 1

@@ -129,7 +129,7 @@ def test_04_discounted_values_pave_a_path_to_the_fixed_cloud():
         support = set()
         for center in field.clouds:
             support.update(make_cloud(divmod(center, hp.grid_length), hp.pollution_diameter,
-                                      hp.grid_length).support)
+                                      hp.grid_length))
         if positive_path_reaches_cloud(snapshots[2000], hp.grid_length, support):
             passes += 1
     elapsed = time.perf_counter() - start

@@ -202,7 +202,7 @@ def test_patterns_find_a_cloud_at_every_center_of_any_grid(grid):
         # (A first_hit per center costs seconds on a 60-cell grid.)
         covered = set()
         for cell in set(path.cells):
-            covered.update(make_cloud(cell, diameter, grid_length).support)
+            covered.update(make_cloud(cell, diameter, grid_length))
         assert len(covered) == grid_length ** 2
 
 

@@ -44,31 +44,31 @@ def test_grid_config_defaults():
 
 
 def test_single_cell_cloud():
-    cloud = make_cloud((5, 5), 1, 20)
-    assert cloud.support == {(5, 5): 1.0}
+    assert make_cloud((5, 5), 1, 20) == {(5, 5): 1.0}
 
 
 def test_interior_diameter_5_support_has_21_cells():
     # 5x5 block minus the four corners, whose distance sqrt(8) > 2.5.
-    cloud = make_cloud((10, 10), 5, 20)
-    assert len(cloud.support) == 21
+    support = make_cloud((10, 10), 5, 20)
+    assert len(support) == 21
     for (x, y) in ((8, 8), (12, 8), (8, 12), (12, 12)):
-        assert (x, y) not in cloud.support
+        assert (x, y) not in support
 
 
 def test_corner_cloud_is_clipped_to_8_cells():
-    cloud = make_cloud((0, 0), 5, 20)
-    assert len(cloud.support) == 8
-    assert all(x >= 0 and y >= 0 for x, y in cloud.support)
+    support = make_cloud((0, 0), 5, 20)
+    assert len(support) == 8
+    assert all(x >= 0 and y >= 0 for x, y in support)
 
 
-def test_a_clouds_support_is_built_once_on_first_read():
-    # The reference's per-step loops read supports, so each cloud keeps its own.
-    cloud = make_cloud((3, 4), 5, 20)
-    assert "support" not in vars(cloud)
-    support = cloud.support
-    assert vars(cloud)["support"] is support
-    assert cloud.support is support
+def test_a_cloud_is_its_support_dict_in_disc_order():
+    # cloud_row keeps the dict's order: the in-grid cells of disc_offsets, in its order.
+    for (cx, cy) in ((3, 4), (0, 0), (19, 2), (10, 19)):
+        support = make_cloud((cx, cy), 5, 20)
+        assert type(support) is dict
+        assert list(support.items()) == [
+            ((cx + dx, cy + dy), level) for dx, dy, level in disc_offsets(5)
+            if 0 <= cx + dx < 20 and 0 <= cy + dy < 20]
 
 
 def test_cloud_center_outside_grid_rejected():
@@ -77,10 +77,10 @@ def test_cloud_center_outside_grid_rejected():
 
 
 def test_intensity_profile():
-    cloud = make_cloud((10, 10), 5, 20)
-    assert cloud.support[(10, 10)] == 1.0
-    assert cloud.support[(12, 10)] == pytest.approx(1.0 - 4.0 / 6.0)
-    assert all(level > 0.0 for level in cloud.support.values())
+    support = make_cloud((10, 10), 5, 20)
+    assert support[(10, 10)] == 1.0
+    assert support[(12, 10)] == pytest.approx(1.0 - 4.0 / 6.0)
+    assert all(level > 0.0 for level in support.values())
 
 
 def test_disc_offsets_match_euclidean_rule():
@@ -96,19 +96,19 @@ def test_disc_offsets_match_euclidean_rule():
 
 
 def test_support_symmetry_for_interior_center():
-    cloud = make_cloud((10, 10), 5, 21)
-    for (x, y), level in cloud.support.items():
+    support = make_cloud((10, 10), 5, 21)
+    for (x, y), level in support.items():
         dx, dy = x - 10, y - 10
         for sx, sy in ((dx, dy), (-dx, dy), (dx, -dy), (-dx, -dy),
                        (dy, dx), (-dy, dx), (dy, -dx), (-dy, -dx)):
             mirrored = (10 + sx, 10 + sy)
-            assert cloud.support[mirrored] == pytest.approx(level)
+            assert support[mirrored] == pytest.approx(level)
 
 
 def test_clipping_monotonicity():
     interior = make_cloud((10, 10), 5, 20)
     for corner in ((0, 0), (19, 0), (0, 19), (19, 19)):
-        assert len(make_cloud(corner, 5, 20).support) <= len(interior.support)
+        assert len(make_cloud(corner, 5, 20)) <= len(interior)
 
 
 def test_sense_zero_outside_max_over_clouds_inside():
@@ -124,7 +124,7 @@ def test_sense_positive_iff_in_some_support():
     field = spawn_clouds(20, 5, 3, make_rng(11))
     covered = set()
     for center in field.clouds:
-        covered.update(make_cloud(divmod(center, 20), 5, 20).support)
+        covered.update(make_cloud(divmod(center, 20), 5, 20))
     for x in range(20):
         for y in range(20):
             assert (sense(field, (x, y)) > 0.0) == ((x, y) in covered)
@@ -140,8 +140,7 @@ def test_sense_is_the_max_over_the_clouds_supports(data):
     centers = data.draw(st.lists(st.integers(0, length * length - 1), max_size=5),
                         label="centers")
     field = CloudField(centers, length, diameter)
-    supports = [make_cloud(divmod(center, length), diameter, length).support
-                for center in centers]
+    supports = [make_cloud(divmod(center, length), diameter, length) for center in centers]
     for cell in range(length * length):
         pos = divmod(cell, length)
         expected = max([support[pos] for support in supports if pos in support], default=0.0)

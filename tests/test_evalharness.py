@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hmc_search.baselines import snake_path, spiral_path, steps_to_find
+from hmc_search.baselines import center_hits, snake_path, spiral_path, steps_to_find
 from hmc_search.env import (RIGHT, START, CloudField, draw_centers, make_cloud, make_rng,
                             spawn_clouds)
 from hmc_search.evalharness import (
@@ -152,6 +152,31 @@ def test_sampled_evaluation_agrees_with_the_exact_mean_over_all_centers(kind):
     assert np.abs(z).max() < 4
     assert abs(z.mean()) <= 0.5
     assert 0.7 <= z.std() <= 1.3
+
+
+@pytest.mark.parametrize("kind", ["untrained agent", "trained agent", "spiral"])
+def test_sampled_duels_agree_with_the_exact_score_map(kind):
+    # score_map's tallies over all L * L centers are the exact win and loss
+    # fractions against the snake, and run_duels draws its centers uniformly,
+    # so over 50 seeds the sampled fractions' z scores must look standard
+    # normal.  Ties are too rare for a normal bound and are left out.
+    hp = Hyperparams()
+    snake = snake_path(20, 5)
+    route = {"untrained agent": lambda: agent_route(zeros(20), hp),
+             "trained agent": lambda: agent_route(train_agent(hp, 0).q, hp),
+             "spiral": lambda: spiral_path(20, 5)}[kind]()
+    exact = DuelOutcome.tally(score_map(route, hp, snake))
+    n = 1000
+    samples = [run_duels(route, hp, n, make_rng(seed, stream=2), snake)["snake"]
+               for seed in range(50)]
+    for field in ("wins", "losses"):
+        p = getattr(exact, field) / exact.total
+        error = np.sqrt(p * (1 - p) / n)
+        assert error > 0
+        z = np.array([(getattr(outcome, field) / n - p) / error for outcome in samples])
+        assert np.abs(z).max() < 4
+        assert abs(z.mean()) <= 0.5
+        assert 0.7 <= z.std() <= 1.3
 
 
 def test_evaluate_agent_is_reproducible():
@@ -449,6 +474,20 @@ def test_route_lookup_equals_episode_replay(data):
             assert first_hit(route, cloud) == (traj.n_step if traj.n_poll else None)
             assert list(route.cells[:len(traj.cells)]) == \
                 [divmod(cell, length) for cell in traj.cells]
+    # A field of K clouds is read off the same route: the episode collects the
+    # clouds whose centers the route hits, and when it hits them all it ends
+    # at the last of those hits.  Repeated centers count once each.
+    hits = center_hits(route, length, hp.pollution_diameter, hp.max_steps)
+    fields = data.draw(st.lists(st.lists(st.integers(0, length * length - 1),
+                                         min_size=1, max_size=4), min_size=1, max_size=10),
+                       label="fields")
+    for centers in fields:
+        traj = run_episode(q, hp, "eval", None,
+                           field=CloudField(centers, length, hp.pollution_diameter))
+        found = [hits[center] for center in centers]
+        assert traj.n_poll == sum(hit is not None for hit in found)
+        if None not in found:
+            assert traj.n_step == max(found)
 
 
 def test_agent_loses_every_center_whose_cloud_covers_the_start():

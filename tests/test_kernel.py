@@ -597,7 +597,7 @@ def test_fields_stamp_masks_and_levels_once():
     clouds = [make_cloud(divmod(center, 8), 3, 8) for center in field.clouds]
     for cell, (mask, level) in enumerate(zip(field.masks, field.levels)):
         pos = divmod(cell, 8)
-        covering = [i for i, c in enumerate(clouds) if pos in c.support]
+        covering = [i for i, c in enumerate(clouds) if pos in c]
         assert mask == sum(1 << i for i in covering)
-        assert level == max([clouds[i].support[pos] for i in covering], default=0.0)
+        assert level == max([clouds[i][pos] for i in covering], default=0.0)
         assert (level > 0.0) == bool(covering)

@@ -424,26 +424,29 @@ def test_multi_cloud_training_counts_every_find():
 
 def test_spawning_training_routes_and_demos_build_no_cloud(monkeypatch):
     # A field holds its clouds as center cells, so once the cloud_row rows
-    # are built no product path makes a Cloud; make_cloud is the reference.
+    # are built no product path builds a cloud's support; make_cloud is the reference.
     hp = Hyperparams(grid_length=8, pollution_diameter=3, max_steps=40, num_episodes=20,
                      num_clouds=3, best_learn_value=3)
     for center in range(8 * 8):
         cloud_row(8, 3, center)
     built = []
+    make = env.make_cloud
 
-    class Counted(env.Cloud):
-        def __init__(self, *args):
-            built.append(args)
-            super().__init__(*args)
+    def counted(*args):
+        built.append(args)
+        return make(*args)
 
-    monkeypatch.setattr(env, "Cloud", Counted)
+    monkeypatch.setattr(env, "make_cloud", counted)
     assert spawn_clouds(8, 3, 3, make_rng(0)).masks
     report = train_agent(hp, 0)
     agent_route(report.q, hp)
     dynamic_demo(hp, 0, n_episodes=20, snapshot_episodes=(0, 20), n_eval_episodes=20)
     assert built == []
-    make_cloud((0, 0), 3, 8)  # the reference is counted
+    env.make_cloud((0, 0), 3, 8)  # the reference is counted
     assert built == [((0, 0), 3, 8)]
+    env.cloud_row.cache_clear()  # and so is a row built afresh
+    cloud_row(8, 3, 9)
+    assert built == [((0, 0), 3, 8), ((1, 1), 3, 8)]
 
 
 def test_run_episode_rejects_unknown_mode():
@@ -553,7 +556,7 @@ def test_dynamic_demo_first_episode_marks_only_cloud_approaches():
     first_cloud = spawn_clouds(20, 5, 1, rng)
     allowed = set()
     for center in first_cloud.clouds:
-        for (x, y) in make_cloud(divmod(center, 20), 5, 20).support:
+        for (x, y) in make_cloud(divmod(center, 20), 5, 20):
             allowed.add((x, y))
             allowed.update(((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)))
     assert touched <= allowed
